@@ -238,13 +238,14 @@ def isoperimetric_ratio_lower(n: int, covolume_sq: Fraction,
 
 # --- level builders ---------------------------------------------------------------
 
-def _cube_parallelotope(n: int) -> Parallelotope:
-    """Unit cube body for the standard lattice, measures in closed form."""
+def _cube_parallelotope(lat: Lattice) -> Parallelotope:
+    """Unit cube body for a lattice equal to Z^n, measures in closed form."""
+    n = lat.rank
     body = HPolytope.cube(n)
     vol = SqrtSum.from_rational(1)
     surf = SqrtSum.from_rational(2 * n)
     body._cache["measures"] = BodyMeasures(vol, surf, surf)
-    return Parallelotope(body, Lattice.standard(n))
+    return Parallelotope(body, lat)
 
 
 def base_level(lat: Lattice, config: RecursionConfig
@@ -253,7 +254,7 @@ def base_level(lat: Lattice, config: RecursionConfig
     if not lat.is_integer():
         raise ConstructionError("base case needs an integer lattice")
     if lat.ambient_dim == r and lattices_equal(lat, Lattice.standard(r)):
-        par = _cube_parallelotope(r)
+        par = _cube_parallelotope(lat)
         trace = LevelTrace(n=r, mode="cube", ratio=par.measures().ratio,
                            checks=(("ratio_le_2n", True),))
         return par, trace

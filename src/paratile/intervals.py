@@ -34,8 +34,9 @@ def iroot_floor(n: int, k: int) -> int:
         return n
     if k == 2:
         return math.isqrt(n)
-    # Newton iteration on integers; the initial guess overshoots.
-    r = 1 << (n.bit_length() // k + 1)
+    # Newton iteration on integers; it descends to the floor root from any
+    # start at or above it, so the start only decides the number of steps.
+    r = _iroot_start(n, k)
     while True:
         nr = ((k - 1) * r + n // r ** (k - 1)) // k
         if nr >= r:
@@ -46,6 +47,23 @@ def iroot_floor(n: int, k: int) -> int:
     while (r + 1) ** k <= n:
         r += 1
     return r
+
+
+def _iroot_start(n: int, k: int) -> int:
+    """An integer above n**(1/k), by a relative 2**-40 or so when k <= 512.
+
+    A 53-bit float root of the leading bits, pushed up past its rounding
+    error, starts Newton in the quadratic regime.  When that estimate is not
+    provably high (or k is too large for a float), fall back to a power of 2.
+    """
+    if k <= 512:
+        shift = max(0, (n.bit_length() - 64) // k) * k
+        est = float(n >> shift) ** (1.0 / k)
+        r = (int(math.ldexp(est, 53)) << (shift // k)) >> 53
+        r += (r >> 40) + 2
+        if r ** k > n:
+            return r
+    return 1 << (n.bit_length() // k + 1)
 
 
 def _as_fraction(x: Rat) -> Fraction:

@@ -67,6 +67,9 @@ class Lattice:
         """Volume of a fundamental cell inside the lattice's span."""
         if self.rank == 0:
             return SqrtSum.from_rational(1)
+        if self.rank == self.ambient_dim:
+            # det(B^T B) = det(B)^2 for a square basis, without the Gram product
+            return SqrtSum.sqrt(det_q(self.basis) ** 2)
         return SqrtSum.sqrt(det_q(self.gram()))
 
     def vector(self, coords: Sequence[int]) -> Tuple[Fraction, ...]:
@@ -104,9 +107,11 @@ def lattices_equal(a: Lattice, b: Lattice) -> bool:
     """Exact equality as subsets of the ambient space."""
     if a.ambient_dim != b.ambient_dim or a.rank != b.rank:
         return False
+    if a.basis.entries == b.basis.entries:
+        return True  # the same basis spans the same lattice
     na, da = clear_denominators(a.basis)
     nb, db = clear_denominators(b.basis)
-    d = da * db // math.gcd(da, db)
+    d = math.lcm(da, db)
     ma = na.scale(d // da)
     mb = nb.scale(d // db)
     return hnf_basis_columns(ma).entries == hnf_basis_columns(mb).entries

@@ -11,12 +11,35 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .intervals import iroot_floor, sqrt_upper
 from .radicals import SqrtSum
 
 Rat = Union[int, Fraction]
+
+# shared by every identity matrix: Fractions are immutable, and two identity
+# bases then compare equal entry by entry on object identity alone
+_Q_ONE = Fraction(1)
+_Q_ZERO = Fraction(0)
+
+
+def denominator_lcm(values: Iterable[Rat]) -> int:
+    """Least common multiple of the denominators of ints and Fractions."""
+    return math.lcm(*{x.denominator for x in values})
+
+
+def scaled_to_int(row: Sequence[Rat], d: int) -> Tuple[int, ...]:
+    """The integers d * x; d must clear every denominator in the row."""
+    if d == 1:
+        return tuple(x.numerator for x in row)
+    return tuple(x.numerator * (d // x.denominator) for x in row)
+
+
+def _identity_rows(n: int, one, zero) -> tuple:
+    zeros = (zero,) * n
+    return tuple(zeros[:i] + (one,) + zeros[i + 1:] for i in range(n))
 
 
 # --- matrix containers -------------------------------------------------------
@@ -38,8 +61,7 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n))
-                               for i in range(n)))
+        return IntMatrix(_identity_rows(n, 1, 0))
 
     @property
     def nrows(self) -> int:
@@ -96,7 +118,7 @@ class QMatrix:
 
     @staticmethod
     def identity(n: int) -> "QMatrix":
-        return IntMatrix.identity(n).to_q()
+        return QMatrix(_identity_rows(n, _Q_ONE, _Q_ZERO))
 
     @property
     def nrows(self) -> int:
@@ -161,12 +183,8 @@ def as_qmatrix(m: Union[IntMatrix, QMatrix]) -> QMatrix:
 
 def clear_denominators(m: QMatrix) -> Tuple[IntMatrix, int]:
     """(N, d) with m = N/d, d the lcm of all entry denominators."""
-    d = 1
-    for row in m.entries:
-        for x in row:
-            d = d * x.denominator // math.gcd(d, x.denominator)
-    n = IntMatrix(tuple(tuple(int(x * d) for x in row) for row in m.entries))
-    return n, d
+    d = denominator_lcm(chain.from_iterable(m.entries))
+    return IntMatrix(tuple(scaled_to_int(row, d) for row in m.entries)), d
 
 
 # --- ranks and elimination ---------------------------------------------------
@@ -200,16 +218,10 @@ def rank_int_rows(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-def _int_rows_of(m: Union[IntMatrix, QMatrix]) -> List[List[int]]:
+def _int_rows_of(m: Union[IntMatrix, QMatrix]) -> Sequence[Sequence[int]]:
     if isinstance(m, IntMatrix):
-        return [list(r) for r in m.entries]
-    out = []
-    for row in m.entries:
-        d = 1
-        for x in row:
-            d = d * x.denominator // math.gcd(d, x.denominator)
-        out.append([int(x * d) for x in row])
-    return out
+        return m.entries
+    return [scaled_to_int(row, denominator_lcm(row)) for row in m.entries]
 
 
 def rank_over_rationals(m: Union[IntMatrix, QMatrix]) -> int:

@@ -25,12 +25,14 @@ from .linalg import (
     IntMatrix,
     QMatrix,
     as_qmatrix,
+    denominator_lcm,
     det_q,
     integer_kernel_basis,
     inverse,
     lll_reduce,
     rank_int_rows,
     rank_over_rationals,
+    scaled_to_int,
 )
 from .radicals import SqrtSum
 
@@ -51,17 +53,17 @@ class DegenerateBody(Exception):
 
 def primitive_normal(vec: Sequence) -> Tuple[Tuple[int, ...], Fraction]:
     """(a, gamma) with vec = gamma * a, a primitive integer, gamma > 0."""
-    fr = [Fraction(x) for x in vec]
-    if not any(fr):
+    if all(type(x) is int for x in vec):
+        den, ints = 1, vec
+    else:
+        fr = [Fraction(x) for x in vec]
+        den = denominator_lcm(fr)
+        ints = scaled_to_int(fr, den)
+    g = math.gcd(*ints)
+    if g == 0:
         raise ValueError("zero normal")
-    den = 1
-    for x in fr:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = [int(x * den) for x in fr]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
-    return tuple(x // g for x in ints), Fraction(g, den)
+    a = tuple(ints) if g == 1 else tuple(x // g for x in ints)
+    return a, Fraction(g, den)
 
 
 def canonical_halfspaces(raw: Iterable[Tuple[Sequence, Fraction]]
@@ -81,10 +83,8 @@ def _idot(a: Sequence[int], b: Sequence[int]) -> int:
 
 
 def _cleared(v: Tuple[Fraction, ...]) -> Tuple[int, Tuple[int, ...]]:
-    den = 1
-    for x in v:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    return den, tuple(int(x * den) for x in v)
+    den = denominator_lcm(v)
+    return den, scaled_to_int(v, den)
 
 
 # --- double description sweep --------------------------------------------------
@@ -193,10 +193,7 @@ def _affine_rank(points: Sequence[Tuple[Fraction, ...]]) -> int:
     rows = []
     for p in points[1:]:
         diff = [x - y for x, y in zip(p, p0)]
-        den = 1
-        for x in diff:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        rows.append([int(x * den) for x in diff])
+        rows.append(scaled_to_int(diff, denominator_lcm(diff)))
     return rank_int_rows(rows)
 
 
@@ -271,11 +268,11 @@ class HPolytope:
 
     @staticmethod
     def cube(n: int, half_side: Fraction = Fraction(1, 2)) -> "HPolytope":
+        half = Fraction(half_side)
         hs = []
-        for i in range(n):
-            for sign in (1, -1):
-                hs.append((tuple(sign if j == i else 0 for j in range(n)),
-                           Fraction(half_side)))
+        for e in IntMatrix.identity(n).entries:
+            hs.append((e, half))
+            hs.append((tuple(-x for x in e), half))
         return HPolytope.from_halfspaces(n, hs)
 
     # basic data ----------------------------------------------------------------

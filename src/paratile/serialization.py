@@ -29,6 +29,8 @@ class SerializationError(ValueError):
 # --- scalars -------------------------------------------------------------------
 
 def frac_str(x: Union[int, Fraction]) -> str:
+    if type(x) is int:  # not isinstance: str(True) is "True", not "1"
+        return str(x)
     f = Fraction(x)
     if f.denominator == 1:
         return str(f.numerator)

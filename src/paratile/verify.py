@@ -20,6 +20,7 @@ import numpy as np
 
 from .intervals import Interval, sqrt_upper
 from .lattices import Lattice, enumerate_short_vectors
+from .linalg import denominator_lcm, scaled_to_int
 from .polytopes import HPolytope
 
 
@@ -47,10 +48,8 @@ def _integerized_system(body: HPolytope, lat: Lattice, bits: int
         # w . (B y) <= b  with y = k/2^bits - c
         wb = [sum(Fraction(a[i]) * basis.entries[i][j]
                   for i in range(len(a))) for j in range(basis.ncols)]
-        den = b.denominator
-        for x in wb:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        rows.append([int(x * den) for x in wb])
+        den = denominator_lcm((b, *wb))
+        rows.append(list(scaled_to_int(wb, den)))
         rhs.append(int(b * den))
     return rows, rhs
 

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,18 @@ def test_construct_cube_dimensions():
         assert rep.within_predicted is True
         assert rep.parallelotope.measures().volume \
             == SqrtSum.from_rational(1)
+
+
+def test_construct_cube_at_a_thousand_within_budget():
+    # the cube base case must stay integer work, not n x n Fraction algebra
+    t0 = time.perf_counter()
+    rep = construct(1000)
+    assert time.perf_counter() - t0 < 12.0
+    assert not rep.bound_only
+    assert [lv.mode for lv in rep.levels] == ["cube"]
+    assert all(ok for lv in rep.levels for _, ok in lv.checks)
+    assert rep.ratio_exact == SqrtSum.from_rational(2000)
+    assert rep.ratio_upper == 2000 and rep.trivial_bound == 2000
 
 
 def test_construct_rejects_nonpositive_dimension():

@@ -22,10 +22,31 @@ def test_iroot_floor_is_floor(n, k):
     assert r ** k <= n < (r + 1) ** k
 
 
+@given(st.integers(min_value=0, max_value=1 << 40000),
+       st.integers(min_value=3, max_value=300))
+def test_iroot_floor_large_radicands(n, k):
+    r = iroot_floor(n, k)
+    assert r ** k <= n < (r + 1) ** k
+
+
+@given(st.integers(min_value=1, max_value=1 << 13000),
+       st.integers(min_value=3, max_value=300),
+       st.sampled_from([-1, 0, 1]))
+def test_iroot_floor_near_perfect_powers(base, k, delta):
+    base >>= max(0, base.bit_length() - 40000 // k)  # keep base**k <= 40k bits
+    n = base ** k + delta
+    r = iroot_floor(n, k)
+    assert r ** k <= n < (r + 1) ** k
+    assert r == (base - 1 if delta < 0 else base)
+
+
 def test_iroot_floor_exact_powers():
     assert iroot_floor(27, 3) == 3
     assert iroot_floor(26, 3) == 2
     assert iroot_floor(1 << 60, 2) == 1 << 30
+    # k beyond the float estimate's range takes the power-of-two start
+    assert iroot_floor(3 ** 1000, 1000) == 3
+    assert iroot_floor(3 ** 1000 - 1, 1000) == 2
 
 
 @given(rationals, rationals, rationals)

@@ -10,7 +10,7 @@ from paratile.lattices import (EnumerationCap, Lattice,
                                coordinates_in_lattice, enumerate_short_vectors,
                                intersect_with_kernel, lattices_equal,
                                project_onto_rowspan, shortest_vector_sq)
-from paratile.linalg import IntMatrix, QMatrix, det_int
+from paratile.linalg import IntMatrix, QMatrix, det_int, det_q
 from paratile.radicals import SqrtSum
 
 FCC = [[1, 1, 0], [1, 0, 1], [0, 1, 1]]
@@ -50,6 +50,45 @@ def test_lattices_equal_under_unimodular_change():
     assert lattices_equal(a, b)
     c = Lattice.from_columns([[2, 0], [0, 1]])
     assert not lattices_equal(a, c)
+
+
+square_bases = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6),
+                 min_size=n, max_size=n),
+        min_size=n, max_size=n))
+
+
+@given(square_bases)
+def test_covolume_square_path_matches_gram_path(cols):
+    if det_q(QMatrix.from_rows(cols)) == 0:
+        return
+    lat = Lattice.from_columns(cols)
+    assert lat.covolume() == SqrtSum.sqrt(det_q(lat.gram()))
+
+
+def test_covolume_of_a_plane_lattice_in_space():
+    lat = Lattice.from_columns([[1, 1, 0], [0, 1, 1]])
+    assert lat.covolume() == SqrtSum.sqrt(3)
+
+
+@given(st.lists(st.lists(st.integers(min_value=-3, max_value=3),
+                         min_size=3, max_size=3), min_size=3, max_size=3),
+       st.integers(min_value=0, max_value=2),
+       st.integers(min_value=2, max_value=3))
+def test_lattices_equal_separates_same_rank_lattices(cols, j, k):
+    if det_int(cols) == 0:
+        return
+    lat = Lattice.from_columns(cols)
+    assert lattices_equal(lat, Lattice.from_columns(cols))
+    # k times one basis column: an index-k sublattice, same rank
+    sub = [[k * x for x in c] if i == j else c for i, c in enumerate(cols)]
+    assert not lattices_equal(lat, Lattice.from_columns(sub))
+    assert not lattices_equal(Lattice.from_columns(sub), lat)
+    # a unimodular change of basis: different bases, the same lattice
+    sheared = [[x + y for x, y in zip(c, cols[(j + 1) % 3])] if i == j else c
+               for i, c in enumerate(cols)]
+    assert lattices_equal(lat, Lattice.from_columns(sheared))
 
 
 def test_kernel_intersection_of_worked_matrix():

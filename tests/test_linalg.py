@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,10 +7,10 @@ from hypothesis import strategies as st
 
 from paratile.linalg import (IntMatrix, QMatrix, clear_denominators,
                              columns_independent, complete_to_full_rank,
-                             det_int, det_q, gf2_rank, hnf_basis_columns,
-                             integer_kernel_basis, inverse, lll_reduce,
-                             nullspace, operator_norm_upper, rank_int_rows,
-                             rank_over_gf2, rank_over_rationals,
+                             denominator_lcm, det_int, det_q, gf2_rank,
+                             hnf_basis_columns, integer_kernel_basis, inverse,
+                             lll_reduce, nullspace, operator_norm_upper,
+                             rank_int_rows, rank_over_gf2, rank_over_rationals,
                              rayleigh_lower_sq, rref, solve_unique)
 
 bit_matrices = st.integers(min_value=1, max_value=4).flatmap(
@@ -96,6 +97,64 @@ def test_clear_denominators():
     m = QMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)]])
     im, den = clear_denominators(m)
     assert den == 6 and im.entries == ((3, 2),)
+
+
+def test_denominator_lcm():
+    assert denominator_lcm([]) == 1
+    assert denominator_lcm([3, -7, 0]) == 1
+    assert denominator_lcm([Fraction(1, 4), 2, Fraction(5, 6)]) == 12
+
+
+def _lcm_loop(values):
+    d = 1
+    for x in values:
+        d = d * x.denominator // math.gcd(d, x.denominator)
+    return d
+
+
+def _clear_denominators_by_loop(m):
+    d = _lcm_loop(x for row in m.entries for x in row)
+    return tuple(tuple(int(x * d) for x in row) for row in m.entries), d
+
+
+def _rank_by_row_loop(m):
+    rows = []
+    for row in m.entries:
+        d = _lcm_loop(row)
+        rows.append([int(x * d) for x in row])
+    return rank_int_rows(rows)
+
+
+rational_matrices = st.integers(min_value=1, max_value=4).flatmap(
+    lambda m: st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.fractions(min_value=-6, max_value=6,
+                                  max_denominator=12),
+                     min_size=n, max_size=n),
+            min_size=m, max_size=m)))
+
+
+@given(st.one_of(int_matrices, rational_matrices))
+def test_clearing_and_rank_match_the_lcm_loops(rows):
+    # integer-valued rows take the denominator-1 fast path, others the general
+    q = QMatrix.from_rows(rows)
+    im, den = clear_denominators(q)
+    assert (im.entries, den) == _clear_denominators_by_loop(q)
+    assert all(type(x) is int for row in im.entries for x in row)
+    assert rank_over_rationals(q) == _rank_by_row_loop(q)
+    if all(x.denominator == 1 for row in q.entries for x in row):
+        assert rank_over_rationals(q.to_int()) == _rank_by_row_loop(q)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_identity_matrices(n):
+    want = tuple(tuple(1 if i == j else 0 for j in range(n))
+                 for i in range(n))
+    assert IntMatrix.identity(n).entries == want
+    q = QMatrix.identity(n)
+    assert q.entries == want
+    assert all(type(x) is Fraction for row in q.entries for x in row)
+    assert rank_over_rationals(q) == n
 
 
 # --- integer kernels ----------------------------------------------------------

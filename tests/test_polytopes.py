@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from paratile.lattices import Lattice
 from paratile.linalg import IntMatrix, QMatrix
 from paratile.polytopes import (DegenerateBody, EmptyBody, HPolytope,
                                 Unbounded, linear_image, orthogonal_product,
-                                scaled, voronoi_cell)
+                                primitive_normal, scaled, voronoi_cell)
 from paratile.radicals import SqrtSum
 
 FCC = [[1, 1, 0], [1, 0, 1], [0, 1, 1]]
@@ -29,6 +30,36 @@ def test_cube_measures_exact(n):
     assert m.ratio == SqrtSum.from_rational(2 * n)
     assert len(c.vertices()) == 2 ** n
     assert len(c.facets()) == 2 * n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+@pytest.mark.parametrize("half_side", [Fraction(1, 2), Fraction(3)])
+def test_cube_matches_a_generic_build(n, half_side):
+    hs = [(tuple(Fraction(sign if j == i else 0) for j in range(n)),
+           half_side)
+          for i in range(n) for sign in (1, -1)]
+    frame = QMatrix.from_rows([[1 if i == j else 0 for j in range(n)]
+                               for i in range(n)])
+    generic = HPolytope.from_halfspaces(frame, hs)
+    c = HPolytope.cube(n, half_side)
+    assert c.halfspaces == generic.halfspaces
+    assert c.frame.entries == generic.frame.entries
+    assert c.ambient_dim == generic.ambient_dim == n
+
+
+@given(st.lists(st.integers(min_value=-30, max_value=30), min_size=1,
+                max_size=5),
+       st.integers(min_value=1, max_value=12))
+def test_primitive_normal_int_and_fraction_inputs_agree(vec, den):
+    if not any(vec):
+        with pytest.raises(ValueError):
+            primitive_normal(vec)
+        return
+    a, gamma = primitive_normal(vec)
+    assert math.gcd(*a) == 1
+    assert tuple(gamma * x for x in a) == tuple(vec)
+    scaled_vec = [Fraction(x, den) for x in vec]
+    assert primitive_normal(scaled_vec) == (a, gamma / den)
 
 
 def test_cube_scaling_laws():

@@ -39,6 +39,12 @@ def test_frac_str_round_trip(num, den):
     assert parse_frac(frac_str(x)) == x
 
 
+def test_frac_str_of_ints_and_bools():
+    assert frac_str(7) == "7" and frac_str(-12) == "-12"
+    assert frac_str(Fraction(6, 3)) == "2"
+    assert frac_str(True) == "1" and frac_str(False) == "0"
+
+
 def test_parse_frac_rejects_garbage():
     for bad in ("abc", "1/0", "1.5", ""):
         with pytest.raises(SerializationError):
