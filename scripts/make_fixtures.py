@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Regenerate the committed fixture corpus under fixtures/.
 
+Usage: python scripts/make_fixtures.py [OUT_DIR]   (default: fixtures/)
+
 Deterministic: run it twice and the bytes do not change.  The fixtures are
 small enough to review by eye, which is the point of committing them.
 """
@@ -15,18 +17,17 @@ from paratile import (HPolytope, IntMatrix, Lattice, RecursionConfig,
                       SqrtSum, construct, scaled)
 from paratile import serialization as ser
 
-OUT = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
-def write(name, text):
-    path = os.path.join(OUT, name)
-    with open(path, "w") as fh:
-        fh.write(text)
-    print("wrote", os.path.relpath(path))
+def main(out=FIXTURES):
+    os.makedirs(out, exist_ok=True)
 
-
-def main():
-    os.makedirs(OUT, exist_ok=True)
+    def write(name, text):
+        path = os.path.join(out, name)
+        with open(path, "w") as fh:
+            fh.write(text)
+        print("wrote", os.path.relpath(path))
 
     cube = HPolytope.cube(3)
     doc = ser.fixture_to_json(
@@ -66,4 +67,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    main(*sys.argv[1:2])

@@ -6,10 +6,16 @@ a . y <= b with a primitive integer normal.  Vertex enumeration is a double
 description sweep started from a certified bounding parallelepiped, so no LP
 solver is involved; all predicates (cuts, adjacency, facet ranks) are exact.
 
-Measures live in the ambient metric G = frame^T frame.  Volumes come from a
-pulling triangulation of the face lattice; every volume and facet measure is
-a rational multiple of a single square root, so surface, volume and their
-quotient are exact radical expressions.
+Measures live in the ambient metric G = frame^T frame and come by formula.
+A facet a . y = b measures its chart volume times sqrt(det G * a^T G^-1 a),
+the covolume of the integer lattice in a's hyperplane.  A parallelepiped
+(d opposite pairs of halfspaces with independent normals, which covers every
+linear image of a cube) needs no vertices at all: its chart volume is the
+product of the widths over |det A|.  Any other body has its vertices swept,
+each facet pulling-triangulated, and its chart volume summed over the facets
+as (1/d) sum_F b_F vol(F) (the divergence theorem).  Every volume and facet
+measure is a rational multiple of a single square root, so surface, volume
+and their quotient are exact radical expressions.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .linalg import (
     QMatrix,
     as_qmatrix,
     denominator_lcm,
+    det_int,
     det_q,
     integer_kernel_basis,
     inverse,
@@ -184,6 +191,28 @@ def _facets_of(dim: int, halfspaces: Sequence[Halfspace],
         if _affine_rank([verts[i] for i in touch]) == dim - 1:
             out.append((a, b, touch))
     return tuple(sorted(out, key=lambda f: (f[0], f[1])))
+
+
+def _neg(a: Tuple[int, ...]) -> Tuple[int, ...]:
+    return tuple(-x for x in a)
+
+
+def _opposite_pairs(dim: int, halfspaces: Sequence[Halfspace]
+                    ) -> Optional[List[Tuple[Tuple[int, ...], Fraction,
+                                             Fraction]]]:
+    """(a, b, b') for a . y <= b and -a . y <= b' when the halfspaces are
+    exactly dim such pairs; None otherwise.  Normals may still be dependent."""
+    offsets = dict(halfspaces)
+    if len(offsets) != 2 * dim:
+        return None
+    pairs = []
+    for a, b in offsets.items():
+        neg = _neg(a)
+        if neg not in offsets:
+            return None
+        if a > neg:
+            pairs.append((a, b, offsets[neg]))
+    return pairs
 
 
 def _affine_rank(points: Sequence[Tuple[Fraction, ...]]) -> int:
@@ -402,44 +431,89 @@ class HPolytope:
         memo[key] = result
         return result
 
-    def _simplex_coordvol_times_factorial(self, idx: Tuple[int, ...],
-                                          mapped: Sequence[Tuple[Fraction, ...]]
-                                          ) -> Fraction:
-        pts = [mapped[i] for i in idx]
-        rows = [[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]
-        if not rows:
-            return Fraction(1)
-        return abs(det_q(QMatrix.from_rows(rows)))
-
     # measures --------------------------------------------------------------------
 
     def measures(self) -> BodyMeasures:
         if "measures" in self._cache:
             return self._cache["measures"]
-        verts = self.vertices()
-        d = self.dim
-        g = self.metric()
-        top = frozenset(range(len(verts)))
-        coordvol = Fraction(0)
-        for simplex in self._triangulate(top, d):
-            coordvol += self._simplex_coordvol_times_factorial(simplex, verts)
-        coordvol /= math.factorial(d)
+        det_g = det_q(self.metric())
+        pairs = _opposite_pairs(self.dim, self.halfspaces)
+        det_a = det_int([a for a, _, _ in pairs]) if pairs else 0
+        if det_a:
+            coordvol, surface = self._parallelepiped_measures(
+                pairs, abs(det_a), det_g)
+        else:
+            coordvol, surface = self._facet_sum_measures(det_g)
         if coordvol == 0:
             raise DegenerateBody("zero volume in its own chart")
-        volume = SqrtSum.from_rational(coordvol) * SqrtSum.sqrt(det_q(g))
-        surface = SqrtSum.zero()
-        for a, b, touch in self.facets():
-            surface = surface + self._facet_measure(a, touch, verts, g, d)
+        volume = SqrtSum.from_rational(coordvol) * SqrtSum.sqrt(det_g)
         measures = BodyMeasures(volume, surface, surface / volume)
         self._cache["measures"] = measures
         return measures
 
-    def _facet_measure(self, a: Tuple[int, ...], touch: FrozenSet[int],
-                       verts, g: QMatrix, d: int) -> SqrtSum:
+    def _facet_radicand(self, a: Tuple[int, ...], det_g: Fraction) -> Fraction:
+        """det G * a^T G^-1 a: the squared covolume of Z^d in a's hyperplane.
+
+        It equals det(C^T G C) for any Z-basis C of a^perp when a is
+        primitive, so a facet's measure is its volume in C-coordinates times
+        the square root of this rational.
+        """
+        ginv_a = self.metric_inv().mul_vec(a)
+        return det_g * sum(x * y for x, y in zip(a, ginv_a))
+
+    def _parallelepiped_measures(self, pairs, det_a: int, det_g: Fraction
+                                 ) -> Tuple[Fraction, SqrtSum]:
+        """Chart volume prod(w) / |det A| and the surface, no vertices needed.
+
+        The facet on a_i . y = b_i has C-coordinate volume
+        prod_{j != i} w_j / |det A|, and its opposite facet is a translate.
+        """
+        widths = [b + b_neg for _, b, b_neg in pairs]
+        if any(w < 0 for w in widths):
+            raise EmptyBody("opposite halfspaces cross")
+        if any(w == 0 for w in widths):
+            raise DegenerateBody("zero width in its own chart")
+        coordvol = Fraction(math.prod(widths), det_a)
+        surface = SqrtSum.zero()
+        for (a, _, _), w in zip(pairs, widths):
+            surface = surface + SqrtSum.from_rational(2 * coordvol / w) \
+                * SqrtSum.sqrt(self._facet_radicand(a, det_g))
+        return coordvol, surface
+
+    def _facet_sum_measures(self, det_g: Fraction) -> Tuple[Fraction, SqrtSum]:
+        """Chart volume (1/d) sum_F b_F vol_C(F) and the surface.
+
+        In chart coordinates the facet a . y = b lies at distance b / |a|
+        from the origin and has area |a| vol_C(F), so the divergence theorem
+        needs no top-dimensional triangulation.  When the facets are closed
+        under a -> -a with equal offsets the body is centrally symmetric and
+        each opposite pair is measured once.
+        """
+        verts = self.vertices()
+        facets = self.facets()
+        offsets = {a: b for a, b, _ in facets}
+        symmetric = all(offsets.get(_neg(a)) == b for a, b, _ in facets)
+        coordvol = Fraction(0)
+        surface = SqrtSum.zero()
+        for a, b, touch in facets:
+            copies = 1
+            if symmetric:
+                if a < _neg(a):
+                    continue
+                copies = 2
+            acc = copies * self._facet_chart_volume(a, touch, verts)
+            coordvol += b * acc
+            surface = surface + SqrtSum.from_rational(acc) \
+                * SqrtSum.sqrt(self._facet_radicand(a, det_g))
+        return coordvol / self.dim, surface
+
+    def _facet_chart_volume(self, a: Tuple[int, ...], touch: FrozenSet[int],
+                            verts) -> Fraction:
+        """Volume of a facet in the coordinates of a Z-basis C of a^perp."""
+        d = self.dim
         if d == 1:
-            return SqrtSum.from_rational(1)  # counting measure on endpoints
-        c = integer_kernel_basis(IntMatrix.from_rows([list(a)]))
-        cq = c.to_q()
+            return Fraction(1)  # counting measure on endpoints
+        cq = integer_kernel_basis(IntMatrix.from_rows([list(a)])).to_q()
         pinv = inverse(cq.t() @ cq) @ cq.t()
         order = sorted(touch)
         y0 = verts[order[0]]
@@ -452,9 +526,7 @@ class HPolytope:
             pts = [tmap[i] for i in simplex]
             rows = [[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]
             acc += abs(det_q(QMatrix.from_rows(rows)))
-        acc /= math.factorial(d - 1)
-        gram = cq.t() @ (g @ cq)
-        return SqrtSum.from_rational(acc) * SqrtSum.sqrt(det_q(gram))
+        return acc / math.factorial(d - 1)
 
     def volume(self) -> SqrtSum:
         return self.measures().volume
@@ -497,18 +569,24 @@ def voronoi_cell(lat: Lattice, node_cap: int = 10 ** 7) -> HPolytope:
         s = [g.entries[i][i] / (2 if (signs >> i) & 1 else -2)
              for i in range(d)]
         corners.append(s)
-    max_sq = Fraction(0)
+    norm_sq: Dict[Tuple[Fraction, ...], Fraction] = {}
     for s in corners:
         v = ginv.mul_vec(s)
         sweep.seed_vertex(v)
-        max_sq = max(max_sq, sum(x * y for x, y in zip(s, v)))
+        norm_sq[sweep.verts[-1]] = sum(x * y for x, y in zip(s, v))
+    max_sq = max(norm_sq.values())
 
     def current_max_sq() -> Fraction:
-        best = Fraction(0)
+        # a cut keeps most vertices; only the new ones need g @ v
+        nonlocal norm_sq
+        fresh = {}
         for v in sweep.verts:
-            gv = g.mul_vec(v)
-            best = max(best, sum(x * y for x, y in zip(v, gv)))
-        return best
+            nsq = norm_sq.get(v)
+            if nsq is None:
+                nsq = sum(x * y for x, y in zip(v, g.mul_vec(v)))
+            fresh[v] = nsq
+        norm_sq = fresh
+        return max(fresh.values())
 
     bound = 4 * max_sq
     cands = enumerate_short_vectors(g, bound, skip_zero=True,
@@ -538,9 +616,10 @@ def voronoi_cell(lat: Lattice, node_cap: int = 10 ** 7) -> HPolytope:
 def orthogonal_product(p: HPolytope, q: HPolytope) -> HPolytope:
     """Minkowski sum of bodies spanning orthogonal subspaces.
 
-    Vertices, facets and measures all factor, so nothing is recomputed:
-    volume multiplies and surface obeys the product rule, which makes the
-    surface-to-volume ratio exactly additive.
+    Measures factor, so nothing is recomputed: volume multiplies and surface
+    obeys the product rule, which makes the surface-to-volume ratio exactly
+    additive.  Vertices and facets are swept from the halfspaces only when
+    asked for.
     """
     if p.ambient_dim != q.ambient_dim:
         raise ValueError("ambient dimensions differ")
@@ -557,20 +636,6 @@ def orthogonal_product(p: HPolytope, q: HPolytope) -> HPolytope:
     for a, b in q.halfspaces:
         hs.append(((0,) * dp + a, b))
     body = HPolytope(p.ambient_dim, frame, tuple(sorted(hs)))
-    vp, vq = p.vertices(), q.vertices()
-    pairs = [(v1 + v2, (i, j))
-             for i, v1 in enumerate(vp) for j, v2 in enumerate(vq)]
-    pairs.sort()
-    index = {ij: k for k, (_, ij) in enumerate(pairs)}
-    body._cache["vertices"] = tuple(v for v, _ in pairs)
-    facets = []
-    for a, b, touch in p.facets():
-        full = frozenset(index[(i, j)] for i in touch for j in range(len(vq)))
-        facets.append((a + (0,) * dq, b, full))
-    for a, b, touch in q.facets():
-        full = frozenset(index[(i, j)] for i in range(len(vp)) for j in touch)
-        facets.append(((0,) * dp + a, b, full))
-    body._cache["facets"] = tuple(sorted(facets))
     mp, mq = p.measures(), q.measures()
     volume = mp.volume * mq.volume
     surface = mp.surface * mq.volume + mp.volume * mq.surface

@@ -5,10 +5,12 @@ volumes contribute a single sqrt(det Gram) factor and each facet contributes
 one more.  A ``SqrtSum`` stores such a value as a canonical sum
 ``sum_i c_i * sqrt(n_i)`` with rational c_i and distinct positive integer
 radicands n_i from which all square factors found by trial division have been
-extracted.  Addition, multiplication and equality are then exact; division is
-exact for single-term divisors.  Signs of nonzero multi-term sums are decided
-by interval refinement, which terminates because distinct squarefree radicals
-are linearly independent over Q.
+extracted.  Two radicands whose product is a perfect square (a square factor
+trial division missed) are merged onto the smaller, so distinct radicands have
+distinct squarefree parts.  Addition, multiplication and equality are then
+exact; division is exact for single-term divisors.  Signs of nonzero
+multi-term sums are decided by interval refinement, which terminates because
+distinct squarefree radicals are linearly independent over Q.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .intervals import Interval, PrecisionExhausted, sqrt_interval
 Rat = Union[int, Fraction]
 
 _TRIAL_LIMIT = 10_000
+_SQUAREFREE_BELOW = _TRIAL_LIMIT ** 2  # split_square leaves no square below
 
 
 def _primes_below(n: int):
@@ -64,6 +67,28 @@ def split_square(n: int) -> Tuple[int, int]:
     return f, n
 
 
+def _merge_square_classes(items):
+    """Fold c2*sqrt(r2) into c1*sqrt(r1), r1 < r2, whenever r1*r2 = k^2.
+
+    Then sqrt(r2) = (k / r1) sqrt(r1).  Radicands below _SQUAREFREE_BELOW are
+    squarefree, and two distinct squarefree radicands never pair, so only a
+    radicand that kept a square factor above the trial limit can merge.
+    Afterwards no two radicands share a squarefree part, which makes them
+    linearly independent over Q: equality is exact and ``sign`` of a nonzero
+    sum terminates.  Input and output are (radicand, coeff) sorted by radicand.
+    """
+    kept = []
+    for r, c in items:
+        for idx, (r1, c1) in enumerate(kept):
+            k = math.isqrt(r1 * r)
+            if k * k == r1 * r:
+                kept[idx] = (r1, c1 + c * Fraction(k, r1))
+                break
+        else:
+            kept.append((r, c))
+    return [(r, c) for r, c in kept if c != 0]
+
+
 def canonical_sqrt(x: Rat) -> Tuple[Fraction, int]:
     """(c, r) with sqrt(x) = c*sqrt(r), r a canonical positive integer radicand."""
     f = x if isinstance(x, Fraction) else Fraction(x)
@@ -87,7 +112,9 @@ class SqrtSum:
 
     @staticmethod
     def _make(mapping: dict) -> "SqrtSum":
-        items = tuple(sorted((r, c) for r, c in mapping.items() if c != 0))
+        items = sorted((r, c) for r, c in mapping.items() if c != 0)
+        if len(items) > 1 and items[-1][0] >= _SQUAREFREE_BELOW:
+            items = _merge_square_classes(items)
         return SqrtSum(tuple((c, r) for r, c in items))
 
     @staticmethod

@@ -10,7 +10,7 @@ from paratile.construction import (ConstructionError, RecursionConfig,
                                    isoperimetric_ratio_lower,
                                    predicted_bound_interval, scan_induction,
                                    schedule_parameters)
-from paratile.linalg import IntMatrix
+from paratile.linalg import IntMatrix, inverse
 from paratile.radicals import SqrtSum
 from paratile.serialization import construction_report_to_json, dump_json
 
@@ -97,6 +97,43 @@ def test_construct_cube_at_a_thousand_within_budget():
     assert all(ok for lv in rep.levels for _, ok in lv.checks)
     assert rep.ratio_exact == SqrtSum.from_rational(2000)
     assert rep.ratio_upper == 2000 and rep.trivial_bound == 2000
+
+
+def _override_step(m):
+    """Identity plus the columns (1,1,0,...) and (0,1,1,0,...): n = m + 2."""
+    rows = [[int(i == j) for j in range(m)] + [int(i in (0, 1)),
+                                              int(i in (1, 2))]
+            for i in range(m)]
+    b = IntMatrix.from_rows(rows)
+    return b, construct(m + 2, RecursionConfig(matrix_override=((b, None),)))
+
+
+def test_override_step_at_m8_within_budget():
+    # the image of the 8-cube is a parallelepiped: measures by formula, not
+    # 2^8 swept vertices and 8! simplices
+    t0 = time.perf_counter()
+    _, rep = _override_step(8)
+    assert time.perf_counter() - t0 < 2.0
+    assert [lv.mode for lv in rep.levels] == ["step", "cube"]
+    assert all(ok for lv in rep.levels for _, ok in lv.checks)
+    assert rep.ratio_exact == SqrtSum.from_rational(Fraction(21, 2)) \
+        + 4 * SqrtSum.sqrt(2) + 3 * SqrtSum.sqrt(3)
+
+
+def test_override_step_at_m16_image_ratio_is_twice_the_dual_norms():
+    b, rep = _override_step(16)
+    assert all(ok for lv in rep.levels for _, ok in lv.checks)
+    # the image is T = B^T (B B^T)^-1 applied to the unit cube, a
+    # parallelepiped with ratio 2 * sum_i |b_i*| over the dual basis b_i* of
+    # T's columns, whose squared norms are the diagonal of (T^T T)^-1
+    bq = b.to_q()
+    t = bq.t() @ inverse(bq @ bq.t())
+    dual_gram = inverse(t.t() @ t)
+    want = SqrtSum.zero()
+    for i in range(16):
+        want = want + 2 * SqrtSum.sqrt(dual_gram.entries[i][i])
+    assert rep.levels[0].ratio_image.terms == want.terms
+    assert rep.ratio_exact == rep.levels[0].ratio_kernel + want
 
 
 def test_construct_rejects_nonpositive_dimension():

@@ -1,0 +1,201 @@
+"""Measures by formula against the triangulated oracle, term for term."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from oracles import triangulated_measures
+from paratile.lattices import Lattice
+from paratile.linalg import QMatrix, det_int, rank_over_rationals
+from paratile.polytopes import (DegenerateBody, EmptyBody, HPolytope,
+                                Unbounded, linear_image, orthogonal_product,
+                                voronoi_cell)
+
+small_int = st.integers(min_value=-3, max_value=3)
+entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+offsets = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+widths = st.fractions(min_value=Fraction(1, 5), max_value=4,
+                      max_denominator=5)
+
+
+def square_rows(draw, d, elems):
+    return [draw(st.lists(elems, min_size=d, max_size=d)) for _ in range(d)]
+
+
+@st.composite
+def frames(draw, d):
+    """A rational chart of rank d in R^d or R^(d+1), usually not orthogonal."""
+    ambient = d + draw(st.integers(min_value=0, max_value=1))
+    rows = [draw(st.lists(entries, min_size=d, max_size=d))
+            for _ in range(ambient)]
+    frame = QMatrix.from_rows(rows)
+    assume(rank_over_rationals(frame) == d)
+    return frame
+
+
+def assert_same_terms(got, want):
+    assert got.volume.terms == want.volume.terms
+    assert got.surface.terms == want.surface.terms
+    assert got.ratio.terms == want.ratio.terms
+
+
+def fresh(body):
+    """The same halfspaces and chart with nothing cached."""
+    return HPolytope(body.ambient_dim, body.frame, body.halfspaces)
+
+
+# --- parallelepipeds: widths over |det A| ------------------------------------------
+
+@st.composite
+def parallelepipeds(draw):
+    d = draw(st.integers(min_value=1, max_value=4))
+    normals = square_rows(draw, d, small_int)
+    assume(det_int(normals) != 0)
+    hs = []
+    for a in normals:
+        b = draw(offsets)
+        hs.append((a, b))
+        hs.append(([-x for x in a], draw(widths) - b))
+    return HPolytope.from_halfspaces(draw(frames(d)), hs)
+
+
+@given(parallelepipeds())
+def test_parallelepiped_formula_matches_triangulation(body):
+    got = body.measures()
+    assert "vertices" not in body._cache  # answered without the sweep
+    assert_same_terms(got, triangulated_measures(fresh(body)))
+
+
+def test_crossed_offsets_are_empty():
+    body = HPolytope.from_halfspaces(
+        QMatrix.from_rows([[1, 1], [0, 2]]),
+        [((2, 1), Fraction(1)), ((-2, -1), Fraction(-3, 2)),
+         ((0, 1), Fraction(1)), ((0, -1), Fraction(1))])
+    with pytest.raises(EmptyBody):
+        body.measures()
+
+
+def test_zero_width_is_degenerate():
+    body = HPolytope.from_halfspaces(
+        3, [((1, 2, 0), Fraction(1, 3)), ((-1, -2, 0), Fraction(-1, 3)),
+            ((0, 1, 1), Fraction(1)), ((0, -1, -1), Fraction(1)),
+            ((0, 0, 3), Fraction(2)), ((0, 0, -3), Fraction(2))])
+    with pytest.raises(DegenerateBody):
+        body.measures()
+
+
+def test_dependent_normals_are_not_a_parallelepiped():
+    # three opposite pairs with dependent normals leave the third axis free;
+    # the generic path reports that instead of dividing by det A = 0
+    body = HPolytope.from_halfspaces(
+        3, [((1, 0, 0), Fraction(1)), ((-1, 0, 0), Fraction(1)),
+            ((0, 1, 0), Fraction(1)), ((0, -1, 0), Fraction(1)),
+            ((1, 1, 0), Fraction(1)), ((-1, -1, 0), Fraction(1))])
+    with pytest.raises(Unbounded):
+        body.measures()
+
+
+# --- Voronoi cells: symmetric facet sum ---------------------------------------------
+
+@st.composite
+def lattices(draw):
+    r = draw(st.integers(min_value=2, max_value=4))
+    ambient = r + draw(st.integers(min_value=0, max_value=1))
+    cols = [draw(st.lists(st.integers(min_value=-2, max_value=2),
+                          min_size=ambient, max_size=ambient))
+            for _ in range(r)]
+    basis = QMatrix.from_rows(cols).t()
+    assume(rank_over_rationals(basis) == r)
+    return Lattice(ambient, basis)
+
+
+@settings(max_examples=25)
+@given(lattices())
+def test_voronoi_facet_sum_matches_triangulation(lat):
+    cell = voronoi_cell(lat)
+    ref = fresh(cell)
+    ref._cache["vertices"] = cell.vertices()
+    ref._cache["facets"] = cell.facets()
+    got = cell.measures()
+    assert_same_terms(got, triangulated_measures(ref))
+    assert got.volume == lat.covolume()
+
+
+# --- bodies that are not centrally symmetric ------------------------------------------
+
+@st.composite
+def simplices(draw):
+    """d + 1 halfspaces whose normals sum to zero with positive weights,
+    translated so that the origin may lie outside."""
+    d = draw(st.integers(min_value=2, max_value=4))
+    normals = square_rows(draw, d, small_int)
+    assume(det_int(normals) != 0)
+    lam = draw(st.lists(st.integers(min_value=1, max_value=3),
+                        min_size=d, max_size=d))
+    last = [-sum(l * a[j] for l, a in zip(lam, normals)) for j in range(d)]
+    shift = draw(st.lists(entries, min_size=d, max_size=d))
+    hs = []
+    for a in normals + [last]:
+        b = draw(widths) + sum(x * t for x, t in zip(a, shift))
+        hs.append((a, b))
+    return HPolytope.from_halfspaces(draw(frames(d)), hs)
+
+
+@settings(max_examples=40)
+@given(simplices())
+def test_simplex_facet_sum_matches_triangulation(body):
+    assert len(body.halfspaces) == body.dim + 1
+    assert_same_terms(body.measures(), triangulated_measures(fresh(body)))
+
+
+def test_translated_box_is_not_symmetric_but_agrees():
+    # a box off the origin with one corner cut: neither a parallelepiped
+    # nor centrally symmetric, and some offsets are negative
+    body = HPolytope.from_halfspaces(
+        QMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 2]]),
+        [((1, 0, 0), Fraction(3)), ((-1, 0, 0), Fraction(-1)),
+         ((0, 1, 0), Fraction(1)), ((0, -1, 0), Fraction(1)),
+         ((0, 0, 1), Fraction(1, 2)), ((0, 0, -1), Fraction(1, 2)),
+         ((1, 1, 1), Fraction(3))])
+    assert_same_terms(body.measures(), triangulated_measures(fresh(body)))
+
+
+# --- products: measures from the factors, faces swept on request ----------------------
+
+def eager_product_faces(p, q):
+    """The product's vertices and facets as orthogonal_product once built
+    them up front."""
+    dp, dq = p.dim, q.dim
+    vp, vq = p.vertices(), q.vertices()
+    pairs = sorted((v1 + v2, (i, j))
+                   for i, v1 in enumerate(vp) for j, v2 in enumerate(vq))
+    index = {ij: k for k, (_, ij) in enumerate(pairs)}
+    facets = []
+    for a, b, touch in p.facets():
+        full = frozenset(index[(i, j)] for i in touch for j in range(len(vq)))
+        facets.append((a + (0,) * dq, b, full))
+    for a, b, touch in q.facets():
+        full = frozenset(index[(i, j)] for i in range(len(vp)) for j in touch)
+        facets.append(((0,) * dp + a, b, full))
+    return tuple(v for v, _ in pairs), tuple(sorted(facets))
+
+
+def test_lazy_product_faces_match_the_eager_build():
+    hexagon = voronoi_cell(Lattice.from_columns([[2, 0, 0, 0], [1, 2, 0, 0]]))
+    square = linear_image(QMatrix.from_rows([[0, 0], [0, 0], [1, 1], [0, 1]]),
+                          HPolytope.cube(2))
+    prod = orthogonal_product(hexagon, square)
+    assert "vertices" not in prod._cache and "facets" not in prod._cache
+    verts, facets = eager_product_faces(hexagon, square)
+    assert prod.vertices() == verts
+    assert prod.facets() == facets
+    assert_same_terms(prod.measures(), triangulated_measures(fresh(prod)))
+    # a linear image keeps the chart, so its sweep finds the same faces
+    image = linear_image(QMatrix.from_rows([[1, 0, 0, 0], [1, 1, 0, 0],
+                                            [0, 0, 1, 0], [0, 0, 1, 1]]),
+                         orthogonal_product(hexagon, square))
+    assert image.vertices() == verts
+    assert image.facets() == facets
+    assert_same_terms(image.measures(), triangulated_measures(fresh(image)))

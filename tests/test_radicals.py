@@ -107,3 +107,30 @@ def test_interval_with_width_obeys_request():
 def test_str_is_readable():
     assert str(SqrtSum.from_rational(6) * SqrtSum.sqrt(2)) == "6*sqrt(2)"
     assert str(SqrtSum.zero()) == "0"
+
+
+def test_square_factor_beyond_trial_division_still_compares_equal():
+    # 10007 is prime and above the trial-division limit, so the radicand
+    # 2 * 10007**2 keeps its square factor; merging radicands whose product
+    # is a perfect square identifies the two values anyway
+    big = SqrtSum.sqrt(2 * 10007 ** 2)
+    small = 10007 * SqrtSum.sqrt(2)
+    assert big == small
+    assert big <= small and big >= small
+    assert not big < small
+    assert (big - small).sign() == 0
+    assert (big + small).terms == ((Fraction(2 * 10007), 2),)
+
+
+@given(st.sampled_from([10007, 10009, 65537, 1000003]),
+       st.integers(min_value=2, max_value=200),
+       st.lists(st.tuples(rationals, st.integers(min_value=1, max_value=30)),
+                max_size=3))
+def test_unsplit_radicands_merge_with_their_squarefree_part(p, r, rest):
+    x = SqrtSum.zero()
+    for c, s in rest:
+        x = x + SqrtSum.from_rational(c) * SqrtSum.sqrt(s)
+    hidden = SqrtSum.sqrt(r * p * p)  # r may itself carry small squares
+    assert x + hidden == x + p * SqrtSum.sqrt(r)
+    assert x + hidden - p * SqrtSum.sqrt(r) == x
+    assert (hidden - (p - 1) * SqrtSum.sqrt(r)).sign() == 1

@@ -1,5 +1,7 @@
 import json
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -206,6 +208,19 @@ def test_fixture_files_validate_and_reconstruct():
             for part in fx["ratio_parts"]:
                 total = total + part
             assert total == fx["expected_ratio"]
+
+
+def test_make_fixtures_reproduces_the_committed_corpus(tmp_path):
+    # reports and fixtures are byte-deterministic; a change that moves them
+    # must regenerate fixtures/ with the script
+    script = FIXTURE_DIR.parent / "scripts" / "make_fixtures.py"
+    subprocess.run([sys.executable, str(script), str(tmp_path)], check=True,
+                   capture_output=True)
+    committed = sorted(p.name for p in FIXTURE_DIR.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == committed
+    for name in committed:
+        assert (tmp_path / name).read_bytes() \
+            == (FIXTURE_DIR / name).read_bytes(), name
 
 
 # --- schema plumbing -------------------------------------------------------------
