@@ -211,8 +211,6 @@ class SqrtSum:
             return 1
         if signs == {-1}:
             return -1
-        def compute(bits):
-            return self.interval(bits=bits)
         for bits in (64, 128, 256, 512, 1024, 2048):
             iv = self.interval(bits=bits)
             if iv.lo > 0:
@@ -227,7 +225,13 @@ class SqrtSum:
         return (self - _coerce(other)).is_zero()
 
     def __hash__(self):
-        return hash(self.terms)
+        # Equal values share their rational part (the coefficient of radicand
+        # 1: no radicand above 1 is a perfect square, so none merges onto 1)
+        # but not always their irrational terms, so hash the rational part
+        # only; it also hashes like the equal int or Fraction.
+        if self.terms and self.terms[0][1] == 1:
+            return hash(self.terms[0][0])
+        return hash(0)
 
     def __le__(self, other):
         return (self - _coerce(other)).sign() <= 0
@@ -276,6 +280,3 @@ def _coerce(x) -> SqrtSum:
         return SqrtSum.from_rational(x)
     raise TypeError(f"cannot coerce {type(x)} to SqrtSum")
 
-
-ZERO = SqrtSum.zero()
-ONE = SqrtSum.from_rational(1)

@@ -2,18 +2,30 @@
 
 Every number crosses the boundary as a decimal string ("17", "-3/4") so no
 consumer is forced to guess at integer width or binary float rounding.  The
-shapes are checked against schemas shipped with the package; see
+shapes are checked against the draft-07 schemas shipped with the package; see
 ``validate_document``.
+
+Each schema is compiled once per kind into one closure per schema node, so a
+128x1024 matrix costs one regular-expression search per cell and no general
+validator bookkeeping.  The compiler knows the keyword subset the shipped
+schemas use: ``type``, ``minimum``, ``minItems``, ``pattern``, ``enum``,
+``required``, ``properties``, ``additionalProperties`` (a boolean), ``items``
+(one schema), ``anyOf``, a ``$ref`` into the root's ``definitions``, and the
+annotations ``$schema`` and ``title``.  It follows jsonschema's draft-07
+rules (``pattern`` searches, a bool is no number, 1.0 is an integer) and
+fails closed: any other keyword or form raises NotImplementedError when the
+schema is compiled, so nothing it does not understand is skipped.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import numbers
+import re
 from fractions import Fraction
 from importlib import resources
-from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-import jsonschema
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .intervals import Interval
 from .lattices import Lattice
@@ -340,6 +352,9 @@ _SCHEMA_KINDS = ("matrix", "lattice", "polytope", "tiling_report",
                  "construction_report", "sampler_stats", "fixture",
                  "walk_stats")
 
+_DRAFT_07 = "http://json-schema.org/draft-07/schema#"
+_DEFINITIONS = "#/definitions/"
+
 
 def load_schema(kind: str) -> Dict:
     if kind not in _SCHEMA_KINDS:
@@ -348,13 +363,268 @@ def load_schema(kind: str) -> Dict:
     return json.loads(ref.read_text())
 
 
+class _Invalid(Exception):
+    """A document breaks its schema.  ``path`` holds the keys and indices
+    from the failing node up to the root, appended as the error propagates,
+    so a valid document builds no path at all."""
+
+    def __init__(self, message: str) -> None:
+        super().__init__(message)
+        self.path: List[Union[str, int]] = []
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, numbers.Number) and not isinstance(x, bool)
+
+
+def _is_integer(x) -> bool:
+    # draft-07: a float with an integral value is an integer; a bool is not
+    return not isinstance(x, bool) and (
+        isinstance(x, int) or isinstance(x, float) and x.is_integer())
+
+
+# "integer" and "number" exclude bool, which Python counts as an int
+_TYPE_CLASSES = {"array": list, "boolean": bool, "null": type(None),
+                 "object": dict, "string": str}
+_TYPE_TESTS = {"integer": _is_integer, "number": _is_number}
+
+
+def _kw_type(names, schema, sub):
+    names = [names] if isinstance(names, str) else names
+    if not isinstance(names, list) or not names or any(
+            t not in _TYPE_CLASSES and t not in _TYPE_TESTS for t in names):
+        raise NotImplementedError(f"unsupported type {names!r}")
+    classes = tuple(_TYPE_CLASSES[t] for t in names if t in _TYPE_CLASSES)
+    tests = tuple(_TYPE_TESTS[t] for t in names if t in _TYPE_TESTS)
+    shown = ", ".join(repr(t) for t in names)
+
+    def check(x):
+        if isinstance(x, classes):
+            return
+        for test in tests:
+            if test(x):
+                return
+        raise _Invalid(f"{x!r} is not of type {shown}")
+    return check
+
+
+def _kw_minimum(bound, schema, sub):
+    if not _is_number(bound):
+        raise NotImplementedError(f"minimum must be a number, not {bound!r}")
+
+    def check(x):
+        if _is_number(x) and x < bound:
+            raise _Invalid(f"{x!r} is less than the minimum of {bound!r}")
+    return check
+
+
+def _kw_min_items(least, schema, sub):
+    if not _is_integer(least) or least < 0:
+        raise NotImplementedError(f"minItems must be a count, not {least!r}")
+
+    def check(x):
+        if isinstance(x, list) and len(x) < least:
+            raise _Invalid(f"{x!r} is too short")
+    return check
+
+
+def _kw_pattern(regex, schema, sub):
+    # re.search, as jsonschema does: "5\n" matches "^[0-9]+$"
+    search = re.compile(regex).search
+
+    def check(x):
+        if isinstance(x, str) and not search(x):
+            raise _Invalid(f"{x!r} does not match {regex!r}")
+    return check
+
+
+def _kw_enum(members, schema, sub):
+    if not isinstance(members, list) or any(
+            m is not None and not isinstance(m, (str, bool, int, float))
+            for m in members):
+        raise NotImplementedError(f"enum must list scalars, not {members!r}")
+
+    def same(m, x):  # as jsonschema: True is not 1, but 1 is 1.0
+        if isinstance(m, bool) or isinstance(x, bool):
+            return m is x
+        return m == x
+
+    def check(x):
+        if not any(same(m, x) for m in members):
+            raise _Invalid(f"{x!r} is not one of {members!r}")
+    return check
+
+
+def _kw_required(keys, schema, sub):
+    if not isinstance(keys, list) or not all(isinstance(k, str) for k in keys):
+        raise NotImplementedError(f"required must list keys, not {keys!r}")
+
+    def check(x):
+        if isinstance(x, dict):
+            for key in keys:
+                if key not in x:
+                    raise _Invalid(f"{key!r} is a required property")
+    return check
+
+
+def _kw_properties(props, schema, sub):
+    if not isinstance(props, dict):
+        raise NotImplementedError("properties must be an object")
+    subs = tuple((key, sub(s)) for key, s in props.items())
+
+    def check(x):
+        if isinstance(x, dict):
+            for key, validate in subs:
+                if key in x:
+                    try:
+                        validate(x[key])
+                    except _Invalid as exc:
+                        exc.path.append(key)
+                        raise
+    return check
+
+
+def _kw_additional(allowed, schema, sub):
+    if allowed is True:
+        return None
+    if allowed is not False:
+        raise NotImplementedError("additionalProperties must be a boolean")
+    known = frozenset(schema.get("properties", ()))
+
+    def check(x):
+        if isinstance(x, dict) and not known.issuperset(x):
+            extras = ", ".join(repr(k) for k in x if k not in known)
+            raise _Invalid(f"Additional properties are not allowed "
+                           f"({extras} unexpected)")
+    return check
+
+
+def _kw_items(item_schema, schema, sub):
+    if not isinstance(item_schema, dict):
+        raise NotImplementedError("items must be a single schema")
+    validate = sub(item_schema)
+
+    def check(x):
+        if isinstance(x, list):
+            i = 0
+            try:
+                for i, item in enumerate(x):
+                    validate(item)
+            except _Invalid as exc:
+                exc.path.append(i)
+                raise
+    return check
+
+
+def _kw_any_of(branches, schema, sub):
+    if not isinstance(branches, list) or not branches:
+        raise NotImplementedError("anyOf must list schemas")
+    subs = tuple(sub(s) for s in branches)
+
+    def check(x):
+        for validate in subs:
+            try:
+                validate(x)
+                return
+            except _Invalid:
+                pass
+        raise _Invalid(f"{x!r} is not valid under any of the given schemas")
+    return check
+
+
+_KEYWORDS = {
+    "type": _kw_type,
+    "minimum": _kw_minimum,
+    "minItems": _kw_min_items,
+    "pattern": _kw_pattern,
+    "enum": _kw_enum,
+    "required": _kw_required,
+    "properties": _kw_properties,
+    "additionalProperties": _kw_additional,
+    "items": _kw_items,
+    "anyOf": _kw_any_of,
+}
+_ANNOTATIONS = ("$schema", "title")
+
+
+def _compile_schema(root: Dict) -> Callable[[object], None]:
+    """Turn a draft-07 schema into one closure per schema node.
+
+    The closure returns None for a valid document and raises ``_Invalid``
+    otherwise.  Anything outside the supported subset raises
+    NotImplementedError here, never silently passes at validation time.
+    """
+    definitions = root.get("definitions", {}) if isinstance(root, dict) \
+        else {}
+    if not isinstance(definitions, dict):
+        raise NotImplementedError("definitions must be an object")
+    resolved: Dict[str, Optional[Callable]] = {}
+
+    def ref(target):
+        name = target[len(_DEFINITIONS):] if isinstance(target, str) and \
+            target.startswith(_DEFINITIONS) else None
+        if name not in definitions:
+            raise NotImplementedError(f"unsupported $ref {target!r}")
+        if name not in resolved:
+            resolved[name] = None
+            resolved[name] = node(definitions[name])
+        if resolved[name] is None:
+            raise NotImplementedError(f"recursive $ref {target!r}")
+        return resolved[name]
+
+    def node(schema, top=False):
+        if not isinstance(schema, dict):
+            raise NotImplementedError(f"schema must be an object: {schema!r}")
+        if schema.get("$schema", _DRAFT_07) != _DRAFT_07:
+            raise NotImplementedError(f"not draft-07: {schema['$schema']!r}")
+        if "$ref" in schema:
+            if set(schema) - {"$ref", *_ANNOTATIONS}:
+                raise NotImplementedError("$ref with sibling keywords")
+            return ref(schema["$ref"])
+        checks = []
+        for keyword, value in schema.items():
+            if keyword in _ANNOTATIONS or (top and keyword == "definitions"):
+                continue
+            if keyword not in _KEYWORDS:
+                raise NotImplementedError(
+                    f"schema keyword {keyword!r} is not supported")
+            check = _KEYWORDS[keyword](value, schema, node)
+            if check is not None:
+                checks.append(check)
+        if len(checks) == 1:
+            return checks[0]
+        checks = tuple(checks)
+
+        def run(x):
+            for check in checks:
+                check(x)
+        return run
+
+    return node(root, top=True)
+
+
+@functools.lru_cache(maxsize=None)
+def _compiled(kind: str) -> Callable[[object], None]:
+    return _compile_schema(load_schema(kind))
+
+
+def _path_str(path: List[Union[str, int]]) -> str:
+    out = ""
+    for step in reversed(path):
+        if isinstance(step, int):
+            out += f"[{step}]"
+        else:
+            out += f".{step}" if out else step
+    return out or "the top level"
+
+
 def validate_document(kind: str, obj: Dict) -> None:
     """Raise SerializationError when obj does not match the kind's schema."""
     try:
-        jsonschema.validate(obj, load_schema(kind))
-    except jsonschema.ValidationError as exc:
-        raise SerializationError(f"{kind} document invalid: {exc.message}") \
-            from exc
+        _compiled(kind)(obj)
+    except _Invalid as exc:
+        raise SerializationError(f"{kind} document invalid: {exc} at "
+                                 f"{_path_str(exc.path)}") from exc
 
 
 def dump_json(obj: Dict) -> str:

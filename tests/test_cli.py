@@ -89,6 +89,16 @@ def test_override_must_be_integer(tmp_path, capsys):
     assert "integer" in capsys.readouterr().err
 
 
+def test_override_rejected_by_schema_names_the_cell(tmp_path, capsys):
+    doc = matrix_to_json(WORKED_B)
+    doc["entries"][0][1] = "x"
+    mat = write_json(tmp_path / "bad.json", doc)
+    assert main(["construct", "--n", "4", "--matrix-override", mat]) == 2
+    err = capsys.readouterr().err
+    assert "bad input: matrix document invalid" in err
+    assert "entries[0][1]" in err
+
+
 def test_missing_override_file(capsys):
     assert main(["construct", "--n", "2",
                  "--matrix-override", "/nonexistent/b.json"]) == 2
@@ -124,6 +134,16 @@ def test_verify_scaled_cube_fails(capsys):
     fx = str(FIXTURE_DIR / "scaled_cube3.json")
     assert main(["verify", "--fixture", fx, "--samples", "1500"]) == 1
     assert "tiling: FAIL" in capsys.readouterr().err
+
+
+def test_verify_rejects_fixture_with_extra_key(tmp_path, capsys):
+    doc = json.loads((FIXTURE_DIR / "cube3.json").read_text())
+    doc["surplus"] = True
+    fx = write_json(tmp_path / "extra.json", doc)
+    assert main(["verify", "--fixture", fx, "--samples", "100"]) == 2
+    err = capsys.readouterr().err
+    assert "bad input: fixture document invalid" in err
+    assert "'surplus'" in err
 
 
 def test_verify_requires_inputs(capsys):

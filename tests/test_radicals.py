@@ -122,6 +122,20 @@ def test_square_factor_beyond_trial_division_still_compares_equal():
     assert (big + small).terms == ((Fraction(2 * 10007), 2),)
 
 
+def test_equal_values_hash_equal():
+    # the pair keeps different terms, ((1, 200280098),) and ((10007, 2),)
+    big = SqrtSum.sqrt(2 * 10007 ** 2)
+    small = 10007 * SqrtSum.sqrt(2)
+    assert hash(big) == hash(small)
+    assert len({big, small}) == 1
+    # a rational SqrtSum equals, and hashes like, its int or Fraction
+    assert hash(SqrtSum.from_rational(Fraction(3, 4))) == hash(Fraction(3, 4))
+    assert hash(SqrtSum.from_rational(3)) == hash(3)
+    assert hash(SqrtSum.zero()) == hash(0)
+    assert len({SqrtSum.from_rational(3) + SqrtSum.sqrt(2),
+                3 + SqrtSum.sqrt(2 * 10007 ** 2) / 10007}) == 1
+
+
 @given(st.sampled_from([10007, 10009, 65537, 1000003]),
        st.integers(min_value=2, max_value=200),
        st.lists(st.tuples(rationals, st.integers(min_value=1, max_value=30)),

@@ -1,13 +1,18 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
+import jsonschema
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from paratile import serialization
+from paratile.cli import main
 from paratile.construction import RecursionConfig, construct
 from paratile.lattices import Lattice, lattices_equal
 from paratile.linalg import IntMatrix, QMatrix
@@ -28,6 +33,7 @@ from paratile.serialization import (SerializationError,
 from paratile.verify import verify_tiling
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+SRC_DIR = FIXTURE_DIR.parent / "src"
 
 FCC = Lattice(3, QMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 1]]))
 
@@ -234,6 +240,198 @@ def test_unknown_schema_kind_rejected():
 def test_validate_document_reports_kind():
     with pytest.raises(SerializationError, match="matrix"):
         validate_document("matrix", {"rows": "two"})
+
+
+def test_validate_document_names_the_path():
+    doc = {"rows": 1, "cols": 2, "entries": [["1", "2"]]}
+    doc["entries"][0][1] = "5\n"  # re.search: "$" matches before a newline
+    validate_document("matrix", doc)
+    doc["entries"][0][1] = "1/0"
+    with pytest.raises(SerializationError,
+                       match=r"'1/0' does not match .* at entries\[0\]\[1\]$"):
+        validate_document("matrix", doc)
+    with pytest.raises(SerializationError, match="at the top level$"):
+        validate_document("matrix", {"rows": 1, "cols": 1})
+
+
+def test_schema_compiler_fails_closed():
+    compile_schema = serialization._compile_schema
+    loop = {"items": {"$ref": "#/definitions/a"}}
+    for schema, reason in (
+            ({"type": "array", "maxItems": 3}, "'maxItems' is not supported"),
+            ({"type": "object", "additionalProperties": {}}, "boolean"),
+            ({"items": [{"type": "string"}]}, "single schema"),
+            ({"type": "integr"}, "unsupported type"),
+            ({"properties": {"a": {"$ref": "#/definitions/gone"}}},
+             "unsupported \\$ref"),
+            ({"definitions": {"a": loop}, "properties": {"x": loop}},
+             "recursive"),
+            ({"$ref": "#/definitions/a", "definitions": {"a": {}}},
+             "sibling"),
+            ({"$schema": "https://json-schema.org/draft/2020-12/schema"},
+             "not draft-07"),
+            ({"properties": {"a": {"description": "x"}}}, "'description'")):
+        with pytest.raises(NotImplementedError, match=reason):
+            compile_schema(schema)
+    # every shipped schema stays inside the supported subset
+    for kind in serialization._SCHEMA_KINDS:
+        compile_schema(load_schema(kind))
+
+
+# --- equivalence with jsonschema -----------------------------------------------
+
+_REPLACEMENTS = ("x", "5\n", "1/0", "-3/4", "", 7, -1, 0, 1.0, 2.5, True,
+                 False, None, [], ["1"], {}, {"terms": []})
+
+_DELETE = object()
+
+
+def _replaced(doc, path, value):
+    """doc with the node at path replaced (or deleted, for value _DELETE),
+    copying only the containers along the path."""
+    if not path:
+        return value
+    head, rest = path[0], path[1:]
+    out = dict(doc) if isinstance(doc, dict) else list(doc)
+    if not rest and value is _DELETE:
+        del out[head]
+    else:
+        out[head] = _replaced(doc[head], rest, value)
+    return out
+
+
+def _nodes(doc, path=()):
+    """Every node's path; of a list only the first item, since the shipped
+    schemas give every item of a list the same schema."""
+    yield path
+    if isinstance(doc, dict):
+        for key in doc:
+            yield from _nodes(doc[key], path + (key,))
+    elif isinstance(doc, list):
+        if doc:
+            yield from _nodes(doc[0], path + (0,))
+
+
+def _mutations(doc):
+    yield doc
+    for path in _nodes(doc):
+        node = doc
+        for step in path:
+            node = node[step]
+        for value in _REPLACEMENTS:
+            yield _replaced(doc, path, value)
+        if isinstance(node, dict):
+            for key in node:
+                yield _replaced(doc, path + (key,), _DELETE)
+            yield _replaced(doc, path, {**node, "surplus": 0})
+        elif isinstance(node, list) and node:
+            yield _replaced(doc, path, node + node[:1])
+            yield _replaced(doc, path, node + ["x"])
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """(kind, document) pairs: the fixtures and their parts, and one CLI
+    output of every kind."""
+    tmp = tmp_path_factory.mktemp("cli")
+    docs = []
+    for path in sorted(FIXTURE_DIR.glob("*.json")):
+        obj = json.loads(path.read_text())
+        if "body" in obj:
+            docs += [("fixture", obj), ("polytope", obj["body"]),
+                     ("lattice", obj["lattice"])]
+        else:
+            docs.append(("matrix", obj))
+    worked = tmp / "worked.json"
+    worked.write_text(dump_json(matrix_to_json(
+        IntMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 1]]))))
+    out = {kind: tmp / f"{kind}.json" for kind in serialization._SCHEMA_KINDS}
+    runs = [
+        ["construct", "--n", "3", "--out", out["construction_report"],
+         "--body-out", out["polytope"]],
+        ["sample-matrix", "--m", "8", "--n", "16", "--d", "3", "--seed", "1",
+         "--verify-s", "1", "--out", out["matrix"],
+         "--stats-out", out["sampler_stats"]],
+        ["verify", "--fixture", FIXTURE_DIR / "scaled_cube3.json",
+         "--samples", "200", "--out", out["tiling_report"]],
+        ["walk-stats", "--m", "2", "--t-max", "2", "--samples", "10",
+         "--out", out["walk_stats"]],
+        ["construct", "--n", "4", "--matrix-override", worked,
+         "--override-s", "1", "--out", out["construction_report"]],
+    ]
+    for argv in runs:
+        assert main([str(a) for a in argv]) in (0, 1)
+        written = [k for k, path in out.items() if path.exists()]
+        docs += [(k, json.loads(out[k].read_text())) for k in written]
+        for k in written:
+            out[k].unlink()
+    docs.append(("lattice", lattice_to_json(FCC)))
+    assert {kind for kind, _ in docs} == set(serialization._SCHEMA_KINDS)
+    return docs
+
+
+def test_compiled_schemas_agree_with_jsonschema(corpus):
+    reference = {kind: jsonschema.Draft7Validator(load_schema(kind))
+                 for kind in serialization._SCHEMA_KINDS}
+    checked = invalid = 0
+    for kind, doc in corpus:
+        for variant in _mutations(doc):
+            errors = list(reference[kind].iter_errors(variant))
+            try:
+                validate_document(kind, variant)
+                ours = None
+            except SerializationError as exc:
+                ours = str(exc)
+            assert (ours is None) == (not errors), (kind, variant, ours)
+            if len(errors) == 1:  # one error: the same place
+                where = serialization._path_str(
+                    list(reversed(errors[0].absolute_path)))
+                assert ours.endswith(f" at {where}"), (ours, where)
+            checked += 1
+            invalid += ours is not None
+    assert checked > 2000 and 0 < invalid < checked
+
+
+def test_compiled_keywords_follow_draft_07_on_edge_values():
+    # values the shipped schemas' enums and minimums never meet in a report
+    schemas = ({"enum": [1, "a", None, False]}, {"enum": [True, 0.5]},
+               {"type": "integer"}, {"type": ["number", "null"]},
+               {"minimum": 1}, {"pattern": "^[0-9]+$"}, {"minItems": 2},
+               {"anyOf": [{"type": "boolean"}, {"minimum": 3}]})
+    values = (True, False, 1, 1.0, 0, 0.5, 2.5, -1, 3, "1", "5\n", "a", None,
+              [], [1], [1, 2], {}, {"a": 1})
+    for schema in schemas:
+        ours = serialization._compile_schema(schema)
+        reference = jsonschema.Draft7Validator(schema)
+        for value in values:
+            try:
+                ours(value)
+                valid = True
+            except serialization._Invalid:
+                valid = False
+            assert valid == reference.is_valid(value), (schema, value)
+
+
+def test_import_leaves_jsonschema_unloaded():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC_DIR)] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys, paratile.cli; "
+            "print(sorted(m for m in ('jsonschema', 'referencing', 'rpds', "
+            "'attrs') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_sampled_matrix_document_validates_within_budget():
+    # one regex search per cell; jsonschema's per-cell walk took 1.2-1.5 s
+    mat, _ = sample_ldpc(LdpcParams(m=128, n=1024, d=4, seed=1))
+    doc = matrix_to_json(mat)
+    validate_document("matrix", doc)  # compile outside the timed call
+    t0 = time.perf_counter()
+    validate_document("matrix", doc)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_dump_json_is_canonical():
