@@ -24,7 +24,7 @@ from .radicals import SqrtSum
 from .sampler import (LdpcParams, SamplerFailure, admissible_s, choose_d,
                       default_c, expected_collisions, return_prob_bound,
                       return_prob_exact, sample_ldpc, verify_s_independence)
-from .verify import TilingReport, brute_force_volume, verify_tiling
+from .verify import TilingReport, verify_tiling
 
 __all__ = [
     "__version__",
@@ -34,7 +34,7 @@ __all__ = [
     "LevelTrace", "Parallelotope", "PrecisionExhausted", "QMatrix",
     "RecursionConfig", "RegimeError", "SamplerFailure", "SqrtSum",
     "TilingReport", "Unbounded",
-    "admissible_s", "brute_force_volume", "choose_d", "choose_m",
+    "admissible_s", "choose_d", "choose_m",
     "complete_to_full_rank", "construct", "construct_bound_only",
     "default_c", "enumerate_short_vectors", "expected_collisions",
     "integer_kernel_basis", "isoperimetric_ratio_lower", "linear_image",

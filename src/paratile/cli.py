@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from typing import Dict, List, Optional
 
 from . import __version__, serialization

@@ -22,11 +22,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .intervals import (
     Interval,
-    PREC_LADDER,
-    PrecisionExhausted,
     log_interval,
     exp_interval,
     pi_interval,
+    refine,
     root_interval,
     sqrt_lower,
     sqrt_upper,
@@ -169,24 +168,11 @@ def choose_m(n: int, kappa: int) -> int:
     """floor(n * exp(-sqrt(2 ln n ln 2 kappa))), certified by refinement."""
     if n <= 4 * kappa ** 2:
         raise RegimeError(f"n = {n} is inside the base regime for kappa = {kappa}")
-    for prec in PREC_LADDER:
-        shrink = exp_interval(-_exponent_interval(n, kappa, prec), prec)
-        value = shrink * n
-        lo, hi = math.floor(value.lo), math.floor(value.hi)
-        if lo == hi:
-            return lo
-    raise PrecisionExhausted(f"choose_m({n}, {kappa}) undecided")
-
-
-def _certified_ge(lhs: Fraction, rhs_prec_fn, what: str) -> bool:
-    """Decide lhs >= rhs for an interval-valued rhs, escalating precision."""
-    for prec in PREC_LADDER:
-        rhs = rhs_prec_fn(prec)
-        if rhs.hi <= lhs:
-            return True
-        if rhs.lo > lhs:
-            return False
-    raise PrecisionExhausted(what)
+    value = refine(
+        lambda prec: exp_interval(-_exponent_interval(n, kappa, prec), prec) * n,
+        lambda iv: math.floor(iv.lo) == math.floor(iv.hi),
+        what=f"choose_m({n}, {kappa})")
+    return math.floor(value.lo)
 
 
 def schedule_parameters(n: int, config: RecursionConfig) -> Tuple[int, int]:
@@ -197,10 +183,11 @@ def schedule_parameters(n: int, config: RecursionConfig) -> Tuple[int, int]:
         raise RegimeError(f"schedule yields m = {m} < 4 at n = {n}")
     if not (3 <= d <= m <= n):
         raise RegimeError(f"ordering 3 <= d <= m <= n fails: d={d} m={m} n={n}")
-    density_ok = _certified_ge(
-        Fraction(n * d), lambda prec: log_interval(Fraction(m), prec) * m,
-        f"n d >= m ln m at n={n}")
-    if not density_ok:
+    nd = n * d
+    m_ln_m = refine(lambda prec: log_interval(Fraction(m), prec) * m,
+                    lambda iv: iv.hi <= nd or iv.lo > nd,
+                    what=f"n d >= m ln m at n={n}")
+    if m_ln_m.hi > nd:
         raise RegimeError(f"aspect requirement n >= m ln(m)/d fails at n = {n}")
     return m, d
 
@@ -283,10 +270,10 @@ def _pick_matrix(n: int, m: int, d: int, config: RecursionConfig,
                  depth: int) -> Tuple[IntMatrix, int, Dict]:
     """Sample a row-balanced matrix and settle the usable independence level.
 
-    The schedule's admissible s is honored when positive; independently, a
-    direct meet-in-the-middle certificate can establish a higher (or, at desk
-    scale, the only positive) level.  Whatever s comes out is re-verified on
-    the concrete matrix, never assumed.
+    A direct meet-in-the-middle search certifies the largest s up to
+    max(probe cap, the schedule's admissible s) on the concrete matrix.  A
+    draw is kept when that s is positive and reaches the admissible s;
+    a shorter certified level means a dependency the schedule's s forbids.
     """
     c = config.collision_constant()
     s_formula = admissible_s(m, n, d, c)
@@ -298,16 +285,10 @@ def _pick_matrix(n: int, m: int, d: int, config: RecursionConfig,
         mat, stats = sample_ldpc(params)
         masks = matrix_to_masks(mat)
         s_direct = largest_verified_s(masks, max(config.probe_s_cap, s_formula))
-        s_used = max(s_formula, 0)
-        if s_direct >= max(s_used, 1):
-            s_used = s_direct
-        if s_used < 1:
-            continue
-        ok, witness = verify_s_independence(masks, s_used)
-        if not ok:
-            continue  # formula-level s refuted on this sample; redraw
+        if s_direct < max(s_formula, 1):
+            continue  # no positive level, or the formula's s refuted; redraw
         stats = dict(stats, s_formula=s_formula, s_direct=s_direct)
-        return mat, s_used, stats
+        return mat, s_direct, stats
     raise RegimeError(
         f"no sample with a positive verified independence level "
         f"(m={m}, n={n}, d={d}, formula s={s_formula})")
@@ -526,14 +507,14 @@ def construct_bound_only(n: int, config: Optional[RecursionConfig] = None
 
 def _induction_inequality_holds(n: int, m: int, kappa: int) -> bool:
     """Certify 4 kappa exp(sqrt(2 ln m ln 2k)) <= 2 exp(sqrt(2 ln n ln 2k))."""
-    for prec in PREC_LADDER:
+    def slack(prec: int) -> Interval:
         lhs = exp_interval(_exponent_interval(m, kappa, prec), prec) * (4 * kappa)
         rhs = exp_interval(_exponent_interval(n, kappa, prec), prec) * 2
-        if lhs.hi <= rhs.lo:
-            return True
-        if lhs.lo > rhs.hi:
-            return False
-    raise PrecisionExhausted(f"induction inequality undecided at n={n}")
+        return rhs - lhs
+
+    diff = refine(slack, lambda iv: iv.lo >= 0 or iv.hi < 0,
+                  what=f"induction inequality at n={n}, m={m}")
+    return diff.lo >= 0
 
 
 def scan_induction(kappa: int = 4, n_hi: int = 10 ** 6, count: int = 1000

@@ -6,6 +6,12 @@ exact and no rounding-direction bookkeeping is needed.  Irrational values
 constructors that take an explicit precision in bits.  Root enclosures are
 built from integer roots; exp/log/pi go through mpmath's directed-rounding
 interval arithmetic, whose binary endpoints convert to Fraction losslessly.
+
+``refine`` is the only precision ladder: every irrational decision in the
+package (the schedule's m, the density and induction inequalities, signs and
+widths of radical sums) computes its enclosure at the rungs of
+``PREC_LADDER`` until it is decided, and raises ``PrecisionExhausted`` after
+the last rung.
 """
 
 from __future__ import annotations
@@ -86,11 +92,6 @@ class Interval:
         f = _as_fraction(x)
         return Interval(f, f)
 
-    @staticmethod
-    def hull(items: Iterable["Interval"]) -> "Interval":
-        items = list(items)
-        return Interval(min(i.lo for i in items), max(i.hi for i in items))
-
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
@@ -98,9 +99,6 @@ class Interval:
     @property
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
-
-    def is_point(self) -> bool:
-        return self.lo == self.hi
 
     def contains(self, x: Rat) -> bool:
         f = _as_fraction(x)
@@ -136,18 +134,6 @@ class Interval:
 
     def __truediv__(self, other):
         return self * _coerce(other).reciprocal()
-
-    def certainly_le(self, other) -> bool:
-        return self.hi <= _coerce(other).lo
-
-    def certainly_lt(self, other) -> bool:
-        return self.hi < _coerce(other).lo
-
-    def certainly_ge(self, other) -> bool:
-        return self.lo >= _coerce(other).hi
-
-    def certainly_gt(self, other) -> bool:
-        return self.lo > _coerce(other).hi
 
     def overlaps(self, other) -> bool:
         other = _coerce(other)
@@ -267,7 +253,11 @@ def refine(compute: Callable[[int], Interval],
            decided: Callable[[Interval], bool],
            ladder: Iterable[int] = PREC_LADDER,
            what: str = "enclosure") -> Interval:
-    """Evaluate ``compute(prec)`` along a precision ladder until ``decided``."""
+    """Evaluate ``compute(prec)`` along a precision ladder until ``decided``.
+
+    Returns the first deciding enclosure; ``what`` names the question in the
+    ``PrecisionExhausted`` message, which also shows the last enclosure.
+    """
     last = None
     for prec in ladder:
         last = compute(prec)

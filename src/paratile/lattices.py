@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .linalg import (
-    IntMatrix,
     QMatrix,
     as_qmatrix,
     clear_denominators,
@@ -22,7 +21,6 @@ from .linalg import (
     integer_kernel_basis,
     inverse,
     rank_over_rationals,
-    rref,
 )
 from .radicals import SqrtSum
 
@@ -74,33 +72,6 @@ class Lattice:
 
     def vector(self, coords: Sequence[int]) -> Tuple[Fraction, ...]:
         return self.basis.mul_vec(coords)
-
-    def contains(self, v: Sequence) -> bool:
-        coords = coordinates_in_lattice(self, v)
-        return coords is not None
-
-
-def coordinates_in_lattice(lat: Lattice, v: Sequence) -> Optional[Tuple[int, ...]]:
-    """Integer coordinates of v in the basis, or None if v is not a member."""
-    v = [Fraction(x) for x in v]
-    if len(v) != lat.ambient_dim:
-        raise ValueError("dimension mismatch")
-    aug = QMatrix.from_rows(
-        [list(lat.basis.entries[i]) + [v[i]] for i in range(lat.ambient_dim)])
-    red, pivots = rref(aug)
-    r = lat.rank
-    if r in pivots:
-        return None  # v outside the span
-    sol = [Fraction(0)] * r
-    for row_idx, p in enumerate(pivots):
-        sol[p] = red.entries[row_idx][r]
-    # rows of the reduced system past the pivots must be consistent (they are,
-    # since the last column was not a pivot), so only integrality remains
-    if any(c.denominator != 1 for c in sol):
-        return None
-    if lat.basis.mul_vec(sol) != tuple(v):
-        return None
-    return tuple(int(c) for c in sol)
 
 
 def lattices_equal(a: Lattice, b: Lattice) -> bool:
@@ -252,12 +223,3 @@ def shortest_vector_sq(lat: Lattice, node_cap: int = 10 ** 7
     # the shortest basis vector realizes the starting bound, so found is
     # nonempty
     return found[0][1]
-
-
-def all_vectors_longer_than(lat: Lattice, threshold: Fraction,
-                            node_cap: int = 10 ** 7) -> bool:
-    """Certify that every nonzero lattice vector has squared length > threshold."""
-    if lat.rank == 0:
-        return True
-    sv = shortest_vector_sq(lat, node_cap=node_cap)
-    return sv > threshold

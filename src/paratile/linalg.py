@@ -1,4 +1,4 @@
-"""Exact linear algebra over Z, Q and GF(2) with certified operator norms.
+"""Exact linear algebra over Z and Q with certified operator norms.
 
 Matrices are immutable tuples of rows.  Integer work (Hermite forms, kernels,
 determinants) never leaves Z; rational elimination uses Fraction arithmetic.
@@ -14,8 +14,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .intervals import iroot_floor, sqrt_upper
-from .radicals import SqrtSum
+from .intervals import root_interval
 
 Rat = Union[int, Fraction]
 
@@ -228,45 +227,6 @@ def rank_over_rationals(m: Union[IntMatrix, QMatrix]) -> int:
     return rank_int_rows(_int_rows_of(m))
 
 
-def rank_over_gf2(m: IntMatrix) -> int:
-    masks = []
-    for row in m.entries:
-        bits = 0
-        for j, x in enumerate(row):
-            if x & 1:
-                bits |= 1 << j
-        masks.append(bits)
-    return gf2_rank(masks)
-
-
-def gf2_rank(masks: Iterable[int]) -> int:
-    pivots: List[int] = []
-    for v in masks:
-        for p in pivots:
-            low = p & -p
-            if v & low:
-                v ^= p
-        if v:
-            pivots.append(v)
-    return len(pivots)
-
-
-def columns_independent(m: Union[IntMatrix, QMatrix], cols: Sequence[int],
-                        field: str = "Q") -> bool:
-    """Whether the selected columns are linearly independent over Q or GF(2)."""
-    if len(set(cols)) != len(cols):
-        raise ValueError("repeated column index")
-    sub_rows = [[row[j] for j in cols] for row in m.entries]
-    if field == "Q":
-        return rank_int_rows(_int_rows_of(QMatrix.from_rows(sub_rows))) == len(cols)
-    if field == "GF2":
-        if isinstance(m, QMatrix):
-            raise ValueError("GF(2) check needs integer entries")
-        sub = IntMatrix.from_rows(sub_rows)
-        return rank_over_gf2(sub) == len(cols)
-    raise ValueError(f"unknown field {field!r}")
-
-
 def rref(m: QMatrix) -> Tuple[QMatrix, Tuple[int, ...]]:
     """Reduced row echelon form with pivot column indices."""
     work = [list(row) for row in m.entries]
@@ -291,19 +251,6 @@ def rref(m: QMatrix) -> Tuple[QMatrix, Tuple[int, ...]]:
     return QMatrix.from_rows(work), tuple(pivots)
 
 
-def solve_unique(a: QMatrix, b: Sequence[Rat]) -> Tuple[Fraction, ...]:
-    """Solve a square nonsingular system exactly."""
-    n = a.nrows
-    if a.ncols != n or len(b) != n:
-        raise ValueError("need a square system")
-    aug = QMatrix.from_rows(
-        [list(a.entries[i]) + [Fraction(b[i])] for i in range(n)])
-    red, piv = rref(aug)
-    if piv != tuple(range(n)):
-        raise ValueError("singular system")
-    return tuple(red.entries[i][n] for i in range(n))
-
-
 def inverse(a: QMatrix) -> QMatrix:
     n = a.nrows
     if a.ncols != n:
@@ -315,21 +262,6 @@ def inverse(a: QMatrix) -> QMatrix:
     if piv != tuple(range(n)):
         raise ValueError("singular matrix")
     return QMatrix.from_rows([row[n:] for row in red.entries])
-
-
-def nullspace(a: QMatrix) -> List[Tuple[Fraction, ...]]:
-    """Basis of the rational kernel, one vector per free column."""
-    red, pivots = rref(a)
-    n = a.ncols
-    free = [j for j in range(n) if j not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red.entries[r][f]
-        basis.append(tuple(v))
-    return basis
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:
@@ -459,31 +391,9 @@ class NormCertificate:
     usq: Fraction          # exact rational bound on the squared norm
     method: str            # row-col-product | rayleigh-interval | derived-completion
 
-    def value_upper(self, bits: int = 64) -> Fraction:
-        return sqrt_upper(self.usq, bits)
-
-    def as_sqrtsum(self) -> SqrtSum:
-        return SqrtSum.sqrt(self.usq)
-
 
 def _abs_row_sums(entries) -> list:
     return [sum(abs(x) for x in row) for row in entries]
-
-
-def _root_upper(x: Fraction, k: int) -> Fraction:
-    """Smallest convenient rational at or above x**(1/k)."""
-    if x < 0:
-        raise ValueError
-    if k == 1:
-        return x
-    p, q = x.numerator, x.denominator
-    rp, rq = iroot_floor(p, k), iroot_floor(q, k)
-    if rp ** k == p and rq ** k == q:
-        return Fraction(rp, rq)
-    bits = 32
-    n = p * q ** (k - 1)
-    t = iroot_floor(n << (k * bits), k)
-    return Fraction(t + 1, q << bits)
 
 
 def operator_norm_upper(m: Union[IntMatrix, QMatrix],
@@ -511,34 +421,11 @@ def operator_norm_upper(m: Union[IntMatrix, QMatrix],
                 power = power @ power
                 k *= 2
             mrs = Fraction(max(_abs_row_sums(power.entries)))
-            cand = _root_upper(mrs, k)
+            cand = root_interval(mrs, k, 32).hi
             if cand < best:
                 best = cand
                 method = "rayleigh-interval"
     return NormCertificate(best, method)
-
-
-def rayleigh_lower_sq(m: Union[IntMatrix, QMatrix], iters: int = 8) -> Fraction:
-    """Certified lower bound on the squared spectral norm via power iteration."""
-    q = as_qmatrix(m)
-    if q.nrows == 0 or q.ncols == 0:
-        return Fraction(0)
-    g = q.t() @ q
-    x = [Fraction(1) for _ in range(g.nrows)]
-    best = Fraction(0)
-    for _ in range(iters):
-        mx = q.mul_vec(x)
-        nx = sum(v * v for v in x)
-        if nx == 0:
-            break
-        best = max(best, sum(v * v for v in mx) / nx)
-        x = list(g.mul_vec(x))
-        # rescale to keep numbers manageable
-        mags = [abs(v) for v in x if v]
-        if mags:
-            s = max(mags)
-            x = [v / s for v in x]
-    return best
 
 
 # --- rank completion ---------------------------------------------------------
@@ -547,7 +434,6 @@ def rayleigh_lower_sq(m: Union[IntMatrix, QMatrix], iters: int = 8) -> Fraction:
 class CompletionResult:
     matrix: IntMatrix              # full-rank m x n
     kept_rows: Tuple[int, ...]     # indices of input rows that survive
-    col_order: Tuple[int, ...]     # identity; recorded for auditability
     certificate: NormCertificate
     added_units: Tuple[int, ...]   # coordinates of the appended unit rows
 
@@ -582,7 +468,7 @@ def complete_to_full_rank(a: IntMatrix,
     r = len(indep)
     if r == m:
         cert_a = base_cert or operator_norm_upper(a)
-        return CompletionResult(a, tuple(range(m)), tuple(range(n)), cert_a, ())
+        return CompletionResult(a, tuple(range(m)), cert_a, ())
     frame = QMatrix.from_rows([a.entries[i] for i in indep])
     _, pivot_cols = rref(frame)
     free_cols = [j for j in range(n) if j not in pivot_cols]
@@ -597,7 +483,7 @@ def complete_to_full_rank(a: IntMatrix,
     derived = cert_a.usq + 1
     own = operator_norm_upper(b)
     cert = NormCertificate(derived, "derived-completion") if derived <= own.usq else own
-    return CompletionResult(b, tuple(indep), tuple(range(n)), cert, added)
+    return CompletionResult(b, tuple(indep), cert, added)
 
 
 def _fdot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:

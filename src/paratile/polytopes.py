@@ -336,9 +336,6 @@ class HPolytope:
     def facet_halfspaces(self) -> Tuple[Halfspace, ...]:
         return tuple((a, b) for a, b, _ in self.facets())
 
-    def ambient_vertices(self) -> Tuple[Tuple[Fraction, ...], ...]:
-        return tuple(self.frame.mul_vec(v) for v in self.vertices())
-
     def ambient_halfspaces(self) -> Tuple[Halfspace, ...]:
         """Halfspace description in ambient coordinates (full-dim charts only)."""
         if self.dim != self.ambient_dim:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple, Union
 
-from .intervals import Interval, PrecisionExhausted, sqrt_interval
+from .intervals import Interval, refine, sqrt_interval
 
 Rat = Union[int, Fraction]
 
@@ -211,13 +211,9 @@ class SqrtSum:
             return 1
         if signs == {-1}:
             return -1
-        for bits in (64, 128, 256, 512, 1024, 2048):
-            iv = self.interval(bits=bits)
-            if iv.lo > 0:
-                return 1
-            if iv.hi < 0:
-                return -1
-        raise PrecisionExhausted(f"sign of {self} undecided")
+        iv = refine(self.interval, lambda iv: iv.lo > 0 or iv.hi < 0,
+                    what=f"sign of a {len(self.terms)}-term SqrtSum")
+        return 1 if iv.lo > 0 else -1
 
     def __eq__(self, other):
         if not isinstance(other, (SqrtSum, int, Fraction)):
@@ -253,13 +249,9 @@ class SqrtSum:
             acc = acc + sqrt_interval(r, bits) * c
         return acc
 
-    def interval_with_width(self, max_width: Fraction,
-                            bits_ladder=(64, 128, 256, 512, 1024, 2048)) -> Interval:
-        for bits in bits_ladder:
-            iv = self.interval(bits=bits)
-            if iv.width <= max_width:
-                return iv
-        raise PrecisionExhausted(f"cannot reach width {max_width} for {self}")
+    def interval_with_width(self, max_width: Fraction) -> Interval:
+        return refine(self.interval, lambda iv: iv.width <= max_width,
+                      what=f"SqrtSum enclosure of width <= {max_width}")
 
     def __float__(self):
         return float(self.interval(bits=64).mid)

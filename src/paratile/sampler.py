@@ -34,47 +34,10 @@ def walk_endpoint(m: int, steps: int, rng: random.Random) -> int:
 
 
 def return_prob_exact(m: int, t: int) -> Fraction:
-    """Probability the walk is back at 0 after t steps, exactly.
-
-    Paths are counted on the Hamming-weight chain: from weight w a step goes
-    up with m - w choices and down with w choices.  Weights above t are
-    unreachable, so wide m costs nothing.
-    """
+    """Probability the walk is back at 0 after t steps, exactly."""
     if m < 1 or t < 0:
         raise ValueError("need m >= 1, t >= 0")
-    wmax = min(m, t)
-    ways = [0] * (wmax + 2)
-    ways[0] = 1
-    for _ in range(t):
-        new = [0] * (wmax + 2)
-        for w in range(wmax + 1):
-            cnt = ways[w]
-            if not cnt:
-                continue
-            if w + 1 <= wmax:
-                new[w + 1] += cnt * (m - w)
-            if w >= 1:
-                new[w - 1] += cnt * w
-        ways = new
-    return Fraction(ways[0], m ** t)
-
-
-def return_prob_spectral(m: int, t: int) -> Fraction:
-    """Same value through the eigendecomposition of the flip operator."""
-    total = sum(math.comb(m, k) * (m - 2 * k) ** t for k in range(m + 1))
-    return Fraction(total, 2 ** m * m ** t)
-
-
-def return_prob_brute(m: int, t: int) -> Fraction:
-    """Path enumeration oracle; only sensible for tiny m and t."""
-    hits = 0
-    for path in itertools.product(range(m), repeat=t):
-        state = 0
-        for i in path:
-            state ^= 1 << i
-        if state == 0:
-            hits += 1
-    return Fraction(hits, m ** t)
+    return weight_distribution_exact(m, t)[0]
 
 
 def return_prob_bound(m: int, t: int) -> Fraction:
@@ -89,7 +52,12 @@ def return_prob_bound(m: int, t: int) -> Fraction:
 
 
 def weight_distribution_exact(m: int, t: int) -> List[Fraction]:
-    """Distribution of the walk's Hamming weight after t steps."""
+    """Distribution of the walk's Hamming weight after t steps.
+
+    Paths are counted on the Hamming-weight chain: from weight w a step goes
+    up with m - w choices and down with w choices.  Weights above t are
+    unreachable, so wide m costs nothing.
+    """
     wmax = min(m, t)
     ways = [0] * (wmax + 2)
     ways[0] = 1
@@ -99,11 +67,10 @@ def weight_distribution_exact(m: int, t: int) -> List[Fraction]:
             cnt = ways[w]
             if not cnt:
                 continue
-            if w + 1 <= wmax + 1:
-                new[w + 1] += cnt * (m - w)
+            new[w + 1] += cnt * (m - w)
             if w >= 1:
                 new[w - 1] += cnt * w
-        ways = new[: wmax + 2]
+        ways = new
     denom = m ** t
     return [Fraction(ways[w], denom) for w in range(wmax + 1)]
 

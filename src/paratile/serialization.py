@@ -25,9 +25,8 @@ import numbers
 import re
 from fractions import Fraction
 from importlib import resources
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from .intervals import Interval
 from .lattices import Lattice
 from .linalg import IntMatrix, QMatrix
 from .polytopes import HPolytope
@@ -125,11 +124,6 @@ def sqrtsum_from_json(obj: Dict) -> SqrtSum:
     return total
 
 
-def interval_to_json(iv: Interval) -> Dict:
-    return {"lo": frac_str(iv.lo), "hi": frac_str(iv.hi),
-            "lo_dec": dec_str(iv.lo), "hi_dec": dec_str(iv.hi)}
-
-
 # --- polytopes -----------------------------------------------------------------
 
 def polytope_to_json(p: HPolytope) -> Dict:
@@ -177,39 +171,6 @@ def format_hrep(p: HPolytope) -> str:
     for a, b in p.halfspaces:
         lines.append(" ".join(str(x) for x in a) + " <= " + frac_str(b))
     return "\n".join(lines) + "\n"
-
-
-def parse_hrep(text: str) -> HPolytope:
-    dim = None
-    ambient = None
-    basis_rows: List[List[Fraction]] = []
-    hs: List[Tuple[Tuple[Fraction, ...], Fraction]] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line[1:].split()
-            if parts[:1] == ["dim"]:
-                dim = int(parts[1])
-                ambient = int(parts[3])
-            elif parts[:1] == ["basis"]:
-                basis_rows.append([parse_frac(x) for x in parts[1:]])
-            continue
-        if "<=" not in line:
-            raise SerializationError(f"missing '<=' in line {line!r}")
-        lhs, rhs = line.split("<=")
-        a = tuple(parse_frac(x) for x in lhs.split())
-        hs.append((a, parse_frac(rhs.strip())))
-    if not hs:
-        raise SerializationError("no inequalities found")
-    if basis_rows:
-        frame = QMatrix.from_rows(
-            [[basis_rows[j][i] for j in range(len(basis_rows))]
-             for i in range(len(basis_rows[0]))])
-        return HPolytope.from_halfspaces(frame, hs)
-    n = ambient if ambient is not None else len(hs[0][0])
-    return HPolytope.from_halfspaces(n, hs)
 
 
 # --- reports -------------------------------------------------------------------

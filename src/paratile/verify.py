@@ -1,4 +1,4 @@
-"""Tiling verification by exact membership counting, plus volume oracles.
+"""Tiling verification by exact membership counting.
 
 The tiling check draws dyadic rational points in the basis parallelepiped and
 counts, over every lattice translate that could reach them, how many translated
@@ -10,15 +10,14 @@ and the pure-integer fallback is exact everywhere.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .intervals import Interval, sqrt_upper
+from .intervals import sqrt_upper
 from .lattices import Lattice, enumerate_short_vectors
 from .linalg import denominator_lcm, scaled_to_int
 from .polytopes import HPolytope
@@ -170,95 +169,3 @@ def verify_tiling(body: HPolytope, lat: Lattice, samples: int = 100000,
 
 def _int_dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
-
-
-# --- volume oracles -----------------------------------------------------------
-
-def brute_force_volume(body: HPolytope, resolution: int = 16) -> Interval:
-    """Certified volume enclosure by grid cell classification (chart volume).
-
-    Cells entirely inside every halfspace count toward the lower bound; cells
-    not entirely outside any halfspace count toward the upper bound.  Exact
-    rational endpoints; cost grows as resolution^dim.
-    """
-    d = body.dim
-    verts = body.vertices()
-    lo = [min(v[i] for v in verts) for i in range(d)]
-    hi = [max(v[i] for v in verts) for i in range(d)]
-    step = [(h - l) / resolution for l, h in zip(lo, hi)]
-    if any(s == 0 for s in step):
-        return Interval.point(Fraction(0))
-    hs = body.facets_or_halfspaces()
-    cellvol = Fraction(1)
-    for s in step:
-        cellvol *= s
-
-    def classify(cell_lo: Sequence[Fraction], cell_hi: Sequence[Fraction]
-                 ) -> int:
-        """1 inside, -1 outside, 0 straddling."""
-        inside = True
-        for a, b in hs:
-            mx = sum((cell_hi[i] if a[i] > 0 else cell_lo[i]) * a[i]
-                     for i in range(d))
-            if mx > b:
-                inside = False
-                mn = sum((cell_lo[i] if a[i] > 0 else cell_hi[i]) * a[i]
-                         for i in range(d))
-                if mn > b:
-                    return -1
-        return 1 if inside else 0
-
-    total_in = 0
-    total_straddle = 0
-    idx = [0] * d
-    while True:
-        cl = [lo[i] + idx[i] * step[i] for i in range(d)]
-        ch = [lo[i] + (idx[i] + 1) * step[i] for i in range(d)]
-        kind = classify(cl, ch)
-        if kind == 1:
-            total_in += 1
-        elif kind == 0:
-            total_straddle += 1
-        j = 0
-        while j < d:
-            idx[j] += 1
-            if idx[j] < resolution:
-                break
-            idx[j] = 0
-            j += 1
-        if j == d:
-            break
-    return Interval(total_in * cellvol, (total_in + total_straddle) * cellvol)
-
-
-def monte_carlo_volume(body: HPolytope, samples: int = 20000, seed: int = 0
-                       ) -> Dict:
-    """Rough chart-volume estimate for bodies too big to enumerate exactly.
-
-    Plain proportion estimator over the vertex bounding box with a normal
-    approximation band; clearly flagged as non-certified.
-    """
-    d = body.dim
-    verts = body.vertices()
-    lo = [min(v[i] for v in verts) for i in range(d)]
-    hi = [max(v[i] for v in verts) for i in range(d)]
-    box = Fraction(1)
-    for l, h in zip(lo, hi):
-        box *= h - l
-    rng = random.Random(f"mc:{seed}")
-    hits = 0
-    denom = 1 << 30
-    for _ in range(samples):
-        y = [l + (h - l) * Fraction(rng.randrange(denom), denom)
-             for l, h in zip(lo, hi)]
-        if body.contains_coords(y) >= 0:
-            hits += 1
-    p = hits / samples
-    sigma = math.sqrt(max(p * (1 - p), 1e-12) / samples)
-    return {
-        "estimate": float(box) * p,
-        "low_2sigma": float(box) * max(0.0, p - 2 * sigma),
-        "high_2sigma": float(box) * min(1.0, p + 2 * sigma),
-        "certified": False,
-        "samples": samples,
-    }

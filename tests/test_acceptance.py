@@ -17,16 +17,17 @@ from paratile.construction import (RecursionConfig, construct,
                                    isoperimetric_ratio_lower, scan_induction)
 from paratile.lattices import Lattice, shortest_vector_sq
 from paratile.linalg import (IntMatrix, complete_to_full_rank,
-                             operator_norm_upper, rank_over_rationals,
-                             rayleigh_lower_sq)
+                             operator_norm_upper, rank_over_rationals)
 from paratile.polytopes import HPolytope, scaled, voronoi_cell
 from paratile.radicals import SqrtSum
 from paratile.sampler import (LdpcParams, admissible_s, default_c,
                               expected_collisions, largest_verified_s,
                               matrix_to_masks, return_prob_bound,
-                              return_prob_brute, return_prob_exact,
-                              sample_ldpc, verify_s_independence)
+                              return_prob_exact, sample_ldpc,
+                              verify_s_independence)
 from paratile.verify import verify_tiling
+
+from oracles import rayleigh_lower_sq, return_prob_brute
 
 # Voronoi-cell corpus for the inequality suite: basis columns, dims 2 to 4.
 CORPUS = [

@@ -8,8 +8,9 @@ from paratile.linalg import IntMatrix
 from paratile.polytopes import HPolytope
 from paratile.lattices import Lattice
 from paratile.serialization import (dump_json, lattice_to_json, matrix_to_json,
-                                    parse_hrep, polytope_to_json,
-                                    validate_document)
+                                    polytope_to_json, validate_document)
+
+from oracles import parse_hrep
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 

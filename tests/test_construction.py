@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from paratile import construction, intervals, radicals
 from paratile.construction import (ConstructionError, RecursionConfig,
                                    RegimeError, ball_volume_interval,
                                    bound_value, choose_m, construct,
@@ -70,6 +71,34 @@ def test_schedule_rejects_tiny_m():
     # just above the base regime the schedule collapses to m < 4
     with pytest.raises(RegimeError):
         schedule_parameters(70, RecursionConfig())
+
+
+def test_every_irrational_decision_goes_through_the_one_ladder(monkeypatch):
+    calls = []
+
+    def counting_refine(compute, decided, ladder=intervals.PREC_LADDER,
+                        what="enclosure"):
+        calls.append(what)
+        return intervals.refine(compute, decided, ladder, what)
+
+    monkeypatch.setattr(construction, "refine", counting_refine)
+    monkeypatch.setattr(radicals, "refine", counting_refine)
+    mixed = SqrtSum.sqrt(2) - 1
+    decisions = [
+        lambda: construction.choose_m(10 ** 6, 4),
+        lambda: construction.schedule_parameters(10 ** 6, RecursionConfig()),
+        lambda: construction._induction_inequality_holds(10 ** 6, 510, 4),
+        mixed.sign,
+        lambda: mixed.interval_with_width(Fraction(1, 10 ** 12)),
+    ]
+    for decide in decisions:
+        before = len(calls)
+        decide()
+        assert len(calls) > before
+    # rational and one-signed sums need no enclosure at all
+    before = len(calls)
+    assert (SqrtSum.sqrt(2) + 1).sign() == 1
+    assert len(calls) == before
 
 
 # --- geometric construction -------------------------------------------------

@@ -7,11 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from paratile.lattices import (EnumerationCap, Lattice,
-                               coordinates_in_lattice, enumerate_short_vectors,
-                               intersect_with_kernel, lattices_equal,
-                               project_onto_rowspan, shortest_vector_sq)
+                               enumerate_short_vectors, intersect_with_kernel,
+                               lattices_equal, project_onto_rowspan,
+                               shortest_vector_sq)
 from paratile.linalg import IntMatrix, QMatrix, det_int, det_q
 from paratile.radicals import SqrtSum
+
+from oracles import coordinates_in_lattice
 
 FCC = [[1, 1, 0], [1, 0, 1], [0, 1, 1]]
 
@@ -24,16 +26,17 @@ def test_standard_lattice():
     lat = Lattice.standard(3)
     assert lat.rank == 3 and lat.is_integer()
     assert lat.covolume() == SqrtSum.from_rational(1)
-    assert lat.contains([1, -2, 5])
-    assert not lat.contains([Fraction(1, 2), 0, 0])
+    assert coordinates_in_lattice(lat, [1, -2, 5]) is not None
+    assert coordinates_in_lattice(lat, [Fraction(1, 2), 0, 0]) is None
 
 
 def test_fcc_basics():
     lat = fcc()
     assert lat.covolume() == SqrtSum.from_rational(2)
     assert shortest_vector_sq(lat) == 2
-    assert lat.contains([2, 0, 0])      # (1,1,0)+(1,0,1)-(0,1,1)
-    assert not lat.contains([1, 0, 0])  # odd coordinate sum
+    # (1,1,0)+(1,0,1)-(0,1,1); (1,0,0) has an odd coordinate sum
+    assert coordinates_in_lattice(lat, [2, 0, 0]) is not None
+    assert coordinates_in_lattice(lat, [1, 0, 0]) is None
 
 
 @given(st.lists(st.integers(min_value=-5, max_value=5), min_size=3,

@@ -6,12 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from paratile.linalg import (IntMatrix, QMatrix, clear_denominators,
-                             columns_independent, complete_to_full_rank,
-                             denominator_lcm, det_int, det_q, gf2_rank,
-                             hnf_basis_columns, integer_kernel_basis, inverse,
-                             lll_reduce, nullspace, operator_norm_upper,
-                             rank_int_rows, rank_over_gf2, rank_over_rationals,
-                             rayleigh_lower_sq, rref, solve_unique)
+                             complete_to_full_rank, denominator_lcm, det_int,
+                             det_q, hnf_basis_columns, integer_kernel_basis,
+                             inverse, lll_reduce, operator_norm_upper,
+                             rank_int_rows, rank_over_rationals, rref)
+
+from oracles import (columns_independent, nullspace, rank_over_gf2,
+                     rayleigh_lower_sq, solve_unique)
 
 bit_matrices = st.integers(min_value=1, max_value=4).flatmap(
     lambda m: st.integers(min_value=1, max_value=5).flatmap(

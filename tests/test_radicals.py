@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from paratile.intervals import PrecisionExhausted
 from paratile.radicals import SqrtSum, canonical_sqrt, split_square
 
 small_pos = st.integers(min_value=1, max_value=5000)
@@ -102,6 +103,18 @@ def test_interval_with_width_obeys_request():
         w = Fraction(1, 10 ** exp)
         iv = x.interval_with_width(w)
         assert iv.width <= w
+
+
+def test_sign_reaches_the_last_rung_of_the_ladder():
+    # sqrt(10^1600 + 1) - 10^800 is about 2^-2660: 2048 bits cannot see it
+    x = SqrtSum.sqrt(10 ** 1600 + 1) - 10 ** 800
+    assert x.sign() == 1
+    assert (-x).sign() == -1
+
+
+def test_interval_with_width_beyond_the_ladder_is_refused():
+    with pytest.raises(PrecisionExhausted, match="width"):
+        SqrtSum.sqrt(2).interval_with_width(Fraction(1, 2 ** 5000))
 
 
 def test_str_is_readable():

@@ -10,10 +10,11 @@ from paratile.sampler import (LdpcParams, SamplerFailure, admissible_s,
                               choose_d, default_c, expected_collisions,
                               largest_verified_s, masks_to_matrix,
                               matrix_to_masks, return_prob_bound,
-                              return_prob_brute, return_prob_exact,
-                              return_prob_spectral, row_weight_bound,
+                              return_prob_exact, row_weight_bound,
                               sample_ldpc, verify_s_independence,
                               walk_endpoint, weight_distribution_exact)
+
+from oracles import return_prob_brute, return_prob_spectral
 
 
 # --- return probabilities ---------------------------------------------------

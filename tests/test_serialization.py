@@ -25,12 +25,14 @@ from paratile.serialization import (SerializationError,
                                     frac_str, lattice_from_json,
                                     lattice_to_json, load_schema,
                                     matrix_from_json, matrix_to_json,
-                                    parse_frac, parse_hrep,
-                                    polytope_from_json, polytope_to_json,
+                                    parse_frac, polytope_from_json,
+                                    polytope_to_json,
                                     sampler_stats_to_json, sqrtsum_from_json,
                                     sqrtsum_to_json, tiling_report_to_json,
                                     validate_document)
 from paratile.verify import verify_tiling
+
+from oracles import parse_hrep
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 SRC_DIR = FIXTURE_DIR.parent / "src"
