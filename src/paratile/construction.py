@@ -90,12 +90,10 @@ class RecursionConfig:
     dim_cap: int = 6               # kernel cells are enumerated up to this rank
     svp_node_cap: int = 10 ** 7
     max_tries: int = 64
-    c: Optional[Fraction] = None
-    probe_s_cap: int = 3           # direct independence certification cap
     matrix_override: Optional[Sequence[Tuple[IntMatrix, Optional[int]]]] = None
 
-    def collision_constant(self) -> Fraction:
-        return self.c if self.c is not None else default_c()
+
+_PROBE_S_CAP = 3  # direct independence certification cap
 
 
 @dataclass(frozen=True)
@@ -275,8 +273,7 @@ def _pick_matrix(n: int, m: int, d: int, config: RecursionConfig,
     draw is kept when that s is positive and reaches the admissible s;
     a shorter certified level means a dependency the schedule's s forbids.
     """
-    c = config.collision_constant()
-    s_formula = admissible_s(m, n, d, c)
+    s_formula = admissible_s(m, n, d, default_c())
     for attempt in range(config.max_tries):
         derived_seed = (config.seed * 1000003 + depth * 8191 + attempt) \
             & 0xFFFFFFFF
@@ -284,7 +281,7 @@ def _pick_matrix(n: int, m: int, d: int, config: RecursionConfig,
                             max_tries=config.max_tries)
         mat, stats = sample_ldpc(params)
         masks = matrix_to_masks(mat)
-        s_direct = largest_verified_s(masks, max(config.probe_s_cap, s_formula))
+        s_direct = largest_verified_s(masks, max(_PROBE_S_CAP, s_formula))
         if s_direct < max(s_formula, 1):
             continue  # no positive level, or the formula's s refuted; redraw
         stats = dict(stats, s_formula=s_formula, s_direct=s_direct)
@@ -401,7 +398,7 @@ def _construct_lattice(lat: Lattice, config: RecursionConfig, depth: int
         a_matrix, s_opt = overrides[depth]
         if s_opt is None:
             s_opt = largest_verified_s(matrix_to_masks(a_matrix),
-                                       config.probe_s_cap)
+                                       _PROBE_S_CAP)
         if s_opt < 1:
             raise ConstructionError("override matrix has no usable level")
         return inductive_level(lat, a_matrix, s_opt, config, depth)
@@ -463,18 +460,17 @@ def bound_value(n: int, config: RecursionConfig, depth: int = 0
     positive, so at desk-to-moderate sizes the chain usually returns 2n.
     """
     trivial = Fraction(2 * n)
+    cube = trivial, [LevelTrace(n=n, mode="cube",
+                                ratio=SqrtSum.from_rational(trivial))]
     if depth >= config.max_depth:
-        return trivial, [LevelTrace(n=n, mode="cube",
-                                    ratio=SqrtSum.from_rational(trivial))]
+        return cube
     try:
         m, d = schedule_parameters(n, config)
     except RegimeError:
-        return trivial, [LevelTrace(n=n, mode="cube",
-                                    ratio=SqrtSum.from_rational(trivial))]
-    s = admissible_s(m, n, d, config.collision_constant())
+        return cube
+    s = admissible_s(m, n, d, default_c())
     if s < 1:
-        return trivial, [LevelTrace(n=n, mode="cube",
-                                    ratio=SqrtSum.from_rational(trivial))]
+        return cube
     inner_value, inner_traces = bound_value(m, config, depth + 1)
     ell = row_weight_bound(m, n, d)
     norm_hi = sqrt_upper(Fraction(1 + d * ell), 96)
@@ -484,8 +480,7 @@ def bound_value(n: int, config: RecursionConfig, depth: int = 0
         trace = LevelTrace(n=n, mode="step", m=m, d=d, s=s,
                            ratio=SqrtSum.from_rational(cand))
         return cand, [trace] + inner_traces
-    return trivial, [LevelTrace(n=n, mode="cube",
-                                ratio=SqrtSum.from_rational(trivial))]
+    return cube
 
 
 def construct_bound_only(n: int, config: Optional[RecursionConfig] = None

@@ -100,10 +100,6 @@ class Interval:
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def contains(self, x: Rat) -> bool:
-        f = _as_fraction(x)
-        return self.lo <= f <= self.hi
-
     def __add__(self, other):
         other = _coerce(other)
         return Interval(self.lo + other.lo, self.hi + other.hi)
@@ -134,10 +130,6 @@ class Interval:
 
     def __truediv__(self, other):
         return self * _coerce(other).reciprocal()
-
-    def overlaps(self, other) -> bool:
-        other = _coerce(other)
-        return self.lo <= other.hi and other.lo <= self.hi
 
     def __str__(self):
         return f"[{self.lo}, {self.hi}]"

@@ -70,9 +70,6 @@ class Lattice:
             return SqrtSum.sqrt(det_q(self.basis) ** 2)
         return SqrtSum.sqrt(det_q(self.gram()))
 
-    def vector(self, coords: Sequence[int]) -> Tuple[Fraction, ...]:
-        return self.basis.mul_vec(coords)
-
 
 def lattices_equal(a: Lattice, b: Lattice) -> bool:
     """Exact equality as subsets of the ambient space."""

@@ -80,9 +80,6 @@ class IntMatrix:
     def col(self, j: int) -> Tuple[int, ...]:
         return tuple(r[j] for r in self.entries)
 
-    def columns(self) -> List[Tuple[int, ...]]:
-        return [self.col(j) for j in range(self.ncols)]
-
     def t(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.entries)) if self.entries else ())
 
@@ -137,9 +134,6 @@ class QMatrix:
     def col(self, j: int) -> Tuple[Fraction, ...]:
         return tuple(r[j] for r in self.entries)
 
-    def columns(self) -> List[Tuple[Fraction, ...]]:
-        return [self.col(j) for j in range(self.ncols)]
-
     def t(self) -> "QMatrix":
         return QMatrix(tuple(zip(*self.entries)) if self.entries else ())
 
@@ -157,11 +151,6 @@ class QMatrix:
 
     def is_integer(self) -> bool:
         return all(x.denominator == 1 for row in self.entries for x in row)
-
-    def to_int(self) -> IntMatrix:
-        if not self.is_integer():
-            raise ValueError("non-integer entries")
-        return IntMatrix(tuple(tuple(int(x) for x in row) for row in self.entries))
 
     def scale(self, c: Rat) -> "QMatrix":
         c = Fraction(c)

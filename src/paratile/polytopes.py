@@ -173,24 +173,26 @@ class _Sweep:
             raise EmptyBody("cut removes every vertex")
         return True
 
-    def real_halfspaces(self) -> List[Halfspace]:
-        return [h for h, aux in zip(self.halfspaces, self.aux) if not aux]
+    def faces(self):
+        """Sorted vertices, and the facet-defining non-auxiliary halfspaces
+        as (a, b, indices of the vertices on a . y = b), sorted.
 
-
-def _facets_of(dim: int, halfspaces: Sequence[Halfspace],
-               verts: Sequence[Tuple[Fraction, ...]]
-               ) -> Tuple[Tuple[Tuple[int, ...], Fraction, FrozenSet[int]], ...]:
-    """Facet-defining halfspaces with their touching vertex index sets."""
-    out = []
-    for (a, b) in halfspaces:
-        touch = frozenset(
-            i for i, v in enumerate(verts)
-            if sum(x * y for x, y in zip(a, v)) == b)
-        if not touch:
-            continue
-        if _affine_rank([verts[i] for i in touch]) == dim - 1:
-            out.append((a, b, touch))
-    return tuple(sorted(out, key=lambda f: (f[0], f[1])))
+        The active sets are the incidence, so no dot product is redone; a
+        halfspace is a facet when the vertices on it span a hyperplane.
+        """
+        order = sorted(range(len(self.verts)), key=lambda i: self.verts[i])
+        verts = tuple(self.verts[i] for i in order)
+        touching: Dict[int, Set[int]] = {}
+        for new, old in enumerate(order):
+            for k in self.active[old]:
+                touching.setdefault(k, set()).add(new)
+        facets = []
+        for k, touch in touching.items():
+            if not self.aux[k] and \
+                    _affine_rank([verts[i] for i in touch]) == self.d - 1:
+                a, b = self.halfspaces[k]
+                facets.append((a, b, frozenset(touch)))
+        return verts, tuple(sorted(facets, key=lambda f: (f[0], f[1])))
 
 
 def _neg(a: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -323,14 +325,12 @@ class HPolytope:
     def vertices(self) -> Tuple[Tuple[Fraction, ...], ...]:
         if "vertices" not in self._cache:
             sweep = _sweep_from_halfspaces(self.dim, self.halfspaces)
-            self._cache["vertices"] = tuple(sorted(sweep.verts))
+            self._cache["vertices"], self._cache["facets"] = sweep.faces()
         return self._cache["vertices"]
 
     def facets(self):
         """Tuple of (normal, offset, touching vertex index frozenset)."""
-        if "facets" not in self._cache:
-            self._cache["facets"] = _facets_of(
-                self.dim, self.halfspaces, self.vertices())
+        self.vertices()  # the sweep caches both
         return self._cache["facets"]
 
     def facet_halfspaces(self) -> Tuple[Halfspace, ...]:
@@ -352,17 +352,6 @@ class HPolytope:
         if "facets" in self._cache or "vertices" in self._cache:
             return self.facet_halfspaces()
         return self.halfspaces
-
-    def contains_coords(self, y: Sequence[Fraction]) -> int:
-        """1 strictly inside, 0 on the boundary, -1 outside."""
-        on_boundary = False
-        for a, b in self.halfspaces:
-            s = sum(x * Fraction(t) for x, t in zip(a, y))
-            if s > b:
-                return -1
-            if s == b:
-                on_boundary = True
-        return 0 if on_boundary else 1
 
     def circumradius_sq(self) -> Fraction:
         """Exact max squared ambient norm over the vertices."""
@@ -528,9 +517,6 @@ class HPolytope:
     def volume(self) -> SqrtSum:
         return self.measures().volume
 
-    def surface_area(self) -> SqrtSum:
-        return self.measures().surface
-
     def ratio(self) -> SqrtSum:
         return self.measures().ratio
 
@@ -596,15 +582,11 @@ def voronoi_cell(lat: Lattice, node_cap: int = 10 ** 7) -> HPolytope:
         b = nsq / (2 * gamma)
         if sweep.insert(a, b):
             max_sq = current_max_sq()
-    facets = _facets_of(d, sweep.real_halfspaces(), sweep.verts)
+    verts, facets = sweep.faces()
     body = HPolytope(lat.ambient_dim, lat.basis,
                      tuple((a, b) for a, b, _ in facets))
-    order = sorted(range(len(sweep.verts)), key=lambda i: sweep.verts[i])
-    rank_of = {old: new for new, old in enumerate(order)}
-    body._cache["vertices"] = tuple(sweep.verts[i] for i in order)
-    body._cache["facets"] = tuple(sorted(
-        (a, b, frozenset(rank_of[i] for i in touch))
-        for a, b, touch in facets))
+    body._cache["vertices"] = verts
+    body._cache["facets"] = facets
     body._cache["metric"] = g
     body._cache["metric_inv"] = ginv
     return body

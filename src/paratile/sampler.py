@@ -268,10 +268,8 @@ def verify_s_independence(mat_or_masks, s: int
     return (dep is None), dep
 
 
-def largest_verified_s(mat_or_masks, s_cap: int) -> int:
+def largest_verified_s(masks: Sequence[int], s_cap: int) -> int:
     """Largest s <= s_cap that verify_s_independence certifies."""
-    masks = (matrix_to_masks(mat_or_masks)
-             if isinstance(mat_or_masks, IntMatrix) else list(mat_or_masks))
     best = 0
     for s in range(1, s_cap + 1):
         ok, _ = verify_s_independence(masks, s)

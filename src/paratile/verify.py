@@ -4,8 +4,8 @@ The tiling check draws dyadic rational points in the basis parallelepiped and
 counts, over every lattice translate that could reach them, how many translated
 bodies contain each point (strictly, and with boundary).  All scores are
 integers: the dyadic denominator and the halfspace denominators are cleared up
-front, so the int64 fast path is exact wherever an overflow audit allows it,
-and the pure-integer fallback is exact everywhere.
+front, and one vectorised count runs on numpy int64 where an overflow audit
+allows it and on exact Python integers (object dtype) where it does not.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from .intervals import sqrt_upper
 from .lattices import Lattice, enumerate_short_vectors
 from .linalg import denominator_lcm, scaled_to_int
 from .polytopes import HPolytope
+
+_MAX_WITNESSES = 8
 
 
 @dataclass(frozen=True)
@@ -53,8 +55,8 @@ def _integerized_system(body: HPolytope, lat: Lattice, bits: int
     return rows, rhs
 
 
-def _candidate_translates(body: HPolytope, lat: Lattice,
-                          node_cap: int) -> List[Tuple[int, ...]]:
+def _candidate_translates(body: HPolytope, lat: Lattice
+                          ) -> List[Tuple[int, ...]]:
     """Lattice coordinates whose translate can meet the basis parallelepiped."""
     n = lat.rank
     g = lat.gram()
@@ -67,14 +69,58 @@ def _candidate_translates(body: HPolytope, lat: Lattice,
         gs = g.mul_vec(s)
         r_par_sq = max(r_par_sq, sum(x * y for x, y in zip(s, gs)))
     reach = (r_body + sqrt_upper(r_par_sq, 64)) ** 2
-    found = enumerate_short_vectors(g, reach, center=half, node_cap=node_cap)
+    found = enumerate_short_vectors(g, reach, center=half)
     return [coords for coords, _ in found]
 
 
+def _membership_inputs(body: HPolytope, lat: Lattice, samples: int, bits: int,
+                       seed: int) -> Tuple[List[List[int]], List[List[int]],
+                                           List[List[int]]]:
+    """Sample numerators ks, integer rows u, and per-translate offsets."""
+    rows, rhs = _integerized_system(body, lat, bits)
+    scale = 1 << bits
+    # offset per (row, translate): r * 2^bits + 2^bits * u . c
+    offsets = [[(rhs[r] + _int_dot(rows[r], c)) * scale
+                for r in range(len(rows))]
+               for c in _candidate_translates(body, lat)]
+    rng = random.Random(f"tiling:{seed}")
+    ks = [[rng.randrange(scale) for _ in range(lat.rank)]
+          for _ in range(samples)]
+    return ks, rows, offsets
+
+
+def _count_membership(ks: Sequence[Sequence[int]],
+                      rows: Sequence[Sequence[int]],
+                      offsets: Sequence[Sequence[int]], dtype
+                      ) -> Tuple[int, int, int, Tuple[Tuple[int, ...], ...]]:
+    """(overlaps, gaps, boundary hits, witnesses) of the samples ks.
+
+    Sample k lies in the closed translate with offsets off iff every score
+    u . k is <= off[row], and in its interior iff every score is < off[row].
+    dtype is np.int64 when no score or offset can overflow it, and object
+    (exact Python integers) otherwise.
+    """
+    scores = np.array(ks, dtype=dtype) @ np.array(rows, dtype=dtype).T
+    open_count = np.zeros(len(ks), dtype=np.int32)
+    closed_count = np.zeros(len(ks), dtype=np.int32)
+    boundary = 0
+    for off in offsets:
+        oarr = np.array(off, dtype=dtype)
+        closed_here = (scores <= oarr).all(axis=1)
+        open_here = (scores < oarr).all(axis=1)
+        closed_count += closed_here
+        open_count += open_here
+        boundary += int(np.count_nonzero(closed_here & ~open_here))
+    overlap_mask = open_count >= 2
+    gap_mask = closed_count == 0
+    bad = np.nonzero(overlap_mask | gap_mask)[0][:_MAX_WITNESSES]
+    return (int(np.count_nonzero(overlap_mask)),
+            int(np.count_nonzero(gap_mask)), boundary,
+            tuple(tuple(ks[int(i)]) for i in bad))
+
+
 def verify_tiling(body: HPolytope, lat: Lattice, samples: int = 100000,
-                  bits: int = 24, seed: int = 0,
-                  node_cap: int = 10 ** 7,
-                  max_witnesses: int = 8) -> TilingReport:
+                  bits: int = 24, seed: int = 0) -> TilingReport:
     """Sample-based tiling audit with an exact volume identity check.
 
     A pass requires every sampled point to lie strictly inside at most one
@@ -86,85 +132,21 @@ def verify_tiling(body: HPolytope, lat: Lattice, samples: int = 100000,
             lat.ambient_dim != n:
         raise ValueError("tiling check needs a full-dimensional body")
     volume_equal = body.volume() == lat.covolume()
-    rows, rhs = _integerized_system(body, lat, bits)
-    cands = _candidate_translates(body, lat, node_cap)
+    ks, rows, offsets = _membership_inputs(body, lat, samples, bits, seed)
     scale = 1 << bits
-    # offset per (row, translate): r * 2^bits + 2^bits * u . c
-    offsets = [[(rhs[r] + _int_dot(rows[r], c)) * scale
-                for r in range(len(rows))] for c in cands]
-
-    rng = random.Random(f"tiling:{seed}")
-    ks = [[rng.randrange(scale) for _ in range(n)] for _ in range(samples)]
-
     max_abs_score = max(
         (sum(abs(x) for x in row) * (scale - 1) for row in rows), default=0)
     max_abs_off = max((abs(o) for row in offsets for o in row), default=0)
-    use_int64 = max(max_abs_score, max_abs_off) < 2 ** 62
-
-    overlap = 0
-    gap = 0
-    boundary = 0
-    witnesses: List[Tuple[int, ...]] = []
-
-    if use_int64:
-        engine = "int64"
-        karr = np.array(ks, dtype=np.int64)
-        uarr = np.array(rows, dtype=np.int64).T
-        scores = karr @ uarr  # samples x rows, exact by the audit above
-        open_count = np.zeros(samples, dtype=np.int32)
-        closed_count = np.zeros(samples, dtype=np.int32)
-        for off in offsets:
-            oarr = np.array(off, dtype=np.int64)
-            le = scores <= oarr
-            lt = scores < oarr
-            closed_here = le.all(axis=1)
-            open_here = lt.all(axis=1)
-            closed_count += closed_here
-            open_count += open_here
-            boundary += int(np.count_nonzero(closed_here & ~open_here))
-        overlap_mask = open_count >= 2
-        gap_mask = closed_count == 0
-        overlap = int(np.count_nonzero(overlap_mask))
-        gap = int(np.count_nonzero(gap_mask))
-        for idx in np.nonzero(overlap_mask | gap_mask)[0][:max_witnesses]:
-            witnesses.append(tuple(ks[int(idx)]))
-    else:
-        engine = "bigint"
-        for k in ks:
-            open_count = 0
-            closed_count = 0
-            for ci, off in enumerate(offsets):
-                closed_here = True
-                open_here = True
-                for r, row in enumerate(rows):
-                    sc = _int_dot(row, k)
-                    if sc > off[r]:
-                        closed_here = False
-                        open_here = False
-                        break
-                    if sc == off[r]:
-                        open_here = False
-                if closed_here:
-                    closed_count += 1
-                    if not open_here:
-                        boundary += 1
-                if open_here:
-                    open_count += 1
-            if open_count >= 2:
-                overlap += 1
-                if len(witnesses) < max_witnesses:
-                    witnesses.append(tuple(k))
-            if closed_count == 0:
-                gap += 1
-                if len(witnesses) < max_witnesses:
-                    witnesses.append(tuple(k))
+    engine = "int64" if max(max_abs_score, max_abs_off) < 2 ** 62 else "bigint"
+    overlap, gap, boundary, witnesses = _count_membership(
+        ks, rows, offsets, np.int64 if engine == "int64" else object)
 
     passed = volume_equal and overlap == 0 and gap == 0
     return TilingReport(
-        passed=passed, samples=samples, translates=len(cands),
+        passed=passed, samples=samples, translates=len(offsets),
         volume_equal=volume_equal, overlap_violations=overlap,
         gap_violations=gap, boundary_hits=boundary, engine=engine,
-        witnesses=tuple(witnesses))
+        witnesses=witnesses)
 
 
 def _int_dot(a: Sequence[int], b: Sequence[int]) -> int:

@@ -80,7 +80,7 @@ def test_criterion_1_cube_baseline():
             failures.append(f"Z^{n} halfspace set differs")
         if cell.volume() != SqrtSum.from_rational(1):
             failures.append(f"Z^{n} volume != 1")
-        if cell.surface_area() != SqrtSum.from_rational(2 * n):
+        if cell.measures().surface != SqrtSum.from_rational(2 * n):
             failures.append(f"Z^{n} surface != {2 * n}")
     _verdict(1, failures, "Voronoi cells of Z^1..Z^6 are exact unit cubes",
              time.perf_counter() - t0, 5.0)

@@ -15,6 +15,14 @@ positive = st.fractions(min_value=Fraction(1, 50), max_value=100,
                         max_denominator=50)
 
 
+def _contains(iv: Interval, x: Fraction) -> bool:
+    return iv.lo <= x <= iv.hi
+
+
+def _overlaps(a: Interval, b: Interval) -> bool:
+    return a.lo <= b.hi and b.lo <= a.hi
+
+
 @given(st.integers(min_value=0, max_value=10 ** 18),
        st.integers(min_value=1, max_value=6))
 def test_iroot_floor_is_floor(n, k):
@@ -54,10 +62,10 @@ def test_interval_add_mul_contain(a, b, c):
     # degenerate operands: containment must survive arithmetic
     x = Interval.point(a)
     y = Interval(min(b, c), max(b, c))
-    assert (x + y).contains(a + b)
-    assert (x * y).contains(a * c)
-    assert (x - y).contains(a - b)
-    assert (-y).contains(-c)
+    assert _contains(x + y, a + b)
+    assert _contains(x * y, a * c)
+    assert _contains(x - y, a - b)
+    assert _contains(-y, -c)
 
 
 @given(positive)
@@ -84,7 +92,7 @@ def test_root_interval_brackets(x, k):
 def test_interval_reciprocal():
     iv = Interval(Fraction(2), Fraction(4))
     rec = iv.reciprocal()
-    assert rec.contains(Fraction(1, 3))
+    assert _contains(rec, Fraction(1, 3))
     with pytest.raises(ZeroDivisionError):
         Interval(Fraction(-1), Fraction(1)).reciprocal()
 
@@ -93,13 +101,13 @@ def test_comparison_predicates():
     a = Interval(Fraction(0), Fraction(1))
     b = Interval(Fraction(2), Fraction(3))
     assert a.hi < b.lo
-    assert not a.overlaps(b)
-    assert a.overlaps(Interval(Fraction(1), Fraction(2)))
+    assert not _overlaps(a, b)
+    assert _overlaps(a, Interval(Fraction(1), Fraction(2)))
 
 
 def test_exp_known_values():
     zero = exp_interval(Fraction(0))
-    assert zero.contains(Fraction(1))
+    assert _contains(zero, Fraction(1))
     e = exp_interval(Fraction(1), 96)
     # e = 2.718281828459045235360287...
     assert e.lo > Fraction(27182818284590452353, 10 ** 19)
@@ -109,11 +117,11 @@ def test_exp_known_values():
 def test_exp_negative_argument():
     iv = exp_interval(Fraction(-1), 64)
     prod = iv * exp_interval(Fraction(1), 64)
-    assert prod.contains(Fraction(1))
+    assert _contains(prod, Fraction(1))
 
 
 def test_log_known_values():
-    assert log_interval(Fraction(1)).contains(Fraction(0))
+    assert _contains(log_interval(Fraction(1)), Fraction(0))
     iv = log_interval(Fraction(2), 96)
     # ln 2 = 0.6931471805599453094172...
     assert iv.lo > Fraction(6931471805599453094, 10 ** 19)
@@ -124,7 +132,7 @@ def test_log_known_values():
 
 @given(positive)
 def test_exp_log_roundtrip_contains(x):
-    assert exp_interval(log_interval(x, 80), 80).contains(x)
+    assert _contains(exp_interval(log_interval(x, 80), 80), x)
 
 
 def test_pi_digits():
@@ -136,7 +144,7 @@ def test_pi_digits():
 
 
 def test_e_interval_matches_exp_one():
-    assert e_interval(64).overlaps(exp_interval(Fraction(1), 64))
+    assert _overlaps(e_interval(64), exp_interval(Fraction(1), 64))
 
 
 def test_refine_converges():

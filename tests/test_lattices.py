@@ -43,7 +43,7 @@ def test_fcc_basics():
                 max_size=3))
 def test_coordinates_roundtrip(coords):
     lat = fcc()
-    v = lat.vector(coords)
+    v = lat.basis.mul_vec(coords)
     assert coordinates_in_lattice(lat, v) == tuple(coords)
 
 

@@ -2,9 +2,10 @@
 
 Code that only the tests call belongs in ``tests/oracles.py``, and code that
 nothing calls belongs nowhere.  The check is by name: a public module-level
-function of ``src/paratile`` must be referenced by some other code in the
-package, in ``scripts/`` or in ``perfbench/``, or be exported through
-``paratile.__all__``.
+function of ``src/paratile``, and a public method of one of its public
+classes, must be referenced by some other code in the package, in
+``scripts/`` or in ``perfbench/``; a function may instead be exported
+through ``paratile.__all__``.
 """
 
 import ast
@@ -18,21 +19,23 @@ USERS = (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
 
 
 def _references(tree: ast.Module):
-    """(name, enclosing top-level function or None) for every name use."""
-    def names(node):
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
-                yield sub.id
-            elif isinstance(sub, ast.Attribute):
-                yield sub.attr
+    """(name, enclosing top-level function or method, or None) per name use."""
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name):
+                yield child.id, owner
+            elif isinstance(child, ast.Attribute):
+                yield child.attr, owner
+            inner = owner
+            if isinstance(child, ast.FunctionDef) and \
+                    isinstance(node, (ast.Module, ast.ClassDef)):
+                inner = child.name
+            yield from walk(child, inner)
 
-    for node in tree.body:
-        owner = node.name if isinstance(node, ast.FunctionDef) else None
-        for name in names(node):
-            yield name, owner
+    yield from walk(tree, None)
 
 
-def test_every_public_function_has_a_caller_outside_the_tests():
+def _used_names():
     used = set()
     for top in USERS:
         for path in sorted(top.rglob("*.py")):
@@ -40,14 +43,33 @@ def test_every_public_function_has_a_caller_outside_the_tests():
             # a function naming only itself (recursion) is not a use
             used.update(name for name, owner in _references(tree)
                         if name != owner)
+    return used
+
+
+def _public(nodes, kind):
+    return [node for node in nodes
+            if isinstance(node, kind) and not node.name.startswith("_")]
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    used = _used_names()
     uncalled = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
-        for node in tree.body:
-            if not isinstance(node, ast.FunctionDef) or \
-                    node.name.startswith("_"):
-                continue
+        for node in _public(tree.body, ast.FunctionDef):
             if node.name in used or node.name in paratile.__all__:
                 continue
             uncalled.append(f"{path.stem}.{node.name}")
     assert not uncalled, f"public functions no code calls: {uncalled}"
+
+
+def test_every_public_method_has_a_caller_outside_the_tests():
+    used = _used_names()
+    uncalled = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for cls in _public(tree.body, ast.ClassDef):
+            for node in _public(cls.body, ast.FunctionDef):
+                if node.name not in used:
+                    uncalled.append(f"{path.stem}.{cls.name}.{node.name}")
+    assert not uncalled, f"public methods no code calls: {uncalled}"

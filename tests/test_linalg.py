@@ -144,7 +144,7 @@ def test_clearing_and_rank_match_the_lcm_loops(rows):
     assert all(type(x) is int for row in im.entries for x in row)
     assert rank_over_rationals(q) == _rank_by_row_loop(q)
     if all(x.denominator == 1 for row in q.entries for x in row):
-        assert rank_over_rationals(q.to_int()) == _rank_by_row_loop(q)
+        assert rank_over_rationals(im) == _rank_by_row_loop(q)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5])

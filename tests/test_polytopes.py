@@ -78,13 +78,6 @@ def test_cube_radii():
     assert not c.inradius_certify(Fraction(1, 4) + Fraction(1, 100))
 
 
-def test_contains_coords_signs():
-    c = HPolytope.cube(2)
-    assert c.contains_coords((Fraction(0), Fraction(0))) == 1
-    assert c.contains_coords((Fraction(1, 2), Fraction(0))) == 0
-    assert c.contains_coords((Fraction(3, 4), Fraction(0))) == -1
-
-
 # --- voronoi cells ----------------------------------------------------------------
 
 @pytest.mark.parametrize("n", [1, 2, 3])

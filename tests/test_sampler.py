@@ -213,13 +213,13 @@ def test_identity_passes_all_s():
     mat = IntMatrix.identity(5)
     for s in range(1, 6):
         assert verify_s_independence(mat, s)[0]
-    assert largest_verified_s(mat, 5) == 5
+    assert largest_verified_s(matrix_to_masks(mat), 5) == 5
 
 
 def test_largest_verified_s_stops_at_first_dependency():
     # columns e1, e2, e1+e2: pairs fine, one triple dependent
     mat = IntMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
-    assert largest_verified_s(mat, 4) == 2
+    assert largest_verified_s(matrix_to_masks(mat), 4) == 2
 
 
 def test_verify_s_zero_is_vacuous():

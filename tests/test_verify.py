@@ -1,15 +1,22 @@
+import json
+import pathlib
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from paratile.lattices import Lattice
 from paratile.linalg import QMatrix, det_q
-from paratile.polytopes import HPolytope, scaled, voronoi_cell
-from paratile.verify import verify_tiling
+from paratile.polytopes import HPolytope, linear_image, scaled, voronoi_cell
+from paratile.serialization import fixture_from_json
+from paratile.verify import (_count_membership, _membership_inputs,
+                             verify_tiling)
 
 from oracles import brute_force_volume
 
 FCC = Lattice(3, QMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 1]]))
+FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 # --- tiling audits ----------------------------------------------------------
@@ -68,6 +75,36 @@ def test_bigint_engine_reaches_same_verdicts():
                         Lattice.standard(2), samples=400, bits=62)
     assert bad.engine == "bigint"
     assert not bad.passed and bad.overlap_violations > 0
+
+
+def _random_parallelepiped(seed: int):
+    rng = random.Random(seed)
+    while True:
+        t = QMatrix.from_rows([[rng.randint(-3, 3) for _ in range(3)]
+                               for _ in range(3)])
+        if det_q(t) != 0:
+            return linear_image(t, HPolytope.cube(3)), Lattice(3, t)
+
+
+@pytest.mark.parametrize("bits", [4, 24])
+@pytest.mark.parametrize("case", ["worked_n4", "cube3", "scaled_cube3",
+                                  "parallelepiped"])
+def test_membership_count_agrees_on_int64_and_exact_integers(case, bits):
+    if case == "parallelepiped":
+        body, lat = _random_parallelepiped(11)
+    else:
+        fx = fixture_from_json(json.loads(
+            (FIXTURE_DIR / f"{case}.json").read_text()))
+        body, lat = fx["body"], fx["lattice"]
+    # the audit keeps these inputs on int64, so both dtypes are exact
+    assert verify_tiling(body, lat, samples=1, bits=bits).engine == "int64"
+    ks, rows, offsets = _membership_inputs(body, lat, 2000, bits, 3)
+    fast = _count_membership(ks, rows, offsets, np.int64)
+    assert fast == _count_membership(ks, rows, offsets, object)
+    if case == "cube3" and bits == 4:
+        assert fast[2] > 0  # boundary hits are counted on both
+    if case == "scaled_cube3":
+        assert fast[3]  # and so are witnesses
 
 
 def test_tiling_rejects_rank_mismatch():
