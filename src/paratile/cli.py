@@ -39,11 +39,16 @@ EXIT_FAIL = 1
 EXIT_UNDECIDED = 2
 
 
-def _resolve_out(path: str) -> str:
-    if os.path.dirname(path):
-        return path
-    base = os.environ.get("PARATILE_REPORT_DIR")
-    return os.path.join(base, path) if base else path
+def _write(out: str, text: str) -> str:
+    """Write text to out, under PARATILE_REPORT_DIR when out is a bare name,
+    making the directory first; returns the path written."""
+    base = "" if os.path.dirname(out) else \
+        os.environ.get("PARATILE_REPORT_DIR", "")
+    path = os.path.join(base, out)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(text)
+    return path
 
 
 def _emit(doc: Dict, kind: str, out: Optional[str],
@@ -53,12 +58,7 @@ def _emit(doc: Dict, kind: str, out: Optional[str],
     serialization.validate_document(kind, doc)
     text = serialization.dump_json(doc)
     if out:
-        path = _resolve_out(out)
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write(text)
+        path = _write(out, text)
         for line in human:
             print(line)
         print(f"wrote {path}")
@@ -144,16 +144,13 @@ def cmd_construct(args) -> int:
 
     if args.body_out and report.parallelotope is not None:
         body = report.parallelotope.body
-        path = _resolve_out(args.body_out)
         if args.format == "hrep":
-            with open(path, "w") as fh:
-                fh.write(serialization.format_hrep(body))
+            text = serialization.format_hrep(body)
         else:
             bdoc = serialization.polytope_to_json(body)
             serialization.validate_document("polytope", bdoc)
-            with open(path, "w") as fh:
-                fh.write(serialization.dump_json(bdoc))
-        human.append(f"wrote body to {path}")
+            text = serialization.dump_json(bdoc)
+        human.append(f"wrote body to {_write(args.body_out, text)}")
     _emit(doc, "construction_report", args.out, human)
     return EXIT_PASS
 
@@ -199,14 +196,10 @@ def cmd_sample_matrix(args) -> int:
     serialization.validate_document("matrix", mdoc)
     serialization.validate_document("sampler_stats", sdoc)
     if args.out:
-        path = _resolve_out(args.out)
-        with open(path, "w") as fh:
-            fh.write(serialization.dump_json(mdoc))
+        path = _write(args.out, serialization.dump_json(mdoc))
         human.append(f"wrote matrix to {path}")
     if args.stats_out:
-        path = _resolve_out(args.stats_out)
-        with open(path, "w") as fh:
-            fh.write(serialization.dump_json(sdoc))
+        path = _write(args.stats_out, serialization.dump_json(sdoc))
         human.append(f"wrote stats to {path}")
     if args.out or args.stats_out:
         for line in human:

@@ -27,7 +27,6 @@ from .intervals import (
     pi_interval,
     refine,
     root_interval,
-    sqrt_lower,
     sqrt_upper,
 )
 from .lattices import (
@@ -142,15 +141,16 @@ class ConstructionReport:
 # --- the parameter schedule -----------------------------------------------------
 
 
-def _sqrt_iv(x: Interval, bits: int = 64) -> Interval:
-    return Interval(sqrt_lower(x.lo, bits), sqrt_upper(x.hi, bits))
+def _root_iv(x: Interval, k: int, bits: int = 64) -> Interval:
+    return Interval(root_interval(x.lo, k, bits).lo,
+                    root_interval(x.hi, k, bits).hi)
 
 
 def _exponent_interval(n: int, kappa: int, prec: int) -> Interval:
     """sqrt(2 ln n ln 2 kappa) as an enclosure."""
     ln_n = log_interval(Fraction(n), prec)
     ln_2k = log_interval(Fraction(2 * kappa), prec)
-    return _sqrt_iv(2 * ln_n * ln_2k, prec)
+    return _root_iv(2 * ln_n * ln_2k, 2, prec)
 
 
 def predicted_bound_interval(n: int, kappa: int, prec: int = 96) -> Interval:
@@ -158,7 +158,7 @@ def predicted_bound_interval(n: int, kappa: int, prec: int = 96) -> Interval:
     if n < 1 or kappa < 1:
         raise ValueError("need n >= 1, kappa >= 1")
     grow = exp_interval(_exponent_interval(n, kappa, prec), prec)
-    root = _sqrt_iv(Interval.point(Fraction(n)), prec)
+    root = _root_iv(Interval.point(Fraction(n)), 2, prec)
     return root * grow * (4 * kappa)
 
 
@@ -190,6 +190,24 @@ def schedule_parameters(n: int, config: RecursionConfig) -> Tuple[int, int]:
     return m, d
 
 
+def _schedule_step(n: int, config: RecursionConfig, depth: int
+                   ) -> Optional[Tuple[int, int, int]]:
+    """(m, d, s) where the recursion takes a step at size n, else None.
+
+    A step needs depth below max_depth, schedule parameters at n, and an
+    admissible independence level s >= 1.  Bound-only and geometric mode
+    both decide here, so neither draws or bounds a step the other refuses.
+    """
+    if depth >= config.max_depth:
+        return None
+    try:
+        m, d = schedule_parameters(n, config)
+    except RegimeError:
+        return None
+    s = admissible_s(m, n, d, default_c())
+    return (m, d, s) if s >= 1 else None
+
+
 # --- isoperimetric context --------------------------------------------------------
 
 def ball_volume_interval(n: int, prec: int = 96) -> Interval:
@@ -204,11 +222,6 @@ def ball_volume_interval(n: int, prec: int = 96) -> Interval:
         * Fraction(1, n)
 
 
-def _root_iv(x: Interval, k: int, bits: int = 64) -> Interval:
-    return Interval(root_interval(x.lo, k, bits).lo,
-                    root_interval(x.hi, k, bits).hi)
-
-
 def isoperimetric_ratio_lower(n: int, covolume_sq: Fraction,
                               prec: int = 96) -> Interval:
     """Lower bound n omega_n^(1/n) / covol^(1/n) for any tile of this lattice.
@@ -217,7 +230,8 @@ def isoperimetric_ratio_lower(n: int, covolume_sq: Fraction,
     tiling under the lattice has vol = covol, which gives the ratio bound.
     """
     omega_root = _root_iv(ball_volume_interval(n, prec), n, prec)
-    covol_root = _root_iv(_sqrt_iv(Interval.point(covolume_sq), prec), n, prec)
+    covol_root = _root_iv(_root_iv(Interval.point(covolume_sq), 2, prec), n,
+                          prec)
     return omega_root * n / covol_root
 
 
@@ -264,16 +278,18 @@ def base_level(lat: Lattice, config: RecursionConfig
     return Parallelotope(body, lat), trace
 
 
-def _pick_matrix(n: int, m: int, d: int, config: RecursionConfig,
-                 depth: int) -> Tuple[IntMatrix, int, Dict]:
-    """Sample a row-balanced matrix and settle the usable independence level.
+def _pick_matrix(n: int, m: int, d: int, s_formula: int,
+                 config: RecursionConfig, depth: int
+                 ) -> Tuple[IntMatrix, int, Dict]:
+    """Sample a row-balanced matrix and settle its independence level.
 
-    A direct meet-in-the-middle search certifies the largest s up to
-    max(probe cap, the schedule's admissible s) on the concrete matrix.  A
-    draw is kept when that s is positive and reaches the admissible s;
-    a shorter certified level means a dependency the schedule's s forbids.
+    Called only where the schedule admits s_formula >= 1.  One direct
+    meet-in-the-middle search per draw certifies the largest s up to
+    max(probe cap, s_formula) on the concrete matrix, and that certificate
+    goes with the matrix to `inductive_level`.  A draw is kept when its s
+    reaches s_formula; a shorter level means a dependency the schedule
+    forbids.
     """
-    s_formula = admissible_s(m, n, d, default_c())
     for attempt in range(config.max_tries):
         derived_seed = (config.seed * 1000003 + depth * 8191 + attempt) \
             & 0xFFFFFFFF
@@ -282,12 +298,12 @@ def _pick_matrix(n: int, m: int, d: int, config: RecursionConfig,
         mat, stats = sample_ldpc(params)
         masks = matrix_to_masks(mat)
         s_direct = largest_verified_s(masks, max(_PROBE_S_CAP, s_formula))
-        if s_direct < max(s_formula, 1):
-            continue  # no positive level, or the formula's s refuted; redraw
+        if s_direct < s_formula:
+            continue  # the formula's s refuted on this draw; redraw
         stats = dict(stats, s_formula=s_formula, s_direct=s_direct)
         return mat, s_direct, stats
     raise RegimeError(
-        f"no sample with a positive verified independence level "
+        f"no sample reaches the admissible independence level "
         f"(m={m}, n={n}, d={d}, formula s={s_formula})")
 
 
@@ -295,11 +311,15 @@ def inductive_level(lat: Lattice, a_matrix: IntMatrix, s: int,
                     config: RecursionConfig, depth: int,
                     sampler_stats: Optional[Dict] = None
                     ) -> Tuple[Parallelotope, List[LevelTrace]]:
+    """One recursion step on a_matrix, whose columns the caller has
+    certified s-wise independent over GF(2)."""
     n = lat.rank
     if lat.ambient_dim != n:
         raise ConstructionError("step expects a full-rank lattice")
     if not lat.is_integer():
         raise ConstructionError("step expects an integer lattice")
+    if a_matrix.ncols != n:
+        raise ValueError(f"shape mismatch {a_matrix.ncols} vs {n}")
     checks: List[Tuple[str, bool]] = []
 
     # full-rank repair; keeps kernels (hence independence levels) intact
@@ -309,18 +329,14 @@ def inductive_level(lat: Lattice, a_matrix: IntMatrix, s: int,
     m = b.nrows
     checks.append(("full_rank", rank_over_rationals(b) == m))
 
-    ok_indep, witness = verify_s_independence(matrix_to_masks(a_matrix), s)
-    checks.append(("s_independence", ok_indep))
-    if not ok_indep:
-        raise ConstructionError(
-            f"columns admit a dependency of size <= {s}: {witness}")
+    checks.append(("s_independence", True))  # certified by the caller
 
     if m < n:
+        if n - m > config.dim_cap:
+            raise DimCapExceeded(
+                f"kernel rank {n - m} exceeds dim cap {config.dim_cap}")
         kernel = intersect_with_kernel(lat, b)
         checks.append(("kernel_rank", kernel.rank == n - m))
-        if kernel.rank > config.dim_cap:
-            raise DimCapExceeded(
-                f"kernel rank {kernel.rank} exceeds dim cap {config.dim_cap}")
         try:
             sv = shortest_vector_sq(kernel, node_cap=config.svp_node_cap)
             checks.append(("kernel_shortest_exceeds_s", sv > s))
@@ -335,9 +351,7 @@ def inductive_level(lat: Lattice, a_matrix: IntMatrix, s: int,
             * SqrtSum.sqrt(s)  # 2 (n-m) / sqrt(s)
         checks.append(("kernel_ratio_bound", ratio1 <= bound1))
     else:
-        kernel = None
-        sv = None
-        k1 = None
+        sv = k1 = None
         ratio1 = SqrtSum.zero()
 
     # the image lattice: B proj(L) and B L agree because ker B is the
@@ -396,24 +410,30 @@ def _construct_lattice(lat: Lattice, config: RecursionConfig, depth: int
     overrides = config.matrix_override or ()
     if depth < len(overrides):
         a_matrix, s_opt = overrides[depth]
+        masks = matrix_to_masks(a_matrix)
         if s_opt is None:
-            s_opt = largest_verified_s(matrix_to_masks(a_matrix),
-                                       _PROBE_S_CAP)
+            s_opt = largest_verified_s(masks, _PROBE_S_CAP)
+        else:
+            ok, witness = verify_s_independence(masks, s_opt)
+            if not ok:
+                raise ConstructionError(
+                    f"columns admit a dependency of size <= {s_opt}: "
+                    f"{witness}")
         if s_opt < 1:
             raise ConstructionError("override matrix has no usable level")
         return inductive_level(lat, a_matrix, s_opt, config, depth)
-    if depth >= config.max_depth:
-        par, trace = base_level(lat, config)
-        return par, [trace]
-    try:
-        m, d = schedule_parameters(n, config)
-        a_matrix, s, stats = _pick_matrix(n, m, d, config, depth)
-        stats = dict(stats, d=d)
-        return inductive_level(lat, a_matrix, s, config, depth,
-                               sampler_stats=stats)
-    except RegimeError:
-        par, trace = base_level(lat, config)
-        return par, [trace]
+    step = _schedule_step(n, config, depth)
+    if step is not None:
+        m, d, s = step
+        try:
+            a_matrix, s, stats = _pick_matrix(n, m, d, s, config, depth)
+        except RegimeError:
+            pass
+        else:
+            return inductive_level(lat, a_matrix, s, config, depth,
+                                   sampler_stats=dict(stats, d=d))
+    par, trace = base_level(lat, config)
+    return par, [trace]
 
 
 def construct(n: int, config: Optional[RecursionConfig] = None
@@ -456,21 +476,18 @@ def bound_value(n: int, config: RecursionConfig, depth: int = 0
 
     Mirrors the recursion arithmetic: a step contributes
     2 (n-m)/sqrt(s) + value(m) * sqrt(1 + d * rowbound), and the base case
-    contributes 2n.  The step is only taken when its honest admissible s is
-    positive, so at desk-to-moderate sizes the chain usually returns 2n.
+    contributes 2n.  A step is considered exactly where `_schedule_step`
+    admits one, the rule geometric `construct` also follows, and kept only
+    when it beats 2n.  At kappa = 4 the admissible s is 0 at n = 10^14 and
+    2 at n = 10^15, so at sizes the geometry can reach the chain gives 2n.
     """
     trivial = Fraction(2 * n)
     cube = trivial, [LevelTrace(n=n, mode="cube",
                                 ratio=SqrtSum.from_rational(trivial))]
-    if depth >= config.max_depth:
+    step = _schedule_step(n, config, depth)
+    if step is None:
         return cube
-    try:
-        m, d = schedule_parameters(n, config)
-    except RegimeError:
-        return cube
-    s = admissible_s(m, n, d, default_c())
-    if s < 1:
-        return cube
+    m, d, s = step
     inner_value, inner_traces = bound_value(m, config, depth + 1)
     ell = row_weight_bound(m, n, d)
     norm_hi = sqrt_upper(Fraction(1 + d * ell), 96)

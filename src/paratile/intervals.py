@@ -143,20 +143,7 @@ def _coerce(x) -> Interval:
 
 def sqrt_interval(x: Rat, bits: int = 64) -> Interval:
     """Enclosure of sqrt(x) for x >= 0; exact (a point) when x is a perfect square."""
-    f = _as_fraction(x)
-    if f < 0:
-        raise ValueError("negative radicand")
-    if f == 0:
-        return Interval.point(0)
-    p, q = f.numerator, f.denominator
-    rp, rq = math.isqrt(p), math.isqrt(q)
-    if rp * rp == p and rq * rq == q:
-        return Interval.point(Fraction(rp, rq))
-    # sqrt(p/q) = sqrt(p*q)/q; floor-scaled integer sqrt gives both endpoints.
-    n = p * q
-    t = math.isqrt(n << (2 * bits))
-    scale = q << bits
-    return Interval(Fraction(t, scale), Fraction(t + 1, scale))
+    return root_interval(x, 2, bits)
 
 
 def root_interval(x: Rat, k: int, bits: int = 64) -> Interval:
@@ -180,10 +167,6 @@ def root_interval(x: Rat, k: int, bits: int = 64) -> Interval:
 
 def sqrt_upper(x: Rat, bits: int = 64) -> Fraction:
     return sqrt_interval(x, bits).hi
-
-
-def sqrt_lower(x: Rat, bits: int = 64) -> Fraction:
-    return sqrt_interval(x, bits).lo
 
 
 # --- mpmath bridge -----------------------------------------------------------

@@ -127,6 +127,8 @@ def verify_tiling(body: HPolytope, lat: Lattice, samples: int = 100000,
     translate and inside at least one closed translate, and the body volume
     to equal the lattice covolume exactly.
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     n = lat.rank
     if body.dim != body.ambient_dim or body.ambient_dim != n or \
             lat.ambient_dim != n:

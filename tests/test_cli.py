@@ -83,6 +83,24 @@ def test_construct_body_out_hrep(tmp_path, capsys):
     assert back.ratio() == HPolytope.cube(3).ratio()
 
 
+def test_construct_body_out_makes_its_directory(tmp_path, capsys):
+    body_path = tmp_path / "new" / "b.json"
+    assert main(["construct", "--n", "3", "--body-out", str(body_path)]) == 0
+    assert f"wrote body to {body_path}" in capsys.readouterr().err
+    validate_document("polytope", json.loads(body_path.read_text()))
+
+
+def test_override_s_beyond_the_matrix_level_fails(tmp_path, capsys):
+    # columns 0 and 1 of the worked matrix are equal: a 2-set dependency
+    mat = write_json(tmp_path / "b.json", matrix_to_json(WORKED_B))
+    assert main(["construct", "--n", "4", "--matrix-override", mat,
+                 "--override-s", "3"]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == ("certification failed: columns admit a dependency "
+                       "of size <= 3: (0, 1)\n")
+
+
 def test_override_must_be_integer(tmp_path, capsys):
     doc = {"rows": 1, "cols": 2, "entries": [["1/2", "1"]]}
     mat = write_json(tmp_path / "half.json", doc)
@@ -147,6 +165,14 @@ def test_verify_rejects_fixture_with_extra_key(tmp_path, capsys):
     assert "'surplus'" in err
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_rejects_sample_counts_below_one(samples, capsys):
+    fx = str(FIXTURE_DIR / "cube3.json")
+    assert main(["verify", "--fixture", fx, "--samples", samples]) == 2
+    assert capsys.readouterr().err == \
+        "invalid parameters: samples must be at least 1\n"
+
+
 def test_verify_requires_inputs(capsys):
     assert main(["verify"]) == 2
     assert "need --fixture" in capsys.readouterr().err
@@ -195,6 +221,22 @@ def test_sample_matrix_verify_s_success(tmp_path, capsys):
     capsys.readouterr()
     sdoc = json.loads(stats.read_text())
     assert sdoc["verified_s"] == 1
+
+
+def test_sample_matrix_out_makes_its_directory(tmp_path, capsys):
+    out = tmp_path / "new" / "m.json"
+    assert main(["sample-matrix", "--m", "8", "--n", "16", "--d", "3",
+                 "--out", str(out)]) == 0
+    assert f"wrote matrix to {out}" in capsys.readouterr().out
+    validate_document("matrix", json.loads(out.read_text()))
+
+
+def test_sample_matrix_stats_out_makes_its_directory(tmp_path, capsys):
+    stats = tmp_path / "new" / "s.json"
+    assert main(["sample-matrix", "--m", "8", "--n", "16", "--d", "3",
+                 "--stats-out", str(stats)]) == 0
+    assert f"wrote stats to {stats}" in capsys.readouterr().out
+    validate_document("sampler_stats", json.loads(stats.read_text()))
 
 
 # --- walk-stats -----------------------------------------------------------------

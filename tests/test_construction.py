@@ -128,6 +128,37 @@ def test_construct_cube_at_a_thousand_within_budget():
     assert rep.ratio_upper == 2000 and rep.trivial_bound == 2000
 
 
+def test_construct_draws_no_matrix_where_the_schedule_admits_no_s(
+        monkeypatch):
+    # at n = 1000 the schedule's (m, d) = (4, 4) admits s = 0: the cube,
+    # with no sample drawn
+    def no_draw(params):
+        raise AssertionError(f"sampled at {params}")
+
+    monkeypatch.setattr(construction, "sample_ldpc", no_draw)
+    rep = construct(1000)
+    assert [lv.mode for lv in rep.levels] == ["cube"]
+    assert rep.ratio_exact == SqrtSum.from_rational(2000)
+
+
+@pytest.mark.parametrize("s_opt, searches", [
+    (None, {"largest_verified_s": 1, "verify_s_independence": 0}),
+    (1, {"largest_verified_s": 0, "verify_s_independence": 1}),
+])
+def test_override_step_runs_one_independence_search(monkeypatch, s_opt,
+                                                    searches):
+    calls = dict.fromkeys(searches, 0)
+    for name in searches:
+        def counted(*args, _name=name, _fn=getattr(construction, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(construction, name, counted)
+    rep = construct(4, RecursionConfig(matrix_override=((WORKED_B, s_opt),)))
+    assert calls == searches
+    assert rep.levels[0].s == 1
+    assert ("s_independence", True) in rep.levels[0].checks
+
+
 def _override_step(m):
     """Identity plus the columns (1,1,0,...) and (0,1,1,0,...): n = m + 2."""
     rows = [[int(i == j) for j in range(m)] + [int(i in (0, 1)),
@@ -229,6 +260,18 @@ def test_bound_only_at_a_million():
     assert rep.parallelotope is None
     assert rep.ratio_upper <= 2 * 10 ** 6
     assert rep.within_predicted is True
+
+
+@pytest.mark.parametrize("exponent, s", [
+    (3, None), (6, None), (9, None), (12, None), (14, None), (15, 2)])
+def test_one_step_rule_for_both_modes(exponent, s):
+    n = 10 ** exponent
+    config = RecursionConfig()
+    step = construction._schedule_step(n, config, 0)
+    assert (step and step[2]) == s
+    _, traces = bound_value(n, config)
+    assert (traces[0].mode == "step") == (step is not None)
+    assert construction._schedule_step(n, config, config.max_depth) is None
 
 
 def test_bound_value_trivial_chain():

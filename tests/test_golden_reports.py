@@ -1,0 +1,57 @@
+"""Golden report bytes: what the CLI prints and returns, pinned.
+
+Each case runs ``paratile.cli.main`` in-process and compares its stdout,
+stderr and exit code with ``tests/golden/<case>.stdout``, ``.stderr`` and
+``.exit``.  Reports are deterministic for a fixed seed, so any difference is
+a change in report bytes: a change that means to move them regenerates the
+files with ``python scripts/make_golden.py`` and says so in CHANGES.md.
+"""
+
+import contextlib
+import io
+import pathlib
+
+import pytest
+
+from paratile.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+WORKED_MATRIX = GOLDEN / "worked_matrix.json"   # B = [[1,1,0,0],[0,0,1,1]]
+
+
+def _fixture(name):
+    return str(ROOT / "fixtures" / f"{name}.json")
+
+
+CASES = {
+    "construct_n3": ["construct", "--n", "3"],
+    "construct_n24": ["construct", "--n", "24"],
+    "worked_override_s1": ["construct", "--n", "4", "--matrix-override",
+                           str(WORKED_MATRIX), "--override-s", "1"],
+    "bound_only_1e6": ["construct", "--bound-only", "--n", "1000000"],
+    "sample_matrix": ["sample-matrix", "--m", "8", "--n", "32", "--d", "4",
+                      "--verify-s", "2"],
+    "verify_cube3": ["verify", "--fixture", _fixture("cube3"),
+                     "--samples", "1000"],
+    "verify_scaled_cube3": ["verify", "--fixture", _fixture("scaled_cube3"),
+                            "--samples", "1000"],
+    "walk_stats": ["walk-stats", "--m", "2,4", "--t-max", "6"],
+}
+
+
+def run_case(argv):
+    """(stdout, stderr, exit code text) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return out.getvalue(), err.getvalue(), f"{code}\n"
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_matches_golden_bytes(case, monkeypatch):
+    monkeypatch.delenv("PARATILE_REPORT_DIR", raising=False)
+    got = run_case(CASES[case])
+    for suffix, text in zip(("stdout", "stderr", "exit"), got):
+        want = (GOLDEN / f"{case}.{suffix}").read_text()
+        assert text == want, f"{case}.{suffix} differs from the golden file"

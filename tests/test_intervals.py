@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from paratile.intervals import (Interval, PrecisionExhausted, e_interval,
                                 exp_interval, iroot_floor, log_interval,
                                 pi_interval, refine, root_interval,
-                                sqrt_interval, sqrt_lower, sqrt_upper)
+                                sqrt_interval, sqrt_upper)
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 positive = st.fractions(min_value=Fraction(1, 50), max_value=100,
@@ -79,14 +79,17 @@ def test_sqrt_interval_brackets(x):
 
 @given(positive)
 def test_sqrt_bounds_order(x):
-    assert sqrt_lower(x) <= sqrt_upper(x)
-    assert sqrt_lower(x) ** 2 <= x <= sqrt_upper(x) ** 2
+    lo = sqrt_interval(x).lo
+    assert lo <= sqrt_upper(x)
+    assert lo ** 2 <= x <= sqrt_upper(x) ** 2
 
 
 @given(positive, st.integers(min_value=2, max_value=5))
 def test_root_interval_brackets(x, k):
     iv = root_interval(x, k, bits=48)
     assert iv.lo ** k <= x <= iv.hi ** k
+    if k == 2:  # sqrt_interval is the k = 2 case, endpoint for endpoint
+        assert sqrt_interval(x, bits=48) == iv
 
 
 def test_interval_reciprocal():
