@@ -39,10 +39,9 @@ def main(out=FIXTURES):
 
     b = IntMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 1]])
     rep = construct(4, RecursionConfig(matrix_override=((b, 1),)))
-    par = rep.parallelotope
     r2 = SqrtSum.sqrt(2)
     doc = ser.fixture_to_json(
-        "worked_n4", par.body, par.lattice,
+        "worked_n4", rep.body, Lattice.standard(4),
         expected_ratio=SqrtSum.from_rational(6) * r2,
         ratio_parts=[SqrtSum.from_rational(2) * r2,
                      SqrtSum.from_rational(4) * r2],

@@ -12,8 +12,8 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from paratile import (IntMatrix, RecursionConfig, SqrtSum, construct,
-                      verify_tiling)
+from paratile import (IntMatrix, Lattice, RecursionConfig, SqrtSum,
+                      construct, verify_tiling)
 
 
 def main():
@@ -30,12 +30,11 @@ def main():
     expected = SqrtSum.from_rational(6) * SqrtSum.sqrt(2)
     print("matches 6*sqrt(2):", rep.ratio_exact == expected)
 
-    par = rep.parallelotope
-    body = par.body
+    body = rep.body
     print("facets:", len(body.facets()), " vertices:", len(body.vertices()))
     print("volume:", body.measures().volume)
 
-    tr = verify_tiling(par.body, par.lattice, samples=100000, seed=0)
+    tr = verify_tiling(body, Lattice.standard(4), samples=100000, seed=0)
     t2 = time.perf_counter()
     print(f"tiling: {'PASS' if tr.passed else 'FAIL'} "
           f"({tr.samples} samples, {tr.translates} candidate translates, "

@@ -8,8 +8,8 @@ measure identities) certified at build time rather than assumed.
 __version__ = "0.1.0"
 
 from .construction import (ConstructionError, ConstructionReport,
-                           DimCapExceeded, LevelTrace, Parallelotope,
-                           RecursionConfig, RegimeError, choose_m, construct,
+                           DimCapExceeded, LevelTrace, RecursionConfig,
+                           RegimeError, choose_m, construct,
                            construct_bound_only, isoperimetric_ratio_lower,
                            predicted_bound_interval, scan_induction)
 from .intervals import Interval, PrecisionExhausted
@@ -31,7 +31,7 @@ __all__ = [
     "BodyMeasures", "ConstructionError", "ConstructionReport",
     "DegenerateBody", "DimCapExceeded", "EmptyBody", "EnumerationCap",
     "HPolytope", "IntMatrix", "Interval", "Lattice", "LdpcParams",
-    "LevelTrace", "Parallelotope", "PrecisionExhausted", "QMatrix",
+    "LevelTrace", "PrecisionExhausted", "QMatrix",
     "RecursionConfig", "RegimeError", "SamplerFailure", "SqrtSum",
     "TilingReport", "Unbounded",
     "admissible_s", "choose_d", "choose_m",

@@ -6,9 +6,10 @@ validates against the schemas shipped with the package.  Exit codes follow CI
 convention: 0 all checks pass, 1 a check fails, 2 the question could not be
 decided at the configured budgets (or bad usage).
 
-A JSON config file (--config) supplies defaults; explicit flags win.  When an
-output filename has no directory part, PARATILE_REPORT_DIR (if set) names the
-directory it goes to.
+A JSON config file (--config) supplies option values; explicit flags win.
+Options neither supplies are left to the defaults of the library call they
+configure.  When an output filename has no directory part,
+PARATILE_REPORT_DIR (if set) names the directory it goes to.
 """
 
 from __future__ import annotations
@@ -68,11 +69,16 @@ def _emit(doc: Dict, kind: str, out: Optional[str],
             print(line, file=sys.stderr)
 
 
-def _cfg(args, key: str, default):
-    v = getattr(args, key, None)
-    if v is not None:
-        return v
-    return args._config_doc.get(key, default)
+def _supplied(args, *keys: str) -> Dict:
+    """The values of keys that a flag or the --config file gives; flags win."""
+    out = {}
+    for key in keys:
+        v = getattr(args, key, None)
+        if v is None:
+            v = args._config_doc.get(key)
+        if v is not None:
+            out[key] = v
+    return out
 
 
 def _load_json(path: str) -> Dict:
@@ -84,7 +90,6 @@ def _load_json(path: str) -> Dict:
 
 def cmd_construct(args) -> int:
     n = args.n
-    seed = _cfg(args, "seed", 0)
     override = None
     if args.matrix_override:
         doc = _load_json(args.matrix_override)
@@ -95,15 +100,11 @@ def cmd_construct(args) -> int:
                   file=sys.stderr)
             return EXIT_UNDECIDED
         override = ((mat, args.override_s),)
-    config = RecursionConfig(
-        kappa=_cfg(args, "kappa", 4),
-        epsilon=parse_frac(_cfg(args, "epsilon", "1")),
-        seed=seed,
-        max_depth=_cfg(args, "max_depth", 8),
-        dim_cap=_cfg(args, "dim_cap", 6),
-        svp_node_cap=_cfg(args, "svp_node_cap", 10 ** 7),
-        max_tries=_cfg(args, "max_tries", 64),
-        matrix_override=override)
+    opts = _supplied(args, "kappa", "epsilon", "seed", "max_depth", "dim_cap",
+                     "svp_node_cap", "max_tries")
+    if "epsilon" in opts:
+        opts["epsilon"] = parse_frac(opts["epsilon"])
+    config = RecursionConfig(matrix_override=override, **opts)
     t0 = time.perf_counter()
     try:
         if args.bound_only:
@@ -119,14 +120,11 @@ def cmd_construct(args) -> int:
         return EXIT_UNDECIDED
     timing = time.perf_counter() - t0 if args.timing else None
 
-    iso = None
-    if report.parallelotope is not None:
-        covol_sq = report.parallelotope.lattice.covolume().square()
-        iso = isoperimetric_ratio_lower(n, covol_sq.rational_value()).lo
+    iso = None if report.body is None else isoperimetric_ratio_lower(n).lo
     doc = serialization.construction_report_to_json(
         report, __version__, timing=timing, isoperimetric_lb=iso)
 
-    human = [f"n={n} seed={seed} kappa={config.kappa}"
+    human = [f"n={n} seed={config.seed} kappa={config.kappa}"
              + (" bound-only" if report.bound_only else "")]
     if report.downgrade_reason:
         human.append(f"geometry skipped: {report.downgrade_reason}")
@@ -142,16 +140,20 @@ def cmd_construct(args) -> int:
         if bad:
             human.append(f"level n={lv.n}: FAILED {', '.join(bad)}")
 
-    if args.body_out and report.parallelotope is not None:
-        body = report.parallelotope.body
+    if args.body_out and report.body is not None:
         if args.format == "hrep":
-            text = serialization.format_hrep(body)
+            text = serialization.format_hrep(report.body)
         else:
-            bdoc = serialization.polytope_to_json(body)
+            bdoc = serialization.polytope_to_json(report.body)
             serialization.validate_document("polytope", bdoc)
             text = serialization.dump_json(bdoc)
         human.append(f"wrote body to {_write(args.body_out, text)}")
     _emit(doc, "construction_report", args.out, human)
+    if args.body_out and report.body is None:
+        reason = report.downgrade_reason or "bound-only mode builds no body"
+        print(f"no body written to {args.body_out}: {reason}",
+              file=sys.stderr)
+        return EXIT_UNDECIDED
     return EXIT_PASS
 
 
@@ -163,10 +165,9 @@ def cmd_sample_matrix(args) -> int:
         print("error: column weight d must be at least 3 (the independence "
               "argument needs it)", file=sys.stderr)
         return EXIT_UNDECIDED
-    seed = _cfg(args, "seed", 0)
-    params = LdpcParams(m=m, n=n, d=d, seed=seed,
-                        max_tries=_cfg(args, "max_tries", 64),
-                        row_bound=args.row_bound)
+    params = LdpcParams(m=m, n=n, d=d, row_bound=args.row_bound,
+                        **_supplied(args, "seed", "max_tries"))
+    seed = params.seed
     try:
         mat, stats = sample_ldpc(params)
     except SamplerFailure as exc:
@@ -215,7 +216,6 @@ def cmd_sample_matrix(args) -> int:
 # --- verify ----------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    seed = _cfg(args, "seed", 0)
     fixture = None
     if args.fixture:
         doc = _load_json(args.fixture)
@@ -235,8 +235,8 @@ def cmd_verify(args) -> int:
         lat = serialization.lattice_from_json(ldoc)
 
     try:
-        rep = verify_tiling(body, lat, samples=_cfg(args, "samples", 100000),
-                            bits=_cfg(args, "bits", 24), seed=seed)
+        rep = verify_tiling(body, lat,
+                            **_supplied(args, "samples", "bits", "seed"))
     except (EnumerationCap, PrecisionExhausted) as exc:
         print(f"cannot decide at these budgets: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
@@ -244,7 +244,7 @@ def cmd_verify(args) -> int:
     human = [f"tiling: {'PASS' if rep.passed else 'FAIL'} "
              f"({rep.samples} samples, {rep.translates} translates, "
              f"{rep.overlap_violations} overlaps, {rep.gap_violations} gaps, "
-             f"seed={seed})"]
+             f"seed={rep.seed})"]
     ratio_ok = None
     if fixture and fixture["expected_ratio"] is not None:
         ratio = body.ratio()
@@ -270,8 +270,8 @@ def cmd_verify(args) -> int:
 
 def cmd_walk_stats(args) -> int:
     ms = [int(x) for x in args.m.split(",")]
-    samples = _cfg(args, "samples", 0)
-    seed = _cfg(args, "seed", 0)
+    opts = _supplied(args, "samples", "seed")
+    samples, seed = opts.get("samples", 0), opts.get("seed", 0)
     import random as _random
     rows = []
     violations = 0

@@ -20,15 +20,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .intervals import (
-    Interval,
-    log_interval,
-    exp_interval,
-    pi_interval,
-    refine,
-    root_interval,
-    sqrt_upper,
-)
+from .intervals import Interval, enclose, refine, sqrt_upper
 from .lattices import (
     EnumerationCap,
     Lattice,
@@ -113,15 +105,6 @@ class LevelTrace:
 
 
 @dataclass(frozen=True)
-class Parallelotope:
-    body: HPolytope
-    lattice: Lattice
-
-    def measures(self) -> BodyMeasures:
-        return self.body.measures()
-
-
-@dataclass(frozen=True)
 class ConstructionReport:
     n: int
     kappa: int
@@ -134,32 +117,24 @@ class ConstructionReport:
     trivial_bound: int                     # 2n
     predicted: Tuple[Fraction, Fraction]   # schedule bound enclosure
     within_predicted: Optional[bool]
-    parallelotope: Optional[Parallelotope] = None
+    body: Optional[HPolytope] = None       # tiles Z^n; None in bound-only mode
     downgrade_reason: Optional[str] = None  # set when geometry hit the cap
 
 
 # --- the parameter schedule -----------------------------------------------------
 
 
-def _root_iv(x: Interval, k: int, bits: int = 64) -> Interval:
-    return Interval(root_interval(x.lo, k, bits).lo,
-                    root_interval(x.hi, k, bits).hi)
-
-
-def _exponent_interval(n: int, kappa: int, prec: int) -> Interval:
-    """sqrt(2 ln n ln 2 kappa) as an enclosure."""
-    ln_n = log_interval(Fraction(n), prec)
-    ln_2k = log_interval(Fraction(2 * kappa), prec)
-    return _root_iv(2 * ln_n * ln_2k, 2, prec)
+def _growth_exponent(iv, n: int, kappa: int):
+    """sqrt(2 ln n ln 2 kappa), inside an `enclose` formula."""
+    return iv.sqrt(2 * iv.log(n) * iv.log(2 * kappa))
 
 
 def predicted_bound_interval(n: int, kappa: int, prec: int = 96) -> Interval:
     """Enclosure of 4 kappa sqrt(n) exp(sqrt(2 ln n ln 2 kappa))."""
     if n < 1 or kappa < 1:
         raise ValueError("need n >= 1, kappa >= 1")
-    grow = exp_interval(_exponent_interval(n, kappa, prec), prec)
-    root = _root_iv(Interval.point(Fraction(n)), 2, prec)
-    return root * grow * (4 * kappa)
+    return enclose(prec, lambda iv: 4 * kappa * iv.sqrt(n)
+                   * iv.exp(_growth_exponent(iv, n, kappa)))
 
 
 def choose_m(n: int, kappa: int) -> int:
@@ -167,7 +142,8 @@ def choose_m(n: int, kappa: int) -> int:
     if n <= 4 * kappa ** 2:
         raise RegimeError(f"n = {n} is inside the base regime for kappa = {kappa}")
     value = refine(
-        lambda prec: exp_interval(-_exponent_interval(n, kappa, prec), prec) * n,
+        lambda prec: enclose(
+            prec, lambda iv: n * iv.exp(-_growth_exponent(iv, n, kappa))),
         lambda iv: math.floor(iv.lo) == math.floor(iv.hi),
         what=f"choose_m({n}, {kappa})")
     return math.floor(value.lo)
@@ -182,7 +158,7 @@ def schedule_parameters(n: int, config: RecursionConfig) -> Tuple[int, int]:
     if not (3 <= d <= m <= n):
         raise RegimeError(f"ordering 3 <= d <= m <= n fails: d={d} m={m} n={n}")
     nd = n * d
-    m_ln_m = refine(lambda prec: log_interval(Fraction(m), prec) * m,
+    m_ln_m = refine(lambda prec: enclose(prec, lambda iv: m * iv.log(m)),
                     lambda iv: iv.hi <= nd or iv.lo > nd,
                     what=f"n d >= m ln m at n={n}")
     if m_ln_m.hi > nd:
@@ -210,53 +186,47 @@ def _schedule_step(n: int, config: RecursionConfig, depth: int
 
 # --- isoperimetric context --------------------------------------------------------
 
-def ball_volume_interval(n: int, prec: int = 96) -> Interval:
-    """Volume of the unit n-ball via the two-step recurrence."""
-    if n < 0:
-        raise ValueError("negative dimension")
-    if n == 0:
-        return Interval.point(Fraction(1))
-    if n == 1:
-        return Interval.point(Fraction(2))
-    return ball_volume_interval(n - 2, prec) * (2 * pi_interval(prec)) \
-        * Fraction(1, n)
+def isoperimetric_ratio_lower(n: int, prec: int = 96) -> Interval:
+    """Enclosure of n omega_n^(1/n), a lower bound on the ratio of any tile
+    of Z^n.
 
-
-def isoperimetric_ratio_lower(n: int, covolume_sq: Fraction,
-                              prec: int = 96) -> Interval:
-    """Lower bound n omega_n^(1/n) / covol^(1/n) for any tile of this lattice.
-
-    Surface >= n omega_n^(1/n) vol^((n-1)/n) for every convex body; a body
-    tiling under the lattice has vol = covol, which gives the ratio bound.
+    Surface >= n omega_n^(1/n) vol^((n-1)/n) for every convex body, and a
+    body tiling Z^n has volume 1.  The unit-ball volume omega_n follows the
+    recurrence omega_k = omega_(k-2) 2 pi / k from omega_0 = 1, omega_1 = 2.
     """
-    omega_root = _root_iv(ball_volume_interval(n, prec), n, prec)
-    covol_root = _root_iv(_root_iv(Interval.point(covolume_sq), 2, prec), n,
-                          prec)
-    return omega_root * n / covol_root
+    if n < 1:
+        raise ValueError("dimension must be positive")
+
+    def formula(iv):
+        omega = iv.mpf(1 + n % 2)
+        for k in range(2 + n % 2, n + 1, 2):
+            omega = omega * 2 * iv.pi / k
+        return n * iv.exp(iv.log(omega) / n)
+
+    return enclose(prec, formula)
 
 
 # --- level builders ---------------------------------------------------------------
 
-def _cube_parallelotope(lat: Lattice) -> Parallelotope:
-    """Unit cube body for a lattice equal to Z^n, measures in closed form."""
-    n = lat.rank
+def _cube_body(n: int) -> HPolytope:
+    """Unit cube body, the tile of Z^n, measures in closed form."""
     body = HPolytope.cube(n)
     vol = SqrtSum.from_rational(1)
     surf = SqrtSum.from_rational(2 * n)
     body._cache["measures"] = BodyMeasures(vol, surf, surf)
-    return Parallelotope(body, lat)
+    return body
 
 
 def base_level(lat: Lattice, config: RecursionConfig
-               ) -> Tuple[Parallelotope, LevelTrace]:
+               ) -> Tuple[HPolytope, LevelTrace]:
     r = lat.rank
     if not lat.is_integer():
         raise ConstructionError("base case needs an integer lattice")
     if lat.ambient_dim == r and lattices_equal(lat, Lattice.standard(r)):
-        par = _cube_parallelotope(lat)
-        trace = LevelTrace(n=r, mode="cube", ratio=par.measures().ratio,
+        body = _cube_body(r)
+        trace = LevelTrace(n=r, mode="cube", ratio=body.ratio(),
                            checks=(("ratio_le_2n", True),))
-        return par, trace
+        return body, trace
     if r > config.dim_cap:
         raise DimCapExceeded(
             f"rank {r} Voronoi cell exceeds dim cap {config.dim_cap}")
@@ -275,7 +245,7 @@ def base_level(lat: Lattice, config: RecursionConfig
         raise ConstructionError(f"base case certification failed: {checks}")
     trace = LevelTrace(n=r, mode="voronoi", ratio=ratio,
                        checks=tuple(checks))
-    return Parallelotope(body, lat), trace
+    return body, trace
 
 
 def _pick_matrix(n: int, m: int, d: int, s_formula: int,
@@ -310,7 +280,7 @@ def _pick_matrix(n: int, m: int, d: int, s_formula: int,
 def inductive_level(lat: Lattice, a_matrix: IntMatrix, s: int,
                     config: RecursionConfig, depth: int,
                     sampler_stats: Optional[Dict] = None
-                    ) -> Tuple[Parallelotope, List[LevelTrace]]:
+                    ) -> Tuple[HPolytope, List[LevelTrace]]:
     """One recursion step on a_matrix, whose columns the caller has
     certified s-wise independent over GF(2)."""
     n = lat.rank
@@ -366,12 +336,12 @@ def inductive_level(lat: Lattice, a_matrix: IntMatrix, s: int,
     checks.append(("inner_integer", inner_lat.is_integer()))
     checks.append(("inner_full_rank", inner_lat.rank == m))
 
-    inner_par, inner_traces = _construct_lattice(inner_lat, config, depth + 1)
-    ratio_inner = inner_par.measures().ratio
+    inner_body, inner_traces = _construct_lattice(inner_lat, config, depth + 1)
+    ratio_inner = inner_body.ratio()
 
     bq = b.to_q()
     t = bq.t() @ inverse(bq @ bq.t())  # right inverse; the section into row span
-    k2 = linear_image(t, inner_par.body)
+    k2 = linear_image(t, inner_body)
     ratio2 = k2.ratio()
     norm_term = SqrtSum.sqrt(completion.certificate.usq)
     checks.append(("image_ratio_bound", ratio2 <= ratio_inner * norm_term))
@@ -401,11 +371,11 @@ def inductive_level(lat: Lattice, a_matrix: IntMatrix, s: int,
         ratio=ratio_total,
         sampler_stats=sampler_stats,
         checks=tuple(checks))
-    return Parallelotope(body, lat), [trace] + inner_traces
+    return body, [trace] + inner_traces
 
 
 def _construct_lattice(lat: Lattice, config: RecursionConfig, depth: int
-                       ) -> Tuple[Parallelotope, List[LevelTrace]]:
+                       ) -> Tuple[HPolytope, List[LevelTrace]]:
     n = lat.rank
     overrides = config.matrix_override or ()
     if depth < len(overrides):
@@ -432,8 +402,8 @@ def _construct_lattice(lat: Lattice, config: RecursionConfig, depth: int
         else:
             return inductive_level(lat, a_matrix, s, config, depth,
                                    sampler_stats=dict(stats, d=d))
-    par, trace = base_level(lat, config)
-    return par, [trace]
+    body, trace = base_level(lat, config)
+    return body, [trace]
 
 
 def construct(n: int, config: Optional[RecursionConfig] = None
@@ -443,12 +413,12 @@ def construct(n: int, config: Optional[RecursionConfig] = None
         raise ValueError("dimension must be positive")
     config = config or RecursionConfig()
     try:
-        par, traces = _construct_lattice(Lattice.standard(n), config, 0)
+        body, traces = _construct_lattice(Lattice.standard(n), config, 0)
     except DimCapExceeded as exc:
         # too big to materialize; keep the arithmetic chain, say so loudly
         rep = construct_bound_only(n, config)
         return replace(rep, downgrade_reason=str(exc))
-    ratio = par.measures().ratio
+    ratio = body.ratio()
     ratio_hi = ratio.interval_with_width(Fraction(1, 10 ** 12)).hi
     predicted = predicted_bound_interval(n, config.kappa)
     within: Optional[bool]
@@ -465,7 +435,7 @@ def construct(n: int, config: Optional[RecursionConfig] = None
         trivial_bound=2 * n,
         predicted=(predicted.lo, predicted.hi),
         within_predicted=within,
-        parallelotope=par)
+        body=body)
 
 
 # --- bound-only mode --------------------------------------------------------------
@@ -511,20 +481,19 @@ def construct_bound_only(n: int, config: Optional[RecursionConfig] = None
         ratio_upper=value, ratio_exact=None,
         trivial_bound=2 * n,
         predicted=(predicted.lo, predicted.hi),
-        within_predicted=value <= predicted.lo,
-        parallelotope=None)
+        within_predicted=value <= predicted.lo)
 
 
 # --- schedule consistency scan ------------------------------------------------------
 
 def _induction_inequality_holds(n: int, m: int, kappa: int) -> bool:
     """Certify 4 kappa exp(sqrt(2 ln m ln 2k)) <= 2 exp(sqrt(2 ln n ln 2k))."""
-    def slack(prec: int) -> Interval:
-        lhs = exp_interval(_exponent_interval(m, kappa, prec), prec) * (4 * kappa)
-        rhs = exp_interval(_exponent_interval(n, kappa, prec), prec) * 2
-        return rhs - lhs
+    def slack(iv):
+        return 2 * iv.exp(_growth_exponent(iv, n, kappa)) \
+            - 4 * kappa * iv.exp(_growth_exponent(iv, m, kappa))
 
-    diff = refine(slack, lambda iv: iv.lo >= 0 or iv.hi < 0,
+    diff = refine(lambda prec: enclose(prec, slack),
+                  lambda iv: iv.lo >= 0 or iv.hi < 0,
                   what=f"induction inequality at n={n}, m={m}")
     return diff.lo >= 0
 

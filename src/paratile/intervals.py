@@ -1,11 +1,12 @@
 """Exact rational intervals and certified enclosures of irrational values.
 
-Endpoints are ``fractions.Fraction``, so ring operations on intervals are
+Endpoints are ``fractions.Fraction``, so sums and products of intervals are
 exact and no rounding-direction bookkeeping is needed.  Irrational values
-(square roots, k-th roots, exp, log, pi) enter only through enclosure
-constructors that take an explicit precision in bits.  Root enclosures are
-built from integer roots; exp/log/pi go through mpmath's directed-rounding
-interval arithmetic, whose binary endpoints convert to Fraction losslessly.
+enter only through enclosures that take an explicit precision in bits.  Roots
+of rationals are built from integer roots, whose endpoints print into the
+ratio enclosures.  Every formula with a log, exp, pi or e is evaluated whole
+by ``enclose`` in mpmath's outward-rounding interval context and converted
+once; its binary endpoints convert to Fraction losslessly.
 
 ``refine`` is the only precision ladder: every irrational decision in the
 package (the schedule's m, the density and induction inequalities, signs and
@@ -104,32 +105,11 @@ class Interval:
         other = _coerce(other)
         return Interval(self.lo + other.lo, self.hi + other.hi)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Interval(-self.hi, -self.lo)
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
     def __mul__(self, other):
         other = _coerce(other)
         prods = (self.lo * other.lo, self.lo * other.hi,
                  self.hi * other.lo, self.hi * other.hi)
         return Interval(min(prods), max(prods))
-
-    __rmul__ = __mul__
-
-    def reciprocal(self) -> "Interval":
-        if self.lo <= 0 <= self.hi:
-            raise ZeroDivisionError("interval contains zero")
-        return Interval(1 / self.hi, 1 / self.lo)
-
-    def __truediv__(self, other):
-        return self * _coerce(other).reciprocal()
 
     def __str__(self):
         return f"[{self.lo}, {self.hi}]"
@@ -182,46 +162,25 @@ def _mpf_tuple_to_fraction(t) -> Fraction:
     return -v if sign else v
 
 
-def _from_iv(y) -> Interval:
-    lo_t, hi_t = y._mpi_
-    return Interval(_mpf_tuple_to_fraction(lo_t), _mpf_tuple_to_fraction(hi_t))
+def enclose(prec: int, formula: Callable) -> Interval:
+    """Exact enclosure of ``formula(iv)``, evaluated once in mpmath's interval
+    context ``iv`` at ``prec`` bits.
 
-
-def _to_iv(x: Interval):
-    iv = mpmath.iv
-    lo = iv.mpf(x.lo.numerator) / iv.mpf(x.lo.denominator)
-    hi = iv.mpf(x.hi.numerator) / iv.mpf(x.hi.denominator)
-    return iv.mpf([lo.a, hi.b])
-
-
-def _with_iv_prec(prec: int, fn):
+    Every operation of the formula rounds outward, so the interval it returns
+    holds the true value; its binary endpoints convert to Fraction exactly.
+    The formula takes its constants from the context (``iv.pi``,
+    ``iv.exp(1)``) and its rational inputs as Python ints, which ``iv``
+    converts with outward rounding.  This is the package's only use of
+    mpmath.
+    """
     iv = mpmath.iv
     old = iv.prec
     iv.prec = prec
     try:
-        return fn(iv)
+        lo_t, hi_t = formula(iv)._mpi_
     finally:
         iv.prec = old
-
-
-def exp_interval(x, prec: int = 64) -> Interval:
-    xi = _coerce(x)
-    return _with_iv_prec(prec, lambda iv: _from_iv(iv.exp(_to_iv(xi))))
-
-
-def log_interval(x, prec: int = 64) -> Interval:
-    xi = _coerce(x)
-    if xi.lo <= 0:
-        raise ValueError("log needs a positive interval")
-    return _with_iv_prec(prec, lambda iv: _from_iv(iv.log(_to_iv(xi))))
-
-
-def pi_interval(prec: int = 64) -> Interval:
-    return _with_iv_prec(prec, lambda iv: _from_iv(iv.pi))
-
-
-def e_interval(prec: int = 64) -> Interval:
-    return _with_iv_prec(prec, lambda iv: _from_iv(iv.exp(iv.mpf(1))))
+    return Interval(_mpf_tuple_to_fraction(lo_t), _mpf_tuple_to_fraction(hi_t))
 
 
 def refine(compute: Callable[[int], Interval],

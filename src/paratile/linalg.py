@@ -378,7 +378,6 @@ class NormCertificate:
     """Certified upper bound on a spectral norm: true norm <= sqrt(usq)."""
 
     usq: Fraction          # exact rational bound on the squared norm
-    method: str            # row-col-product | rayleigh-interval | derived-completion
 
 
 def _abs_row_sums(entries) -> list:
@@ -396,11 +395,10 @@ def operator_norm_upper(m: Union[IntMatrix, QMatrix],
     """
     entries = m.entries
     if not entries or not entries[0]:
-        return NormCertificate(Fraction(0), "row-col-product")
+        return NormCertificate(Fraction(0))
     maxrow = max(_abs_row_sums(entries))
     maxcol = max(_abs_row_sums(tuple(zip(*entries))))
     best = Fraction(maxrow) * Fraction(maxcol)
-    method = "row-col-product"
     if refine_steps > 0:
         q = as_qmatrix(m)
         power = q.t() @ q
@@ -411,10 +409,8 @@ def operator_norm_upper(m: Union[IntMatrix, QMatrix],
                 k *= 2
             mrs = Fraction(max(_abs_row_sums(power.entries)))
             cand = root_interval(mrs, k, 32).hi
-            if cand < best:
-                best = cand
-                method = "rayleigh-interval"
-    return NormCertificate(best, method)
+            best = min(best, cand)
+    return NormCertificate(best)
 
 
 # --- rank completion ---------------------------------------------------------
@@ -422,7 +418,6 @@ def operator_norm_upper(m: Union[IntMatrix, QMatrix],
 @dataclass(frozen=True)
 class CompletionResult:
     matrix: IntMatrix              # full-rank m x n
-    kept_rows: Tuple[int, ...]     # indices of input rows that survive
     certificate: NormCertificate
     added_units: Tuple[int, ...]   # coordinates of the appended unit rows
 
@@ -457,7 +452,7 @@ def complete_to_full_rank(a: IntMatrix,
     r = len(indep)
     if r == m:
         cert_a = base_cert or operator_norm_upper(a)
-        return CompletionResult(a, tuple(range(m)), cert_a, ())
+        return CompletionResult(a, cert_a, ())
     frame = QMatrix.from_rows([a.entries[i] for i in indep])
     _, pivot_cols = rref(frame)
     free_cols = [j for j in range(n) if j not in pivot_cols]
@@ -471,8 +466,8 @@ def complete_to_full_rank(a: IntMatrix,
     cert_a = base_cert or operator_norm_upper(a)
     derived = cert_a.usq + 1
     own = operator_norm_upper(b)
-    cert = NormCertificate(derived, "derived-completion") if derived <= own.usq else own
-    return CompletionResult(b, tuple(indep), cert, added)
+    cert = NormCertificate(derived) if derived <= own.usq else own
+    return CompletionResult(b, cert, added)
 
 
 def _fdot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:

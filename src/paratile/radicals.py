@@ -136,16 +136,6 @@ class SqrtSum:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_rational(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and self.terms[0][1] == 1)
-
-    def rational_value(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if self.is_rational():
-            return self.terms[0][0]
-        raise ValueError(f"not rational: {self}")
-
     def single_term(self) -> Tuple[Fraction, int]:
         if not self.terms:
             return Fraction(0), 1
@@ -196,9 +186,6 @@ class SqrtSum:
         # 1/(c*sqrt(r)) = sqrt(r)/(c*r)
         inv = SqrtSum._make({r: Fraction(1, 1) / (c * r)})
         return self * inv
-
-    def square(self) -> "SqrtSum":
-        return self * self
 
     # -- order ----------------------------------------------------------------
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .intervals import e_interval, iroot_floor, root_interval, sqrt_upper
+from .intervals import enclose, iroot_floor, root_interval, sqrt_upper
 from .linalg import IntMatrix
 
 
@@ -93,7 +93,7 @@ def default_c(d_max: int = 16) -> Fraction:
     """
     if d_max < 3:
         raise ValueError("d_max must be at least 3")
-    e_hi = e_interval(128).hi
+    e_hi = enclose(128, lambda iv: iv.exp(1)).hi
     best: Optional[Fraction] = None
     for d in range(3, d_max + 1):
         x_lo = Fraction(1) / (7 * d * e_hi)  # lower bound of 1/(7 e d)

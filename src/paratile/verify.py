@@ -35,6 +35,7 @@ class TilingReport:
     gap_violations: int          # samples inside no closed translate
     boundary_hits: int           # samples on some translate's boundary
     engine: str                  # "int64" | "bigint"
+    seed: int                    # seed of the dyadic sample stream
     witnesses: Tuple[Tuple[int, ...], ...] = ()
 
 
@@ -148,7 +149,7 @@ def verify_tiling(body: HPolytope, lat: Lattice, samples: int = 100000,
         passed=passed, samples=samples, translates=len(offsets),
         volume_equal=volume_equal, overlap_violations=overlap,
         gap_violations=gap, boundary_hits=boundary, engine=engine,
-        witnesses=witnesses)
+        seed=seed, witnesses=witnesses)
 
 
 def _int_dot(a: Sequence[int], b: Sequence[int]) -> int:

@@ -4,13 +4,16 @@ They compute the same exact values as the library by a slower, independent
 route, so a test can demand equal ``SqrtSum`` terms, not just equal values.
 The rest are small helpers the library itself never needs: GF(2) ranks, a
 rational solver and kernel, a Rayleigh lower bound on spectral norms,
-lattice membership, a grid volume enclosure and the H-representation parser.
+lattice membership, a grid volume enclosure, the H-representation parser and
+4096-bit reference values of transcendental formulas.
 """
 
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+
+import mpmath
 
 from paratile.intervals import Interval
 from paratile.lattices import Lattice
@@ -20,6 +23,14 @@ from paratile.linalg import (IntMatrix, QMatrix, as_qmatrix, det_q,
 from paratile.polytopes import BodyMeasures, DegenerateBody, HPolytope
 from paratile.radicals import SqrtSum
 from paratile.serialization import SerializationError, parse_frac
+
+
+def mp_reference(formula: Callable) -> Fraction:
+    """``formula(mpmath.mp)`` at 4096 bits, as the exact value of the binary
+    float it rounds to (within 2^-4000 relative of the true value)."""
+    with mpmath.mp.workprec(4096):
+        man, exp = (+formula(mpmath.mp)).man_exp
+    return Fraction(man) * Fraction(2) ** exp
 
 
 def _simplex_det(pts) -> Fraction:

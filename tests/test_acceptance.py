@@ -186,7 +186,7 @@ def test_criterion_4_worked_construction():
     sum_iv = ivk + ivi
     if not (sum_iv.lo <= iv.lo and iv.hi <= sum_iv.hi + sum_iv.width):
         failures.append("interval additivity enclosure failed")
-    body = rep.parallelotope.body
+    body = rep.body
     if body.volume() != SqrtSum.from_rational(1):
         failures.append("volume != 1")
     tiling = verify_tiling(body, Lattice.standard(4), samples=100000)
@@ -218,12 +218,12 @@ def test_criterion_5_inequality_suite():
         if cell.volume() != lat.covolume():
             failures.append(f"{cols}: cell volume != covolume")
         if lat.covolume() == SqrtSum.from_rational(1):
-            iso = isoperimetric_ratio_lower(r, Fraction(1))
+            iso = isoperimetric_ratio_lower(r)
             if cell.ratio().interval(96).lo < iso.hi:
                 failures.append(f"{cols}: isoperimetric bound undecided")
     worked = construct(
         4, RecursionConfig(matrix_override=((WORKED_B, 1),)))
-    iso4 = isoperimetric_ratio_lower(4, Fraction(1))
+    iso4 = isoperimetric_ratio_lower(4)
     if worked.ratio_exact.interval(96).lo < iso4.hi:
         failures.append("worked body: isoperimetric bound undecided")
 
@@ -250,7 +250,7 @@ def test_criterion_6_asymptotic_substitute():
     t0 = time.perf_counter()
     failures = []
     rep = construct_bound_only(10 ** 6, RecursionConfig(kappa=4))
-    if not rep.bound_only or rep.parallelotope is not None:
+    if not rep.bound_only or rep.body is not None:
         failures.append("bound-only run materialized geometry")
     if rep.predicted is None:
         failures.append("no predicted bound enclosure")

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -8,7 +9,8 @@ from paratile.linalg import IntMatrix
 from paratile.polytopes import HPolytope
 from paratile.lattices import Lattice
 from paratile.serialization import (dump_json, lattice_to_json, matrix_to_json,
-                                    polytope_to_json, validate_document)
+                                    parse_frac, polytope_to_json,
+                                    validate_document)
 
 from oracles import parse_hrep
 
@@ -88,6 +90,43 @@ def test_construct_body_out_makes_its_directory(tmp_path, capsys):
     assert main(["construct", "--n", "3", "--body-out", str(body_path)]) == 0
     assert f"wrote body to {body_path}" in capsys.readouterr().err
     validate_document("polytope", json.loads(body_path.read_text()))
+
+
+def test_bound_only_body_out_says_no_body_and_exits_2(tmp_path, capsys):
+    body_path, report = tmp_path / "b.json", tmp_path / "r.json"
+    assert main(["construct", "--n", "100", "--bound-only",
+                 "--body-out", str(body_path), "--out", str(report)]) == 2
+    assert capsys.readouterr().err == (
+        f"no body written to {body_path}: bound-only mode builds no body\n")
+    assert not body_path.exists()
+    validate_document("construction_report", json.loads(report.read_text()))
+
+
+def test_downgraded_body_out_says_no_body_and_exits_2(tmp_path, capsys):
+    mat = write_json(tmp_path / "b.json", matrix_to_json(WORKED_B))
+    body_path = tmp_path / "body.json"
+    assert main(["construct", "--n", "4", "--matrix-override", mat,
+                 "--override-s", "1", "--dim-cap", "1",
+                 "--body-out", str(body_path)]) == 2
+    cap = capsys.readouterr()
+    validate_document("construction_report", json.loads(cap.out))
+    assert "geometry skipped: kernel rank 2 exceeds dim cap 1" in cap.err
+    assert cap.err.endswith(
+        f"no body written to {body_path}: kernel rank 2 exceeds dim cap 1\n")
+    assert not body_path.exists()
+
+
+def test_construct_n250_within_budget(tmp_path, capsys):
+    # the isoperimetric bound is one 96-bit interval formula, not an
+    # n-th root of a multi-million-bit integer
+    t0 = time.perf_counter()
+    assert main(["construct", "--n", "250",
+                 "--out", str(tmp_path / "r.json")]) == 0
+    assert time.perf_counter() - t0 < 2.0
+    capsys.readouterr()
+    doc = json.loads((tmp_path / "r.json").read_text())
+    assert doc["final"]["ratio_hi"] == "500"
+    assert 64 < parse_frac(doc["final"]["isoperimetric_lb"]) < 65
 
 
 def test_override_s_beyond_the_matrix_level_fails(tmp_path, capsys):

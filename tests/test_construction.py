@@ -1,3 +1,5 @@
+import hashlib
+import json
 import time
 from fractions import Fraction
 
@@ -5,15 +7,16 @@ import pytest
 
 from paratile import construction, intervals, radicals
 from paratile.construction import (ConstructionError, RecursionConfig,
-                                   RegimeError, ball_volume_interval,
-                                   bound_value, choose_m, construct,
-                                   construct_bound_only,
+                                   RegimeError, bound_value, choose_m,
+                                   construct, construct_bound_only,
                                    isoperimetric_ratio_lower,
                                    predicted_bound_interval, scan_induction,
                                    schedule_parameters)
 from paratile.linalg import IntMatrix, inverse
 from paratile.radicals import SqrtSum
 from paratile.serialization import construction_report_to_json, dump_json
+
+from oracles import mp_reference
 
 WORKED_B = IntMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 1]])
 
@@ -112,8 +115,7 @@ def test_construct_cube_dimensions():
         assert rep.ratio_exact == SqrtSum.from_rational(2 * n)
         assert rep.trivial_bound == 2 * n
         assert rep.within_predicted is True
-        assert rep.parallelotope.measures().volume \
-            == SqrtSum.from_rational(1)
+        assert rep.body.measures().volume == SqrtSum.from_rational(1)
 
 
 def test_construct_cube_at_a_thousand_within_budget():
@@ -219,7 +221,7 @@ def test_worked_example_exact_ratio():
     assert step.ratio_image == SqrtSum.from_rational(4) * SqrtSum.sqrt(2)
     assert step.ratio == step.ratio_kernel + step.ratio_image
     assert all(ok for _, ok in step.checks)
-    assert rep.parallelotope.measures().volume == SqrtSum.from_rational(1)
+    assert rep.body.measures().volume == SqrtSum.from_rational(1)
 
 
 def test_worked_example_deterministic_bytes():
@@ -240,7 +242,7 @@ def test_override_with_zero_column_errors():
 def test_dim_cap_downgrades_to_bound_only():
     rep = construct(4, worked_config(dim_cap=1))
     assert rep.bound_only
-    assert rep.parallelotope is None
+    assert rep.body is None
     assert "dim cap" in rep.downgrade_reason
     assert rep.ratio_upper == 8          # trivial chain at n = 4
     assert rep.within_predicted is True
@@ -257,7 +259,7 @@ def test_bound_only_at_a_million():
     rep = construct_bound_only(10 ** 6)
     assert rep.bound_only
     assert rep.ratio_exact is None
-    assert rep.parallelotope is None
+    assert rep.body is None
     assert rep.ratio_upper <= 2 * 10 ** 6
     assert rep.within_predicted is True
 
@@ -284,12 +286,22 @@ def test_bound_value_trivial_chain():
 # --- schedule consistency scan ----------------------------------------------
 
 
+# sha256 of the (n, m, base_covers, induction_covers) records, pinned from
+# the scan when every enclosure was assembled from separate exp/log calls
+SCAN_DIGEST = \
+    "5e15da68a61e28a8c0f1808771ae939f2c4baf0c4c8ab4f457b346827f51353e"
+
+
 def test_scan_induction_grid():
     recs = scan_induction(4, 10 ** 6, 1000)
     assert len(recs) == 1000
     assert recs[0]["n"] == 65
     assert recs[-1]["n"] == 10 ** 6
     assert all(r["covered"] for r in recs)
+    decisions = [(r["n"], r["m"], r["base_covers"], r["induction_covers"])
+                 for r in recs]
+    digest = hashlib.sha256(json.dumps(decisions).encode()).hexdigest()
+    assert digest == SCAN_DIGEST
 
 
 def test_scan_induction_rejects_empty_range():
@@ -300,29 +312,32 @@ def test_scan_induction_rejects_empty_range():
 # --- isoperimetric context --------------------------------------------------
 
 
-def test_ball_volumes_known_values():
-    assert ball_volume_interval(0).lo == 1
-    assert ball_volume_interval(1).lo == 2
-    b2 = ball_volume_interval(2)
-    assert b2.lo < Fraction(31415927, 10 ** 7) < b2.hi \
-        or (b2.lo > Fraction(31415926, 10 ** 7) and b2.hi
-            < Fraction(31415927, 10 ** 7))
-    b3 = ball_volume_interval(3)
-    assert Fraction(41887902, 10 ** 7) < b3.hi
-    assert b3.lo < Fraction(41887903, 10 ** 7)
-    with pytest.raises(ValueError):
-        ball_volume_interval(-1)
-
-
 def test_isoperimetric_lower_bound_unit_lattice():
-    iso = isoperimetric_ratio_lower(3, Fraction(1))
+    iso = isoperimetric_ratio_lower(3)
     assert Fraction(48, 10) < iso.lo
     assert iso.hi < Fraction(49, 10)
     # the cube attains 6, comfortably above the bound
     assert iso.hi < 6
+    with pytest.raises(ValueError):
+        isoperimetric_ratio_lower(0)
 
 
-def test_isoperimetric_lower_bound_scales_with_covolume():
-    dense = isoperimetric_ratio_lower(3, Fraction(1))
-    sparse = isoperimetric_ratio_lower(3, Fraction(4))
-    assert sparse.hi < dense.lo
+@pytest.mark.parametrize("n, closed_form", [
+    (1, lambda mp: mp.mpf(2)),
+    (2, lambda mp: 2 * mp.sqrt(mp.pi)),
+    (3, lambda mp: 3 * mp.cbrt(4 * mp.pi / 3)),
+    (24, None),
+    (250, None),
+], ids=["n1", "n2", "n3", "n24", "n250"])
+def test_isoperimetric_lower_bound_brackets_the_reference(n, closed_form):
+    # n omega_n^(1/n) with omega_n = pi^(n/2) / Gamma(n/2 + 1)
+    def gamma_form(mp):
+        half = mp.mpf(n) / 2
+        return n * (mp.pi ** half / mp.gamma(half + 1)) ** (1 / mp.mpf(n))
+
+    ref = mp_reference(gamma_form)
+    if closed_form is not None:
+        assert abs(mp_reference(closed_form) - ref) < Fraction(1, 2 ** 4000)
+    iso = isoperimetric_ratio_lower(n)
+    assert iso.lo <= ref <= iso.hi
+    assert iso.width < Fraction(1, 2 ** 80)

@@ -5,7 +5,8 @@ nothing calls belongs nowhere.  The check is by name: a public module-level
 function of ``src/paratile``, and a public method of one of its public
 classes, must be referenced by some other code in the package, in
 ``scripts/`` or in ``perfbench/``; a function may instead be exported
-through ``paratile.__all__``.
+through ``paratile.__all__``.  And ``intervals.enclose`` is the one bridge to
+mpmath: no other module of the package imports it.
 """
 
 import ast
@@ -73,3 +74,18 @@ def test_every_public_method_has_a_caller_outside_the_tests():
                 if node.name not in used:
                     uncalled.append(f"{path.stem}.{cls.name}.{node.name}")
     assert not uncalled, f"public methods no code calls: {uncalled}"
+
+
+def test_only_intervals_imports_mpmath():
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "mpmath" for name in names):
+                importers.append(path.stem)
+    assert importers == ["intervals"], importers

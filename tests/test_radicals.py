@@ -39,7 +39,7 @@ def test_sqrtsum_normal_form():
 
 def test_known_square():
     x = SqrtSum.sqrt(2) + SqrtSum.sqrt(3)
-    sq = x.square()
+    sq = x * x
     assert sq == SqrtSum.from_rational(5) + SqrtSum.from_rational(2) * SqrtSum.sqrt(6)
 
 
@@ -55,18 +55,17 @@ def test_sign_decides_order():
 
 
 def test_rational_detection():
+    # a rational value normalizes to one term of radicand 1
     x = SqrtSum.sqrt(2) * SqrtSum.sqrt(2)
-    assert x.is_rational()
-    assert x.rational_value() == 2
-    with pytest.raises(ValueError):
-        SqrtSum.sqrt(2).rational_value()
+    assert x.single_term() == (2, 1)
+    assert SqrtSum.sqrt(2).single_term() == (1, 2)
 
 
 @given(rationals, rationals)
 def test_rational_embedding_is_faithful(a, b):
     sa, sb = SqrtSum.from_rational(a), SqrtSum.from_rational(b)
-    assert (sa + sb).rational_value() == a + b
-    assert (sa * sb).rational_value() == a * b
+    assert (sa + sb).single_term() == (a + b, 1)
+    assert (sa * sb).single_term() == (a * b, 1)
 
 
 @given(st.lists(st.tuples(rationals, st.integers(min_value=1, max_value=30)),

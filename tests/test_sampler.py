@@ -94,6 +94,10 @@ def test_default_c_strictly_below_infimum():
     # squeezing harder: c stays below the exact d=3 value via e < 2.7182819
     assert c * (21 * Fraction(27182819, 10 ** 7)) ** 2 < 1
     assert default_c(32) <= default_c(3)
+    # e enters as the upper end of a 128-bit enclosure; c is pinned exactly
+    assert c == Fraction(
+        5742252960529749071145716877414485176439322664845761613895220154201014272,
+        18716124069713729249256993489173902865546187599495399274393745496095754329515)
 
 
 def test_admissible_s_formula():
