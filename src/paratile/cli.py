@@ -400,13 +400,23 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _load_config(path: Optional[str]) -> Dict:
+    if not path:
+        return {}
+    doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise ValueError("expected a JSON object")
+    return doc
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config_doc: Dict = {}
-    if args.config:
-        config_doc = _load_json(args.config)
-    args._config_doc = config_doc
+    try:
+        args._config_doc = _load_config(args.config)
+    except (OSError, ValueError) as exc:
+        print(f"error: --config {args.config}: {exc}", file=sys.stderr)
+        return EXIT_UNDECIDED
     try:
         return args.func(args)
     except FileNotFoundError as exc:

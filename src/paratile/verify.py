@@ -6,6 +6,14 @@ bodies contain each point (strictly, and with boundary).  All scores are
 integers: the dyadic denominator and the halfspace denominators are cleared up
 front, and one vectorised count runs on numpy int64 where an overflow audit
 allows it and on exact Python integers (object dtype) where it does not.
+
+The sample numerators are the stream of ``randrange(2**bits)`` calls on
+``random.Random(f"tiling:{seed}")``, drawn in bulk: one ``getrandbits`` call
+yields the same Mersenne Twister words that the per-coordinate calls would
+consume, and CPython's rejection rule is replayed on them with numpy, so the
+samples and hence the report bytes are those of the per-call loop.  The count
+keeps the scores row-major, one contiguous row of all samples per halfspace,
+and builds each translate's closed and open masks one row at a time.
 """
 
 from __future__ import annotations
@@ -75,23 +83,66 @@ def _candidate_translates(body: HPolytope, lat: Lattice
 
 
 def _membership_inputs(body: HPolytope, lat: Lattice, samples: int, bits: int,
-                       seed: int) -> Tuple[List[List[int]], List[List[int]],
+                       seed: int) -> Tuple[np.ndarray, List[List[int]],
                                            List[List[int]]]:
-    """Sample numerators ks, integer rows u, and per-translate offsets."""
+    """Sample numerators ks (samples x rank), integer rows u, and
+    per-translate offsets."""
     rows, rhs = _integerized_system(body, lat, bits)
     scale = 1 << bits
     # offset per (row, translate): r * 2^bits + 2^bits * u . c
     offsets = [[(rhs[r] + _int_dot(rows[r], c)) * scale
                 for r in range(len(rows))]
                for c in _candidate_translates(body, lat)]
+    rank = lat.rank
     rng = random.Random(f"tiling:{seed}")
-    ks = [[rng.randrange(scale) for _ in range(lat.rank)]
-          for _ in range(samples)]
+    ks = _dyadic_numerators(rng, samples * rank, bits).reshape(samples, rank)
     return ks, rows, offsets
 
 
-def _count_membership(ks: Sequence[Sequence[int]],
-                      rows: Sequence[Sequence[int]],
+# candidates decoded per refill of the dyadic stream; bounds the size of the
+# integer that one getrandbits call builds
+_DRAW_CHUNK = 1 << 16
+
+
+def _dyadic_numerators(rng: random.Random, count: int, bits: int
+                       ) -> np.ndarray:
+    """The next count values of rng.randrange(2**bits), bit for bit.
+
+    CPython's randrange(2**bits) calls getrandbits(bits + 1) and rejects any
+    value >= 2**bits.  getrandbits(k) takes ceil(k/32) 32-bit Mersenne
+    Twister words, least significant first, and shifts the last one right by
+    32*ceil(k/32) - k.  getrandbits of a multiple of 32 bits returns the raw
+    words in the same order, so one bulk draw, cut into ceil(k/32)-word
+    candidates, replays the per-call stream.  Words drawn past the last
+    accepted value are simply not used.  The result is int64 while every
+    candidate fits (bits + 1 <= 63) and exact Python integers (object dtype)
+    above that.
+    """
+    k = bits + 1
+    words = -(-k // 32)
+    shift = 32 * words - k
+    dtype = np.int64 if k <= 63 else object
+    bound = 1 << bits
+    kept: List[np.ndarray] = []
+    have = 0
+    while have < count:
+        # about half of the candidates are rejected
+        draws = min(2 * (count - have) + 64, _DRAW_CHUNK)
+        raw = np.frombuffer(
+            rng.getrandbits(32 * words * draws).to_bytes(4 * words * draws,
+                                                          "little"),
+            dtype="<u4").reshape(draws, words)
+        limbs = raw.astype(dtype)
+        cand = limbs[:, -1] >> shift
+        for i in range(words - 2, -1, -1):
+            cand = (cand << 32) | limbs[:, i]
+        cand = cand[cand < bound]
+        kept.append(cand)
+        have += len(cand)
+    return np.concatenate(kept)[:count]
+
+
+def _count_membership(ks: np.ndarray, rows: Sequence[Sequence[int]],
                       offsets: Sequence[Sequence[int]], dtype
                       ) -> Tuple[int, int, int, Tuple[Tuple[int, ...], ...]]:
     """(overlaps, gaps, boundary hits, witnesses) of the samples ks.
@@ -99,16 +150,21 @@ def _count_membership(ks: Sequence[Sequence[int]],
     Sample k lies in the closed translate with offsets off iff every score
     u . k is <= off[row], and in its interior iff every score is < off[row].
     dtype is np.int64 when no score or offset can overflow it, and object
-    (exact Python integers) otherwise.
+    (exact Python integers) otherwise.  Scores are kept row-major (one
+    contiguous row of all samples per halfspace), and each translate's masks
+    are and-ed together one halfspace row at a time.
     """
-    scores = np.array(ks, dtype=dtype) @ np.array(rows, dtype=dtype).T
+    ks = np.asarray(ks, dtype=dtype)
+    scores_t = np.array(rows, dtype=dtype) @ ks.T
     open_count = np.zeros(len(ks), dtype=np.int32)
     closed_count = np.zeros(len(ks), dtype=np.int32)
     boundary = 0
     for off in offsets:
-        oarr = np.array(off, dtype=dtype)
-        closed_here = (scores <= oarr).all(axis=1)
-        open_here = (scores < oarr).all(axis=1)
+        closed_here = scores_t[0] <= off[0]
+        open_here = scores_t[0] < off[0]
+        for row, o in zip(scores_t[1:], off[1:]):
+            closed_here &= row <= o
+            open_here &= row < o
         closed_count += closed_here
         open_count += open_here
         boundary += int(np.count_nonzero(closed_here & ~open_here))
@@ -117,7 +173,7 @@ def _count_membership(ks: Sequence[Sequence[int]],
     bad = np.nonzero(overlap_mask | gap_mask)[0][:_MAX_WITNESSES]
     return (int(np.count_nonzero(overlap_mask)),
             int(np.count_nonzero(gap_mask)), boundary,
-            tuple(tuple(ks[int(i)]) for i in bad))
+            tuple(tuple(int(x) for x in ks[i]) for i in bad))
 
 
 def verify_tiling(body: HPolytope, lat: Lattice, samples: int = 100000,
@@ -130,6 +186,8 @@ def verify_tiling(body: HPolytope, lat: Lattice, samples: int = 100000,
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if bits < 1:
+        raise ValueError("bits must be at least 1")
     n = lat.rank
     if body.dim != body.ambient_dim or body.ambient_dim != n or \
             lat.ambient_dim != n:

@@ -4,16 +4,19 @@ They compute the same exact values as the library by a slower, independent
 route, so a test can demand equal ``SqrtSum`` terms, not just equal values.
 The rest are small helpers the library itself never needs: GF(2) ranks, a
 rational solver and kernel, a Rayleigh lower bound on spectral norms,
-lattice membership, a grid volume enclosure, the H-representation parser and
-4096-bit reference values of transcendental formulas.
+lattice membership, a grid volume enclosure, the H-representation parser,
+4096-bit reference values of transcendental formulas, and the per-call
+sample loop and per-translate membership count of the tiling audit.
 """
 
 import itertools
 import math
+import random
 from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import mpmath
+import numpy as np
 
 from paratile.intervals import Interval
 from paratile.lattices import Lattice
@@ -23,6 +26,7 @@ from paratile.linalg import (IntMatrix, QMatrix, as_qmatrix, det_q,
 from paratile.polytopes import BodyMeasures, DegenerateBody, HPolytope
 from paratile.radicals import SqrtSum
 from paratile.serialization import SerializationError, parse_frac
+from paratile.verify import _MAX_WITNESSES
 
 
 def mp_reference(formula: Callable) -> Fraction:
@@ -299,3 +303,39 @@ def parse_hrep(text: str) -> HPolytope:
         return HPolytope.from_halfspaces(frame, hs)
     n = ambient if ambient is not None else len(hs[0][0])
     return HPolytope.from_halfspaces(n, hs)
+
+
+# --- tiling audit ---------------------------------------------------------------
+
+def dyadic_numerators_loop(seed: int, samples: int, rank: int, bits: int
+                           ) -> List[List[int]]:
+    """The tiling audit's sample numerators, one ``randrange`` per coordinate."""
+    rng = random.Random(f"tiling:{seed}")
+    scale = 1 << bits
+    return [[rng.randrange(scale) for _ in range(rank)]
+            for _ in range(samples)]
+
+
+def membership_count_by_translate(ks, rows, offsets, dtype
+                                  ) -> Tuple[int, int, int,
+                                             Tuple[Tuple[int, ...], ...]]:
+    """``verify._count_membership`` with sample-major scores and two
+    ``.all(axis=1)`` reductions per translate."""
+    ks = [[int(x) for x in k] for k in ks]
+    scores = np.array(ks, dtype=dtype) @ np.array(rows, dtype=dtype).T
+    open_count = np.zeros(len(ks), dtype=np.int32)
+    closed_count = np.zeros(len(ks), dtype=np.int32)
+    boundary = 0
+    for off in offsets:
+        oarr = np.array(off, dtype=dtype)
+        closed_here = (scores <= oarr).all(axis=1)
+        open_here = (scores < oarr).all(axis=1)
+        closed_count += closed_here
+        open_count += open_here
+        boundary += int(np.count_nonzero(closed_here & ~open_here))
+    overlap_mask = open_count >= 2
+    gap_mask = closed_count == 0
+    bad = np.nonzero(overlap_mask | gap_mask)[0][:_MAX_WITNESSES]
+    return (int(np.count_nonzero(overlap_mask)),
+            int(np.count_nonzero(gap_mask)), boundary,
+            tuple(tuple(ks[int(i)]) for i in bad))

@@ -59,6 +59,18 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     assert doc["seeds"]["construction"] == 7
 
 
+def test_unusable_config_file_is_refused(tmp_path, capsys):
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{not json")
+    not_object = write_json(tmp_path / "list.json", [1, 2])
+    for path in (str(tmp_path / "missing.json"), str(bad_json), not_object):
+        assert main(["--config", path, "construct", "--n", "3"]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err.startswith(f"error: --config {path}: ")
+        assert "Traceback" not in cap.err
+
+
 def test_explicit_flag_beats_config(tmp_path, capsys):
     cfg = write_json(tmp_path / "cfg.json", {"kappa": 5})
     assert main(["--config", cfg, "construct", "--n", "3",
@@ -210,6 +222,15 @@ def test_verify_rejects_sample_counts_below_one(samples, capsys):
     assert main(["verify", "--fixture", fx, "--samples", samples]) == 2
     assert capsys.readouterr().err == \
         "invalid parameters: samples must be at least 1\n"
+
+
+@pytest.mark.parametrize("bits", ["0", "-3"])
+def test_verify_rejects_bits_below_one(bits, capsys):
+    fx = str(FIXTURE_DIR / "cube3.json")
+    assert main(["verify", "--fixture", fx, "--samples", "100",
+                 "--bits", bits]) == 2
+    assert capsys.readouterr().err == \
+        "invalid parameters: bits must be at least 1\n"
 
 
 def test_verify_requires_inputs(capsys):

@@ -10,10 +10,12 @@ from paratile.lattices import Lattice
 from paratile.linalg import QMatrix, det_q
 from paratile.polytopes import HPolytope, linear_image, scaled, voronoi_cell
 from paratile.serialization import fixture_from_json
-from paratile.verify import (_count_membership, _membership_inputs,
-                             verify_tiling)
+from paratile import verify
+from paratile.verify import (_count_membership, _dyadic_numerators,
+                             _membership_inputs, verify_tiling)
 
-from oracles import brute_force_volume
+from oracles import (brute_force_volume, dyadic_numerators_loop,
+                     membership_count_by_translate)
 
 FCC = Lattice(3, QMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 1]]))
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -101,10 +103,40 @@ def test_membership_count_agrees_on_int64_and_exact_integers(case, bits):
     ks, rows, offsets = _membership_inputs(body, lat, 2000, bits, 3)
     fast = _count_membership(ks, rows, offsets, np.int64)
     assert fast == _count_membership(ks, rows, offsets, object)
+    for dtype in (np.int64, object):
+        assert fast == membership_count_by_translate(ks, rows, offsets, dtype)
+    assert all(type(x) is int for w in fast[3] for x in w)
     if case == "cube3" and bits == 4:
         assert fast[2] > 0  # boundary hits are counted on both
     if case == "scaled_cube3":
         assert fast[3]  # and so are witnesses
+
+
+_STREAM_BITS = [1, 24, 31, 32, 33, 60, 62, 63, 64, 70]
+
+
+@pytest.mark.parametrize("bits", _STREAM_BITS)
+def test_bulk_samples_replay_the_randrange_stream(bits, monkeypatch):
+    # a few hundred candidates per refill forces many refills; this pins
+    # CPython's randrange(2**bits): if an interpreter changes it, the bulk
+    # stream (and so every audit's report bytes) no longer matches
+    monkeypatch.setattr(verify, "_DRAW_CHUNK", 300)
+    for seed, samples, rank in ((0, 1, 1), (1, 97, 3), (7, 500, 4),
+                                (31, 1200, 2)):
+        got = _membership_inputs(HPolytope.cube(rank), Lattice.standard(rank),
+                                 samples, bits, seed)[0]
+        assert got.shape == (samples, rank)
+        assert got.dtype == (np.int64 if bits + 1 <= 63 else object)
+        assert got.tolist() == dyadic_numerators_loop(seed, samples, rank,
+                                                      bits)
+
+
+def test_bulk_samples_replay_the_stream_across_default_refills():
+    count = 3 * verify._DRAW_CHUNK
+    for bits in (24, 33):
+        got = _dyadic_numerators(random.Random("tiling:5"), count, bits)
+        assert [[x] for x in got.tolist()] == \
+            dyadic_numerators_loop(5, count, 1, bits)
 
 
 def test_tiling_rejects_rank_mismatch():
