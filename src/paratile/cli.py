@@ -69,13 +69,22 @@ def _emit(doc: Dict, kind: str, out: Optional[str],
             print(line, file=sys.stderr)
 
 
+class ConfigError(Exception):
+    """A --config value does not have the type its flag declares."""
+
+
 def _supplied(args, *keys: str) -> Dict:
-    """The values of keys that a flag or the --config file gives; flags win."""
+    """The values of keys that a flag or the --config file gives; flags win.
+    A value from the file must have the type its flag declares."""
     out = {}
     for key in keys:
         v = getattr(args, key, None)
         if v is None:
             v = args._config_doc.get(key)
+            want = args._flag_types[key]
+            if v is not None and type(v) is not want:
+                raise ConfigError(f"{key}: expected {want.__name__}, "
+                                  f"got {json.dumps(v)}")
         if v is not None:
             out[key] = v
     return out
@@ -91,6 +100,9 @@ def _load_json(path: str) -> Dict:
 def cmd_construct(args) -> int:
     n = args.n
     override = None
+    if args.override_s is not None and not args.matrix_override:
+        print("error: --override-s needs --matrix-override", file=sys.stderr)
+        return EXIT_UNDECIDED
     if args.matrix_override:
         doc = _load_json(args.matrix_override)
         serialization.validate_document("matrix", doc)
@@ -101,7 +113,7 @@ def cmd_construct(args) -> int:
             return EXIT_UNDECIDED
         override = ((mat, args.override_s),)
     opts = _supplied(args, "kappa", "epsilon", "seed", "max_depth", "dim_cap",
-                     "svp_node_cap", "max_tries")
+                     "svp_node_cap")
     if "epsilon" in opts:
         opts["epsilon"] = parse_frac(opts["epsilon"])
     config = RecursionConfig(matrix_override=override, **opts)
@@ -325,12 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("construct",
                        help="build a tiling body for Z^n with certificates")
     c.add_argument("--n", type=int, required=True, help="ambient dimension")
-    c.add_argument("--seed", type=int, help="RNG seed (default 0)")
+    c.add_argument("--seed", type=int,
+                   help="seed recorded in the report (default 0); construct "
+                        "draws nothing at random")
     c.add_argument("--kappa", type=int, help="schedule exponent kappa "
                                              "(default 4)")
     c.add_argument("--epsilon", help="sparsity slack, rational (default 1)")
-    c.add_argument("--max-tries", type=int, dest="max_tries",
-                   help="sampler resampling budget (default 64)")
     c.add_argument("--max-depth", type=int, dest="max_depth",
                    help="recursion depth cap (default 8)")
     c.add_argument("--dim-cap", type=int, dest="dim_cap",
@@ -338,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--svp-node-cap", type=int, dest="svp_node_cap",
                    help="enumeration node budget (default 10^7)")
     c.add_argument("--matrix-override", dest="matrix_override",
-                   help="matrix JSON to use at the top level instead of "
-                        "sampling")
+                   help="matrix JSON for a step at the top level; without "
+                        "it construct takes no step")
     c.add_argument("--override-s", type=int, dest="override_s",
                    help="independence level for the override matrix "
                         "(default: certify automatically)")
@@ -397,6 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--seed", type=int, help="RNG seed (default 0)")
     w.add_argument("--out", help="output path (default: stdout)")
     w.set_defaults(func=cmd_walk_stats)
+    for command in sub.choices.values():
+        command.set_defaults(_flag_types={
+            a.dest: a.type or str for a in command._actions
+            if a.option_strings and a.nargs is None})
     return p
 
 
@@ -419,6 +435,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_UNDECIDED
     try:
         return args.func(args)
+    except ConfigError as exc:
+        print(f"error: --config {args.config}: {exc}", file=sys.stderr)
+        return EXIT_UNDECIDED
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED

@@ -1,11 +1,12 @@
 """Recursive construction of lattice-tiling bodies with small surface/volume.
 
-The step: pick a sparse full-rank integer matrix B whose short column
-dependencies are excluded up to support s.  The kernel slice of the target
-lattice gets its Voronoi cell (fat, because every nonzero kernel vector is
-longer than sqrt(s)); the image lattice B L in the lower dimension is handled
-recursively and pulled back through the right inverse of B.  The two pieces
-live in orthogonal subspaces, so surface-to-volume ratios add:
+The step: a sparse full-rank integer matrix B, supplied as an override,
+whose short column dependencies are excluded up to support s.  The kernel
+slice of the target lattice gets its Voronoi cell (fat, because every nonzero
+kernel vector is longer than sqrt(s)); the image lattice B L in the lower
+dimension is handled recursively and pulled back through the right inverse
+of B.  The two pieces live in orthogonal subspaces, so surface-to-volume
+ratios add:
 
     ratio(K)  <=  2 (n - m) / sqrt(s)  +  ratio(inner) * |B|.
 
@@ -48,14 +49,12 @@ from .polytopes import (
 )
 from .radicals import SqrtSum
 from .sampler import (
-    LdpcParams,
     admissible_s,
     choose_d,
     default_c,
     largest_verified_s,
     matrix_to_masks,
     row_weight_bound,
-    sample_ldpc,
     verify_s_independence,
 )
 
@@ -80,7 +79,6 @@ class RecursionConfig:
     max_depth: int = 8
     dim_cap: int = 6               # kernel cells are enumerated up to this rank
     svp_node_cap: int = 10 ** 7
-    max_tries: int = 64
     matrix_override: Optional[Sequence[Tuple[IntMatrix, Optional[int]]]] = None
 
 
@@ -100,7 +98,6 @@ class LevelTrace:
     ratio_kernel: Optional[SqrtSum] = None
     ratio_image: Optional[SqrtSum] = None
     ratio: SqrtSum = field(default_factory=SqrtSum.zero)
-    sampler_stats: Optional[Dict] = None
     checks: Tuple[Tuple[str, bool], ...] = ()
 
 
@@ -171,8 +168,9 @@ def _schedule_step(n: int, config: RecursionConfig, depth: int
     """(m, d, s) where the recursion takes a step at size n, else None.
 
     A step needs depth below max_depth, schedule parameters at n, and an
-    admissible independence level s >= 1.  Bound-only and geometric mode
-    both decide here, so neither draws or bounds a step the other refuses.
+    admissible independence level s >= 1.  The bound chain (`bound_value`)
+    steps here; geometric `construct` never does, because it takes steps
+    only from `RecursionConfig.matrix_override`.
     """
     if depth >= config.max_depth:
         return None
@@ -248,38 +246,8 @@ def base_level(lat: Lattice, config: RecursionConfig
     return body, trace
 
 
-def _pick_matrix(n: int, m: int, d: int, s_formula: int,
-                 config: RecursionConfig, depth: int
-                 ) -> Tuple[IntMatrix, int, Dict]:
-    """Sample a row-balanced matrix and settle its independence level.
-
-    Called only where the schedule admits s_formula >= 1.  One direct
-    meet-in-the-middle search per draw certifies the largest s up to
-    max(probe cap, s_formula) on the concrete matrix, and that certificate
-    goes with the matrix to `inductive_level`.  A draw is kept when its s
-    reaches s_formula; a shorter level means a dependency the schedule
-    forbids.
-    """
-    for attempt in range(config.max_tries):
-        derived_seed = (config.seed * 1000003 + depth * 8191 + attempt) \
-            & 0xFFFFFFFF
-        params = LdpcParams(m=m, n=n, d=d, seed=derived_seed,
-                            max_tries=config.max_tries)
-        mat, stats = sample_ldpc(params)
-        masks = matrix_to_masks(mat)
-        s_direct = largest_verified_s(masks, max(_PROBE_S_CAP, s_formula))
-        if s_direct < s_formula:
-            continue  # the formula's s refuted on this draw; redraw
-        stats = dict(stats, s_formula=s_formula, s_direct=s_direct)
-        return mat, s_direct, stats
-    raise RegimeError(
-        f"no sample reaches the admissible independence level "
-        f"(m={m}, n={n}, d={d}, formula s={s_formula})")
-
-
 def inductive_level(lat: Lattice, a_matrix: IntMatrix, s: int,
-                    config: RecursionConfig, depth: int,
-                    sampler_stats: Optional[Dict] = None
+                    config: RecursionConfig, depth: int
                     ) -> Tuple[HPolytope, List[LevelTrace]]:
     """One recursion step on a_matrix, whose columns the caller has
     certified s-wise independent over GF(2)."""
@@ -369,14 +337,12 @@ def inductive_level(lat: Lattice, a_matrix: IntMatrix, s: int,
         ratio_kernel=ratio1 if m < n else None,
         ratio_image=ratio2,
         ratio=ratio_total,
-        sampler_stats=sampler_stats,
         checks=tuple(checks))
     return body, [trace] + inner_traces
 
 
 def _construct_lattice(lat: Lattice, config: RecursionConfig, depth: int
                        ) -> Tuple[HPolytope, List[LevelTrace]]:
-    n = lat.rank
     overrides = config.matrix_override or ()
     if depth < len(overrides):
         a_matrix, s_opt = overrides[depth]
@@ -392,16 +358,6 @@ def _construct_lattice(lat: Lattice, config: RecursionConfig, depth: int
         if s_opt < 1:
             raise ConstructionError("override matrix has no usable level")
         return inductive_level(lat, a_matrix, s_opt, config, depth)
-    step = _schedule_step(n, config, depth)
-    if step is not None:
-        m, d, s = step
-        try:
-            a_matrix, s, stats = _pick_matrix(n, m, d, s, config, depth)
-        except RegimeError:
-            pass
-        else:
-            return inductive_level(lat, a_matrix, s, config, depth,
-                                   sampler_stats=dict(stats, d=d))
     body, trace = base_level(lat, config)
     return body, [trace]
 
@@ -412,6 +368,9 @@ def construct(n: int, config: Optional[RecursionConfig] = None
     if n < 1:
         raise ValueError("dimension must be positive")
     config = config or RecursionConfig()
+    # the report records kappa and epsilon: refuse bad ones before building
+    predicted = predicted_bound_interval(n, config.kappa)
+    choose_d(config.epsilon)
     try:
         body, traces = _construct_lattice(Lattice.standard(n), config, 0)
     except DimCapExceeded as exc:
@@ -420,7 +379,6 @@ def construct(n: int, config: Optional[RecursionConfig] = None
         return replace(rep, downgrade_reason=str(exc))
     ratio = body.ratio()
     ratio_hi = ratio.interval_with_width(Fraction(1, 10 ** 12)).hi
-    predicted = predicted_bound_interval(n, config.kappa)
     within: Optional[bool]
     if ratio_hi <= predicted.lo:
         within = True
@@ -447,9 +405,8 @@ def bound_value(n: int, config: RecursionConfig, depth: int = 0
     Mirrors the recursion arithmetic: a step contributes
     2 (n-m)/sqrt(s) + value(m) * sqrt(1 + d * rowbound), and the base case
     contributes 2n.  A step is considered exactly where `_schedule_step`
-    admits one, the rule geometric `construct` also follows, and kept only
-    when it beats 2n.  At kappa = 4 the admissible s is 0 at n = 10^14 and
-    2 at n = 10^15, so at sizes the geometry can reach the chain gives 2n.
+    admits one and kept only when it beats 2n.  At kappa = 4 the admissible
+    s is 0 at n = 10^14 and 2 at n = 10^15, so below that the chain gives 2n.
     """
     trivial = Fraction(2 * n)
     cube = trivial, [LevelTrace(n=n, mode="cube",
@@ -473,8 +430,8 @@ def bound_value(n: int, config: RecursionConfig, depth: int = 0
 def construct_bound_only(n: int, config: Optional[RecursionConfig] = None
                          ) -> ConstructionReport:
     config = config or RecursionConfig()
+    predicted = predicted_bound_interval(n, config.kappa)  # checks n, kappa
     value, traces = bound_value(n, config)
-    predicted = predicted_bound_interval(n, config.kappa)
     return ConstructionReport(
         n=n, kappa=config.kappa, epsilon=config.epsilon, seed=config.seed,
         bound_only=True, levels=tuple(traces),

@@ -228,7 +228,6 @@ def level_to_json(level) -> Dict:
         if level.ratio_image is not None else None,
         "ratio": sqrtsum_to_json(level.ratio)
         if level.ratio is not None else None,
-        "sampler_stats": level.sampler_stats,
         "checks": [{"name": name, "ok": ok} for name, ok in level.checks],
     }
 

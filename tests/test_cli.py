@@ -78,6 +78,43 @@ def test_explicit_flag_beats_config(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["kappa"] == 4
 
 
+@pytest.mark.parametrize("cfg, argv, message", [
+    ({"kappa": "x"}, ["construct", "--n", "3"],
+     'kappa: expected int, got "x"'),
+    ({"max_depth": "2"}, ["construct", "--n", "3", "--bound-only"],
+     'max_depth: expected int, got "2"'),
+    ({"samples": "10"},
+     ["verify", "--fixture", str(FIXTURE_DIR / "cube3.json")],
+     'samples: expected int, got "10"'),
+])
+def test_mistyped_config_value_is_refused(tmp_path, capsys, cfg, argv,
+                                          message):
+    path = write_json(tmp_path / "cfg.json", cfg)
+    assert main(["--config", path] + argv) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == f"error: --config {path}: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--kappa", "0", "--bound-only"], "need n >= 1, kappa >= 1"),
+    (["--kappa", "0"], "need n >= 1, kappa >= 1"),
+    (["--epsilon", "0"], "epsilon must be in (0, 2]"),
+])
+def test_construct_names_a_bad_schedule_parameter(capsys, argv, message):
+    assert main(["construct", "--n", "5"] + argv) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == f"invalid parameters: {message}\n"
+
+
+def test_construct_has_no_max_tries_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--n", "5", "--max-tries", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-tries 3" in capsys.readouterr().err
+
+
 def test_construct_with_matrix_override(tmp_path, capsys):
     mat = write_json(tmp_path / "b.json", matrix_to_json(WORKED_B))
     assert main(["construct", "--n", "4", "--matrix-override", mat,
@@ -150,6 +187,13 @@ def test_override_s_beyond_the_matrix_level_fails(tmp_path, capsys):
     assert cap.out == ""
     assert cap.err == ("certification failed: columns admit a dependency "
                        "of size <= 3: (0, 1)\n")
+
+
+def test_override_s_needs_an_override_matrix(capsys):
+    assert main(["construct", "--n", "4", "--override-s", "2"]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == "error: --override-s needs --matrix-override\n"
 
 
 def test_override_must_be_integer(tmp_path, capsys):

@@ -130,17 +130,19 @@ def test_construct_cube_at_a_thousand_within_budget():
     assert rep.ratio_upper == 2000 and rep.trivial_bound == 2000
 
 
-def test_construct_draws_no_matrix_where_the_schedule_admits_no_s(
-        monkeypatch):
-    # at n = 1000 the schedule's (m, d) = (4, 4) admits s = 0: the cube,
-    # with no sample drawn
-    def no_draw(params):
-        raise AssertionError(f"sampled at {params}")
+def test_construct_steps_only_on_an_override(monkeypatch):
+    # geometric construct never consults the schedule: without an override
+    # it returns the cube, and with one it steps on the given matrix
+    def no_schedule(*args):
+        raise AssertionError(f"schedule consulted at {args}")
 
-    monkeypatch.setattr(construction, "sample_ldpc", no_draw)
+    monkeypatch.setattr(construction, "_schedule_step", no_schedule)
     rep = construct(1000)
     assert [lv.mode for lv in rep.levels] == ["cube"]
     assert rep.ratio_exact == SqrtSum.from_rational(2000)
+    rep = construct(4, worked_config())
+    assert [lv.mode for lv in rep.levels] == ["step", "cube"]
+    assert rep.ratio_exact == SqrtSum.from_rational(6) * SqrtSum.sqrt(2)
 
 
 @pytest.mark.parametrize("s_opt, searches", [
@@ -204,10 +206,11 @@ def test_construct_rejects_nonpositive_dimension():
 
 
 def test_construct_falls_back_when_schedule_fails():
-    # n = 70 passes the regime gate but yields m = 1; fall back to the cube
-    rep = construct(70)
-    assert [lv.mode for lv in rep.levels] == ["cube"]
-    assert rep.ratio_exact == SqrtSum.from_rational(140)
+    # n = 70 passes the regime gate but yields m = 1: the bound chain of
+    # construct --bound-only falls back to the cube
+    value, traces = bound_value(70, RecursionConfig())
+    assert value == 140
+    assert [lv.mode for lv in traces] == ["cube"]
 
 
 def test_worked_example_exact_ratio():
@@ -266,7 +269,7 @@ def test_bound_only_at_a_million():
 
 @pytest.mark.parametrize("exponent, s", [
     (3, None), (6, None), (9, None), (12, None), (14, None), (15, 2)])
-def test_one_step_rule_for_both_modes(exponent, s):
+def test_bound_chain_steps_where_the_schedule_admits_s(exponent, s):
     n = 10 ** exponent
     config = RecursionConfig()
     step = construction._schedule_step(n, config, 0)

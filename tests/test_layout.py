@@ -36,14 +36,20 @@ def _references(tree: ast.Module):
     yield from walk(tree, None)
 
 
-def _used_names():
+def _used_names(tops=USERS, mentioning=None):
+    """Names the code under tops references.  With mentioning, only the
+    files that reference that name count, and only inside their functions,
+    so a class body declaring a field is not a use of it."""
     used = set()
-    for top in USERS:
+    for top in tops:
         for path in sorted(top.rglob("*.py")):
-            tree = ast.parse(path.read_text())
+            refs = list(_references(ast.parse(path.read_text())))
+            if mentioning is not None:
+                if mentioning not in {name for name, _ in refs}:
+                    continue
+                refs = [(name, owner) for name, owner in refs if owner]
             # a function naming only itself (recursion) is not a use
-            used.update(name for name, owner in _references(tree)
-                        if name != owner)
+            used.update(name for name, owner in refs if name != owner)
     return used
 
 
@@ -74,6 +80,20 @@ def test_every_public_method_has_a_caller_outside_the_tests():
                 if node.name not in used:
                     uncalled.append(f"{path.stem}.{cls.name}.{node.name}")
     assert not uncalled, f"public methods no code calls: {uncalled}"
+
+
+def test_every_recursion_config_field_is_read_by_the_package():
+    # a field that the CLI only passes through (its _supplied keys are
+    # strings, not reads) and nothing else reads is a dead knob
+    tree = ast.parse((PACKAGE / "construction.py").read_text())
+    cls = next(node for node in tree.body if isinstance(node, ast.ClassDef)
+               and node.name == "RecursionConfig")
+    fields = [node.target.id for node in cls.body
+              if isinstance(node, ast.AnnAssign)]
+    read = _used_names((PACKAGE,), mentioning="RecursionConfig")
+    unread = [name for name in fields if name not in read]
+    assert fields and not unread, f"RecursionConfig fields nothing reads: " \
+        f"{unread}"
 
 
 def test_only_intervals_imports_mpmath():
