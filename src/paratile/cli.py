@@ -28,6 +28,7 @@ from .construction import (ConstructionError, DimCapExceeded, RegimeError,
 from .intervals import PrecisionExhausted
 from .lattices import EnumerationCap
 from .linalg import IntMatrix
+from .polytopes import DegenerateBody, EmptyBody, Unbounded
 from .sampler import (LdpcParams, SamplerFailure, admissible_s, default_c,
                       expected_collisions, return_prob_bound,
                       return_prob_exact, sample_ldpc, verify_s_independence,
@@ -100,7 +101,8 @@ def _load_json(path: str) -> Dict:
 def cmd_construct(args) -> int:
     n = args.n
     override = None
-    if args.override_s is not None and not args.matrix_override:
+    override_s = _supplied(args, "override_s").get("override_s")
+    if override_s is not None and not args.matrix_override:
         print("error: --override-s needs --matrix-override", file=sys.stderr)
         return EXIT_UNDECIDED
     if args.matrix_override:
@@ -111,7 +113,7 @@ def cmd_construct(args) -> int:
             print("error: override matrix must have integer entries",
                   file=sys.stderr)
             return EXIT_UNDECIDED
-        override = ((mat, args.override_s),)
+        override = ((mat, override_s),)
     opts = _supplied(args, "kappa", "epsilon", "seed", "max_depth", "dim_cap",
                      "svp_node_cap")
     if "epsilon" in opts:
@@ -441,7 +443,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
-    except serialization.SerializationError as exc:
+    except (serialization.SerializationError, Unbounded, EmptyBody,
+            DegenerateBody) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
     except ValueError as exc:

@@ -81,6 +81,14 @@ class RecursionConfig:
     svp_node_cap: int = 10 ** 7
     matrix_override: Optional[Sequence[Tuple[IntMatrix, Optional[int]]]] = None
 
+    def __post_init__(self):
+        # budgets that no run can meet are refused before any work
+        if self.svp_node_cap < 1:
+            raise ValueError("svp_node_cap must be at least 1")
+        if any(s is not None and s < 1
+               for _, s in self.matrix_override or ()):
+            raise ValueError("override s must be at least 1")
+
 
 _PROBE_S_CAP = 3  # direct independence certification cap
 

@@ -4,7 +4,10 @@ A body is stored as halfspaces over a coordinate chart: points are frame @ y
 with the frame columns spanning the body's subspace, and each halfspace reads
 a . y <= b with a primitive integer normal.  Vertex enumeration is a double
 description sweep started from a certified bounding parallelepiped, so no LP
-solver is involved; all predicates (cuts, adjacency, facet ranks) are exact.
+solver is involved.  Its predicates are integer and combinatorial: a vertex
+is a primitive integer pair (den, ints), a cut compares integers, and
+adjacency, facets and the faces of a facet follow from exact incidence sets,
+with no rank computation.
 
 Measures live in the ambient metric G = frame^T frame and come by formula.
 A facet a . y = b measures its chart volume times sqrt(det G * a^T G^-1 a),
@@ -12,10 +15,11 @@ the covolume of the integer lattice in a's hyperplane.  A parallelepiped
 (d opposite pairs of halfspaces with independent normals, which covers every
 linear image of a cube) needs no vertices at all: its chart volume is the
 product of the widths over |det A|.  Any other body has its vertices swept,
-each facet pulling-triangulated, and its chart volume summed over the facets
-as (1/d) sum_F b_F vol(F) (the divergence theorem).  Every volume and facet
-measure is a rational multiple of a single square root, so surface, volume
-and their quotient are exact radical expressions.
+each facet pulling-triangulated (one integer determinant per simplex), and
+its chart volume summed over the facets as (1/d) sum_F b_F vol(F) (the
+divergence theorem).  Every volume and facet measure is a rational multiple
+of a single square root, so surface, volume and their quotient are exact
+radical expressions.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from operator import mul
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .intervals import sqrt_upper
 from .lattices import Lattice, enumerate_short_vectors
@@ -31,13 +36,12 @@ from .linalg import (
     IntMatrix,
     QMatrix,
     as_qmatrix,
+    clear_denominators,
     denominator_lcm,
     det_int,
     det_q,
-    integer_kernel_basis,
     inverse,
     lll_reduce,
-    rank_int_rows,
     rank_over_rationals,
     scaled_to_int,
 )
@@ -86,26 +90,34 @@ def canonical_halfspaces(raw: Iterable[Tuple[Sequence, Fraction]]
 
 
 def _idot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
-
-
-def _cleared(v: Tuple[Fraction, ...]) -> Tuple[int, Tuple[int, ...]]:
-    den = denominator_lcm(v)
-    return den, scaled_to_int(v, den)
+    return sum(map(mul, a, b))
 
 
 # --- double description sweep --------------------------------------------------
 
+def _homogeneous(coords: Sequence) -> Tuple[int, Tuple[int, ...]]:
+    """(den, ints) with coords = ints / den, den > 0 and gcd(den, ints) = 1."""
+    fr = [Fraction(x) for x in coords]
+    den = denominator_lcm(fr)
+    return den, scaled_to_int(fr, den)
+
+
 class _Sweep:
-    """Incremental halfspace intersection with exact vertex bookkeeping."""
+    """Incremental halfspace intersection over the integers.
+
+    A vertex is a primitive homogeneous pair (den, ints), the point ints/den,
+    so that pair is also its key; its active set is a bitmask over the
+    halfspace list.  Every halfspace on the list is valid for the current
+    body, which makes the incidences exact without any dot product past
+    the seeds.
+    """
 
     def __init__(self, dim: int):
         self.d = dim
         self.halfspaces: List[Halfspace] = []
         self.aux: List[bool] = []
-        self.verts: List[Tuple[Fraction, ...]] = []
-        self.active: List[Set[int]] = []
-        self._ivecs: List[Tuple[int, Tuple[int, ...]]] = []
+        self.ivecs: List[Tuple[int, Tuple[int, ...]]] = []
+        self.active: List[int] = []
 
     def add_seed_halfspace(self, a: Tuple[int, ...], b: Fraction,
                            aux: bool = False) -> None:
@@ -113,86 +125,88 @@ class _Sweep:
         self.aux.append(aux)
 
     def seed_vertex(self, coords: Sequence[Fraction]) -> None:
-        v = tuple(Fraction(x) for x in coords)
-        self.verts.append(v)
-        self.active.append(self._exact_active(v))
-        self._ivecs.append(_cleared(v))
+        iv = _homogeneous(coords)
+        self.ivecs.append(iv)
+        self.active.append(self._exact_active(iv))
 
-    def _exact_active(self, v: Tuple[Fraction, ...]) -> Set[int]:
-        out = set()
+    def _exact_active(self, iv: Tuple[int, Tuple[int, ...]]) -> int:
+        den, x = iv
+        mask = 0
         for k, (a, b) in enumerate(self.halfspaces):
-            if sum(x * y for x, y in zip(a, v)) == b:
-                out.add(k)
-        return out
+            if b.denominator * _idot(a, x) == b.numerator * den:
+                mask |= 1 << k
+        return mask
 
     def insert(self, a: Tuple[int, ...], b: Fraction) -> bool:
-        """Cut with a . y <= b.  Returns True when the vertex set changed."""
+        """Cut with a . y <= b.  Returns True when the vertex set changed.
+
+        Vertices i (cut off) and j (kept) span an edge when their common
+        active set has at least d - 1 members and no third vertex's active
+        set contains it: that set then cuts out the smallest face holding
+        both, and only i and j lie on it.  The new vertex is interior to
+        that edge, so its active set is the common one plus the cut.
+        """
         b = Fraction(b)
-        svals: List[Fraction] = []
-        any_pos = False
-        for (den, iv) in self._ivecs:
-            s = Fraction(_idot(a, iv)) - b * den  # sign of a.v - b, scaled by den
-            svals.append(s)
-            if s > 0:
-                any_pos = True
-        if not any_pos:
+        bn, bd = b.numerator, b.denominator
+        svals = [bd * _idot(a, x) - bn * den for den, x in self.ivecs]
+        pos = [i for i, s in enumerate(svals) if s > 0]
+        if not pos:
             return False  # redundant here; never becomes a facet later
-        hidx = len(self.halfspaces)
+        neg = [i for i, s in enumerate(svals) if s < 0]
+        if not neg and 0 not in svals:
+            raise EmptyBody("cut removes every vertex")
+        cut = 1 << len(self.halfspaces)
         self.halfspaces.append((a, b))
         self.aux.append(False)
-        pos = [i for i, s in enumerate(svals) if s > 0]
-        neg = [i for i, s in enumerate(svals) if s < 0]
-        if not neg and not any(s == 0 for s in svals):
-            raise EmptyBody("cut removes every vertex")
-        new_coords: Dict[Tuple[Fraction, ...], bool] = {}
+        active, ivecs = self.active, self.ivecs
+        fresh: Dict[Tuple[int, Tuple[int, ...]], int] = {}
         for i in pos:
-            ai = self.active[i]
+            ai, si = active[i], svals[i]
+            di, xi = ivecs[i]
             for j in neg:
-                common = ai & self.active[j]
-                if len(common) < self.d - 1:
+                common = ai & active[j]
+                if common.bit_count() < self.d - 1 or any(
+                        ak & common == common and k != i and k != j
+                        for k, ak in enumerate(active)):
                     continue
-                normals = [self.halfspaces[k][0] for k in common]
-                if rank_int_rows(normals) != self.d - 1:
-                    continue
-                si = svals[i] / self._ivecs[i][0]  # true a.v - b
-                sj = svals[j] / self._ivecs[j][0]
-                t = si / (si - sj)
-                vi, vj = self.verts[i], self.verts[j]
-                v = tuple(x + t * (y - x) for x, y in zip(vi, vj))
-                new_coords[v] = True
+                sj = svals[j]
+                dj, xj = ivecs[j]
+                den = si * dj - sj * di  # > 0: si > 0 > sj
+                x = [si * q - sj * p for p, q in zip(xi, xj)]
+                g = math.gcd(den, *x)
+                fresh[(den // g, tuple(v // g for v in x))] = common | cut
         keep = [i for i, s in enumerate(svals) if s <= 0]
-        self.verts = [self.verts[i] for i in keep]
-        self.active = [self.active[i] | ({hidx} if svals[i] == 0 else set())
-                       for i in keep]
-        self._ivecs = [self._ivecs[i] for i in keep]
-        for v in new_coords:
-            self.verts.append(v)
-            self.active.append(self._exact_active(v))
-            self._ivecs.append(_cleared(v))
-        if not self.verts:
-            raise EmptyBody("cut removes every vertex")
+        self.ivecs = [ivecs[i] for i in keep] + list(fresh)
+        self.active = [active[i] | (cut if svals[i] == 0 else 0)
+                       for i in keep] + list(fresh.values())
         return True
 
     def faces(self):
         """Sorted vertices, and the facet-defining non-auxiliary halfspaces
         as (a, b, indices of the vertices on a . y = b), sorted.
 
-        The active sets are the incidence, so no dot product is redone; a
-        halfspace is a facet when the vertices on it span a hyperplane.
+        The active sets are the incidence.  A halfspace defines a facet when
+        no other halfspace holds a strictly larger set of vertices: a
+        smaller face lies in some facet, and every facet is cut out by a
+        halfspace on the list.
         """
-        order = sorted(range(len(self.verts)), key=lambda i: self.verts[i])
-        verts = tuple(self.verts[i] for i in order)
-        touching: Dict[int, Set[int]] = {}
-        for new, old in enumerate(order):
-            for k in self.active[old]:
-                touching.setdefault(k, set()).add(new)
+        verts = [tuple(Fraction(x, den) for x in xs) for den, xs in self.ivecs]
+        order = sorted(range(len(verts)), key=verts.__getitem__)
+        touching: Dict[int, FrozenSet[int]] = {}
+        for k in range(len(self.halfspaces)):
+            bit = 1 << k
+            touch = frozenset(new for new, old in enumerate(order)
+                              if self.active[old] & bit)
+            if touch:
+                touching[k] = touch
         facets = []
         for k, touch in touching.items():
             if not self.aux[k] and \
-                    _affine_rank([verts[i] for i in touch]) == self.d - 1:
+                    not any(touch < other for other in touching.values()):
                 a, b = self.halfspaces[k]
-                facets.append((a, b, frozenset(touch)))
-        return verts, tuple(sorted(facets, key=lambda f: (f[0], f[1])))
+                facets.append((a, b, touch))
+        return (tuple(verts[i] for i in order),
+                tuple(sorted(facets, key=lambda f: (f[0], f[1]))))
 
 
 def _neg(a: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -215,17 +229,6 @@ def _opposite_pairs(dim: int, halfspaces: Sequence[Halfspace]
         if a > neg:
             pairs.append((a, b, offsets[neg]))
     return pairs
-
-
-def _affine_rank(points: Sequence[Tuple[Fraction, ...]]) -> int:
-    if len(points) <= 1:
-        return 0
-    p0 = points[0]
-    rows = []
-    for p in points[1:]:
-        diff = [x - y for x, y in zip(p, p0)]
-        rows.append(scaled_to_int(diff, denominator_lcm(diff)))
-    return rank_int_rows(rows)
 
 
 def _sweep_from_halfspaces(dim: int, halfspaces: Sequence[Halfspace]) -> _Sweep:
@@ -255,10 +258,8 @@ def _sweep_from_halfspaces(dim: int, halfspaces: Sequence[Halfspace]) -> _Sweep:
         sweep.seed_vertex(coords)
     for a, b in halfspaces:
         sweep.insert(a, b)
-    if not sweep.verts:
-        raise EmptyBody("no vertices remain")
-    for v in sweep.verts:
-        if any(abs(x) == w for x in v):
+    for den, x in sweep.ivecs:
+        if any(abs(c) == w * den for c in x):
             raise Unbounded("vertex pinned to the bounding wall")
     return sweep
 
@@ -382,21 +383,13 @@ class HPolytope:
 
     # face lattice and triangulation ---------------------------------------------
 
-    def _face_children(self, face: FrozenSet[int], dim: int
-                       ) -> List[FrozenSet[int]]:
-        verts = self.vertices()
-        seen: Set[FrozenSet[int]] = set()
-        out: List[FrozenSet[int]] = []
-        for _, _, touch in self.facets():
-            if face <= touch:
-                continue
-            inter = face & touch
-            if not inter or inter in seen:
-                continue
-            seen.add(inter)
-            if _affine_rank([verts[i] for i in inter]) == dim - 1:
-                out.append(inter)
-        return out
+    def _face_children(self, face: FrozenSet[int]) -> List[FrozenSet[int]]:
+        """The facets of a face: its inclusion-maximal proper intersections
+        with the body's facets, in the order the facets first meet them."""
+        inters = dict.fromkeys(face & touch for _, _, touch in self.facets()
+                               if not face <= touch)
+        inters.pop(frozenset(), None)
+        return [f for f in inters if not any(f < g for g in inters)]
 
     def _triangulate(self, face: FrozenSet[int], dim: int
                      ) -> List[Tuple[int, ...]]:
@@ -409,7 +402,7 @@ class HPolytope:
         else:
             v0 = min(face)
             result = []
-            for child in self._face_children(face, dim):
+            for child in self._face_children(face):
                 if v0 in child:
                     continue
                 for s in self._triangulate(child, dim - 1):
@@ -495,24 +488,23 @@ class HPolytope:
 
     def _facet_chart_volume(self, a: Tuple[int, ...], touch: FrozenSet[int],
                             verts) -> Fraction:
-        """Volume of a facet in the coordinates of a Z-basis C of a^perp."""
+        """Volume of a facet in the coordinates of a Z-basis C of a^perp.
+
+        For edge vectors W of a simplex in a^perp, |det C^-1 W| equals
+        |det [W; a]| / |a|^2 (a primitive), so one integer determinant per
+        simplex does it once the facet's denominators are cleared.
+        """
         d = self.dim
-        if d == 1:
-            return Fraction(1)  # counting measure on endpoints
-        cq = integer_kernel_basis(IntMatrix.from_rows([list(a)])).to_q()
-        pinv = inverse(cq.t() @ cq) @ cq.t()
         order = sorted(touch)
-        y0 = verts[order[0]]
-        tmap: Dict[int, Tuple[Fraction, ...]] = {}
-        for i in order:
-            diff = [x - y for x, y in zip(verts[i], y0)]
-            tmap[i] = pinv.mul_vec(diff)
-        acc = Fraction(0)
-        for simplex in self._triangulate(frozenset(touch), d - 1):
-            pts = [tmap[i] for i in simplex]
-            rows = [[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]
-            acc += abs(det_q(QMatrix.from_rows(rows)))
-        return acc / math.factorial(d - 1)
+        scale = denominator_lcm(x for i in order for x in verts[i])
+        pts = {i: scaled_to_int(verts[i], scale) for i in order}
+        acc = 0
+        for simplex in self._triangulate(touch, d - 1):
+            p0 = pts[simplex[0]]
+            rows = [[x - y for x, y in zip(pts[i], p0)] for i in simplex[1:]]
+            acc += abs(det_int(rows + [list(a)]))
+        return Fraction(acc, scale ** (d - 1) * _idot(a, a)
+                        * math.factorial(d - 1))
 
     def volume(self) -> SqrtSum:
         return self.measures().volume
@@ -526,11 +518,16 @@ class HPolytope:
 def voronoi_cell(lat: Lattice, node_cap: int = 10 ** 7) -> HPolytope:
     """Voronoi cell of the lattice around the origin, inside its own span.
 
-    Candidate vectors come from one exact enumeration pass: once the running
-    cell's vertices all have squared norm at most r^2, any lattice vector w
-    with |w|^2 >= 4 r^2 cuts nothing (a cut point p would satisfy
-    |w|^2 / 2 < p . w <= |p| |w|).  The initial cell is the basis slab box,
-    whose vertices are available in closed form.
+    Candidates are offered in order of (squared norm, coordinates): once the
+    running cell's vertices all have squared norm at most r^2, any lattice
+    vector w with |w|^2 >= 4 r^2 cuts nothing (a cut point p would satisfy
+    |w|^2 / 2 < p . w <= |p| |w|), so the first such w ends the sweep.  The
+    initial cell is the basis slab box, whose vertices are available in
+    closed form.  Its 4 r^2 is loose, so the enumeration runs in two stages:
+    first to min(4 r^2, 2 max G_ii), then, if nothing stopped it, to the
+    running cell's own 4 r^2, offering only the vectors beyond the first
+    stage.  Both stages together offer a prefix of the one-pass order, so
+    the cell is the one a single pass to the box's 4 r^2 would give.
     """
     d = lat.rank
     if d == 0:
@@ -540,48 +537,47 @@ def voronoi_cell(lat: Lattice, node_cap: int = 10 ** 7) -> HPolytope:
     lat = Lattice(lat.ambient_dim, lll_reduce(lat.basis))
     g = lat.gram()
     ginv = inverse(g)
+    g_int, g_den = clear_denominators(g)
+    diag = [g.entries[i][i] for i in range(d)]
     sweep = _Sweep(d)
     for i in range(d):
-        col = g.col(i)
-        a, gamma = primitive_normal(col)
-        b = g.entries[i][i] / (2 * gamma)
+        a, gamma = primitive_normal(g.col(i))
+        b = diag[i] / (2 * gamma)
         sweep.add_seed_halfspace(a, b)
-        sweep.add_seed_halfspace(tuple(-x for x in a), b)
-    corners = []
+        sweep.add_seed_halfspace(_neg(a), b)
     for signs in range(1 << d):
-        s = [g.entries[i][i] / (2 if (signs >> i) & 1 else -2)
-             for i in range(d)]
-        corners.append(s)
-    norm_sq: Dict[Tuple[Fraction, ...], Fraction] = {}
-    for s in corners:
-        v = ginv.mul_vec(s)
-        sweep.seed_vertex(v)
-        norm_sq[sweep.verts[-1]] = sum(x * y for x, y in zip(s, v))
-    max_sq = max(norm_sq.values())
+        sweep.seed_vertex(ginv.mul_vec(
+            [x / (2 if (signs >> i) & 1 else -2) for i, x in enumerate(diag)]))
+
+    norm_sq: Dict[Tuple[int, Tuple[int, ...]], Fraction] = {}
 
     def current_max_sq() -> Fraction:
-        # a cut keeps most vertices; only the new ones need g @ v
+        # a cut keeps most vertices; only the new ones need their norm
         nonlocal norm_sq
         fresh = {}
-        for v in sweep.verts:
-            nsq = norm_sq.get(v)
+        for iv in sweep.ivecs:
+            nsq = norm_sq.get(iv)
             if nsq is None:
-                nsq = sum(x * y for x, y in zip(v, g.mul_vec(v)))
-            fresh[v] = nsq
+                den, x = iv
+                nsq = Fraction(_idot(x, g_int.mul_vec(x)), g_den * den * den)
+            fresh[iv] = nsq
         norm_sq = fresh
         return max(fresh.values())
 
-    bound = 4 * max_sq
-    cands = enumerate_short_vectors(g, bound, skip_zero=True,
-                                    node_cap=node_cap)
-    for coords, nsq in cands:
-        if nsq >= 4 * max_sq:
-            break
-        vec = g.mul_vec(coords)
-        a, gamma = primitive_normal(vec)
-        b = nsq / (2 * gamma)
-        if sweep.insert(a, b):
-            max_sq = current_max_sq()
+    max_sq = current_max_sq()
+    offered = Fraction(0)  # every candidate up to here has been offered
+    bound = min(4 * max_sq, 2 * max(diag))
+    while offered < bound:
+        for coords, nsq in enumerate_short_vectors(g, bound, skip_zero=True,
+                                                   node_cap=node_cap):
+            if nsq <= offered:
+                continue
+            if nsq >= 4 * max_sq:
+                break
+            a, gamma = primitive_normal(g_int.mul_vec(coords))
+            if sweep.insert(a, nsq * g_den / (2 * gamma)):
+                max_sq = current_max_sq()
+        offered, bound = bound, 4 * max_sq
     verts, facets = sweep.faces()
     body = HPolytope(lat.ambient_dim, lat.basis,
                      tuple((a, b) for a, b, _ in facets))

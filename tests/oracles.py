@@ -2,6 +2,9 @@
 
 They compute the same exact values as the library by a slower, independent
 route, so a test can demand equal ``SqrtSum`` terms, not just equal values.
+The reference sweep is the double description method on ``Fraction``s with
+an algebraic adjacency test (a rank per vertex pair) and affine-rank face
+tests; the library's sweep is the integer, combinatorial one.
 The rest are small helpers the library itself never needs: GF(2) ranks, a
 rational solver and kernel, a Rayleigh lower bound on spectral norms,
 lattice membership, a grid volume enclosure, the H-representation parser,
@@ -18,12 +21,14 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 import mpmath
 import numpy as np
 
-from paratile.intervals import Interval
-from paratile.lattices import Lattice
-from paratile.linalg import (IntMatrix, QMatrix, as_qmatrix, det_q,
-                             integer_kernel_basis, inverse,
-                             rank_over_rationals, rref)
-from paratile.polytopes import BodyMeasures, DegenerateBody, HPolytope
+from paratile.intervals import Interval, sqrt_upper
+from paratile.lattices import Lattice, enumerate_short_vectors
+from paratile.linalg import (IntMatrix, QMatrix, as_qmatrix,
+                             denominator_lcm, det_q, integer_kernel_basis,
+                             inverse, rank_int_rows, rank_over_rationals,
+                             rref, scaled_to_int)
+from paratile.polytopes import (BodyMeasures, DegenerateBody, EmptyBody,
+                                HPolytope, Unbounded, primitive_normal)
 from paratile.radicals import SqrtSum
 from paratile.serialization import SerializationError, parse_frac
 from paratile.verify import _MAX_WITNESSES
@@ -37,6 +42,173 @@ def mp_reference(formula: Callable) -> Fraction:
     return Fraction(man) * Fraction(2) ** exp
 
 
+# --- the reference sweep ---------------------------------------------------------
+
+def _affine_rank(points) -> int:
+    if len(points) <= 1:
+        return 0
+    p0 = points[0]
+    rows = []
+    for p in points[1:]:
+        diff = [x - y for x, y in zip(p, p0)]
+        rows.append(scaled_to_int(diff, denominator_lcm(diff)))
+    return rank_int_rows(rows)
+
+
+class ReferenceSweep:
+    """Incremental halfspace intersection on ``Fraction`` vertices.
+
+    Vertices i and j are adjacent when the normals of their common active
+    halfspaces have rank d - 1, and a halfspace is a facet when the vertices
+    on it have affine rank d - 1.
+    """
+
+    def __init__(self, dim: int):
+        self.d = dim
+        self.halfspaces = []
+        self.aux = []
+        self.verts = []
+        self.active = []
+
+    def add_seed_halfspace(self, a, b, aux=False) -> None:
+        self.halfspaces.append((tuple(a), Fraction(b)))
+        self.aux.append(aux)
+
+    def seed_vertex(self, coords) -> None:
+        v = tuple(Fraction(x) for x in coords)
+        self.verts.append(v)
+        self.active.append(self._active(v))
+
+    def _active(self, v):
+        return {k for k, (a, b) in enumerate(self.halfspaces)
+                if sum(x * y for x, y in zip(a, v)) == b}
+
+    def insert(self, a, b) -> bool:
+        a, b = tuple(a), Fraction(b)
+        svals = [sum(x * y for x, y in zip(a, v)) - b for v in self.verts]
+        if not any(s > 0 for s in svals):
+            return False
+        hidx = len(self.halfspaces)
+        self.halfspaces.append((a, b))
+        self.aux.append(False)
+        pos = [i for i, s in enumerate(svals) if s > 0]
+        neg = [i for i, s in enumerate(svals) if s < 0]
+        if not neg and 0 not in svals:
+            raise EmptyBody("cut removes every vertex")
+        new = {}
+        for i in pos:
+            for j in neg:
+                common = self.active[i] & self.active[j]
+                if len(common) < self.d - 1 or rank_int_rows(
+                        [self.halfspaces[k][0] for k in common]) != self.d - 1:
+                    continue
+                t = svals[i] / (svals[i] - svals[j])
+                new[tuple(x + t * (y - x) for x, y in
+                          zip(self.verts[i], self.verts[j]))] = True
+        keep = [i for i, s in enumerate(svals) if s <= 0]
+        self.verts = [self.verts[i] for i in keep]
+        self.active = [self.active[i] | ({hidx} if svals[i] == 0 else set())
+                       for i in keep]
+        for v in new:
+            self.verts.append(v)
+            self.active.append(self._active(v))
+        return True
+
+    def faces(self):
+        """Sorted vertices and sorted (a, b, touching indices) facets."""
+        order = sorted(range(len(self.verts)), key=lambda i: self.verts[i])
+        verts = tuple(self.verts[i] for i in order)
+        touching = {}
+        for new, old in enumerate(order):
+            for k in self.active[old]:
+                touching.setdefault(k, set()).add(new)
+        facets = []
+        for k, touch in touching.items():
+            if not self.aux[k] and \
+                    _affine_rank([verts[i] for i in touch]) == self.d - 1:
+                a, b = self.halfspaces[k]
+                facets.append((a, b, frozenset(touch)))
+        return verts, tuple(sorted(facets, key=lambda f: (f[0], f[1])))
+
+
+def reference_faces(dim: int, halfspaces):
+    """(vertices, facets) of a bounded body from a box-seeded reference
+    sweep; the box side is the Cramer-Hadamard bound on any vertex."""
+    bounds = sorted((sqrt_upper(Fraction(sum(x * x for x in a)) + b * b, 32)
+                     for a, b in halfspaces), reverse=True)
+    w = math.floor(math.prod(max(x, Fraction(1)) for x in bounds[:dim])) + 1
+    sweep = ReferenceSweep(dim)
+    for i in range(dim):
+        for sign in (1, -1):
+            sweep.add_seed_halfspace(
+                [sign if j == i else 0 for j in range(dim)], w, aux=True)
+    for signs in range(1 << dim):
+        sweep.seed_vertex([w if (signs >> i) & 1 else -w for i in range(dim)])
+    for a, b in halfspaces:
+        sweep.insert(a, b)
+    if any(abs(x) == w for v in sweep.verts for x in v):
+        raise Unbounded("vertex pinned to the bounding wall")
+    return sweep.faces()
+
+
+def reference_voronoi_faces(g: QMatrix):
+    """(vertices, facets) of the Voronoi cell of the lattice with Gram
+    matrix g, in its basis coordinates: the basis slab box cut by every
+    lattice vector up to four times the box's squared circumradius, in
+    order, until a vector reaches four times the running cell's."""
+    d = g.nrows
+    ginv = inverse(g)
+    sweep = ReferenceSweep(d)
+    for i in range(d):
+        a, gamma = primitive_normal(g.col(i))
+        b = g.entries[i][i] / (2 * gamma)
+        sweep.add_seed_halfspace(a, b)
+        sweep.add_seed_halfspace([-x for x in a], b)
+    for signs in range(1 << d):
+        sweep.seed_vertex(ginv.mul_vec(
+            [g.entries[i][i] / (2 if (signs >> i) & 1 else -2)
+             for i in range(d)]))
+
+    def max_sq():
+        return max(sum(x * y for x, y in zip(v, g.mul_vec(v)))
+                   for v in sweep.verts)
+
+    r_sq = max_sq()
+    for coords, nsq in enumerate_short_vectors(g, 4 * r_sq, skip_zero=True):
+        if nsq >= 4 * r_sq:
+            break
+        a, gamma = primitive_normal(g.mul_vec(coords))
+        if sweep.insert(a, nsq / (2 * gamma)):
+            r_sq = max_sq()
+    return sweep.faces()
+
+
+def reference_triangulation(verts, facets, face, dim, memo):
+    """Pulling triangulation of a face (a vertex index set of dimension
+    dim): its facets are its intersections with the body's facets that
+    have affine rank dim - 1."""
+    if face in memo:
+        return memo[face]
+    if dim == 0:
+        result = [(min(face),)]
+    else:
+        v0 = min(face)
+        result = []
+        seen = set()
+        for _, _, touch in facets:
+            child = face & touch
+            if face <= touch or not child or child in seen:
+                continue
+            seen.add(child)
+            if v0 not in child and \
+                    _affine_rank([verts[i] for i in child]) == dim - 1:
+                for s in reference_triangulation(verts, facets, child,
+                                                 dim - 1, memo):
+                    result.append((v0,) + s)
+    memo[face] = result
+    return result
+
+
 def _simplex_det(pts) -> Fraction:
     rows = [[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]
     return abs(det_q(QMatrix.from_rows(rows)))
@@ -45,24 +217,26 @@ def _simplex_det(pts) -> Fraction:
 def triangulated_measures(body: HPolytope) -> BodyMeasures:
     """Measures from a pulling triangulation of the whole body.
 
+    The faces come from the reference sweep over the body's halfspaces.
     The chart volume sums d! simplex determinants over the top-dimensional
     triangulation, and each facet measures its triangulated volume in the
     coordinates of a Z-basis C of its normal's kernel times sqrt(det C^T G C).
     This is the enumerated path that ``HPolytope.measures`` replaced.
     """
-    verts = body.vertices()
     d = body.dim
+    verts, facets = reference_faces(d, body.halfspaces)
     g = body.metric()
+    memo = {}
     top = frozenset(range(len(verts)))
     coordvol = Fraction(0)
-    for simplex in body._triangulate(top, d):
+    for simplex in reference_triangulation(verts, facets, top, d, memo):
         coordvol += _simplex_det([verts[i] for i in simplex])
     coordvol /= math.factorial(d)
     if coordvol == 0:
         raise DegenerateBody("zero volume in its own chart")
     volume = SqrtSum.from_rational(coordvol) * SqrtSum.sqrt(det_q(g))
     surface = SqrtSum.zero()
-    for a, _, touch in body.facets():
+    for a, _, touch in facets:
         if d == 1:
             surface = surface + SqrtSum.from_rational(1)
             continue
@@ -72,7 +246,8 @@ def triangulated_measures(body: HPolytope) -> BodyMeasures:
         tmap = {i: pinv.mul_vec([x - y for x, y in zip(verts[i], y0)])
                 for i in touch}
         acc = Fraction(0)
-        for simplex in body._triangulate(frozenset(touch), d - 1):
+        for simplex in reference_triangulation(verts, facets, touch, d - 1,
+                                               memo):
             acc += _simplex_det([tmap[i] for i in simplex])
         acc /= math.factorial(d - 1)
         gram = cq.t() @ (g @ cq)

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from paratile import cli
 from paratile.cli import main
 from paratile.linalg import IntMatrix
 from paratile.polytopes import HPolytope
@@ -196,6 +197,49 @@ def test_override_s_needs_an_override_matrix(capsys):
     assert cap.err == "error: --override-s needs --matrix-override\n"
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("svp_node_cap", -5, "svp_node_cap must be at least 1"),
+    ("svp_node_cap", 0, "svp_node_cap must be at least 1"),
+    ("override_s", 0, "override s must be at least 1"),
+    ("override_s", -2, "override s must be at least 1"),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_construct_refuses_a_budget_that_cannot_work(tmp_path, capsys,
+                                                     monkeypatch, key, value,
+                                                     message, source):
+    def no_work(*args):
+        raise AssertionError("construct ran")
+
+    monkeypatch.setattr(cli, "construct", no_work)
+    mat = write_json(tmp_path / "b.json", matrix_to_json(WORKED_B))
+    argv = ["construct", "--n", "4", "--matrix-override", mat]
+    if source == "flag":
+        argv += ["--" + key.replace("_", "-"), str(value)]
+    else:
+        argv = ["--config", write_json(tmp_path / "cfg.json", {key: value})] \
+            + argv
+    assert main(argv) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == f"invalid parameters: {message}\n"
+
+
+def test_kernel4_step_fits_a_small_node_budget(tmp_path, capsys):
+    # the rank-5 kernel cell enumerates to its own radius, not to the
+    # seed box's, so 2000 enumeration nodes are enough
+    extra = ((1, 1, 0, 0), (1, 1, 1, 1), (0, 0, 1, 1), (0, 1, 1, 0),
+             (1, 1, 1, 0))
+    rows = [[int(i == j) for j in range(4)] + [col[i] for col in extra]
+            for i in range(4)]
+    mat = write_json(tmp_path / "kernel4.json",
+                     matrix_to_json(IntMatrix.from_rows(rows)))
+    assert main(["construct", "--n", "9", "--matrix-override", mat,
+                 "--svp-node-cap", "2000"]) == 0
+    cap = capsys.readouterr()
+    assert "ratio = 28/5 + 4*sqrt(3) + 104/25*sqrt(5) " in cap.err
+    validate_document("construction_report", json.loads(cap.out))
+
+
 def test_override_must_be_integer(tmp_path, capsys):
     doc = {"rows": 1, "cols": 2, "entries": [["1/2", "1"]]}
     mat = write_json(tmp_path / "half.json", doc)
@@ -290,6 +334,28 @@ def test_verify_separate_body_and_lattice(tmp_path, capsys):
     assert main(["verify", "--body", body, "--lattice", lat,
                  "--samples", "800"]) == 0
     capsys.readouterr()
+
+
+CUBE3 = [((1, 0, 0), 1), ((-1, 0, 0), 1), ((0, 1, 0), 1), ((0, -1, 0), 1),
+         ((0, 0, 1), 1), ((0, 0, -1), 1)]
+
+
+@pytest.mark.parametrize("halfspaces, message", [
+    (CUBE3[1:], "vertex pinned to the bounding wall"),
+    ([((1, 0, 0), -2)] + CUBE3[1:], "opposite halfspaces cross"),
+    ([((1, 0, 0), -1)] + CUBE3[1:], "zero width in its own chart"),
+], ids=["unbounded", "empty", "flat"])
+def test_verify_reports_a_body_that_is_not_a_polytope(tmp_path, capsys,
+                                                      halfspaces, message):
+    body = write_json(tmp_path / "body.json", polytope_to_json(
+        HPolytope.from_halfspaces(3, halfspaces)))
+    lat = write_json(tmp_path / "lat.json",
+                     lattice_to_json(Lattice.standard(3)))
+    assert main(["verify", "--body", body, "--lattice", lat,
+                 "--samples", "100"]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == f"bad input: {message}\n"
 
 
 # --- sample-matrix ------------------------------------------------------------

@@ -1,12 +1,14 @@
-"""Measures by formula against the triangulated oracle, term for term."""
+"""Measures by formula against the triangulated oracle, term for term, and
+the integer sweep's faces against the reference sweep's."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import triangulated_measures
+from oracles import (reference_faces, reference_voronoi_faces,
+                     triangulated_measures)
 from paratile.lattices import Lattice
 from paratile.linalg import QMatrix, det_int, rank_over_rationals
 from paratile.polytopes import (DegenerateBody, EmptyBody, HPolytope,
@@ -100,10 +102,10 @@ def test_dependent_normals_are_not_a_parallelepiped():
 # --- Voronoi cells: symmetric facet sum ---------------------------------------------
 
 @st.composite
-def lattices(draw):
-    r = draw(st.integers(min_value=2, max_value=4))
+def lattices(draw, max_rank=4, entry=2):
+    r = draw(st.integers(min_value=2, max_value=max_rank))
     ambient = r + draw(st.integers(min_value=0, max_value=1))
-    cols = [draw(st.lists(st.integers(min_value=-2, max_value=2),
+    cols = [draw(st.lists(st.integers(min_value=-entry, max_value=entry),
                           min_size=ambient, max_size=ambient))
             for _ in range(r)]
     basis = QMatrix.from_rows(cols).t()
@@ -115,21 +117,18 @@ def lattices(draw):
 @given(lattices())
 def test_voronoi_facet_sum_matches_triangulation(lat):
     cell = voronoi_cell(lat)
-    ref = fresh(cell)
-    ref._cache["vertices"] = cell.vertices()
-    ref._cache["facets"] = cell.facets()
     got = cell.measures()
-    assert_same_terms(got, triangulated_measures(ref))
+    assert_same_terms(got, triangulated_measures(fresh(cell)))
     assert got.volume == lat.covolume()
 
 
 # --- bodies that are not centrally symmetric ------------------------------------------
 
 @st.composite
-def simplices(draw):
+def simplices(draw, max_dim=4):
     """d + 1 halfspaces whose normals sum to zero with positive weights,
     translated so that the origin may lie outside."""
-    d = draw(st.integers(min_value=2, max_value=4))
+    d = draw(st.integers(min_value=2, max_value=max_dim))
     normals = square_rows(draw, d, small_int)
     assume(det_int(normals) != 0)
     lam = draw(st.lists(st.integers(min_value=1, max_value=3),
@@ -160,6 +159,71 @@ def test_translated_box_is_not_symmetric_but_agrees():
          ((0, 0, 1), Fraction(1, 2)), ((0, 0, -1), Fraction(1, 2)),
          ((1, 1, 1), Fraction(3))])
     assert_same_terms(body.measures(), triangulated_measures(fresh(body)))
+
+
+# --- the integer sweep against the reference sweep -----------------------------------
+
+@st.composite
+def cut_boxes(draw):
+    """A box around a rational centre, cut by one to three halfspaces that
+    keep the centre inside.  A cut may run through a corner of the box,
+    which leaves vertices with more than d active halfspaces, or cut
+    nothing."""
+    d = draw(st.integers(min_value=2, max_value=5))
+    centre = draw(st.lists(entries, min_size=d, max_size=d))
+    half = draw(st.lists(widths, min_size=d, max_size=d))
+    hs = []
+    for i, (c, h) in enumerate(zip(centre, half)):
+        e = [1 if j == i else 0 for j in range(d)]
+        hs.append((e, c + h))
+        hs.append(([-x for x in e], h - c))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        a = draw(st.lists(small_int, min_size=d, max_size=d))
+        signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=d,
+                              max_size=d))
+        rise = sum(x * s * h for x, s, h in zip(a, signs, half))
+        assume(rise != 0)  # a . (corner - centre) for one corner
+        rise = abs(rise) if draw(st.booleans()) else draw(widths)
+        hs.append((a, sum(x * c for x, c in zip(a, centre)) + rise))
+    return HPolytope.from_halfspaces(draw(frames(d)), hs)
+
+
+def box_with_cuts(lo, hi, cuts):
+    hs = []
+    for i, (l, h) in enumerate(zip(lo, hi)):
+        e = [1 if j == i else 0 for j in range(len(lo))]
+        hs += [(e, h), ([-x for x in e], -l)]
+    return HPolytope.from_halfspaces(len(lo), hs + cuts)
+
+
+def assert_same_faces(body, verts, facets):
+    assert body.vertices() == verts
+    assert body.facets() == facets  # incidence sets included
+
+
+@settings(max_examples=30)
+@given(st.one_of(simplices(max_dim=5), cut_boxes()))
+# cuts through corners: a vertex pair shares d - 1 halfspaces without
+# spanning an edge, and a halfspace meets a 2-face in 4 vertices
+@example(box_with_cuts([-1, -3, -3, 0], [3, 2, 2, 3],
+                       [((0, 0, -2, -2), -4), ((2, 1, 0, -2), -3)]))
+@example(box_with_cuts([-3, -2, -3, -2], [1, 3, 2, 3],
+                       [((2, -1, 0, 0), -4)]))
+def test_sweep_matches_the_reference_sweep(body):
+    verts, facets = reference_faces(body.dim, body.halfspaces)
+    assert_same_faces(body, verts, facets)
+    assert_same_terms(body.measures(), triangulated_measures(fresh(body)))
+
+
+@settings(max_examples=10)
+@given(lattices(max_rank=5, entry=1))
+# a relevant vector of this cell lies beyond the first enumeration stage
+@example(Lattice.from_columns([[1, 2, 2, 3], [2, 1, -2, 0], [1, 3, 1, 0]]))
+def test_voronoi_cell_matches_the_one_pass_reference(lat):
+    cell = voronoi_cell(lat)
+    verts, facets = reference_voronoi_faces(cell.metric())
+    assert_same_faces(cell, verts, facets)
+    assert_same_terms(cell.measures(), triangulated_measures(fresh(cell)))
 
 
 # --- products: measures from the factors, faces swept on request ----------------------
