@@ -41,7 +41,6 @@ from .linalg import (
     rank_over_rationals,
 )
 from .polytopes import (
-    BodyMeasures,
     HPolytope,
     linear_image,
     orthogonal_product,
@@ -214,22 +213,13 @@ def isoperimetric_ratio_lower(n: int, prec: int = 96) -> Interval:
 
 # --- level builders ---------------------------------------------------------------
 
-def _cube_body(n: int) -> HPolytope:
-    """Unit cube body, the tile of Z^n, measures in closed form."""
-    body = HPolytope.cube(n)
-    vol = SqrtSum.from_rational(1)
-    surf = SqrtSum.from_rational(2 * n)
-    body._cache["measures"] = BodyMeasures(vol, surf, surf)
-    return body
-
-
 def base_level(lat: Lattice, config: RecursionConfig
                ) -> Tuple[HPolytope, LevelTrace]:
     r = lat.rank
     if not lat.is_integer():
         raise ConstructionError("base case needs an integer lattice")
     if lat.ambient_dim == r and lattices_equal(lat, Lattice.standard(r)):
-        body = _cube_body(r)
+        body = HPolytope.cube(r)  # the tile of Z^n
         trace = LevelTrace(n=r, mode="cube", ratio=body.ratio(),
                            checks=(("ratio_le_2n", True),))
         return body, trace

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .intervals import root_interval
@@ -27,6 +28,11 @@ _Q_ZERO = Fraction(0)
 def denominator_lcm(values: Iterable[Rat]) -> int:
     """Least common multiple of the denominators of ints and Fractions."""
     return math.lcm(*{x.denominator for x in values})
+
+
+def dot(a: Sequence[Rat], b: Sequence[Rat]) -> Rat:
+    """Exact dot product of two sequences of ints or Fractions."""
+    return sum(map(mul, a, b))
 
 
 def scaled_to_int(row: Sequence[Rat], d: int) -> Tuple[int, ...]:
@@ -95,7 +101,7 @@ class IntMatrix:
                              for row in self.entries))
 
     def mul_vec(self, v: Sequence[Rat]) -> tuple:
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
+        return tuple(dot(row, v) for row in self.entries)
 
     def scale(self, c: int) -> "IntMatrix":
         return IntMatrix(tuple(tuple(c * x for x in row) for row in self.entries))
@@ -147,7 +153,7 @@ class QMatrix:
                              for row in self.entries))
 
     def mul_vec(self, v: Sequence[Rat]) -> tuple:
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
+        return tuple(dot(row, v) for row in self.entries)
 
     def is_integer(self) -> bool:
         return all(x.denominator == 1 for row in self.entries for x in row)
@@ -161,8 +167,7 @@ def _matmul(a, b):
     if a and b and len(a[0]) != len(b):
         raise ValueError(f"shape mismatch {len(a[0])} vs {len(b)}")
     bt = tuple(zip(*b)) if b else ()
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-                 for row in a)
+    return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
 def as_qmatrix(m: Union[IntMatrix, QMatrix]) -> QMatrix:
@@ -436,19 +441,8 @@ def complete_to_full_rank(a: IntMatrix,
     m, n = a.shape
     if m > n:
         raise ValueError("more rows than columns")
-    # maximal independent row set, tracking original indices
-    indep: List[int] = []
-    work: List[List[Fraction]] = []
-    for i in range(m):
-        row = [Fraction(x) for x in a.entries[i]]
-        for wrow in work:
-            lead = next((j for j, v in enumerate(wrow) if v != 0), None)
-            if lead is not None and row[lead] != 0:
-                f = row[lead] / wrow[lead]
-                row = [x - f * y for x, y in zip(row, wrow)]
-        if any(row):
-            work.append(row)
-            indep.append(i)
+    # the pivot columns of a^T are the greedy maximal independent row set
+    _, indep = rref(a.t().to_q())
     r = len(indep)
     if r == m:
         cert_a = base_cert or operator_norm_upper(a)
@@ -468,10 +462,6 @@ def complete_to_full_rank(a: IntMatrix,
     own = operator_norm_upper(b)
     cert = NormCertificate(derived) if derived <= own.usq else own
     return CompletionResult(b, cert, added)
-
-
-def _fdot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum(x * y for x, y in zip(u, v))
 
 
 def lll_reduce(basis: QMatrix, delta: Fraction = Fraction(3, 4)) -> QMatrix:
@@ -495,10 +485,10 @@ def lll_reduce(basis: QMatrix, delta: Fraction = Fraction(3, 4)) -> QMatrix:
         for i in range(k):
             v = list(cols[i])
             for j in range(i):
-                mu[i][j] = _fdot(cols[i], star[j]) / bs[j]
+                mu[i][j] = dot(cols[i], star[j]) / bs[j]
                 v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
             star.append(v)
-            bs.append(_fdot(v, v))
+            bs.append(dot(v, v))
             if bs[i] == 0:
                 raise ValueError("columns are dependent")
         return mu, bs

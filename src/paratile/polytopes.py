@@ -9,17 +9,26 @@ is a primitive integer pair (den, ints), a cut compares integers, and
 adjacency, facets and the faces of a facet follow from exact incidence sets,
 with no rank computation.
 
-Measures live in the ambient metric G = frame^T frame and come by formula.
-A facet a . y = b measures its chart volume times sqrt(det G * a^T G^-1 a),
-the covolume of the integer lattice in a's hyperplane.  A parallelepiped
-(d opposite pairs of halfspaces with independent normals, which covers every
-linear image of a cube) needs no vertices at all: its chart volume is the
-product of the widths over |det A|.  Any other body has its vertices swept,
-each facet pulling-triangulated (one integer determinant per simplex), and
-its chart volume summed over the facets as (1/d) sum_F b_F vol(F) (the
-divergence theorem).  Every volume and facet measure is a rational multiple
-of a single square root, so surface, volume and their quotient are exact
-radical expressions.
+Measures come in two parts.  The chart table is metric-free: the body's
+volume in chart coordinates and, per normal pair +-a, the chart area of the
+facets a . y = b and -a . y = b' (their volume in the coordinates of a
+Z-basis of a's hyperplane).  ``measures`` alone meets it with the metric
+G = frame^T frame: volume is the chart volume times sqrt(det G), and each
+area is multiplied by sqrt(det G * a^T G^-1 a), the covolume of the integer
+lattice in a's hyperplane.  Every volume and facet measure is therefore a
+rational multiple of a single square root, so surface, volume and their
+quotient are exact radical expressions.
+
+The table comes by the first rule that applies.  A cube states it.  A
+linear image keeps its body's table, since only the metric changes.  An
+orthogonal product multiplies its factors' tables: chart volume vp * vq,
+and a facet of P keeps its normal padded with zeros and gains the factor vq
+(likewise for Q).  A parallelepiped (d opposite pairs of halfspaces with
+independent normals) needs no vertices: its chart volume is the product of
+the widths over |det A|.  Any other body has its vertices swept, each facet
+pulling-triangulated (one integer determinant per simplex), and its chart
+volume summed over the facets as (1/d) sum_F b_F vol(F) (the divergence
+theorem, Lasserre 1983).
 """
 
 from __future__ import annotations
@@ -27,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .intervals import sqrt_upper
@@ -40,6 +48,7 @@ from .linalg import (
     denominator_lcm,
     det_int,
     det_q,
+    dot,
     inverse,
     lll_reduce,
     rank_over_rationals,
@@ -48,6 +57,8 @@ from .linalg import (
 from .radicals import SqrtSum
 
 Halfspace = Tuple[Tuple[int, ...], Fraction]
+# (chart volume, ((a, chart area of the facets with normal +-a), ...))
+_Chart = Tuple[Fraction, Tuple[Tuple[Tuple[int, ...], Fraction], ...]]
 
 
 class Unbounded(Exception):
@@ -87,10 +98,6 @@ def canonical_halfspaces(raw: Iterable[Tuple[Sequence, Fraction]]
         if a not in best or bb < best[a]:
             best[a] = bb
     return tuple(sorted(best.items()))
-
-
-def _idot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(map(mul, a, b))
 
 
 # --- double description sweep --------------------------------------------------
@@ -133,7 +140,7 @@ class _Sweep:
         den, x = iv
         mask = 0
         for k, (a, b) in enumerate(self.halfspaces):
-            if b.denominator * _idot(a, x) == b.numerator * den:
+            if b.denominator * dot(a, x) == b.numerator * den:
                 mask |= 1 << k
         return mask
 
@@ -148,7 +155,7 @@ class _Sweep:
         """
         b = Fraction(b)
         bn, bd = b.numerator, b.denominator
-        svals = [bd * _idot(a, x) - bn * den for den, x in self.ivecs]
+        svals = [bd * dot(a, x) - bn * den for den, x in self.ivecs]
         pos = [i for i, s in enumerate(svals) if s > 0]
         if not pos:
             return False  # redundant here; never becomes a facet later
@@ -188,7 +195,9 @@ class _Sweep:
         The active sets are the incidence.  A halfspace defines a facet when
         no other halfspace holds a strictly larger set of vertices: a
         smaller face lies in some facet, and every facet is cut out by a
-        halfspace on the list.
+        halfspace on the list.  A body that is not full-dimensional has an
+        implicit equality, a halfspace on the list that holds every vertex
+        (the walls of the seed box hold none), and raises DegenerateBody.
         """
         verts = [tuple(Fraction(x, den) for x in xs) for den, xs in self.ivecs]
         order = sorted(range(len(verts)), key=verts.__getitem__)
@@ -201,8 +210,11 @@ class _Sweep:
                 touching[k] = touch
         facets = []
         for k, touch in touching.items():
-            if not self.aux[k] and \
-                    not any(touch < other for other in touching.values()):
+            if self.aux[k]:
+                continue
+            if len(touch) == len(verts):
+                raise DegenerateBody("a halfspace holds every vertex")
+            if not any(touch < other for other in touching.values()):
                 a, b = self.halfspaces[k]
                 facets.append((a, b, touch))
         return (tuple(verts[i] for i in order),
@@ -211,6 +223,22 @@ class _Sweep:
 
 def _neg(a: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(-x for x in a)
+
+
+def _parallelepiped_chart(pairs, det_a: int) -> _Chart:
+    """Chart volume prod(w) / |det A| and the areas, no vertices needed.
+
+    The facet on a_i . y = b_i has C-coordinate volume
+    prod_{j != i} w_j / |det A|, and its opposite facet is a translate.
+    """
+    widths = [b + b_neg for _, b, b_neg in pairs]
+    if any(w < 0 for w in widths):
+        raise EmptyBody("opposite halfspaces cross")
+    if any(w == 0 for w in widths):
+        raise DegenerateBody("zero width in its own chart")
+    coordvol = Fraction(math.prod(widths), det_a)
+    return coordvol, tuple((a, 2 * coordvol / w)
+                           for (a, _, _), w in zip(pairs, widths))
 
 
 def _opposite_pairs(dim: int, halfspaces: Sequence[Halfspace]
@@ -242,7 +270,7 @@ def _sweep_from_halfspaces(dim: int, halfspaces: Sequence[Halfspace]) -> _Sweep:
     if len(halfspaces) < dim:
         raise Unbounded("fewer halfspaces than dimensions")
     row_bounds = sorted(
-        (sqrt_upper(Fraction(_idot(a, a)) + b * b, 32) for a, b in halfspaces),
+        (sqrt_upper(Fraction(dot(a, a)) + b * b, 32) for a, b in halfspaces),
         reverse=True)
     m = Fraction(1)
     for x in row_bounds[:dim]:
@@ -300,12 +328,25 @@ class HPolytope:
 
     @staticmethod
     def cube(n: int, half_side: Fraction = Fraction(1, 2)) -> "HPolytope":
+        """[-h, h]^n.  It states its chart table and, its metric being the
+        identity, its measures, so no n x n metric is ever formed."""
         half = Fraction(half_side)
+        if half <= 0:
+            raise ValueError("half side must be positive")
+        units = IntMatrix.identity(n).entries
         hs = []
-        for e in IntMatrix.identity(n).entries:
+        for e in units:
             hs.append((e, half))
-            hs.append((tuple(-x for x in e), half))
-        return HPolytope.from_halfspaces(n, hs)
+            hs.append((_neg(e), half))
+        body = HPolytope.from_halfspaces(n, hs)
+        side = 2 * half
+        area = 2 * side ** (n - 1)  # the opposite facets of an axis
+        body._cache["chart"] = (side ** n, tuple((e, area) for e in units))
+        volume = SqrtSum.from_rational(side ** n)
+        surface = SqrtSum.from_rational(n * area)
+        body._cache["measures"] = BodyMeasures(volume, surface,
+                                               surface / volume)
+        return body
 
     # basic data ----------------------------------------------------------------
 
@@ -334,25 +375,17 @@ class HPolytope:
         self.vertices()  # the sweep caches both
         return self._cache["facets"]
 
-    def facet_halfspaces(self) -> Tuple[Halfspace, ...]:
-        return tuple((a, b) for a, b, _ in self.facets())
-
     def ambient_halfspaces(self) -> Tuple[Halfspace, ...]:
-        """Halfspace description in ambient coordinates (full-dim charts only)."""
+        """Facet halfspaces in ambient coordinates (full-dim charts only)."""
         if self.dim != self.ambient_dim:
             raise ValueError("body does not span the ambient space")
         finv_t = inverse(self.frame).t()
         out = []
-        for a, b in self.facets_or_halfspaces():
+        for a, b, _ in self.facets():
             vec = finv_t.mul_vec(a)
             prim, gamma = primitive_normal(vec)
             out.append((prim, b / gamma))
         return tuple(sorted(out))
-
-    def facets_or_halfspaces(self) -> Tuple[Halfspace, ...]:
-        if "facets" in self._cache or "vertices" in self._cache:
-            return self.facet_halfspaces()
-        return self.halfspaces
 
     def circumradius_sq(self) -> Fraction:
         """Exact max squared ambient norm over the vertices."""
@@ -361,7 +394,7 @@ class HPolytope:
             best = Fraction(0)
             for v in self.vertices():
                 gv = g.mul_vec(v)
-                best = max(best, sum(x * y for x, y in zip(v, gv)))
+                best = max(best, dot(v, gv))
             self._cache["circumradius_sq"] = best
         return self._cache["circumradius_sq"]
 
@@ -376,7 +409,7 @@ class HPolytope:
         for a, b, _ in self.facets():
             if b <= 0:
                 return False
-            q = sum(x * y for x, y in zip(a, ginv.mul_vec(a)))
+            q = dot(a, ginv.mul_vec(a))
             if b * b < r_sq * q:
                 return False
         return True
@@ -413,54 +446,39 @@ class HPolytope:
     # measures --------------------------------------------------------------------
 
     def measures(self) -> BodyMeasures:
-        if "measures" in self._cache:
-            return self._cache["measures"]
-        det_g = det_q(self.metric())
-        pairs = _opposite_pairs(self.dim, self.halfspaces)
-        det_a = det_int([a for a, _, _ in pairs]) if pairs else 0
-        if det_a:
-            coordvol, surface = self._parallelepiped_measures(
-                pairs, abs(det_a), det_g)
-        else:
-            coordvol, surface = self._facet_sum_measures(det_g)
-        if coordvol == 0:
-            raise DegenerateBody("zero volume in its own chart")
-        volume = SqrtSum.from_rational(coordvol) * SqrtSum.sqrt(det_g)
-        measures = BodyMeasures(volume, surface, surface / volume)
-        self._cache["measures"] = measures
-        return measures
+        """The chart table met with the metric: volume is the chart volume
+        times sqrt(det G), and a facet pair +-a adds its chart area times
+        sqrt(det G * a^T G^-1 a).  That radicand equals det(C^T G C) for any
+        Z-basis C of a^perp when a is primitive: the squared covolume of Z^d
+        in a's hyperplane, so the facet's measure is its volume in
+        C-coordinates times its square root."""
+        if "measures" not in self._cache:
+            coordvol, areas = self._chart()
+            det_g = det_q(self.metric())
+            ginv = self.metric_inv()
+            volume = SqrtSum.from_rational(coordvol) * SqrtSum.sqrt(det_g)
+            surface = SqrtSum.zero()
+            for a, area in areas:
+                surface = surface + SqrtSum.from_rational(area) \
+                    * SqrtSum.sqrt(det_g * dot(a, ginv.mul_vec(a)))
+            self._cache["measures"] = BodyMeasures(volume, surface,
+                                                   surface / volume)
+        return self._cache["measures"]
 
-    def _facet_radicand(self, a: Tuple[int, ...], det_g: Fraction) -> Fraction:
-        """det G * a^T G^-1 a: the squared covolume of Z^d in a's hyperplane.
+    def _chart(self) -> _Chart:
+        """The metric-free table, keyed by the larger normal a of +-a."""
+        if "chart" not in self._cache:
+            pairs = _opposite_pairs(self.dim, self.halfspaces)
+            det_a = det_int([a for a, _, _ in pairs]) if pairs else 0
+            chart = _parallelepiped_chart(pairs, abs(det_a)) if det_a \
+                else self._facet_sum_chart()
+            if chart[0] == 0:
+                raise DegenerateBody("zero volume in its own chart")
+            self._cache["chart"] = chart
+        return self._cache["chart"]
 
-        It equals det(C^T G C) for any Z-basis C of a^perp when a is
-        primitive, so a facet's measure is its volume in C-coordinates times
-        the square root of this rational.
-        """
-        ginv_a = self.metric_inv().mul_vec(a)
-        return det_g * sum(x * y for x, y in zip(a, ginv_a))
-
-    def _parallelepiped_measures(self, pairs, det_a: int, det_g: Fraction
-                                 ) -> Tuple[Fraction, SqrtSum]:
-        """Chart volume prod(w) / |det A| and the surface, no vertices needed.
-
-        The facet on a_i . y = b_i has C-coordinate volume
-        prod_{j != i} w_j / |det A|, and its opposite facet is a translate.
-        """
-        widths = [b + b_neg for _, b, b_neg in pairs]
-        if any(w < 0 for w in widths):
-            raise EmptyBody("opposite halfspaces cross")
-        if any(w == 0 for w in widths):
-            raise DegenerateBody("zero width in its own chart")
-        coordvol = Fraction(math.prod(widths), det_a)
-        surface = SqrtSum.zero()
-        for (a, _, _), w in zip(pairs, widths):
-            surface = surface + SqrtSum.from_rational(2 * coordvol / w) \
-                * SqrtSum.sqrt(self._facet_radicand(a, det_g))
-        return coordvol, surface
-
-    def _facet_sum_measures(self, det_g: Fraction) -> Tuple[Fraction, SqrtSum]:
-        """Chart volume (1/d) sum_F b_F vol_C(F) and the surface.
+    def _facet_sum_chart(self) -> _Chart:
+        """Chart volume (1/d) sum_F b_F vol_C(F) and the facet areas.
 
         In chart coordinates the facet a . y = b lies at distance b / |a|
         from the origin and has area |a| vol_C(F), so the divergence theorem
@@ -473,18 +491,16 @@ class HPolytope:
         offsets = {a: b for a, b, _ in facets}
         symmetric = all(offsets.get(_neg(a)) == b for a, b, _ in facets)
         coordvol = Fraction(0)
-        surface = SqrtSum.zero()
+        areas: Dict[Tuple[int, ...], Fraction] = {}
         for a, b, touch in facets:
-            copies = 1
-            if symmetric:
-                if a < _neg(a):
-                    continue
-                copies = 2
-            acc = copies * self._facet_chart_volume(a, touch, verts)
-            coordvol += b * acc
-            surface = surface + SqrtSum.from_rational(acc) \
-                * SqrtSum.sqrt(self._facet_radicand(a, det_g))
-        return coordvol / self.dim, surface
+            key = max(a, _neg(a))
+            if symmetric and a != key:
+                continue
+            area = (2 if symmetric else 1) \
+                * self._facet_chart_volume(a, touch, verts)
+            coordvol += b * area
+            areas[key] = areas.get(key, 0) + area
+        return coordvol / self.dim, tuple(areas.items())
 
     def _facet_chart_volume(self, a: Tuple[int, ...], touch: FrozenSet[int],
                             verts) -> Fraction:
@@ -503,7 +519,7 @@ class HPolytope:
             p0 = pts[simplex[0]]
             rows = [[x - y for x, y in zip(pts[i], p0)] for i in simplex[1:]]
             acc += abs(det_int(rows + [list(a)]))
-        return Fraction(acc, scale ** (d - 1) * _idot(a, a)
+        return Fraction(acc, scale ** (d - 1) * dot(a, a)
                         * math.factorial(d - 1))
 
     def volume(self) -> SqrtSum:
@@ -559,7 +575,7 @@ def voronoi_cell(lat: Lattice, node_cap: int = 10 ** 7) -> HPolytope:
             nsq = norm_sq.get(iv)
             if nsq is None:
                 den, x = iv
-                nsq = Fraction(_idot(x, g_int.mul_vec(x)), g_den * den * den)
+                nsq = Fraction(dot(x, g_int.mul_vec(x)), g_den * den * den)
             fresh[iv] = nsq
         norm_sq = fresh
         return max(fresh.values())
@@ -593,8 +609,10 @@ def orthogonal_product(p: HPolytope, q: HPolytope) -> HPolytope:
 
     Measures factor, so nothing is recomputed: volume multiplies and surface
     obeys the product rule, which makes the surface-to-volume ratio exactly
-    additive.  Vertices and facets are swept from the halfspaces only when
-    asked for.
+    additive.  The chart table multiplies too: the chart is the product of
+    the factors' charts, so a facet F x Q of P's normal a has the padded
+    normal (a, 0) and chart area area(F) * vol(Q), and likewise for Q.
+    Vertices and facets are swept from the halfspaces only when asked for.
     """
     if p.ambient_dim != q.ambient_dim:
         raise ValueError("ambient dimensions differ")
@@ -611,6 +629,12 @@ def orthogonal_product(p: HPolytope, q: HPolytope) -> HPolytope:
     for a, b in q.halfspaces:
         hs.append(((0,) * dp + a, b))
     body = HPolytope(p.ambient_dim, frame, tuple(sorted(hs)))
+    vp, areas_p = p._chart()
+    vq, areas_q = q._chart()
+    body._cache["chart"] = (
+        vp * vq,
+        tuple((a + (0,) * dq, area * vq) for a, area in areas_p)
+        + tuple(((0,) * dp + a, area * vp) for a, area in areas_q))
     mp, mq = p.measures(), q.measures()
     volume = mp.volume * mq.volume
     surface = mp.surface * mq.volume + mp.volume * mq.surface
@@ -619,13 +643,15 @@ def orthogonal_product(p: HPolytope, q: HPolytope) -> HPolytope:
 
 
 def linear_image(t, p: HPolytope) -> HPolytope:
-    """Apply an injective linear map; the chart and combinatorics carry over."""
+    """Apply an injective linear map.  The chart and its halfspaces carry
+    over, and only the metric changes, so the faces and the chart table
+    are kept."""
     tq = as_qmatrix(t)
     frame = tq @ p.frame
     if rank_over_rationals(frame) != p.dim:
         raise ValueError("map collapses the body")
     body = HPolytope(tq.nrows, frame, p.halfspaces)
-    for key in ("vertices", "facets", "triangulations"):
+    for key in ("vertices", "facets", "chart"):
         if key in p._cache:
             body._cache[key] = p._cache[key]
     return body
@@ -636,22 +662,5 @@ def scaled(p: HPolytope, s: Fraction) -> HPolytope:
     s = Fraction(s)
     if s <= 0:
         raise ValueError("scale must be positive")
-    hs = tuple((a, b * s) for a, b in p.halfspaces)
-    body = HPolytope(p.ambient_dim, p.frame, hs)
-    if "vertices" in p._cache:
-        body._cache["vertices"] = tuple(
-            tuple(s * x for x in v) for v in p._cache["vertices"])
-    if "facets" in p._cache:
-        body._cache["facets"] = tuple(
-            (a, b * s, touch) for a, b, touch in p._cache["facets"])
-    if "metric" in p._cache:
-        body._cache["metric"] = p._cache["metric"]
-    if "measures" in p._cache:
-        m = p._cache["measures"]
-        d = p.dim
-        sd = SqrtSum.from_rational(s ** d)
-        sd1 = SqrtSum.from_rational(s ** (d - 1))
-        vol = m.volume * sd
-        surf = m.surface * sd1
-        body._cache["measures"] = BodyMeasures(vol, surf, surf / vol)
-    return body
+    return HPolytope(p.ambient_dim, p.frame,
+                     tuple((a, b * s) for a, b in p.halfspaces))

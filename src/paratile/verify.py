@@ -27,7 +27,7 @@ import numpy as np
 
 from .intervals import sqrt_upper
 from .lattices import Lattice, enumerate_short_vectors
-from .linalg import denominator_lcm, scaled_to_int
+from .linalg import denominator_lcm, dot, scaled_to_int
 from .polytopes import HPolytope
 
 _MAX_WITNESSES = 8
@@ -76,7 +76,7 @@ def _candidate_translates(body: HPolytope, lat: Lattice
         s = [Fraction(1, 2) if (signs >> i) & 1 else Fraction(-1, 2)
              for i in range(n)]
         gs = g.mul_vec(s)
-        r_par_sq = max(r_par_sq, sum(x * y for x, y in zip(s, gs)))
+        r_par_sq = max(r_par_sq, dot(s, gs))
     reach = (r_body + sqrt_upper(r_par_sq, 64)) ** 2
     found = enumerate_short_vectors(g, reach, center=half)
     return [coords for coords, _ in found]
@@ -90,7 +90,7 @@ def _membership_inputs(body: HPolytope, lat: Lattice, samples: int, bits: int,
     rows, rhs = _integerized_system(body, lat, bits)
     scale = 1 << bits
     # offset per (row, translate): r * 2^bits + 2^bits * u . c
-    offsets = [[(rhs[r] + _int_dot(rows[r], c)) * scale
+    offsets = [[(rhs[r] + dot(rows[r], c)) * scale
                 for r in range(len(rows))]
                for c in _candidate_translates(body, lat)]
     rank = lat.rank
@@ -208,7 +208,3 @@ def verify_tiling(body: HPolytope, lat: Lattice, samples: int = 100000,
         volume_equal=volume_equal, overlap_violations=overlap,
         gap_violations=gap, boundary_hits=boundary, engine=engine,
         seed=seed, witnesses=witnesses)
-
-
-def _int_dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))

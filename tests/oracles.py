@@ -405,7 +405,7 @@ def brute_force_volume(body: HPolytope, resolution: int = 16) -> Interval:
     step = [(h - l) / resolution for l, h in zip(lo, hi)]
     if any(s == 0 for s in step):
         return Interval.point(Fraction(0))
-    hs = body.facets_or_halfspaces()
+    hs = body.halfspaces
     cellvol = Fraction(1)
     for s in step:
         cellvol *= s

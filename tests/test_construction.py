@@ -184,6 +184,28 @@ def test_override_step_at_m8_within_budget():
         + 4 * SqrtSum.sqrt(2) + 3 * SqrtSum.sqrt(3)
 
 
+def test_two_level_override_measures_its_outer_image_from_the_factors():
+    # the outer image of (kernel cell x image of the inner product) keeps
+    # the product's chart table, so its 8-dimensional image is neither
+    # swept nor triangulated
+    def step(m):
+        return IntMatrix.from_rows(
+            [[int(i == j) for j in range(m)] + [int(i in (0, 1)),
+                                                int(i in (1, 2))]
+             for i in range(m)])
+
+    t0 = time.perf_counter()
+    rep = construct(10, RecursionConfig(
+        matrix_override=((step(8), None), (step(6), None))))
+    assert time.perf_counter() - t0 < 2.0
+    assert [lv.mode for lv in rep.levels] == ["step", "step", "cube"]
+    assert all(ok for lv in rep.levels for _, ok in lv.checks)
+    assert rep.ratio_exact == SqrtSum.from_rational(Fraction(13, 2)) \
+        + 2 * SqrtSum.sqrt(2) + 5 * SqrtSum.sqrt(3) \
+        + 2 * SqrtSum.sqrt(5) + SqrtSum.from_rational(Fraction(1, 4)) \
+        * SqrtSum.sqrt(6)
+
+
 def test_override_step_at_m16_image_ratio_is_twice_the_dual_norms():
     b, rep = _override_step(16)
     assert all(ok for lv in rep.levels for _, ok in lv.checks)

@@ -109,3 +109,36 @@ def test_only_intervals_imports_mpmath():
             if any(name.split(".")[0] == "mpmath" for name in names):
                 importers.append(path.stem)
     assert importers == ["intervals"], importers
+
+
+def _cache_stores(tree: ast.Module):
+    """Line numbers that assign, delete or mutate through ``<x>._cache``."""
+    def is_cache(node):
+        return isinstance(node, ast.Attribute) and node.attr == "_cache"
+
+    for node in ast.walk(tree):
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Delete):
+            targets = node.targets
+        elif isinstance(node, ast.Call) and \
+                isinstance(node.func, ast.Attribute) and \
+                is_cache(node.func.value) and node.func.attr in (
+                    "setdefault", "update", "pop", "popitem", "clear"):
+            yield node.lineno
+        for target in targets:
+            if is_cache(target) or (isinstance(target, ast.Subscript)
+                                    and is_cache(target.value)):
+                yield node.lineno
+
+
+def test_only_polytopes_stores_into_a_body_cache():
+    # a body's cached vertices, chart table and measures come from one
+    # module's rules; a value planted from outside would bypass them
+    stores = [f"{path.stem}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+              if path.stem != "polytopes"
+              for line in _cache_stores(ast.parse(path.read_text()))]
+    assert not stores, f"stores into _cache outside polytopes: {stores}"

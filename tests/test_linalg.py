@@ -214,6 +214,16 @@ def test_completion_of_zero_row():
     assert all(res.matrix.entries[i].count(1) == 1 for i in (1,))
 
 
+def test_completion_keeps_the_first_independent_rows():
+    # row 1 repeats row 0 twice over, row 3 is the sum of rows 0 and 2
+    a = IntMatrix.from_rows([[1, 0, 1, 0], [2, 0, 2, 0], [0, 1, 0, 0],
+                             [1, 1, 1, 0]])
+    res = complete_to_full_rank(a)
+    assert res.added_units == (2, 3)
+    assert res.matrix.entries == ((1, 0, 1, 0), (0, 1, 0, 0),
+                                  (0, 0, 1, 0), (0, 0, 0, 1))
+
+
 @given(bit_matrices)
 def test_completion_certificate_and_kernel(rows):
     a = IntMatrix.from_rows(rows)

@@ -246,6 +246,24 @@ def eager_product_faces(p, q):
     return tuple(v for v, _ in pairs), tuple(sorted(facets))
 
 
+def test_image_of_a_product_measures_from_the_factors():
+    # cell x (image of a cube), then a shear mixing the two subspaces: the
+    # chart table multiplies in the product and survives both images.  The
+    # cell's chart volume is 1 and the cube's 9, so a swapped factor shows.
+    hexagon = voronoi_cell(Lattice.from_columns([[2, 0, 0, 0], [1, 2, 0, 0]]))
+    square = linear_image(QMatrix.from_rows([[0, 0], [0, 0], [1, 1], [0, 1]]),
+                          HPolytope.cube(2, Fraction(3, 2)))
+    body = linear_image(QMatrix.from_rows([[1, 0, 0, 0], [1, 1, 0, 0],
+                                           [0, 1, 1, 0], [0, 0, 1, 1]]),
+                        orthogonal_product(hexagon, square))
+    got = body.measures()
+    assert "vertices" not in body._cache
+    assert_same_terms(got, triangulated_measures(fresh(body)))
+    volume, areas = body._chart()
+    swept_volume, swept_areas = fresh(body)._chart()
+    assert volume == swept_volume and dict(areas) == dict(swept_areas)
+
+
 def test_lazy_product_faces_match_the_eager_build():
     hexagon = voronoi_cell(Lattice.from_columns([[2, 0, 0, 0], [1, 2, 0, 0]]))
     square = linear_image(QMatrix.from_rows([[0, 0], [0, 0], [1, 1], [0, 1]]),

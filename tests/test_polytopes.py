@@ -62,6 +62,25 @@ def test_primitive_normal_int_and_fraction_inputs_agree(vec, den):
     assert primitive_normal(scaled_vec) == (a, gamma / den)
 
 
+@pytest.mark.parametrize("n, half", [(1, Fraction(1, 2)), (2, Fraction(3)),
+                                     (3, Fraction(2, 5)), (4, Fraction(1))])
+def test_cube_states_what_the_generic_path_computes(n, half):
+    cube = HPolytope.cube(n, half)
+    generic = HPolytope(n, cube.frame, cube.halfspaces)
+    (volume, areas), (want_volume, want_areas) = cube._chart(), \
+        generic._chart()
+    assert volume == want_volume and dict(areas) == dict(want_areas)
+    for got, want in zip(vars(cube.measures()).values(),
+                         vars(generic.measures()).values()):
+        assert got.terms == want.terms
+
+
+def test_cube_needs_a_positive_half_side():
+    for half in (0, -1):
+        with pytest.raises(ValueError):
+            HPolytope.cube(2, half)
+
+
 def test_cube_scaling_laws():
     c = HPolytope.cube(3, half_side=Fraction(1))
     m = c.measures()
@@ -196,6 +215,20 @@ def test_empty_detected():
     with pytest.raises(EmptyBody):
         HPolytope.from_halfspaces(
             1, [((1,), Fraction(-1)), ((-1,), Fraction(-1))]).vertices()
+
+
+def test_flat_body_has_no_vertices_or_facets():
+    # a cut through the box's lowest corner leaves that corner alone; every
+    # halfspace through it holds the whole (one-point) body
+    hs = []
+    for i, (lo, hi) in enumerate([(0, 2), (-3, 1), (-2, 1), (-3, 3)]):
+        e = tuple(int(j == i) for j in range(4))
+        hs += [(e, Fraction(hi)), (tuple(-x for x in e), Fraction(-lo))]
+    hs.append(((1, 2, 1, 2), Fraction(-14)))
+    for query in ("vertices", "facets", "ambient_halfspaces"):
+        body = HPolytope.from_halfspaces(4, hs)
+        with pytest.raises(DegenerateBody):
+            getattr(body, query)()
 
 
 def test_flat_detected():
