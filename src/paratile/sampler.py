@@ -8,6 +8,7 @@ accounting rational even for very wide matrices.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -156,22 +157,35 @@ def sample_columns(m: int, n: int, d: int, seed: int, attempt: int) -> List[int]
             for j in range(n)]
 
 
+_BINARY = frozenset((0, 1))
+_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def masks_to_matrix(m: int, masks: Sequence[int]) -> IntMatrix:
-    return IntMatrix.from_rows(
-        [[(mask >> i) & 1 for mask in masks] for i in range(m)])
+    """The m x len(masks) 0/1 matrix whose column j has bitmask masks[j].
+
+    Each mask becomes its m binary digits as 0/1 bytes, most significant
+    first, so zipping the columns yields rows m-1 down to 0.
+    """
+    limit = 1 << m
+    if not all(0 <= mask < limit for mask in masks):
+        raise ValueError(f"masks must be non-negative and below 2^{m}")
+    cols = [format(mask, f"0{m}b").encode().translate(_TO_BITS)
+            for mask in masks]
+    rows = list(zip(*cols)) or [()] * m
+    rows.reverse()
+    return IntMatrix(tuple(rows))
 
 
 def matrix_to_masks(mat: IntMatrix) -> List[int]:
-    out = []
-    for j in range(mat.ncols):
-        mask = 0
-        for i, x in enumerate(mat.col(j)):
-            if x & 1:
-                mask |= 1 << i
-            elif x not in (0, 1):
-                raise ValueError("entries must be 0/1")
-        out.append(mask)
-    return out
+    """Column bitmasks of a 0/1 matrix: row i is bit i."""
+    for row in mat.entries:
+        if not _BINARY.issuperset(row):
+            raise ValueError("entries must be 0/1")
+    # a column read from its last row up is its binary numeral
+    return [int(bytes(col[::-1]).translate(_TO_DIGITS), 2)
+            for col in zip(*mat.entries)]
 
 
 def _row_weights(m: int, masks: Sequence[int]) -> List[int]:
@@ -214,17 +228,80 @@ def shortest_dependency(masks: Sequence[int], s: int
                         ) -> Optional[Tuple[int, ...]]:
     """A column subset of size <= s with zero XOR, or None.
 
-    Meet in the middle: XORs of all subsets of size <= floor(s/2) are hashed
-    (the empty set included), then subsets of the complementary size range
-    probe the table.  A collision of distinct subsets yields a dependency via
-    their symmetric difference.
+    The witness is the first one met in a fixed search order, which need
+    not be a smallest one: at s >= 2 a repeated pair before the first zero
+    column wins over it.  For s <= 3 one dict pass finds the first zero
+    column and the first repeated pair, (first index, repeat), and returns
+    whichever ends earlier.  With neither, s = 3 returns the smallest sorted
+    triple a < b < c with zero XOR.  It is found by bit buckets: the lowest
+    set bit of column a lies in exactly one of columns b and c, so each a
+    probes only the columns holding that bit, and looks the XOR of the two
+    up among the columns.  From s = 4 on, a meet in the middle decides.
+    Masks must be non-negative.
     """
+    if min(masks, default=0) < 0:
+        raise ValueError("column masks must be non-negative")
     if s < 1:
         return None
+    if s > 3:
+        return _meet_in_the_middle(masks, s)
+    zero, repeat, index = _scan(masks)
+    if s == 1 or zero and not (repeat and repeat[1] < zero[0]):
+        return zero
+    if repeat or s == 2:
+        return repeat
+    return _first_triple(masks, index)
+
+
+def _scan(masks: Sequence[int]) -> Tuple[Optional[Tuple[int]],
+                                         Optional[Tuple[int, int]],
+                                         Dict[int, int]]:
+    """The first zero column, the first repeated pair, and the first index
+    of every nonzero mask."""
+    zero = repeat = None
+    index: Dict[int, int] = {}
+    for j, x in enumerate(masks):
+        if not x:
+            zero = zero or (j,)
+        elif x in index:
+            repeat = repeat or (index[x], j)
+        else:
+            index[x] = j
+    return zero, repeat, index
+
+
+def _first_triple(masks: Sequence[int], index: Dict[int, int]
+                  ) -> Optional[Tuple[int, int, int]]:
+    """The smallest sorted triple of distinct nonzero masks with zero XOR."""
+    holders: Dict[int, List[int]] = {}  # bit -> columns holding it, in order
+    for j, x in enumerate(masks):
+        while x:
+            low = x & -x
+            holders.setdefault(low, []).append(j)
+            x ^= low
+    for a, x in enumerate(masks):
+        col = holders[x & -x]
+        best = None
+        for b in col[bisect.bisect_right(col, a):]:
+            c = index.get(x ^ masks[b], -1)
+            if c > a:
+                pair = (b, c) if b < c else (c, b)
+                if best is None or pair < best:
+                    best = pair
+        if best:
+            return (a,) + best
+    return None
+
+
+def _meet_in_the_middle(masks: Sequence[int], s: int
+                        ) -> Optional[Tuple[int, ...]]:
+    """XORs of all subsets of size <= floor(s/2) are hashed (the empty set
+    included), then subsets of the complementary size range probe the
+    table.  A collision of distinct subsets yields a dependency via their
+    symmetric difference."""
     n = len(masks)
     half = s // 2
     table: Dict[int, Tuple[int, ...]] = {0: ()}
-    witness: Optional[Tuple[int, ...]] = None
 
     def consider(a: Tuple[int, ...], b: Tuple[int, ...]
                  ) -> Optional[Tuple[int, ...]]:

@@ -5,9 +5,10 @@ consumer is forced to guess at integer width or binary float rounding.  The
 shapes are checked against the draft-07 schemas shipped with the package; see
 ``validate_document``.
 
-Each schema is compiled once per kind into one closure per schema node, so a
-128x1024 matrix costs one regular-expression search per cell and no general
-validator bookkeeping.  The compiler knows the keyword subset the shipped
+Each schema is compiled once per kind into one closure per schema node, and
+an ``items`` list checks each distinct string once, so a 128x1024 0/1 matrix
+costs two regular-expression searches per row and no general validator
+bookkeeping.  The compiler knows the keyword subset the shipped
 schemas use: ``type``, ``minimum``, ``minItems``, ``pattern``, ``enum``,
 ``required``, ``properties``, ``additionalProperties`` (a boolean), ``items``
 (one schema), ``anyOf``, a ``$ref`` into the root's ``definitions``, and the
@@ -70,10 +71,11 @@ def dec_str(x: Fraction, places: int = 15) -> str:
 # --- matrices ------------------------------------------------------------------
 
 def matrix_to_json(m: Union[IntMatrix, QMatrix]) -> Dict:
+    cell = str if isinstance(m, IntMatrix) else frac_str
     return {
         "rows": m.nrows,
         "cols": m.ncols,
-        "entries": [[frac_str(x) for x in row] for row in m.entries],
+        "entries": [list(map(cell, row)) for row in m.entries],
     }
 
 
@@ -465,11 +467,19 @@ def _kw_items(item_schema, schema, sub):
     validate = sub(item_schema)
 
     def check(x):
+        # a str's verdict against a fixed node never changes, so each
+        # distinct string is checked once; a failing one raises at its first
+        # index before it could be remembered
         if isinstance(x, list):
+            passed = set()
             i = 0
             try:
                 for i, item in enumerate(x):
-                    validate(item)
+                    if type(item) is not str:
+                        validate(item)
+                    elif item not in passed:
+                        validate(item)
+                        passed.add(item)
             except _Invalid as exc:
                 exc.path.append(i)
                 raise

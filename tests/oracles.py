@@ -5,18 +5,20 @@ route, so a test can demand equal ``SqrtSum`` terms, not just equal values.
 The reference sweep is the double description method on ``Fraction``s with
 an algebraic adjacency test (a rank per vertex pair) and affine-rank face
 tests; the library's sweep is the integer, combinatorial one.
-The rest are small helpers the library itself never needs: GF(2) ranks, a
-rational solver and kernel, a Rayleigh lower bound on spectral norms,
-lattice membership, a grid volume enclosure, the H-representation parser,
-4096-bit reference values of transcendental formulas, and the per-call
-sample loop and per-translate membership count of the tiling audit.
+The rest are small helpers the library itself never needs: GF(2) ranks, the
+meet-in-the-middle dependency search at every s, a rational solver and
+kernel, a Rayleigh lower bound on spectral norms, lattice membership, a
+grid volume enclosure, the H-representation parser, 4096-bit reference
+values of transcendental formulas, and the per-call sample loop and
+per-translate membership count of the tiling audit.
 """
 
 import itertools
 import math
 import random
 from fractions import Fraction
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+                    Union)
 
 import mpmath
 import numpy as np
@@ -279,6 +281,50 @@ def gf2_rank(masks: Iterable[int]) -> int:
         if v:
             pivots.append(v)
     return len(pivots)
+
+
+def reference_dependency(masks: Sequence[int], s: int
+                        ) -> Optional[Tuple[int, ...]]:
+    """A column subset of size <= s with zero XOR, or None.
+
+    Meet in the middle: XORs of all subsets of size <= floor(s/2) are hashed
+    (the empty set included), then subsets of the complementary size range
+    probe the table.  A collision of distinct subsets yields a dependency via
+    their symmetric difference.
+    """
+    if s < 1:
+        return None
+    n = len(masks)
+    half = s // 2
+    table: Dict[int, Tuple[int, ...]] = {0: ()}
+    witness: Optional[Tuple[int, ...]] = None
+
+    def consider(a: Tuple[int, ...], b: Tuple[int, ...]
+                 ) -> Optional[Tuple[int, ...]]:
+        sym = tuple(sorted(set(a) ^ set(b)))
+        return sym if sym else None
+
+    for size in range(1, half + 1):
+        for combo in itertools.combinations(range(n), size):
+            x = 0
+            for j in combo:
+                x ^= masks[j]
+            if x in table:
+                witness = consider(table[x], combo)
+                if witness:
+                    return witness
+            else:
+                table[x] = combo
+    for size in range(1, s - half + 1):
+        for combo in itertools.combinations(range(n), size):
+            x = 0
+            for j in combo:
+                x ^= masks[j]
+            if x in table:
+                witness = consider(table[x], combo)
+                if witness:
+                    return witness
+    return None
 
 
 def columns_independent(m: Union[IntMatrix, QMatrix], cols: Sequence[int],

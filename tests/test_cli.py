@@ -247,6 +247,17 @@ def test_override_must_be_integer(tmp_path, capsys):
     assert "integer" in capsys.readouterr().err
 
 
+def test_override_entries_must_be_0_or_1(tmp_path, capsys):
+    # an odd entry such as 3 is refused like 2, not read as a 1
+    doc = {"rows": 2, "cols": 3, "entries": [["1", "0", "3"],
+                                              ["0", "1", "1"]]}
+    mat = write_json(tmp_path / "three.json", doc)
+    assert main(["construct", "--n", "3", "--matrix-override", mat]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == "invalid parameters: entries must be 0/1\n"
+
+
 def test_override_rejected_by_schema_names_the_cell(tmp_path, capsys):
     doc = matrix_to_json(WORKED_B)
     doc["entries"][0][1] = "x"

@@ -32,6 +32,12 @@ CASES = {
     "bound_only_1e6": ["construct", "--bound-only", "--n", "1000000"],
     "sample_matrix": ["sample-matrix", "--m", "8", "--n", "32", "--d", "4",
                       "--verify-s", "2"],
+    # passes: the matrix JSON itself is pinned
+    "sample_matrix_pass_s2": ["sample-matrix", "--m", "16", "--n", "32",
+                              "--d", "4", "--verify-s", "2", "--seed", "1"],
+    # fails with a three-column witness
+    "sample_matrix_triple_s3": ["sample-matrix", "--m", "16", "--n", "32",
+                                "--d", "4", "--verify-s", "3", "--seed", "1"],
     "verify_cube3": ["verify", "--fixture", _fixture("cube3"),
                      "--samples", "1000"],
     "verify_scaled_cube3": ["verify", "--fixture", _fixture("scaled_cube3"),

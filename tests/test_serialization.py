@@ -256,6 +256,26 @@ def test_validate_document_names_the_path():
         validate_document("matrix", {"rows": 1, "cols": 1})
 
 
+def test_a_repeated_bad_string_is_named_at_its_first_index():
+    # each distinct string is checked once per list; the first failure wins
+    doc = {"rows": 1, "cols": 3, "entries": [["1", "x", "x"]]}
+    with pytest.raises(SerializationError,
+                       match=r"'x' does not match .* at entries\[0\]\[1\]$"):
+        validate_document("matrix", doc)
+
+
+@pytest.mark.parametrize("row, where", [
+    (["1", "1", 1], 2),
+    (["0", 7, "0", 7], 1),
+    (["1", True, "1"], 1),
+])
+def test_non_strings_among_checked_strings_are_still_rejected(row, where):
+    doc = {"rows": 1, "cols": len(row), "entries": [row]}
+    at = rf"at entries\[0\]\[{where}\]$"
+    with pytest.raises(SerializationError, match="not of type 'string' " + at):
+        validate_document("matrix", doc)
+
+
 def test_schema_compiler_fails_closed():
     compile_schema = serialization._compile_schema
     loop = {"items": {"$ref": "#/definitions/a"}}
