@@ -179,6 +179,8 @@ def cmd_sample_matrix(args) -> int:
         print("error: column weight d must be at least 3 (the independence "
               "argument needs it)", file=sys.stderr)
         return EXIT_UNDECIDED
+    if args.verify_s is not None and args.verify_s < 1:
+        raise ValueError("verify_s must be at least 1")
     params = LdpcParams(m=m, n=n, d=d, row_bound=args.row_bound,
                         **_supplied(args, "seed", "max_tries"))
     seed = params.seed
@@ -286,6 +288,9 @@ def cmd_walk_stats(args) -> int:
     ms = [int(x) for x in args.m.split(",")]
     opts = _supplied(args, "samples", "seed")
     samples, seed = opts.get("samples", 0), opts.get("seed", 0)
+    for key, value in (("samples", samples), ("t_max", args.t_max)):
+        if value < 0:
+            raise ValueError(f"{key} must be at least 0")
     import random as _random
     rows = []
     violations = 0

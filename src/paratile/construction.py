@@ -26,16 +26,13 @@ from .lattices import (
     EnumerationCap,
     Lattice,
     apply_matrix,
-    intersect_with_kernel,
+    kernel_and_image,
     lattices_equal,
-    project_onto_rowspan,
     shortest_vector_sq,
 )
 from .linalg import (
     IntMatrix,
-    clear_denominators,
     complete_to_full_rank,
-    hnf_basis_columns,
     inverse,
     operator_norm_upper,
     rank_over_rationals,
@@ -267,11 +264,16 @@ def inductive_level(lat: Lattice, a_matrix: IntMatrix, s: int,
 
     checks.append(("s_independence", True))  # certified by the caller
 
+    if m < n and n - m > config.dim_cap:
+        raise DimCapExceeded(
+            f"kernel rank {n - m} exceeds dim cap {config.dim_cap}")
+    kernel, inner_lat = kernel_and_image(lat, b)
+    bq = b.to_q()
+    t = bq.t() @ inverse(bq @ bq.t())  # right inverse; the section into row span
+    # 2 (n-m) / sqrt(s), the kernel cell's share of the recursion bound
+    kernel_bound = (SqrtSum.from_rational(Fraction(2 * (n - m), s))
+                    * SqrtSum.sqrt(s) if m < n else SqrtSum.zero())
     if m < n:
-        if n - m > config.dim_cap:
-            raise DimCapExceeded(
-                f"kernel rank {n - m} exceeds dim cap {config.dim_cap}")
-        kernel = intersect_with_kernel(lat, b)
         checks.append(("kernel_rank", kernel.rank == n - m))
         try:
             sv = shortest_vector_sq(kernel, node_cap=config.svp_node_cap)
@@ -283,20 +285,15 @@ def inductive_level(lat: Lattice, a_matrix: IntMatrix, s: int,
         k1 = voronoi_cell(kernel, node_cap=config.svp_node_cap)
         checks.append(("kernel_inradius", k1.inradius_certify(Fraction(s, 4))))
         ratio1 = k1.ratio()
-        bound1 = SqrtSum.from_rational(Fraction(2 * (n - m), s)) \
-            * SqrtSum.sqrt(s)  # 2 (n-m) / sqrt(s)
-        checks.append(("kernel_ratio_bound", ratio1 <= bound1))
+        checks.append(("kernel_ratio_bound", ratio1 <= kernel_bound))
     else:
         sv = k1 = None
         ratio1 = SqrtSum.zero()
 
-    # the image lattice: B proj(L) and B L agree because ker B is the
-    # orthogonal complement of the row span; verified, not assumed
-    image_gens, den = clear_denominators(b.to_q() @ lat.basis)
-    if den != 1:
-        raise ConstructionError("image lattice is not integer")
-    inner_lat = Lattice(m, hnf_basis_columns(image_gens).to_q())
-    proj = project_onto_rowspan(lat, b)
+    # T carries the image lattice B L onto the projection of L to the row
+    # span; B proj(L) = B L because ker B is the orthogonal complement of
+    # the row span, verified, not assumed
+    proj = apply_matrix(t, inner_lat)
     checks.append(("projection_image_agree",
                    lattices_equal(apply_matrix(b, proj), inner_lat)))
     checks.append(("inner_integer", inner_lat.is_integer()))
@@ -305,8 +302,6 @@ def inductive_level(lat: Lattice, a_matrix: IntMatrix, s: int,
     inner_body, inner_traces = _construct_lattice(inner_lat, config, depth + 1)
     ratio_inner = inner_body.ratio()
 
-    bq = b.to_q()
-    t = bq.t() @ inverse(bq @ bq.t())  # right inverse; the section into row span
     k2 = linear_image(t, inner_body)
     ratio2 = k2.ratio()
     norm_term = SqrtSum.sqrt(completion.certificate.usq)
@@ -320,8 +315,7 @@ def inductive_level(lat: Lattice, a_matrix: IntMatrix, s: int,
     checks.append(("ratio_additivity", ratio_total == ratio1 + ratio2))
     checks.append(("volume_equals_covolume",
                    body.volume() == lat.covolume()))
-    chain = (SqrtSum.from_rational(Fraction(2 * (n - m), s)) * SqrtSum.sqrt(s)
-             if m < n else SqrtSum.zero()) + ratio_inner * norm_term
+    chain = kernel_bound + ratio_inner * norm_term
     checks.append(("recursion_inequality", ratio_total <= chain))
 
     failed = [name for name, ok in checks if not ok]

@@ -1,4 +1,4 @@
-"""Rational lattices: kernels, projections, short vectors, covolumes.
+"""Rational lattices: the kernel/image split, short vectors, covolumes.
 
 A lattice is the integer span of the columns of a rational basis matrix.
 Everything here is exact; enumeration uses a fraction-free style Fincke-Pohst
@@ -13,13 +13,13 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .linalg import (
+    IntMatrix,
     QMatrix,
     as_qmatrix,
     clear_denominators,
     det_q,
     hnf_basis_columns,
-    integer_kernel_basis,
-    inverse,
+    hnf_rows,
     rank_over_rationals,
 )
 from .radicals import SqrtSum
@@ -85,37 +85,21 @@ def lattices_equal(a: Lattice, b: Lattice) -> bool:
     return hnf_basis_columns(ma).entries == hnf_basis_columns(mb).entries
 
 
-def intersect_with_kernel(lat: Lattice, b) -> Lattice:
-    """Sublattice of vectors annihilated by the matrix b."""
-    bm = as_qmatrix(b) @ lat.basis
-    bi, _ = clear_denominators(bm)  # row scaling keeps the kernel
-    k = integer_kernel_basis(bi)
-    if k.ncols == 0:
-        return Lattice(lat.ambient_dim,
-                       QMatrix(tuple(() for _ in range(lat.ambient_dim))))
-    return Lattice(lat.ambient_dim, lat.basis @ k)
+def kernel_and_image(lat: Lattice, b) -> Tuple[Lattice, Lattice]:
+    """Split the lattice L along the matrix b into L meet ker b and b L.
 
-
-def project_onto_rowspan(lat: Lattice, b) -> Lattice:
-    """Orthogonal projection of the lattice onto the row span of b.
-
-    The projection is computed through the injective map v -> R v (R an
-    integer row basis of the span): the image of the lattice there is a
-    subgroup of (1/d) Z^m, hence discrete, and pulling its Hermite basis back
-    through the pseudoinverse gives a genuine lattice basis of the projection.
+    One Hermite form of the rows of d (b L)^T, d its cleared denominator,
+    gives both.  The transform rows that reach zero rows span the kernel
+    coordinates over Z; the nonzero rows, divided by d, are the canonical
+    basis of the image.
     """
-    r_int, _ = clear_denominators(as_qmatrix(b))
-    if rank_over_rationals(r_int) != r_int.nrows:
-        raise ValueError("rows must be independent")
-    image = r_int.to_q() @ lat.basis
-    im_int, d = clear_denominators(image)
-    w = hnf_basis_columns(im_int)  # columns generate d * (R L) as a group
-    if w.ncols == 0:
-        return Lattice(lat.ambient_dim,
-                       QMatrix(tuple(() for _ in range(lat.ambient_dim))))
-    rrt = r_int.to_q() @ r_int.t().to_q()
-    pull = r_int.t().to_q() @ inverse(rrt)  # v -> point of the span with Rv = v
-    return Lattice(lat.ambient_dim, (pull @ w.to_q()).scale(Fraction(1, d)))
+    gens, d = clear_denominators(b @ lat.basis)
+    h, u, pivots = hnf_rows(gens.t().entries, transform=True)
+    r = len(pivots)  # zero rows come last
+    kernel = lat.basis @ IntMatrix(tuple(map(tuple, u[r:]))).t()
+    image = QMatrix(tuple(zip(*h[:r])) or ((),) * gens.nrows)
+    return (Lattice(lat.ambient_dim, kernel),
+            Lattice(gens.nrows, image.scale(Fraction(1, d))))
 
 
 def apply_matrix(t, lat: Lattice) -> Lattice:

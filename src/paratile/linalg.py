@@ -405,8 +405,7 @@ def operator_norm_upper(m: Union[IntMatrix, QMatrix],
     maxcol = max(_abs_row_sums(tuple(zip(*entries))))
     best = Fraction(maxrow) * Fraction(maxcol)
     if refine_steps > 0:
-        q = as_qmatrix(m)
-        power = q.t() @ q
+        power = m.t() @ m  # an IntMatrix stays in integers
         k = 1
         for step in range(refine_steps):
             if step:

@@ -145,6 +145,11 @@ class LdpcParams:
     max_tries: int = 64
     row_bound: Optional[int] = None
 
+    def __post_init__(self):
+        # a budget that no run can meet is refused before any work
+        if self.max_tries < 1:
+            raise ValueError("max_tries must be at least 1")
+
     def effective_row_bound(self) -> int:
         if self.row_bound is not None:
             return self.row_bound

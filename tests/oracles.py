@@ -7,10 +7,11 @@ an algebraic adjacency test (a rank per vertex pair) and affine-rank face
 tests; the library's sweep is the integer, combinatorial one.
 The rest are small helpers the library itself never needs: GF(2) ranks, the
 meet-in-the-middle dependency search at every s, a rational solver and
-kernel, a Rayleigh lower bound on spectral norms, lattice membership, a
-grid volume enclosure, the H-representation parser, 4096-bit reference
-values of transcendental formulas, and the per-call sample loop and
-per-translate membership count of the tiling audit.
+kernel, a Rayleigh lower bound on spectral norms, lattice membership, the
+projection of a lattice onto a row span, a grid volume enclosure, the
+H-representation parser, 4096-bit reference values of transcendental
+formulas, and the per-call sample loop and per-translate membership count of
+the tiling audit.
 """
 
 import itertools
@@ -26,7 +27,8 @@ import numpy as np
 from paratile.intervals import Interval, sqrt_upper
 from paratile.lattices import Lattice, enumerate_short_vectors
 from paratile.linalg import (IntMatrix, QMatrix, as_qmatrix,
-                             denominator_lcm, det_q, integer_kernel_basis,
+                             clear_denominators, denominator_lcm, det_q,
+                             hnf_basis_columns, integer_kernel_basis,
                              inverse, rank_int_rows, rank_over_rationals,
                              rref, scaled_to_int)
 from paratile.polytopes import (BodyMeasures, DegenerateBody, EmptyBody,
@@ -415,6 +417,28 @@ def coordinates_in_lattice(lat: Lattice, v: Sequence) -> Optional[Tuple[int, ...
     if lat.basis.mul_vec(sol) != tuple(v):
         return None
     return tuple(int(c) for c in sol)
+
+
+def reference_projection(lat: Lattice, b) -> Lattice:
+    """Orthogonal projection of the lattice onto the row span of b.
+
+    The projection is computed through the injective map v -> R v (R an
+    integer row basis of the span): the image of the lattice there is a
+    subgroup of (1/d) Z^m, hence discrete, and pulling its Hermite basis back
+    through the pseudoinverse gives a genuine lattice basis of the projection.
+    """
+    r_int, _ = clear_denominators(as_qmatrix(b))
+    if rank_over_rationals(r_int) != r_int.nrows:
+        raise ValueError("rows must be independent")
+    image = r_int.to_q() @ lat.basis
+    im_int, d = clear_denominators(image)
+    w = hnf_basis_columns(im_int)  # columns generate d * (R L) as a group
+    if w.ncols == 0:
+        return Lattice(lat.ambient_dim,
+                       QMatrix(tuple(() for _ in range(lat.ambient_dim))))
+    rrt = r_int.to_q() @ r_int.t().to_q()
+    pull = r_int.t().to_q() @ inverse(rrt)  # v -> point of the span with Rv = v
+    return Lattice(lat.ambient_dim, (pull @ w.to_q()).scale(Fraction(1, d)))
 
 
 # --- walks and volumes ----------------------------------------------------------

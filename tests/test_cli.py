@@ -386,6 +386,23 @@ def test_sample_matrix_rejects_small_d(capsys):
     assert "at least 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--verify-s", "0"], "verify_s must be at least 1"),
+    (["--verify-s", "-1"], "verify_s must be at least 1"),
+    (["--max-tries", "0"], "max_tries must be at least 1"),
+])
+def test_sample_matrix_refuses_a_budget_that_cannot_work(argv, message,
+                                                         monkeypatch, capsys):
+    def no_sampling(params):
+        raise AssertionError("sampled despite an unusable budget")
+    monkeypatch.setattr(cli, "sample_ldpc", no_sampling)
+    assert main(["sample-matrix", "--m", "16", "--n", "32", "--d", "4",
+                 *argv]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == f"invalid parameters: {message}\n"
+
+
 def test_sample_matrix_verify_s_failure(capsys):
     # this seed yields a zero column, so single-column independence fails
     assert main(["sample-matrix", "--m", "32", "--n", "256", "--d", "4",
@@ -438,6 +455,25 @@ def test_walk_stats_empirical_column(capsys):
                  "--samples", "200"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert all("empirical" in r for r in doc["rows"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--t-max", "4", "--samples", "-3"], "samples must be at least 0"),
+    (["--t-max", "-1"], "t_max must be at least 0"),
+])
+def test_walk_stats_refuses_negative_counts(argv, message, capsys):
+    assert main(["walk-stats", "--m", "2", *argv]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == f"invalid parameters: {message}\n"
+
+
+def test_walk_stats_refuses_negative_samples_from_config(tmp_path, capsys):
+    cfg = write_json(tmp_path / "cfg.json", {"samples": -3})
+    assert main(["--config", cfg, "walk-stats", "--m", "2",
+                 "--t-max", "4"]) == 2
+    assert capsys.readouterr().err == \
+        "invalid parameters: samples must be at least 0\n"
 
 
 # --- parser ----------------------------------------------------------------------

@@ -3,17 +3,18 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from paratile.lattices import (EnumerationCap, Lattice,
-                               enumerate_short_vectors, intersect_with_kernel,
-                               lattices_equal, project_onto_rowspan,
-                               shortest_vector_sq)
-from paratile.linalg import IntMatrix, QMatrix, det_int, det_q
+from paratile.lattices import (EnumerationCap, Lattice, apply_matrix,
+                               enumerate_short_vectors, kernel_and_image,
+                               lattices_equal, shortest_vector_sq)
+from paratile.linalg import (IntMatrix, QMatrix, clear_denominators, det_int,
+                             det_q, hnf_basis_columns, inverse,
+                             rank_over_rationals)
 from paratile.radicals import SqrtSum
 
-from oracles import coordinates_in_lattice
+from oracles import coordinates_in_lattice, reference_projection
 
 FCC = [[1, 1, 0], [1, 0, 1], [0, 1, 1]]
 
@@ -94,9 +95,14 @@ def test_lattices_equal_separates_same_rank_lattices(cols, j, k):
     assert lattices_equal(lat, Lattice.from_columns(sheared))
 
 
+def right_inverse(b: IntMatrix) -> QMatrix:
+    bq = b.to_q()
+    return bq.t() @ inverse(bq @ bq.t())
+
+
 def test_kernel_intersection_of_worked_matrix():
     b = IntMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 1]])
-    sub = intersect_with_kernel(Lattice.standard(4), b)
+    sub, image = kernel_and_image(Lattice.standard(4), b)
     assert sub.rank == 2
     assert sub.is_integer()
     for j in range(sub.rank):
@@ -104,15 +110,65 @@ def test_kernel_intersection_of_worked_matrix():
         assert all(v == 0 for v in b.mul_vec(col))
     # (1,-1,0,0) is primitive in the kernel, so it must be reachable
     assert coordinates_in_lattice(sub, [1, -1, 0, 0]) is not None
+    assert lattices_equal(image, Lattice.standard(2))
 
 
 def test_projection_lattice_contains_projections():
     b = IntMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 1]])
-    proj = project_onto_rowspan(Lattice.standard(4), b)
+    _, image = kernel_and_image(Lattice.standard(4), b)
+    proj = apply_matrix(right_inverse(b), image)
     assert proj.rank == 2
     # image of e_1 under projection onto the rowspan of b
     half = Fraction(1, 2)
     assert coordinates_in_lattice(proj, [half, half, 0, 0]) is not None
+
+
+def test_kernel_and_image_of_a_rational_lattice():
+    lat = Lattice.from_columns([[Fraction(1, 2), 0, 0], [0, Fraction(1, 3), 0],
+                                [0, 0, 1]])
+    b = IntMatrix.from_rows([[1, 1, 1]])
+    kernel, image = kernel_and_image(lat, b)
+    assert kernel.rank == 2
+    # B L = (1/2) Z + (1/3) Z + Z = (1/6) Z
+    assert image.basis.entries == ((Fraction(1, 6),),)
+
+
+split_shapes = st.integers(min_value=2, max_value=6).flatmap(
+    lambda n: st.tuples(st.integers(min_value=1, max_value=n - 1),
+                        st.just(n)))
+
+
+@st.composite
+def split_cases(draw):
+    m, n = draw(split_shapes)
+    b_rows = draw(st.lists(st.lists(st.integers(min_value=-2, max_value=2),
+                                    min_size=n, max_size=n),
+                           min_size=m, max_size=m))
+    entry = draw(st.sampled_from([
+        st.integers(min_value=-3, max_value=3),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4)]))
+    cols = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    return IntMatrix.from_rows(b_rows), cols
+
+
+@given(split_cases())
+def test_kernel_and_image_split_the_lattice(case):
+    b, cols = case
+    m, n = b.shape
+    assume(rank_over_rationals(b) == m)
+    assume(det_q(QMatrix.from_rows(cols)) != 0)
+    lat = Lattice.from_columns(cols)
+    kernel, image = kernel_and_image(lat, b)
+    assert kernel.ambient_dim == n and kernel.rank == n - m
+    assert all(x == 0 for row in (b @ kernel.basis).entries for x in row)
+    gens, d = clear_denominators(b @ lat.basis)
+    assert image.basis.entries == \
+        hnf_basis_columns(gens).to_q().scale(Fraction(1, d)).entries
+    proj = reference_projection(lat, b)
+    assert lattices_equal(apply_matrix(right_inverse(b), image), proj)
+    # a primitive kernel slice: covol L = covol(L meet ker B) covol(proj L)
+    assert kernel.covolume() * proj.covolume() == lat.covolume()
 
 
 # --- enumeration ---------------------------------------------------------------

@@ -208,6 +208,12 @@ def test_sampler_row_bound_failure():
                                row_bound=1))
 
 
+@pytest.mark.parametrize("max_tries", [0, -2])
+def test_sampler_refuses_a_try_budget_below_one(max_tries):
+    with pytest.raises(ValueError, match="max_tries must be at least 1"):
+        LdpcParams(m=16, n=32, d=4, max_tries=max_tries)
+
+
 # --- independence verification -----------------------------------------------------
 
 def test_duplicate_column_fails_s2():
