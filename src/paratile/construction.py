@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .intervals import Interval, enclose, refine, sqrt_upper
+from .intervals import Interval, enclose, iroot_floor, refine, sqrt_upper
 from .lattices import (
     EnumerationCap,
     Lattice,
@@ -138,10 +138,48 @@ def predicted_bound_interval(n: int, kappa: int, prec: int = 96) -> Interval:
                    * iv.exp(_growth_exponent(iv, n, kappa)))
 
 
+def _power_base(x: int) -> Tuple[int, int]:
+    """(b, e) with x = b**e and b not a perfect power, for x >= 2."""
+    for e in range(x.bit_length(), 1, -1):
+        b = iroot_floor(x, e)
+        if b ** e == x:
+            return b, e
+    return x, 1
+
+
+def _exact_m(n: int, kappa: int) -> Optional[int]:
+    """floor(n exp(-g(n))) when n and 2 kappa are powers of one base b and
+    the value is a power of b, else None.
+
+    With n = b^a, 2 kappa = b^c and b not a perfect power, g(n) =
+    sqrt(2ac) ln b.  When 2ac = r^2 the value is b^(a-r) exactly, and no
+    enclosure can decide its floor.  When 2ac is not a square, a - sqrt(2ac)
+    is irrational algebraic, so b^(a - sqrt(2ac)) is transcendental
+    (Gelfond-Schneider): the value is no integer and a fine enough
+    enclosure decides.  When n is no power of b, an integer value would
+    contradict the four exponentials conjecture; the ladder raises
+    PrecisionExhausted rather than guess if one ever occurs.
+    """
+    b, c = _power_base(2 * kappa)
+    a = 0
+    while n % b == 0:
+        n //= b
+        a += 1
+    if n != 1:
+        return None
+    r = math.isqrt(2 * a * c)
+    if r * r != 2 * a * c:
+        return None
+    return b ** (a - r) if a >= r else 0
+
+
 def choose_m(n: int, kappa: int) -> int:
     """floor(n * exp(-sqrt(2 ln n ln 2 kappa))), certified by refinement."""
     if n <= 4 * kappa ** 2:
         raise RegimeError(f"n = {n} is inside the base regime for kappa = {kappa}")
+    exact = _exact_m(n, kappa)
+    if exact is not None:
+        return exact
     value = refine(
         lambda prec: enclose(
             prec, lambda iv: n * iv.exp(-_growth_exponent(iv, n, kappa))),
@@ -447,6 +485,32 @@ def _induction_inequality_holds(n: int, m: int, kappa: int) -> bool:
     return diff.lo >= 0
 
 
+def _m_from_bound(n: int, kappa: int, p: Interval) -> int:
+    """choose_m(n, kappa) from the enclosure p of P(n).
+
+    n exp(-g(n)) = 4 kappa n sqrt(n) / P(n); its square 16 kappa^2 n^3 / P^2
+    lies in [num / p.hi^2, num / p.lo^2], so m is the floor of the lower
+    end's root when the upper end stays below (m + 1)^2.
+    """
+    num = 16 * kappa ** 2 * n ** 3
+    m = math.isqrt(math.floor(num / p.hi ** 2))
+    if num < (m + 1) ** 2 * p.lo ** 2:
+        return m
+    return choose_m(n, kappa)
+
+
+def _induction_from_bounds(n: int, m: int, kappa: int,
+                           pn: Interval, pm: Interval) -> bool:
+    """`_induction_inequality_holds(n, m, kappa)` from enclosures of P(n)
+    and P(m): the inequality is P(n)^2 m >= 4 kappa^2 n P(m)^2."""
+    rhs = 4 * kappa ** 2 * n
+    if pn.lo ** 2 * m >= rhs * pm.hi ** 2:
+        return True
+    if pn.hi ** 2 * m < rhs * pm.lo ** 2:
+        return False
+    return _induction_inequality_holds(n, m, kappa)
+
+
 def scan_induction(kappa: int = 4, n_hi: int = 10 ** 6, count: int = 1000
                    ) -> List[Dict]:
     """Per-size audit of the bound schedule over a log-spaced grid.
@@ -455,6 +519,21 @@ def scan_induction(kappa: int = 4, n_hi: int = 10 ** 6, count: int = 1000
     the predicted bound (so the base case suffices there), or the schedule
     produces a usable m >= 4 and the growth-function induction inequality is
     certified.  Returns one record per point.
+
+    Every decision comes from the 96-bit enclosure of the predicted bound
+    P(n) = 4 kappa sqrt(n) e^g(n), g(n) = sqrt(2 ln n ln 2 kappa), by exact
+    rational arithmetic:
+
+    - base_covers is 2n <= P(n).lo, as recorded in predicted_lo;
+    - m = floor(n e^-g(n)) and n e^-g(n) = 4 kappa n sqrt(n) / P(n), so m
+      is read off the squares 16 kappa^2 n^3 / P(n)^2 at P's two ends;
+    - the induction inequality 4 kappa e^g(m) <= 2 e^g(n) is, with
+      e^g(x) = P(x) / (4 kappa sqrt(x)), P(n) sqrt(m) >= 2 kappa sqrt(n)
+      P(m), compared squared at the ends of P(n) and P(m).
+
+    Where the ends do not agree, `choose_m` or `_induction_inequality_holds`
+    decides with its own ladder.  The enclosures of P live for one call,
+    and P(m) shares them with the grid points.
     """
     lo = 4 * kappa ** 2 + 1
     if n_hi <= lo:
@@ -463,21 +542,23 @@ def scan_induction(kappa: int = 4, n_hi: int = 10 ** 6, count: int = 1000
         min(n_hi, max(lo, round(math.exp(
             math.log(lo) + (math.log(n_hi) - math.log(lo)) * i / (count - 1)))))
         for i in range(count)]
-    cache: Dict[int, Dict] = {}
+    bounds: Dict[int, Interval] = {}
+
+    def bound(n: int) -> Interval:
+        if n not in bounds:
+            bounds[n] = predicted_bound_interval(n, kappa)
+        return bounds[n]
+
+    records: Dict[int, Dict] = {}
     out = []
     for n in points:
-        if n not in cache:
-            predicted = predicted_bound_interval(n, kappa)
-            base_ok = Fraction(2 * n) <= predicted.lo
-            induction_ok = False
-            m = None
-            try:
-                m = choose_m(n, kappa)
-                if m >= 4:
-                    induction_ok = _induction_inequality_holds(n, m, kappa)
-            except RegimeError:
-                pass
-            cache[n] = {
+        if n not in records:
+            predicted = bound(n)
+            base_ok = 2 * n <= predicted.lo
+            m = _m_from_bound(n, kappa, predicted)
+            induction_ok = m >= 4 and _induction_from_bounds(
+                n, m, kappa, predicted, bound(m))
+            records[n] = {
                 "n": n,
                 "m": m,
                 "predicted_lo": predicted.lo,
@@ -485,5 +566,5 @@ def scan_induction(kappa: int = 4, n_hi: int = 10 ** 6, count: int = 1000
                 "induction_covers": induction_ok,
                 "covered": base_ok or induction_ok,
             }
-        out.append(cache[n])
+        out.append(records[n])
     return out

@@ -17,6 +17,7 @@ the last rung.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -190,11 +191,21 @@ def refine(compute: Callable[[int], Interval],
     """Evaluate ``compute(prec)`` along a precision ladder until ``decided``.
 
     Returns the first deciding enclosure; ``what`` names the question in the
-    ``PrecisionExhausted`` message, which also shows the last enclosure.
+    ``PrecisionExhausted`` message, which also shows the last enclosure,
+    rounded outward to 20 significant digits.
     """
     last = None
     for prec in ladder:
         last = compute(prec)
         if decided(last):
             return last
-    raise PrecisionExhausted(f"{what}: undecided at {last}")
+    lo = _decimal(last.lo, decimal.ROUND_FLOOR)
+    hi = _decimal(last.hi, decimal.ROUND_CEILING)
+    raise PrecisionExhausted(f"{what}: undecided at [{lo}, {hi}]")
+
+
+def _decimal(x: Fraction, rounding: str) -> decimal.Decimal:
+    """x to 20 significant digits, rounded in the given direction."""
+    ctx = decimal.Context(prec=20, rounding=rounding, Emax=decimal.MAX_EMAX,
+                          Emin=decimal.MIN_EMIN)
+    return ctx.divide(decimal.Decimal(x.numerator), x.denominator)

@@ -146,9 +146,18 @@ class LdpcParams:
     row_bound: Optional[int] = None
 
     def __post_init__(self):
-        # a budget that no run can meet is refused before any work
+        # shapes and budgets that no run can meet are refused before any work
+        if not (3 <= self.d <= self.m <= self.n):
+            raise ValueError("need 3 <= d <= m <= n")
         if self.max_tries < 1:
             raise ValueError("max_tries must be at least 1")
+        # a column's weight has the parity of d, so with d odd the n columns
+        # carry at least n ones and some row at least ceil(n/m); with d even
+        # every column may be 0.  No sample meets a bound below that.
+        least = -(-self.n * (self.d % 2) // self.m)
+        if self.row_bound is not None and self.row_bound < least:
+            raise ValueError(f"row_bound {self.row_bound} is below "
+                             f"{least}, the least heaviest row of any sample")
 
     def effective_row_bound(self) -> int:
         if self.row_bound is not None:
@@ -205,8 +214,6 @@ def _row_weights(m: int, masks: Sequence[int]) -> List[int]:
 
 def sample_ldpc(params: LdpcParams) -> Tuple[IntMatrix, Dict]:
     """Sample until every row weight is within the 4dn/m bound."""
-    if not (3 <= params.d <= params.m <= params.n):
-        raise ValueError("need 3 <= d <= m <= n")
     bound = params.effective_row_bound()
     first_try_pass = None
     for attempt in range(params.max_tries):

@@ -597,5 +597,51 @@ def validate_document(kind: str, obj: Dict) -> None:
                                  f"{_path_str(exc.path)}") from exc
 
 
+_SCALARS = (str, int, float, type(None))
+
+
 def dump_json(obj: Dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    With ``indent`` set, CPython's json module encodes in pure Python.  Here
+    each container whose members are all scalars (a matrix row, a flat
+    record) goes to the C encoder whole, with its newline and indentation
+    folded into the item separator; only the nesting above is walked.
+    """
+    out: List[str] = []
+    _encode(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _encode(obj, newline: str, out: List[str]) -> None:
+    """Append obj's indented JSON to out; newline is a line break plus the
+    indentation of obj's closing bracket."""
+    if isinstance(obj, dict):
+        members = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        members = obj
+    else:
+        out.append(json.dumps(obj))
+        return
+    inner = newline + "  "
+    if all(isinstance(v, _SCALARS) for v in members):
+        text = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))
+        if len(text) > 2:  # not empty
+            text = text[0] + inner + text[1:-1] + newline + text[-1]
+        out.append(text)
+        return
+    if isinstance(obj, dict):
+        out.append("{")
+        for i, (key, value) in enumerate(sorted(obj.items())):
+            # the key as json writes one: "1.5" for 1.5, "true" for True
+            key_text = json.dumps({key: 0})[1:-4]
+            out.append(("," if i else "") + inner + key_text + ": ")
+            _encode(value, inner, out)
+        out.append(newline + "}")
+    else:
+        out.append("[")
+        for i, value in enumerate(obj):
+            out.append(("," if i else "") + inner)
+            _encode(value, inner, out)
+        out.append(newline + "]")

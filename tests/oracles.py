@@ -10,8 +10,8 @@ meet-in-the-middle dependency search at every s, a rational solver and
 kernel, a Rayleigh lower bound on spectral norms, lattice membership, the
 projection of a lattice onto a row span, a grid volume enclosure, the
 H-representation parser, 4096-bit reference values of transcendental
-formulas, and the per-call sample loop and per-translate membership count of
-the tiling audit.
+formulas, the per-call sample loop and per-translate membership count of
+the tiling audit, and the schedule scan with three ladders per grid point.
 """
 
 import itertools
@@ -24,6 +24,8 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
 import mpmath
 import numpy as np
 
+from paratile.construction import (RegimeError, _induction_inequality_holds,
+                                   choose_m, predicted_bound_interval)
 from paratile.intervals import Interval, sqrt_upper
 from paratile.lattices import Lattice, enumerate_short_vectors
 from paratile.linalg import (IntMatrix, QMatrix, as_qmatrix,
@@ -584,3 +586,40 @@ def membership_count_by_translate(ks, rows, offsets, dtype
     return (int(np.count_nonzero(overlap_mask)),
             int(np.count_nonzero(gap_mask)), boundary,
             tuple(tuple(ks[int(i)]) for i in bad))
+
+
+def reference_scan_induction(kappa: int = 4, n_hi: int = 10 ** 6,
+                             count: int = 1000) -> List[Dict]:
+    """``construction.scan_induction`` with a ladder of its own for each of
+    P(n), m and the induction inequality at every grid point."""
+    lo = 4 * kappa ** 2 + 1
+    if n_hi <= lo:
+        raise ValueError("scan range is empty")
+    points = [
+        min(n_hi, max(lo, round(math.exp(
+            math.log(lo) + (math.log(n_hi) - math.log(lo)) * i / (count - 1)))))
+        for i in range(count)]
+    cache: Dict[int, Dict] = {}
+    out = []
+    for n in points:
+        if n not in cache:
+            predicted = predicted_bound_interval(n, kappa)
+            base_ok = Fraction(2 * n) <= predicted.lo
+            induction_ok = False
+            m = None
+            try:
+                m = choose_m(n, kappa)
+                if m >= 4:
+                    induction_ok = _induction_inequality_holds(n, m, kappa)
+            except RegimeError:
+                pass
+            cache[n] = {
+                "n": n,
+                "m": m,
+                "predicted_lo": predicted.lo,
+                "base_covers": base_ok,
+                "induction_covers": induction_ok,
+                "covered": base_ok or induction_ok,
+            }
+        out.append(cache[n])
+    return out

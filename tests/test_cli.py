@@ -142,6 +142,15 @@ def test_construct_body_out_makes_its_directory(tmp_path, capsys):
     validate_document("polytope", json.loads(body_path.read_text()))
 
 
+@pytest.mark.parametrize("n, kappa", [(16777216, 4), (256, 1)])
+def test_bound_only_at_an_exact_power_decides_m(n, kappa, capsys):
+    # n e^-g(n) is an integer at these sizes; the schedule still picks m
+    assert main(["construct", "--n", str(n), "--kappa", str(kappa),
+                 "--bound-only"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [(lv["mode"], lv["n"]) for lv in doc["levels"]] == [("cube", n)]
+
+
 def test_bound_only_body_out_says_no_body_and_exits_2(tmp_path, capsys):
     body_path, report = tmp_path / "b.json", tmp_path / "r.json"
     assert main(["construct", "--n", "100", "--bound-only",
@@ -390,6 +399,10 @@ def test_sample_matrix_rejects_small_d(capsys):
     (["--verify-s", "0"], "verify_s must be at least 1"),
     (["--verify-s", "-1"], "verify_s must be at least 1"),
     (["--max-tries", "0"], "max_tries must be at least 1"),
+    (["--row-bound", "-1"],
+     "row_bound -1 is below 0, the least heaviest row of any sample"),
+    (["--d", "3", "--row-bound", "1"],
+     "row_bound 1 is below 2, the least heaviest row of any sample"),
 ])
 def test_sample_matrix_refuses_a_budget_that_cannot_work(argv, message,
                                                          monkeypatch, capsys):

@@ -16,7 +16,7 @@ from paratile.linalg import IntMatrix, inverse
 from paratile.radicals import SqrtSum
 from paratile.serialization import construction_report_to_json, dump_json
 
-from oracles import mp_reference
+from oracles import mp_reference, reference_scan_induction
 
 WORKED_B = IntMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 1]])
 
@@ -38,6 +38,17 @@ def test_choose_m_rejects_base_regime():
         choose_m(64, 4)
     with pytest.raises(RegimeError):
         choose_m(10, 4)
+
+
+@pytest.mark.parametrize("n, kappa, m", [
+    (256, 1, 16),           # 2^8 e^-sqrt(2 ln 2^8 ln 2) = 2^(8 - 4)
+    (65536, 2, 256),        # 2^16 with 2 kappa = 2^2: 2^(16 - 8)
+    (8 ** 8, 4, 4096),      # 2^24 with 2 kappa = 2^3: 2^(24 - 12)
+    (2 ** 18, 1, 4096),     # 2^(18 - 6)
+])
+def test_choose_m_at_an_exact_power(n, kappa, m):
+    # n e^-g(n) is an integer here, so no enclosure decides its floor
+    assert choose_m(n, kappa) == m
 
 
 def test_choose_m_shrinks():
@@ -332,6 +343,29 @@ def test_scan_induction_grid():
 def test_scan_induction_rejects_empty_range():
     with pytest.raises(ValueError):
         scan_induction(4, 65, 10)
+
+
+@pytest.mark.parametrize("kappa, n_hi", [(1, 10 ** 6), (2, 10 ** 6),
+                                         (4, 10 ** 6), (4, 10 ** 7)])
+def test_scan_induction_matches_the_three_ladder_reference(kappa, n_hi):
+    assert scan_induction(kappa, n_hi, 1000) \
+        == reference_scan_induction(kappa, n_hi, 1000)
+
+
+def test_scan_induction_encloses_each_size_once(monkeypatch):
+    # one 96-bit enclosure of P per grid point and per distinct m >= 4; the
+    # three-ladder scan made 2,724 enclose calls here
+    calls = []
+
+    def counting_enclose(prec, formula):
+        calls.append(prec)
+        return intervals.enclose(prec, formula)
+
+    monkeypatch.setattr(construction, "enclose", counting_enclose)
+    recs = scan_induction(4, 10 ** 6, 1000)
+    sizes = {r["n"] for r in recs}
+    ms = {r["m"] for r in recs if r["m"] >= 4}
+    assert len(calls) <= len(sizes) + len(ms)
 
 
 # --- isoperimetric context --------------------------------------------------

@@ -172,3 +172,14 @@ def test_refine_gives_up():
     with pytest.raises(PrecisionExhausted):
         refine(lambda p: Interval(Fraction(0), Fraction(1)),
                decided=lambda r: r.width <= Fraction(1, 10))
+
+
+def test_refine_gives_up_with_a_short_outward_message():
+    # the last enclosure has 4096-bit endpoints; the message rounds them
+    # outward to 20 significant digits instead of printing the fractions
+    with pytest.raises(PrecisionExhausted) as info:
+        refine(lambda p: sqrt_interval(Fraction(2), p),
+               decided=lambda r: False, what="sqrt(2) at width 0")
+    msg = str(info.value)
+    assert msg == ("sqrt(2) at width 0: undecided at "
+                   "[1.4142135623730950488, 1.4142135623730950489]")

@@ -461,3 +461,31 @@ def test_dump_json_is_canonical():
     b = dump_json({"a": [2, 3], "b": 1})
     assert a == b
     assert a.endswith("\n")
+
+
+def _indented(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("path", sorted(
+    [p for p in (FIXTURE_DIR.parent / "tests" / "golden").glob("*.stdout")
+     if p.read_text().startswith("{")]
+    + list(FIXTURE_DIR.glob("*.json"))), ids=lambda p: p.name)
+def test_dump_json_matches_the_indenting_encoder_on_documents(path):
+    doc = json.loads(path.read_text())
+    assert dump_json(doc) == _indented(doc)
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70), st.floats(),
+    st.text(max_size=6), st.sampled_from(["", "\u00e9", "\u2603\n\"\\"]))
+
+
+@given(st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=4), inner,
+                                            max_size=4)),
+    max_leaves=30))
+def test_dump_json_matches_the_indenting_encoder(obj):
+    assert dump_json(obj) == _indented(obj)
