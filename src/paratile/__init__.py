@@ -16,7 +16,7 @@ from .intervals import Interval, PrecisionExhausted
 from .lattices import EnumerationCap, Lattice, enumerate_short_vectors, \
     shortest_vector_sq
 from .linalg import IntMatrix, QMatrix, complete_to_full_rank, \
-    integer_kernel_basis, operator_norm_upper
+    operator_norm_upper
 from .polytopes import (BodyMeasures, DegenerateBody, EmptyBody, HPolytope,
                         Unbounded, linear_image, orthogonal_product, scaled,
                         voronoi_cell)
@@ -37,7 +37,7 @@ __all__ = [
     "admissible_s", "choose_d", "choose_m",
     "complete_to_full_rank", "construct", "construct_bound_only",
     "default_c", "enumerate_short_vectors", "expected_collisions",
-    "integer_kernel_basis", "isoperimetric_ratio_lower", "linear_image",
+    "isoperimetric_ratio_lower", "linear_image",
     "operator_norm_upper", "orthogonal_product", "predicted_bound_interval",
     "return_prob_bound", "return_prob_exact", "sample_ldpc",
     "scan_induction", "scaled", "shortest_vector_sq", "verify_s_independence",

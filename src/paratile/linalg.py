@@ -353,29 +353,6 @@ def hnf_rows(mat: Sequence[Sequence[int]],
     return H, U, tuple(pivot_cols)
 
 
-def integer_kernel_basis(b: IntMatrix) -> IntMatrix:
-    """Basis (as columns) of {x in Z^n : b @ x = 0}.
-
-    Unimodular row reduction of b-transpose; the transform rows that map to
-    zero rows of the Hermite form span the kernel over Z.
-    """
-    bt = b.t()
-    H, U, _ = hnf_rows(bt.entries, transform=True)
-    kernel_rows = [U[i] for i in range(len(H)) if not any(H[i])]
-    if not kernel_rows:
-        return IntMatrix(tuple(() for _ in range(b.ncols)))
-    return IntMatrix.from_rows(kernel_rows).t()
-
-
-def hnf_basis_columns(generators: IntMatrix) -> IntMatrix:
-    """Canonical lattice basis (columns) of the group the columns generate."""
-    rows = generators.t().entries
-    H, _, _ = hnf_rows(rows)
-    keep = [r for r in H if any(r)]
-    return IntMatrix.from_rows(keep).t() if keep else \
-        IntMatrix(tuple(() for _ in range(generators.nrows)))
-
-
 # --- operator norm certificates ----------------------------------------------
 
 @dataclass(frozen=True)

@@ -328,8 +328,10 @@ class HPolytope:
 
     @staticmethod
     def cube(n: int, half_side: Fraction = Fraction(1, 2)) -> "HPolytope":
-        """[-h, h]^n.  It states its chart table and, its metric being the
-        identity, its measures, so no n x n metric is ever formed."""
+        """[-h, h]^n.  It states its halfspaces, its chart table and, its
+        metric being the identity, its measures, so no n x n metric is ever
+        formed.  The 2n unit normals are primitive and distinct, so sorting
+        them is all `canonical_halfspaces` would do."""
         half = Fraction(half_side)
         if half <= 0:
             raise ValueError("half side must be positive")
@@ -338,7 +340,7 @@ class HPolytope:
         for e in units:
             hs.append((e, half))
             hs.append((_neg(e), half))
-        body = HPolytope.from_halfspaces(n, hs)
+        body = HPolytope(n, QMatrix.identity(n), tuple(sorted(hs)))
         side = 2 * half
         area = 2 * side ** (n - 1)  # the opposite facets of an axis
         body._cache["chart"] = (side ** n, tuple((e, area) for e in units))

@@ -152,6 +152,8 @@ def polytope_from_json(obj: Dict) -> HPolytope:
     if basis is None:
         return HPolytope.from_halfspaces(n, hs)
     cols = [[parse_frac(s) for s in col] for col in basis]
+    if any(len(c) != n for c in cols):
+        raise SerializationError("basis column length does not match dimension")
     frame = QMatrix.from_rows(
         [[cols[j][i] for j in range(len(cols))] for i in range(n)])
     return HPolytope.from_halfspaces(frame, hs)

@@ -5,9 +5,11 @@ route, so a test can demand equal ``SqrtSum`` terms, not just equal values.
 The reference sweep is the double description method on ``Fraction``s with
 an algebraic adjacency test (a rank per vertex pair) and affine-rank face
 tests; the library's sweep is the integer, combinatorial one.
-The rest are small helpers the library itself never needs: GF(2) ranks, the
+The rest are small helpers the library itself never needs: the integer
+kernel and the Hermite column basis of an integer matrix, GF(2) ranks, the
 meet-in-the-middle dependency search at every s, a rational solver and
-kernel, a Rayleigh lower bound on spectral norms, lattice membership, the
+kernel, a Rayleigh lower bound on spectral norms, lattice equality, the
+image of a lattice under a matrix, lattice membership, the
 projection of a lattice onto a row span, a grid volume enclosure, the
 H-representation parser, 4096-bit reference values of transcendental
 formulas, the per-call sample loop and per-translate membership count of
@@ -30,9 +32,8 @@ from paratile.intervals import Interval, sqrt_upper
 from paratile.lattices import Lattice, enumerate_short_vectors
 from paratile.linalg import (IntMatrix, QMatrix, as_qmatrix,
                              clear_denominators, denominator_lcm, det_q,
-                             hnf_basis_columns, integer_kernel_basis,
-                             inverse, rank_int_rows, rank_over_rationals,
-                             rref, scaled_to_int)
+                             hnf_rows, inverse, rank_int_rows,
+                             rank_over_rationals, rref, scaled_to_int)
 from paratile.polytopes import (BodyMeasures, DegenerateBody, EmptyBody,
                                 HPolytope, Unbounded, primitive_normal)
 from paratile.radicals import SqrtSum
@@ -264,6 +265,29 @@ def triangulated_measures(body: HPolytope) -> BodyMeasures:
 
 # --- linear algebra ------------------------------------------------------------
 
+def integer_kernel_basis(b: IntMatrix) -> IntMatrix:
+    """Basis (as columns) of {x in Z^n : b @ x = 0}.
+
+    Unimodular row reduction of b-transpose; the transform rows that map to
+    zero rows of the Hermite form span the kernel over Z.
+    """
+    bt = b.t()
+    H, U, _ = hnf_rows(bt.entries, transform=True)
+    kernel_rows = [U[i] for i in range(len(H)) if not any(H[i])]
+    if not kernel_rows:
+        return IntMatrix(tuple(() for _ in range(b.ncols)))
+    return IntMatrix.from_rows(kernel_rows).t()
+
+
+def hnf_basis_columns(generators: IntMatrix) -> IntMatrix:
+    """Canonical lattice basis (columns) of the group the columns generate."""
+    rows = generators.t().entries
+    H, _, _ = hnf_rows(rows)
+    keep = [r for r in H if any(r)]
+    return IntMatrix.from_rows(keep).t() if keep else \
+        IntMatrix(tuple(() for _ in range(generators.nrows)))
+
+
 def rank_over_gf2(m: IntMatrix) -> int:
     masks = []
     for row in m.entries:
@@ -396,6 +420,29 @@ def rayleigh_lower_sq(m: Union[IntMatrix, QMatrix], iters: int = 8) -> Fraction:
             s = max(mags)
             x = [v / s for v in x]
     return best
+
+
+def lattices_equal(a: Lattice, b: Lattice) -> bool:
+    """Exact equality as subsets of the ambient space."""
+    if a.ambient_dim != b.ambient_dim or a.rank != b.rank:
+        return False
+    if a.basis.entries == b.basis.entries:
+        return True  # the same basis spans the same lattice
+    na, da = clear_denominators(a.basis)
+    nb, db = clear_denominators(b.basis)
+    d = math.lcm(da, db)
+    ma = na.scale(d // da)
+    mb = nb.scale(d // db)
+    return hnf_basis_columns(ma).entries == hnf_basis_columns(mb).entries
+
+
+def apply_matrix(t, lat: Lattice) -> Lattice:
+    """Image lattice under an injective-on-the-span linear map."""
+    tq = as_qmatrix(t)
+    new_basis = tq @ lat.basis
+    if rank_over_rationals(new_basis) != lat.rank:
+        raise ValueError("map collapses the lattice")
+    return Lattice(tq.nrows, new_basis)
 
 
 def coordinates_in_lattice(lat: Lattice, v: Sequence) -> Optional[Tuple[int, ...]]:

@@ -87,6 +87,11 @@ def test_explicit_flag_beats_config(tmp_path, capsys):
     ({"samples": "10"},
      ["verify", "--fixture", str(FIXTURE_DIR / "cube3.json")],
      'samples: expected int, got "10"'),
+    ({"verify_s": "3"}, ["sample-matrix", "--m", "16", "--n", "32", "--d", "4"],
+     'verify_s: expected int, got "3"'),
+    ({"row_bound": 2.5},
+     ["sample-matrix", "--m", "16", "--n", "32", "--d", "4"],
+     'row_bound: expected int, got 2.5'),
 ])
 def test_mistyped_config_value_is_refused(tmp_path, capsys, cfg, argv,
                                           message):
@@ -378,6 +383,39 @@ def test_verify_reports_a_body_that_is_not_a_polytope(tmp_path, capsys,
     assert cap.err == f"bad input: {message}\n"
 
 
+SQUARE = [{"a": a, "b": "1/2"}
+          for a in (["-1", "0"], ["0", "-1"], ["0", "1"], ["1", "0"])]
+
+
+def test_verify_refuses_a_basis_column_longer_than_the_dimension(tmp_path,
+                                                                 capsys):
+    # read up to ambient_dim only, these columns would pass as the 2 x 2
+    # identity chart
+    body = write_json(tmp_path / "body.json", {
+        "ambient_dim": 2, "subspace_basis": [["1", "0", "5"], ["0", "1", "7"]],
+        "halfspaces": SQUARE})
+    lat = write_json(tmp_path / "lat.json",
+                     lattice_to_json(Lattice.standard(2)))
+    assert main(["verify", "--body", body, "--lattice", lat,
+                 "--samples", "100"]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == \
+        "bad input: basis column length does not match dimension\n"
+
+
+def test_verify_refuses_a_fixture_basis_column_shorter_than_the_dimension(
+        tmp_path, capsys):
+    doc = json.loads((FIXTURE_DIR / "cube3.json").read_text())
+    doc["body"]["subspace_basis"] = [["1", "0"], ["0", "1"], ["0", "0"]]
+    fx = write_json(tmp_path / "short.json", doc)
+    assert main(["verify", "--fixture", fx, "--samples", "100"]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == \
+        "bad input: basis column length does not match dimension\n"
+
+
 # --- sample-matrix ------------------------------------------------------------
 
 
@@ -414,6 +452,42 @@ def test_sample_matrix_refuses_a_budget_that_cannot_work(argv, message,
     cap = capsys.readouterr()
     assert cap.out == ""
     assert cap.err == f"invalid parameters: {message}\n"
+
+
+@pytest.mark.parametrize("cfg, argv, message", [
+    ({"verify_s": 0}, [], "verify_s must be at least 1"),
+    ({"verify_s": -1}, [], "verify_s must be at least 1"),
+    ({"row_bound": 1}, ["--d", "3"],
+     "row_bound 1 is below 2, the least heaviest row of any sample"),
+])
+def test_sample_matrix_refuses_a_config_budget_that_cannot_work(
+        tmp_path, monkeypatch, capsys, cfg, argv, message):
+    def no_sampling(params):
+        raise AssertionError("sampled despite an unusable budget")
+    monkeypatch.setattr(cli, "sample_ldpc", no_sampling)
+    path = write_json(tmp_path / "cfg.json", cfg)
+    assert main(["--config", path, "sample-matrix", "--m", "16", "--n", "32",
+                 "--d", "4", *argv]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == f"invalid parameters: {message}\n"
+
+
+def test_sample_matrix_reads_verify_s_and_row_bound_from_config(tmp_path,
+                                                                capsys):
+    argv = ["sample-matrix", "--m", "16", "--n", "32", "--d", "4",
+            "--seed", "1"]
+    cfg = write_json(tmp_path / "cfg.json", {"verify_s": 3})
+    assert main(["--config", cfg] + argv) == 1
+    assert "s-independence FAILED at s=3: dependent columns (12, 22, 25)" \
+        in capsys.readouterr().err
+    # the flag wins over the file
+    assert main(["--config", cfg] + argv + ["--verify-s", "1"]) == 0
+    assert "every 1 columns independent" in capsys.readouterr().err
+    cfg = write_json(tmp_path / "cfg.json", {"row_bound": 1, "max_tries": 2})
+    assert main(["--config", cfg] + argv) == 1
+    assert capsys.readouterr().err == \
+        "sampler failed: row bound 1 missed in 2 attempts\n"
 
 
 def test_sample_matrix_verify_s_failure(capsys):

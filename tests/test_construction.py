@@ -1,17 +1,21 @@
 import hashlib
+import importlib
 import json
+import pkgutil
 import time
 from fractions import Fraction
 
 import pytest
 
-from paratile import construction, intervals, radicals
+import paratile
+from paratile import construction, intervals, linalg, radicals
 from paratile.construction import (ConstructionError, RecursionConfig,
                                    RegimeError, bound_value, choose_m,
                                    construct, construct_bound_only,
                                    isoperimetric_ratio_lower,
                                    predicted_bound_interval, scan_induction,
                                    schedule_parameters)
+from paratile.lattices import Lattice
 from paratile.linalg import IntMatrix, inverse
 from paratile.radicals import SqrtSum
 from paratile.serialization import construction_report_to_json, dump_json
@@ -266,6 +270,64 @@ def test_worked_example_deterministic_bytes():
     doc_b = dump_json(construction_report_to_json(
         construct(4, worked_config()), "0"))
     assert doc_a == doc_b
+
+
+def _count_rank_calls(monkeypatch):
+    """Shapes of the matrices the package hands to rank_over_rationals,
+    through whichever module's name for it."""
+    shapes = []
+    original = linalg.rank_over_rationals
+
+    def counted(m):
+        shapes.append(m.shape)
+        return original(m)
+
+    for info in pkgutil.iter_modules(paratile.__path__):
+        module = importlib.import_module(f"paratile.{info.name}")
+        if getattr(module, "rank_over_rationals", None) is original:
+            monkeypatch.setattr(module, "rank_over_rationals", counted)
+    return shapes
+
+
+def test_cube_path_makes_one_rank_elimination(monkeypatch):
+    # Z^n is read off its identity basis and the cube states its own
+    # halfspaces; the one elimination left is Lattice.standard(n)'s own
+    shapes = _count_rank_calls(monkeypatch)
+    construct(40)
+    assert shapes == [(40, 40)]
+
+
+def test_another_basis_of_z_n_takes_the_certified_voronoi_path():
+    # only the identity basis is read as Z^n; a sheared one is still Z^3,
+    # and its Voronoi cell is the cube
+    body, trace = construction.base_level(
+        Lattice.from_columns([[1, 0, 0], [1, 1, 0], [0, 0, 1]]),
+        RecursionConfig())
+    assert trace.mode == "voronoi"
+    assert all(ok for _, ok in trace.checks)
+    assert trace.ratio == SqrtSum.from_rational(6)
+    assert body.measures().volume == SqrtSum.from_rational(1)
+
+
+def test_worked_step_makes_at_most_six_rank_eliminations(monkeypatch):
+    # B T = I certifies the section with no lattice built from T or B
+    shapes = _count_rank_calls(monkeypatch)
+    rep = construct(4, worked_config())
+    assert [lv.mode for lv in rep.levels] == ["step", "cube"]
+    assert len(shapes) <= 6, shapes
+
+
+def test_a_false_section_fails_projection_image_agree(monkeypatch):
+    # T = B^T (B B^T)^-1 with one entry of the inverse off by one is no
+    # right inverse of B, and the step must refuse it by name
+    def off_by_one(a):
+        rows = [list(row) for row in inverse(a).entries]
+        rows[0][0] += 1
+        return type(a).from_rows(rows)
+
+    monkeypatch.setattr(construction, "inverse", off_by_one)
+    with pytest.raises(ConstructionError, match="projection_image_agree"):
+        construct(4, worked_config())
 
 
 def test_override_with_zero_column_errors():

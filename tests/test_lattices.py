@@ -6,15 +6,15 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from paratile.lattices import (EnumerationCap, Lattice, apply_matrix,
+from paratile.lattices import (EnumerationCap, Lattice,
                                enumerate_short_vectors, kernel_and_image,
-                               lattices_equal, shortest_vector_sq)
+                               shortest_vector_sq)
 from paratile.linalg import (IntMatrix, QMatrix, clear_denominators, det_int,
-                             det_q, hnf_basis_columns, inverse,
-                             rank_over_rationals)
+                             det_q, inverse, rank_over_rationals)
 from paratile.radicals import SqrtSum
 
-from oracles import coordinates_in_lattice, reference_projection
+from oracles import (apply_matrix, coordinates_in_lattice, hnf_basis_columns,
+                     lattices_equal, reference_projection)
 
 FCC = [[1, 1, 0], [1, 0, 1], [0, 1, 1]]
 
@@ -169,6 +169,35 @@ def test_kernel_and_image_split_the_lattice(case):
     assert lattices_equal(apply_matrix(right_inverse(b), image), proj)
     # a primitive kernel slice: covol L = covol(L meet ker B) covol(proj L)
     assert kernel.covolume() * proj.covolume() == lat.covolume()
+
+
+@st.composite
+def zero_one_matrices(draw):
+    """(B, planted): a 0/1 matrix B, with an m x m identity planted among
+    its columns when planted is True."""
+    m = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=m, max_value=7))
+    rows = draw(st.lists(st.lists(st.integers(min_value=0, max_value=1),
+                                  min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    planted = draw(st.booleans())
+    if planted:
+        for i, j in enumerate(draw(st.permutations(range(n)))[:m]):
+            for r in range(m):
+                rows[r][j] = int(r == i)
+    return IntMatrix.from_rows(rows), planted
+
+
+@given(zero_one_matrices())
+def test_image_basis_is_the_identity_exactly_when_b_z_n_is_z_m(case):
+    # the step reads B Z^n = Z^m off the Hermite basis, not by comparing
+    # lattices; the oracle compares them
+    b, planted = case
+    m, n = b.shape
+    _, image = kernel_and_image(Lattice.standard(n), b)
+    identity = image.basis.entries == QMatrix.identity(m).entries
+    assert identity == lattices_equal(image, Lattice.standard(m))
+    assert identity or not planted
 
 
 # --- enumeration ---------------------------------------------------------------

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from paratile.linalg import (IntMatrix, QMatrix, clear_denominators,
                              complete_to_full_rank, denominator_lcm, det_int,
-                             det_q, hnf_basis_columns, integer_kernel_basis,
-                             inverse, lll_reduce, operator_norm_upper,
+                             det_q, inverse, lll_reduce, operator_norm_upper,
                              rank_int_rows, rank_over_rationals, rref)
 
-from oracles import (columns_independent, nullspace, rank_over_gf2,
+from oracles import (columns_independent, hnf_basis_columns,
+                     integer_kernel_basis, nullspace, rank_over_gf2,
                      rayleigh_lower_sq, solve_unique)
 
 bit_matrices = st.integers(min_value=1, max_value=4).flatmap(

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from paratile import serialization
 from paratile.cli import main
 from paratile.construction import RecursionConfig, construct
-from paratile.lattices import Lattice, lattices_equal
+from paratile.lattices import Lattice
 from paratile.linalg import IntMatrix, QMatrix
 from paratile.polytopes import HPolytope, voronoi_cell
 from paratile.radicals import SqrtSum
@@ -32,7 +32,7 @@ from paratile.serialization import (SerializationError,
                                     validate_document)
 from paratile.verify import verify_tiling
 
-from oracles import parse_hrep
+from oracles import lattices_equal, parse_hrep
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 SRC_DIR = FIXTURE_DIR.parent / "src"
