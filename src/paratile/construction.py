@@ -260,7 +260,7 @@ def base_level(lat: Lattice, config: RecursionConfig
     like any other, and refused above the dim cap.
     """
     r = lat.rank
-    if lat.basis.entries == QMatrix.identity(r).entries:
+    if lat.basis == QMatrix.identity(r):
         body = HPolytope.cube(r)  # the tile of Z^r
         trace = LevelTrace(n=r, mode="cube", ratio=body.ratio(),
                            checks=(("ratio_le_2n", True),))
@@ -342,7 +342,7 @@ def inductive_level(lat: Lattice, a_matrix: IntMatrix, s: int,
     # one to one onto a lattice that B maps back onto B L; with T = B^T
     # (B B^T)^-1 that lattice is the projection of L onto the row span
     checks.append(("projection_image_agree",
-                   (b @ t).entries == QMatrix.identity(m).entries))
+                   b @ t == QMatrix.identity(m)))
     checks.append(("inner_integer", inner_lat.is_integer()))
     checks.append(("inner_full_rank", inner_lat.rank == m))
 

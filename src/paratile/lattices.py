@@ -81,9 +81,8 @@ def kernel_and_image(lat: Lattice, b) -> Tuple[Lattice, Lattice]:
     h, u, pivots = hnf_rows(gens.t().entries, transform=True)
     r = len(pivots)  # zero rows come last
     kernel = lat.basis @ IntMatrix(tuple(map(tuple, u[r:]))).t()
-    image = QMatrix(tuple(zip(*h[:r])) or ((),) * gens.nrows)
-    return (Lattice(lat.ambient_dim, kernel),
-            Lattice(gens.nrows, image.scale(Fraction(1, d))))
+    image = QMatrix(tuple(zip(*h[:r])) or ((),) * gens.nrows, d)
+    return Lattice(lat.ambient_dim, kernel), Lattice(gens.nrows, image)
 
 
 # --- short vector enumeration -------------------------------------------------
@@ -173,7 +172,7 @@ def shortest_vector_sq(lat: Lattice, node_cap: int = 10 ** 7
     if lat.rank == 0:
         return None
     g = lat.gram()
-    start = min(g.entries[i][i] for i in range(g.nrows))
+    start = Fraction(min(g.num[i][i] for i in range(g.nrows)), g.den)
     found = enumerate_short_vectors(g, start, skip_zero=True,
                                     node_cap=node_cap)
     # the shortest basis vector realizes the starting bound, so found is

@@ -1,28 +1,26 @@
 """Exact linear algebra over Z and Q with certified operator norms.
 
-Matrices are immutable tuples of rows.  Integer work (Hermite forms, kernels,
-determinants) never leaves Z; rational elimination uses Fraction arithmetic.
-Operator norm upper bounds are certificates: exact rationals provably at or
-above the true spectral norm, never floating-point estimates.
+Matrices are immutable tuples of rows.  A rational matrix is one integer
+numerator matrix over one positive denominator, so products, transposes,
+inverses, ranks, determinants and equality all run on integers: inversion
+and rank are fraction-free eliminations, and a Fraction is built only for an
+entry someone reads.  Operator norm upper bounds are certificates: exact
+rationals provably at or above the true spectral norm, never floating-point
+estimates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .intervals import root_interval
 
 Rat = Union[int, Fraction]
-
-# shared by every identity matrix: Fractions are immutable, and two identity
-# bases then compare equal entry by entry on object identity alone
-_Q_ONE = Fraction(1)
-_Q_ZERO = Fraction(0)
 
 
 def denominator_lcm(values: Iterable[Rat]) -> int:
@@ -42,9 +40,10 @@ def scaled_to_int(row: Sequence[Rat], d: int) -> Tuple[int, ...]:
     return tuple(x.numerator * (d // x.denominator) for x in row)
 
 
-def _identity_rows(n: int, one, zero) -> tuple:
-    zeros = (zero,) * n
-    return tuple(zeros[:i] + (one,) + zeros[i + 1:] for i in range(n))
+def identity_rows(n: int, one: int = 1) -> Tuple[Tuple[int, ...], ...]:
+    """The rows of one * I_n, each one slice of a band 0..0 one 0..0."""
+    band = (0,) * (n - 1) + (one,) + (0,) * (n - 1)
+    return tuple(band[n - 1 - i:2 * n - 1 - i] for i in range(n))
 
 
 # --- matrix containers -------------------------------------------------------
@@ -52,6 +51,8 @@ def _identity_rows(n: int, one, zero) -> tuple:
 @dataclass(frozen=True)
 class IntMatrix:
     entries: Tuple[Tuple[int, ...], ...]
+
+    den = 1  # an integer matrix is its own numerator over 1
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]]) -> "IntMatrix":
@@ -66,7 +67,11 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(_identity_rows(n, 1, 0))
+        return IntMatrix(identity_rows(n))
+
+    @property
+    def num(self) -> Tuple[Tuple[int, ...], ...]:
+        return self.entries
 
     @property
     def nrows(self) -> int:
@@ -90,15 +95,10 @@ class IntMatrix:
         return IntMatrix(tuple(zip(*self.entries)) if self.entries else ())
 
     def __matmul__(self, other):
-        if isinstance(other, IntMatrix):
-            return IntMatrix(_matmul(self.entries, other.entries))
-        if isinstance(other, QMatrix):
-            return QMatrix(_matmul(self.entries, other.entries)).normalized()
-        raise TypeError(type(other))
+        return _product(self, other)
 
     def to_q(self) -> "QMatrix":
-        return QMatrix(tuple(tuple(Fraction(x) for x in row)
-                             for row in self.entries))
+        return QMatrix(self.entries)
 
     def mul_vec(self, v: Sequence[Rat]) -> tuple:
         return tuple(dot(row, v) for row in self.entries)
@@ -109,58 +109,98 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class QMatrix:
-    entries: Tuple[Tuple[Fraction, ...], ...]
+    """The rational matrix num / den: integer rows over one denominator.
+
+    The form is canonical, den > 0 and gcd(den, every numerator) = 1, so two
+    equal matrices have equal (num, den), and == and hash are exact.
+    """
+
+    num: Tuple[Tuple[int, ...], ...]
+    den: int = 1
+    _entries: Optional[Tuple[Tuple[Fraction, ...], ...]] = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        num, den = self.num, self.den
+        if den == 1:
+            return
+        if den == 0:
+            raise ZeroDivisionError("zero denominator")
+        if den < 0:
+            num, den = tuple(tuple(-x for x in row) for row in num), -den
+        g = math.gcd(den, *chain.from_iterable(num))
+        if g != 1:
+            num, den = tuple(tuple(x // g for x in row) for row in num), den // g
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[Rat]]) -> "QMatrix":
-        ent = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        ent = tuple(tuple(x if isinstance(x, int) else Fraction(x)
+                          for x in row) for row in rows)
         if ent and any(len(r) != len(ent[0]) for r in ent):
             raise ValueError("ragged rows")
-        return QMatrix(ent)
+        d = denominator_lcm(chain.from_iterable(ent))
+        return QMatrix(tuple(scaled_to_int(row, d) for row in ent), d)
 
     @staticmethod
     def identity(n: int) -> "QMatrix":
-        return QMatrix(_identity_rows(n, _Q_ONE, _Q_ZERO))
+        return QMatrix(identity_rows(n))
+
+    @property
+    def entries(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        """The entries as Fractions, built on first read and kept."""
+        if self._entries is None:
+            den = self.den
+            object.__setattr__(self, "_entries", tuple(
+                tuple(Fraction(x, den) for x in row) for row in self.num))
+        return self._entries
 
     @property
     def nrows(self) -> int:
-        return len(self.entries)
+        return len(self.num)
 
     @property
     def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+        return len(self.num[0]) if self.num else 0
 
     @property
     def shape(self) -> Tuple[int, int]:
         return self.nrows, self.ncols
 
-    def row(self, i: int) -> Tuple[Fraction, ...]:
-        return self.entries[i]
-
     def col(self, j: int) -> Tuple[Fraction, ...]:
-        return tuple(r[j] for r in self.entries)
+        return tuple(Fraction(r[j], self.den) for r in self.num)
 
     def t(self) -> "QMatrix":
-        return QMatrix(tuple(zip(*self.entries)) if self.entries else ())
+        return QMatrix(tuple(zip(*self.num)) if self.num else (), self.den)
 
     def __matmul__(self, other):
-        if isinstance(other, (IntMatrix, QMatrix)):
-            return QMatrix(_matmul(self.entries, other.entries)).normalized()
-        raise TypeError(type(other))
+        return _product(self, other)
 
-    def normalized(self) -> "QMatrix":
-        return QMatrix(tuple(tuple(Fraction(x) for x in row)
-                             for row in self.entries))
-
-    def mul_vec(self, v: Sequence[Rat]) -> tuple:
-        return tuple(dot(row, v) for row in self.entries)
+    def mul_vec(self, v: Sequence[Rat]) -> Tuple[Fraction, ...]:
+        """M v, clearing v's denominators once: one Fraction per output."""
+        dv = denominator_lcm(v)
+        iv = scaled_to_int(v, dv)
+        den = self.den * dv
+        return tuple(Fraction(dot(row, iv), den) for row in self.num)
 
     def is_integer(self) -> bool:
-        return all(x.denominator == 1 for row in self.entries for x in row)
+        return self.den == 1
 
     def scale(self, c: Rat) -> "QMatrix":
         c = Fraction(c)
-        return QMatrix(tuple(tuple(c * x for x in row) for row in self.entries))
+        p = c.numerator
+        return QMatrix(tuple(tuple(p * x for x in row) for row in self.num),
+                       self.den * c.denominator)
+
+
+def _product(a, b):
+    if not isinstance(b, (IntMatrix, QMatrix)):
+        raise TypeError(type(b))
+    num = _matmul(a.num, b.num)
+    if isinstance(a, IntMatrix) and isinstance(b, IntMatrix):
+        return IntMatrix(num)
+    return QMatrix(num, a.den * b.den)
 
 
 def _matmul(a, b):
@@ -176,86 +216,80 @@ def as_qmatrix(m: Union[IntMatrix, QMatrix]) -> QMatrix:
 
 def clear_denominators(m: QMatrix) -> Tuple[IntMatrix, int]:
     """(N, d) with m = N/d, d the lcm of all entry denominators."""
-    d = denominator_lcm(chain.from_iterable(m.entries))
-    return IntMatrix(tuple(scaled_to_int(row, d) for row in m.entries)), d
+    return IntMatrix(m.num), m.den
 
 
 # --- ranks and elimination ---------------------------------------------------
 
+def pivot_columns(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
+    """Pivot columns of an integer row list: the columns that are not
+    combinations of the columns before them, the pivots of its reduced row
+    echelon form.
+
+    Rows enter an echelon basis one at a time, keyed by leading column; a
+    row whose lead is taken is cross-eliminated with that basis row and
+    divided by its content until its lead is free or it vanishes.  The
+    leads of any echelon basis of the row space are its pivot columns.
+    """
+    basis = {}
+    ncols = len(rows[0]) if rows else 0
+    for row in rows:
+        if len(basis) == ncols:
+            break
+        while True:
+            lead = next(compress(range(ncols), row), None)
+            if lead is None:
+                break
+            p = basis.get(lead)
+            if p is None:
+                basis[lead] = row
+                break
+            a, b = p[lead], row[lead]
+            row = [a * x - b * y for x, y in zip(row, p)]
+            g = math.gcd(*row)
+            if g > 1:
+                row = [x // g for x in row]
+    return tuple(sorted(basis))
+
+
 def rank_int_rows(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over Q of an integer row list, by integer cross-elimination."""
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    col = 0
-    while rank < len(work) and col < ncols:
-        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        pr = work[rank]
-        a = pr[col]
-        for i in range(rank + 1, len(work)):
-            b = work[i][col]
-            if b:
-                row = [a * x - b * y for x, y in zip(work[i], pr)]
-                g = 0
-                for x in row:
-                    g = math.gcd(g, x)
-                work[i] = [x // g for x in row] if g > 1 else row
-        rank += 1
-        col += 1
-    return rank
-
-
-def _int_rows_of(m: Union[IntMatrix, QMatrix]) -> Sequence[Sequence[int]]:
-    if isinstance(m, IntMatrix):
-        return m.entries
-    return [scaled_to_int(row, denominator_lcm(row)) for row in m.entries]
+    """Rank over Q of an integer row list."""
+    return len(pivot_columns(rows))
 
 
 def rank_over_rationals(m: Union[IntMatrix, QMatrix]) -> int:
-    return rank_int_rows(_int_rows_of(m))
-
-
-def rref(m: QMatrix) -> Tuple[QMatrix, Tuple[int, ...]]:
-    """Reduced row echelon form with pivot column indices."""
-    work = [list(row) for row in m.entries]
-    nrows, ncols = len(work), (len(work[0]) if work else 0)
-    pivots: List[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if work[i][col] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][col]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return QMatrix.from_rows(work), tuple(pivots)
+    return rank_int_rows(m.num)
 
 
 def inverse(a: QMatrix) -> QMatrix:
+    """Fraction-free Gauss-Jordan on [N | I] for a = N / den.
+
+    Each step k cross-multiplies every other row by the pivot and divides by
+    the previous pivot; by Sylvester's identity (Bareiss 1968) the division
+    is exact, every entry being a minor of [N | I].  The elimination ends at
+    [d I | d N^-1] with d = +-det N, so a^-1 = den (d N^-1) / d.
+    """
     n = a.nrows
     if a.ncols != n:
         raise ValueError("not square")
-    aug = QMatrix.from_rows(
-        [list(a.entries[i]) + [Fraction(1 if j == i else 0) for j in range(n)]
-         for i in range(n)])
-    red, piv = rref(aug)
-    if piv != tuple(range(n)):
-        raise ValueError("singular matrix")
-    return QMatrix.from_rows([row[n:] for row in red.entries])
+    work = [row + unit for row, unit in zip(a.num, identity_rows(n))]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if work[i][k]), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        work[k], work[piv] = work[piv], work[k]
+        pk = work[k]
+        p = pk[k]
+        for i in range(n):
+            if i != k:
+                f = work[i][k]
+                work[i] = [(p * x - f * y) // prev
+                           for x, y in zip(work[i], pk)]
+        prev = p
+    c = a.den if prev > 0 else -a.den
+    return QMatrix(tuple(tuple(c * x for x in row[n:]) for row in work),
+                   abs(prev))
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:
@@ -284,8 +318,7 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
 
 
 def det_q(m: QMatrix) -> Fraction:
-    n, d = clear_denominators(m)
-    return Fraction(det_int(n.entries), d ** m.nrows)
+    return Fraction(det_int(m.num), m.den ** m.nrows)
 
 
 # --- Hermite forms, kernels, lattice bases -----------------------------------
@@ -375,20 +408,20 @@ def operator_norm_upper(m: Union[IntMatrix, QMatrix],
     lambda_max(G)**(2**j) <= max-row-sum(G**(2**j)) for G = m^T m, all in
     exact arithmetic, and the best of all available bounds is kept.
     """
-    entries = m.entries
-    if not entries or not entries[0]:
+    rows = m.num
+    if not rows or not rows[0]:
         return NormCertificate(Fraction(0))
-    maxrow = max(_abs_row_sums(entries))
-    maxcol = max(_abs_row_sums(tuple(zip(*entries))))
-    best = Fraction(maxrow) * Fraction(maxcol)
+    maxrow = max(_abs_row_sums(rows))
+    maxcol = max(_abs_row_sums(zip(*rows)))
+    best = Fraction(maxrow * maxcol, m.den ** 2)
     if refine_steps > 0:
-        power = m.t() @ m  # an IntMatrix stays in integers
+        power = m.t() @ m
         k = 1
         for step in range(refine_steps):
             if step:
                 power = power @ power
                 k *= 2
-            mrs = Fraction(max(_abs_row_sums(power.entries)))
+            mrs = Fraction(max(_abs_row_sums(power.num)), power.den)
             cand = root_interval(mrs, k, 32).hi
             best = min(best, cand)
     return NormCertificate(best)
@@ -418,13 +451,12 @@ def complete_to_full_rank(a: IntMatrix,
     if m > n:
         raise ValueError("more rows than columns")
     # the pivot columns of a^T are the greedy maximal independent row set
-    _, indep = rref(a.t().to_q())
+    indep = pivot_columns(a.t().entries)
     r = len(indep)
     if r == m:
         cert_a = base_cert or operator_norm_upper(a)
         return CompletionResult(a, cert_a, ())
-    frame = QMatrix.from_rows([a.entries[i] for i in indep])
-    _, pivot_cols = rref(frame)
+    pivot_cols = pivot_columns([a.entries[i] for i in indep])
     free_cols = [j for j in range(n) if j not in pivot_cols]
     added = tuple(free_cols[: m - r])
     if len(added) < m - r:

@@ -41,7 +41,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 from .intervals import sqrt_upper
 from .lattices import Lattice, enumerate_short_vectors
 from .linalg import (
-    IntMatrix,
     QMatrix,
     as_qmatrix,
     clear_denominators,
@@ -49,6 +48,7 @@ from .linalg import (
     det_int,
     det_q,
     dot,
+    identity_rows,
     inverse,
     lll_reduce,
     rank_over_rationals,
@@ -330,17 +330,15 @@ class HPolytope:
     def cube(n: int, half_side: Fraction = Fraction(1, 2)) -> "HPolytope":
         """[-h, h]^n.  It states its halfspaces, its chart table and, its
         metric being the identity, its measures, so no n x n metric is ever
-        formed.  The 2n unit normals are primitive and distinct, so sorting
-        them is all `canonical_halfspaces` would do."""
+        formed.  The 2n unit normals are primitive and distinct, so their
+        sorted order, -e_0 < ... < -e_(n-1) < e_(n-1) < ... < e_0, is all
+        `canonical_halfspaces` would give."""
         half = Fraction(half_side)
         if half <= 0:
             raise ValueError("half side must be positive")
-        units = IntMatrix.identity(n).entries
-        hs = []
-        for e in units:
-            hs.append((e, half))
-            hs.append((_neg(e), half))
-        body = HPolytope(n, QMatrix.identity(n), tuple(sorted(hs)))
+        units = identity_rows(n)
+        hs = tuple((a, half) for a in identity_rows(n, -1) + units[::-1])
+        body = HPolytope(n, QMatrix(units), hs)
         side = 2 * half
         area = 2 * side ** (n - 1)  # the opposite facets of an axis
         body._cache["chart"] = (side ** n, tuple((e, area) for e in units))
@@ -556,7 +554,7 @@ def voronoi_cell(lat: Lattice, node_cap: int = 10 ** 7) -> HPolytope:
     g = lat.gram()
     ginv = inverse(g)
     g_int, g_den = clear_denominators(g)
-    diag = [g.entries[i][i] for i in range(d)]
+    diag = [Fraction(g.num[i][i], g.den) for i in range(d)]
     sweep = _Sweep(d)
     for i in range(d):
         a, gamma = primitive_normal(g.col(i))
@@ -618,13 +616,14 @@ def orthogonal_product(p: HPolytope, q: HPolytope) -> HPolytope:
     """
     if p.ambient_dim != q.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    cross = p.frame.t() @ q.frame
-    if any(x != 0 for row in cross.entries for x in row):
+    fp, fq = p.frame, q.frame
+    if any(map(any, (fp.t() @ fq).num)):
         raise ValueError("subspaces are not orthogonal")
     dp, dq = p.dim, q.dim
-    frame = QMatrix.from_rows(
-        [list(p.frame.entries[i]) + list(q.frame.entries[i])
-         for i in range(p.ambient_dim)])
+    d = math.lcm(fp.den, fq.den)
+    sp, sq = d // fp.den, d // fq.den
+    frame = QMatrix(tuple(tuple(sp * x for x in a) + tuple(sq * x for x in b)
+                          for a, b in zip(fp.num, fq.num)), d)
     hs: List[Halfspace] = []
     for a, b in p.halfspaces:
         hs.append((a + (0,) * dq, b))

@@ -107,7 +107,10 @@ def lattice_from_json(obj: Dict) -> Lattice:
     n = obj["ambient_dim"]
     if any(len(c) != n for c in cols):
         raise SerializationError("basis column length does not match dimension")
-    return Lattice.from_columns(cols)
+    try:
+        return Lattice.from_columns(cols)
+    except ValueError as exc:  # dependent columns
+        raise SerializationError(str(exc)) from exc
 
 
 # --- radicals ------------------------------------------------------------------
@@ -150,13 +153,18 @@ def polytope_from_json(obj: Dict) -> HPolytope:
     hs = [(tuple(parse_frac(x) for x in h["a"]), parse_frac(h["b"]))
           for h in obj["halfspaces"]]
     if basis is None:
-        return HPolytope.from_halfspaces(n, hs)
-    cols = [[parse_frac(s) for s in col] for col in basis]
-    if any(len(c) != n for c in cols):
-        raise SerializationError("basis column length does not match dimension")
-    frame = QMatrix.from_rows(
-        [[cols[j][i] for j in range(len(cols))] for i in range(n)])
-    return HPolytope.from_halfspaces(frame, hs)
+        frame = n
+    else:
+        cols = [[parse_frac(s) for s in col] for col in basis]
+        if any(len(c) != n for c in cols):
+            raise SerializationError(
+                "basis column length does not match dimension")
+        frame = QMatrix.from_rows(
+            [[cols[j][i] for j in range(len(cols))] for i in range(n)])
+    try:
+        return HPolytope.from_halfspaces(frame, hs)
+    except ValueError as exc:  # dependent frame columns, mis-sized normals
+        raise SerializationError(str(exc)) from exc
 
 
 def format_hrep(p: HPolytope) -> str:

@@ -33,7 +33,7 @@ from paratile.lattices import Lattice, enumerate_short_vectors
 from paratile.linalg import (IntMatrix, QMatrix, as_qmatrix,
                              clear_denominators, denominator_lcm, det_q,
                              hnf_rows, inverse, rank_int_rows,
-                             rank_over_rationals, rref, scaled_to_int)
+                             rank_over_rationals, scaled_to_int)
 from paratile.polytopes import (BodyMeasures, DegenerateBody, EmptyBody,
                                 HPolytope, Unbounded, primitive_normal)
 from paratile.radicals import SqrtSum
@@ -369,6 +369,77 @@ def columns_independent(m: Union[IntMatrix, QMatrix], cols: Sequence[int],
         sub = IntMatrix.from_rows(sub_rows)
         return rank_over_gf2(sub) == len(cols)
     raise ValueError(f"unknown field {field!r}")
+
+
+# Fraction-entry references: every entry a Fraction and every step a Fraction
+# operation, so they share no arithmetic with the numerator/denominator code
+# they check
+
+def _rref_rows(rows) -> Tuple[List[List[Fraction]], Tuple[int, ...]]:
+    work = [[Fraction(x) for x in row] for row in rows]
+    nrows, ncols = len(work), (len(work[0]) if work else 0)
+    pivots: List[int] = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, nrows) if work[i][col] != 0), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = 1 / work[r][col]
+        work[r] = [x * inv for x in work[r]]
+        for i in range(nrows):
+            if i != r and work[i][col] != 0:
+                f = work[i][col]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return work, tuple(pivots)
+
+
+def rref(m: QMatrix) -> Tuple[QMatrix, Tuple[int, ...]]:
+    """Reduced row echelon form with pivot column indices."""
+    work, pivots = _rref_rows(m.entries)
+    return QMatrix.from_rows(work), pivots
+
+
+def grid_product(a, b) -> Tuple[Tuple[Fraction, ...], ...]:
+    """The product of two row grids of ints or Fractions, as Fractions."""
+    if a and b and len(a[0]) != len(b):
+        raise ValueError("shape mismatch")
+    cols = list(zip(*b))
+    return tuple(tuple(sum((Fraction(x) * y for x, y in zip(row, col)),
+                           Fraction(0)) for col in cols) for row in a)
+
+
+def grid_inverse(a) -> Tuple[Tuple[Fraction, ...], ...]:
+    """Inverse of a square grid through the rref of [A | I]."""
+    n = len(a)
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(a)]
+    red, pivots = _rref_rows(aug)
+    if pivots[:n] != tuple(range(n)):
+        raise ValueError("singular matrix")
+    return tuple(tuple(row[n:]) for row in red)
+
+
+def grid_det(a) -> Fraction:
+    """Determinant of a square grid by Fraction Gaussian elimination."""
+    work = [[Fraction(x) for x in row] for row in a]
+    det = Fraction(1)
+    for k in range(len(work)):
+        piv = next((i for i in range(k, len(work)) if work[i][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            work[k], work[piv] = work[piv], work[k]
+            det = -det
+        det *= work[k][k]
+        for i in range(k + 1, len(work)):
+            f = work[i][k] / work[k][k]
+            work[i] = [x - f * y for x, y in zip(work[i], work[k])]
+    return det
 
 
 def solve_unique(a: QMatrix, b: Sequence) -> Tuple[Fraction, ...]:

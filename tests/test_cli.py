@@ -416,6 +416,31 @@ def test_verify_refuses_a_fixture_basis_column_shorter_than_the_dimension(
         "bad input: basis column length does not match dimension\n"
 
 
+SQUARE_BODY = {"ambient_dim": 2, "subspace_basis": None, "halfspaces": SQUARE}
+Z2 = {"ambient_dim": 2, "basis_cols": [["1", "0"], ["0", "1"]],
+      "integer": True}
+
+
+@pytest.mark.parametrize("body_doc, lattice_doc, message", [
+    (dict(SQUARE_BODY, ambient_dim=3), dict(Z2, ambient_dim=3, basis_cols=[
+        ["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
+     "normal length must match chart dimension"),
+    (dict(SQUARE_BODY, subspace_basis=[["1", "2"], ["2", "4"]]), Z2,
+     "frame columns are dependent"),
+    (SQUARE_BODY, dict(Z2, basis_cols=[["1", "2"], ["2", "4"]]),
+     "basis columns are dependent"),
+], ids=["short-normals", "dependent-frame", "dependent-lattice"])
+def test_verify_reports_a_malformed_document_as_bad_input(
+        tmp_path, capsys, body_doc, lattice_doc, message):
+    body = write_json(tmp_path / "body.json", body_doc)
+    lat = write_json(tmp_path / "lat.json", lattice_doc)
+    assert main(["verify", "--body", body, "--lattice", lat,
+                 "--samples", "100"]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == f"bad input: {message}\n"
+
+
 # --- sample-matrix ------------------------------------------------------------
 
 

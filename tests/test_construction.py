@@ -297,6 +297,17 @@ def test_cube_path_makes_one_rank_elimination(monkeypatch):
     assert shapes == [(40, 40)]
 
 
+def test_cube_path_builds_no_fraction_grid(monkeypatch):
+    # the identity tests compare numerators and denominators; reading
+    # QMatrix.entries would build n^2 Fractions
+    def refuse(self):
+        raise AssertionError("QMatrix.entries read on the cube path")
+
+    monkeypatch.setattr(linalg.QMatrix, "entries", property(refuse))
+    rep = construct(40)
+    assert [lv.mode for lv in rep.levels] == ["cube"]
+
+
 def test_another_basis_of_z_n_takes_the_certified_voronoi_path():
     # only the identity basis is read as Z^n; a sheared one is still Z^3,
     # and its Voronoi cell is the cube

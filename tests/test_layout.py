@@ -142,3 +142,31 @@ def test_only_polytopes_stores_into_a_body_cache():
               if path.stem != "polytopes"
               for line in _cache_stores(ast.parse(path.read_text()))]
     assert not stores, f"stores into _cache outside polytopes: {stores}"
+
+
+def _function_names(path: pathlib.Path, name: str):
+    """The names the module-level function ``name`` of path references."""
+    tree = ast.parse(path.read_text())
+    fn = next(node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == name)
+    return {ref for ref, _ in _references(fn)}
+
+
+def test_rank_completion_eliminates_over_the_integers():
+    # the independent rows and pivot columns come from integer elimination;
+    # no rational matrix is built to find them
+    names = _function_names(PACKAGE / "linalg.py", "complete_to_full_rank")
+    assert "pivot_columns" in names
+    assert not names & {"rref", "QMatrix", "Fraction", "to_q"}, names
+
+
+def test_rref_is_a_test_reference_only():
+    # the package inverts and ranks fraction-free; the Fraction rref is the
+    # reference the tests check them against
+    users = sorted(path.stem for path in PACKAGE.glob("*.py")
+                   if "rref" in {name for name, _ in
+                                 _references(ast.parse(path.read_text()))})
+    assert not users, users
+    oracles = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    assert "rref" in {node.name for node in oracles.body
+                      if isinstance(node, ast.FunctionDef)}

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from paratile.linalg import (IntMatrix, QMatrix, clear_denominators,
                              complete_to_full_rank, denominator_lcm, det_int,
                              det_q, inverse, lll_reduce, operator_norm_upper,
-                             rank_int_rows, rank_over_rationals, rref)
+                             pivot_columns, rank_int_rows, rank_over_rationals)
 
-from oracles import (columns_independent, hnf_basis_columns,
-                     integer_kernel_basis, nullspace, rank_over_gf2,
-                     rayleigh_lower_sq, solve_unique)
+from oracles import (columns_independent, grid_det, grid_inverse,
+                     grid_product, hnf_basis_columns, integer_kernel_basis,
+                     nullspace, rank_over_gf2, rayleigh_lower_sq, rref,
+                     solve_unique)
 
 bit_matrices = st.integers(min_value=1, max_value=4).flatmap(
     lambda m: st.integers(min_value=1, max_value=5).flatmap(
@@ -156,6 +157,149 @@ def test_identity_matrices(n):
     assert q.entries == want
     assert all(type(x) is Fraction for row in q.entries for x in row)
     assert rank_over_rationals(q) == n
+
+
+# --- numerator over denominator against the Fraction-entry oracle ---------------
+
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+def _grids(draw, nrows, ncols, integer):
+    cell = st.integers(-4, 4) if integer else small_fractions
+    return [[draw(cell) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _matrix(rows, integer):
+    return IntMatrix.from_rows(rows) if integer else QMatrix.from_rows(rows)
+
+
+def _frac(rows):
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
+@st.composite
+def matrix_pairs(draw):
+    """(a rows, a integer?, b rows, b integer?) with a m x k, b k x n."""
+    m, k, n = (draw(st.integers(1, 4)) for _ in range(3))
+    ints = draw(st.tuples(st.booleans(), st.booleans()))
+    return (_grids(draw, m, k, ints[0]), ints[0],
+            _grids(draw, k, n, ints[1]), ints[1])
+
+
+@given(matrix_pairs())
+def test_products_match_the_fraction_grid(pair):
+    a_rows, a_int, b_rows, b_int = pair
+    got = _matrix(a_rows, a_int) @ _matrix(b_rows, b_int)
+    assert type(got) is (IntMatrix if a_int and b_int else QMatrix)
+    assert got.entries == grid_product(_frac(a_rows), _frac(b_rows))
+
+
+@st.composite
+def rational_grids(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return _grids(draw, m, n, integer=False)
+
+
+@given(rational_grids(), small_fractions,
+       st.lists(small_fractions, min_size=4, max_size=4))
+def test_unary_operations_match_the_fraction_grid(rows, c, v):
+    q, want = QMatrix.from_rows(rows), _frac(rows)
+    assert q.entries == want
+    assert q.t().entries == tuple(zip(*want))
+    assert q.scale(c).entries == tuple(tuple(c * x for x in row)
+                                       for row in want)
+    assert q.is_integer() == all(x.denominator == 1 for row in want
+                                 for x in row)
+    vec = v[:q.ncols]
+    assert q.mul_vec(vec) == tuple(
+        sum((x * y for x, y in zip(row, vec)), Fraction(0)) for row in want)
+    num, den = clear_denominators(q)
+    assert all(Fraction(x, den) == y for r, w in zip(num.entries, want)
+               for x, y in zip(r, w))
+    assert rank_over_rationals(q) == len(rref(q)[1])
+    k = min(q.nrows, q.ncols)
+    square = [row[:k] for row in rows[:k]]
+    assert det_q(QMatrix.from_rows(square)) == grid_det(square)
+
+
+@st.composite
+def square_grids(draw):
+    n = draw(st.integers(1, 4))
+    # entries from a small range make singular draws common
+    cell = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    return [[draw(cell) for _ in range(n)] for _ in range(n)]
+
+
+@given(square_grids())
+def test_inverse_matches_the_rref_of_the_augmented_grid(rows):
+    q = QMatrix.from_rows(rows)
+    try:
+        want = grid_inverse(_frac(rows))
+    except ValueError:
+        with pytest.raises(ValueError, match="singular"):
+            inverse(q)
+        return
+    got = inverse(q)
+    assert got.entries == want
+    assert q @ got == QMatrix.identity(q.nrows) == got @ q
+
+
+def test_inverse_refuses_singular_and_non_square_input():
+    for rows in ([[1, 2], [2, 4]], [[0, 0], [0, 0]],
+                 [[1, 0, 1], [0, 1, 1], [1, 1, 2]]):
+        with pytest.raises(ValueError, match="singular"):
+            inverse(QMatrix.from_rows(rows))
+    with pytest.raises(ValueError, match="not square"):
+        inverse(QMatrix.from_rows([[1, 2]]))
+    assert inverse(QMatrix(())) == QMatrix(())
+
+
+@given(rational_grids(), st.integers(-5, 5).filter(bool))
+def test_canonical_form_makes_equality_exact(rows, k):
+    q = QMatrix.from_rows(rows)
+    assert q.den > 0
+    assert math.gcd(q.den, *(x for row in q.num for x in row)) == 1
+    # the same matrix reached by other routes has the same numbers and hash
+    inflated = QMatrix(tuple(tuple(k * x for x in row) for row in q.num),
+                       k * q.den)
+    others = [inflated, q.t().t(), q @ QMatrix.identity(q.ncols),
+              IntMatrix.identity(q.nrows) @ q, q.scale(k).scale(Fraction(1, k)),
+              QMatrix.from_rows(q.entries)]
+    for other in others:
+        assert (other.num, other.den) == (q.num, q.den)
+        assert other == q and hash(other) == hash(q)
+    assert q.scale(0) == QMatrix(tuple((0,) * q.ncols for _ in rows))
+    assert q.scale(0).den == 1
+    if q.den > 1:
+        assert q != QMatrix(q.num)
+    with pytest.raises(ZeroDivisionError):
+        QMatrix(q.num, 0)
+
+
+@given(int_matrices)
+def test_integer_matrices_embed_exactly(rows):
+    m = IntMatrix.from_rows(rows)
+    assert m.to_q() == QMatrix.from_rows(rows)
+    assert m.to_q().num is m.entries and m.to_q().is_integer()
+    assert (m @ m.t()).to_q() == m.to_q() @ m.t().to_q()
+
+
+@given(int_matrices)
+def test_pivot_columns_are_the_rref_pivots(rows):
+    assert pivot_columns(rows) == rref(QMatrix.from_rows(rows))[1]
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_zero_column_matrices(n):
+    z = QMatrix(((),) * n)
+    assert z.shape == (n, 0) and z.entries == ((),) * n
+    assert z == QMatrix.from_rows([[] for _ in range(n)]) == \
+        QMatrix(((),) * n, 7)
+    assert z.is_integer() and rank_over_rationals(z) == 0
+    assert z.mul_vec([]) == (Fraction(0),) * n
+    assert z.t() == QMatrix(())
+    assert (z @ QMatrix(())).shape == (n, 0)
+    assert clear_denominators(z) == (IntMatrix(((),) * n), 1)
 
 
 # --- integer kernels ----------------------------------------------------------

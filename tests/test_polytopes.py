@@ -47,6 +47,14 @@ def test_cube_matches_a_generic_build(n, half_side):
     assert c.ambient_dim == generic.ambient_dim == n
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 11])
+def test_cube_states_its_halfspaces_in_sorted_order(n):
+    # the closed form -e_0 < ... < -e_(n-1) < e_(n-1) < ... < e_0
+    hs = HPolytope.cube(n).halfspaces
+    assert hs == tuple(sorted(hs))
+    assert len(set(hs)) == 2 * n
+
+
 @given(st.lists(st.integers(min_value=-30, max_value=30), min_size=1,
                 max_size=5),
        st.integers(min_value=1, max_value=12))
