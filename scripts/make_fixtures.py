@@ -13,7 +13,7 @@ from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from paratile import (HPolytope, IntMatrix, Lattice, RecursionConfig,
+from paratile import (HPolytope, Lattice, QMatrix, RecursionConfig,
                       SqrtSum, construct, scaled)
 from paratile import serialization as ser
 
@@ -37,7 +37,7 @@ def main(out=FIXTURES):
     ser.validate_document("fixture", doc)
     write("cube3.json", ser.dump_json(doc))
 
-    b = IntMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 1]])
+    b = QMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 1]])
     rep = construct(4, RecursionConfig(matrix_override=((b, 1),)))
     r2 = SqrtSum.sqrt(2)
     doc = ser.fixture_to_json(
@@ -59,7 +59,7 @@ def main(out=FIXTURES):
     ser.validate_document("fixture", doc)
     write("scaled_cube3.json", ser.dump_json(doc))
 
-    dup = IntMatrix.from_rows([[1, 0, 1, 1], [0, 1, 0, 1], [1, 1, 1, 0]])
+    dup = QMatrix.from_rows([[1, 0, 1, 1], [0, 1, 0, 1], [1, 1, 1, 0]])
     mdoc = ser.matrix_to_json(dup)
     ser.validate_document("matrix", mdoc)
     write("dup_column_matrix.json", ser.dump_json(mdoc))

@@ -16,7 +16,7 @@ HERE = os.path.dirname(__file__)
 sys.path.insert(0, os.path.join(HERE, "..", "src"))
 sys.path.insert(0, os.path.join(HERE, "..", "tests"))
 
-from paratile import IntMatrix
+from paratile import QMatrix
 from paratile import serialization as ser
 from test_golden_reports import CASES, GOLDEN, WORKED_MATRIX, run_case
 
@@ -30,8 +30,8 @@ def main():
             fh.write(text)
         print("wrote", os.path.relpath(path))
 
-    doc = ser.matrix_to_json(IntMatrix.from_rows([[1, 1, 0, 0],
-                                                  [0, 0, 1, 1]]))
+    doc = ser.matrix_to_json(QMatrix.from_rows([[1, 1, 0, 0],
+                                                [0, 0, 1, 1]]))
     ser.validate_document("matrix", doc)
     write(WORKED_MATRIX, ser.dump_json(doc))
 

@@ -12,12 +12,12 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from paratile import (IntMatrix, Lattice, RecursionConfig, SqrtSum,
+from paratile import (Lattice, QMatrix, RecursionConfig, SqrtSum,
                       construct, verify_tiling)
 
 
 def main():
-    b = IntMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 1]])
+    b = QMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 1]])
     t0 = time.perf_counter()
     rep = construct(4, RecursionConfig(matrix_override=((b, 1),)))
     t1 = time.perf_counter()

@@ -15,8 +15,7 @@ from .construction import (ConstructionError, ConstructionReport,
 from .intervals import Interval, PrecisionExhausted
 from .lattices import EnumerationCap, Lattice, enumerate_short_vectors, \
     shortest_vector_sq
-from .linalg import IntMatrix, QMatrix, complete_to_full_rank, \
-    operator_norm_upper
+from .linalg import QMatrix, complete_to_full_rank, operator_norm_upper
 from .polytopes import (BodyMeasures, DegenerateBody, EmptyBody, HPolytope,
                         Unbounded, linear_image, orthogonal_product, scaled,
                         voronoi_cell)
@@ -30,7 +29,7 @@ __all__ = [
     "__version__",
     "BodyMeasures", "ConstructionError", "ConstructionReport",
     "DegenerateBody", "DimCapExceeded", "EmptyBody", "EnumerationCap",
-    "HPolytope", "IntMatrix", "Interval", "Lattice", "LdpcParams",
+    "HPolytope", "Interval", "Lattice", "LdpcParams",
     "LevelTrace", "PrecisionExhausted", "QMatrix",
     "RecursionConfig", "RegimeError", "SamplerFailure", "SqrtSum",
     "TilingReport", "Unbounded",

@@ -15,6 +15,7 @@ PARATILE_REPORT_DIR (if set) names the directory it goes to.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -27,7 +28,6 @@ from .construction import (ConstructionError, DimCapExceeded, RegimeError,
                            isoperimetric_ratio_lower)
 from .intervals import PrecisionExhausted
 from .lattices import EnumerationCap
-from .linalg import IntMatrix
 from .polytopes import DegenerateBody, EmptyBody, Unbounded
 from .sampler import (LdpcParams, SamplerFailure, admissible_s, default_c,
                       expected_collisions, return_prob_bound,
@@ -108,12 +108,7 @@ def cmd_construct(args) -> int:
     if args.matrix_override:
         doc = _load_json(args.matrix_override)
         serialization.validate_document("matrix", doc)
-        mat = serialization.matrix_from_json(doc)
-        if not isinstance(mat, IntMatrix):
-            print("error: override matrix must have integer entries",
-                  file=sys.stderr)
-            return EXIT_UNDECIDED
-        override = ((mat, override_s),)
+        override = ((serialization.matrix_from_json(doc), override_s),)
     opts = _supplied(args, "kappa", "epsilon", "seed", "max_depth", "dim_cap",
                      "svp_node_cap")
     if "epsilon" in opts:
@@ -328,7 +323,10 @@ def cmd_walk_stats(args) -> int:
 
 # --- parser -----------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process; each parse fills a fresh
+    Namespace."""
     p = argparse.ArgumentParser(
         prog="paratile",
         description="Integer parallelotopes with small surface-to-volume "
@@ -369,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the final body to this path")
     c.add_argument("--format", choices=["json", "hrep"], default="json",
                    help="body output format (default json)")
-    c.set_defaults(func=cmd_construct)
 
     s = sub.add_parser("sample-matrix",
                        help="draw a sparse 0/1 matrix by the walk sampler")
@@ -387,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exhaustively certify s-subset independence")
     s.add_argument("--out", help="matrix path (default: stdout, combined)")
     s.add_argument("--stats-out", dest="stats_out", help="stats path")
-    s.set_defaults(func=cmd_sample_matrix)
 
     v = sub.add_parser("verify", help="audit a body/lattice tiling claim")
     v.add_argument("--fixture", help="fixture JSON (body + lattice bundle)")
@@ -399,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dyadic denominator bits (default 24)")
     v.add_argument("--seed", type=int, help="RNG seed (default 0)")
     v.add_argument("--out", help="report path (default: stdout)")
-    v.set_defaults(func=cmd_verify)
 
     w = sub.add_parser("walk-stats",
                        help="return probabilities of the coordinate flip "
@@ -412,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="empirical sample count, 0 to skip (default 0)")
     w.add_argument("--seed", type=int, help="RNG seed (default 0)")
     w.add_argument("--out", help="output path (default: stdout)")
-    w.set_defaults(func=cmd_walk_stats)
     for command in sub.choices.values():
         command.set_defaults(_flag_types={
             a.dest: a.type or str for a in command._actions
@@ -430,15 +424,20 @@ def _load_config(path: Optional[str]) -> Dict:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args._config_doc = _load_config(args.config)
     except (OSError, ValueError) as exc:
         print(f"error: --config {args.config}: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
+    # looked up per call, not bound into the cached tree, so that a wrapper
+    # installed on this module's functions after the first call still runs
+    handler = {"construct": cmd_construct,
+               "sample-matrix": cmd_sample_matrix,
+               "verify": cmd_verify,
+               "walk-stats": cmd_walk_stats}[args.command]
     try:
-        return args.func(args)
+        return handler(args)
     except ConfigError as exc:
         print(f"error: --config {args.config}: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED

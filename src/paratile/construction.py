@@ -29,7 +29,6 @@ from .lattices import (
     shortest_vector_sq,
 )
 from .linalg import (
-    IntMatrix,
     QMatrix,
     complete_to_full_rank,
     inverse,
@@ -74,15 +73,17 @@ class RecursionConfig:
     max_depth: int = 8
     dim_cap: int = 6               # kernel cells are enumerated up to this rank
     svp_node_cap: int = 10 ** 7
-    matrix_override: Optional[Sequence[Tuple[IntMatrix, Optional[int]]]] = None
+    matrix_override: Optional[Sequence[Tuple[QMatrix, Optional[int]]]] = None
 
     def __post_init__(self):
         # budgets that no run can meet are refused before any work
         if self.svp_node_cap < 1:
             raise ValueError("svp_node_cap must be at least 1")
-        if any(s is not None and s < 1
-               for _, s in self.matrix_override or ()):
-            raise ValueError("override s must be at least 1")
+        for mat, s in self.matrix_override or ():
+            if not mat.is_integer():
+                raise ValueError("override matrix must have integer entries")
+            if s is not None and s < 1:
+                raise ValueError("override s must be at least 1")
 
 
 _PROBE_S_CAP = 3  # direct independence certification cap
@@ -95,7 +96,7 @@ class LevelTrace:
     m: Optional[int] = None
     d: Optional[int] = None
     s: Optional[int] = None
-    matrix: Optional[IntMatrix] = None
+    matrix: Optional[QMatrix] = None
     norm_usq: Optional[Fraction] = None
     kernel_shortest_sq: Optional[Fraction] = None
     ratio_kernel: Optional[SqrtSum] = None
@@ -288,7 +289,7 @@ def base_level(lat: Lattice, config: RecursionConfig
     return body, trace
 
 
-def inductive_level(lat: Lattice, a_matrix: IntMatrix, s: int,
+def inductive_level(lat: Lattice, a_matrix: QMatrix, s: int,
                     config: RecursionConfig, depth: int
                     ) -> Tuple[HPolytope, List[LevelTrace]]:
     """One recursion step on a_matrix, whose columns the caller has
@@ -315,8 +316,7 @@ def inductive_level(lat: Lattice, a_matrix: IntMatrix, s: int,
         raise DimCapExceeded(
             f"kernel rank {n - m} exceeds dim cap {config.dim_cap}")
     kernel, inner_lat = kernel_and_image(lat, b)
-    bq = b.to_q()
-    t = bq.t() @ inverse(bq @ bq.t())  # right inverse; the section into row span
+    t = b.t() @ inverse(b @ b.t())  # right inverse; the section into row span
     # 2 (n-m) / sqrt(s), the kernel cell's share of the recursion bound
     kernel_bound = (SqrtSum.from_rational(Fraction(2 * (n - m), s))
                     * SqrtSum.sqrt(s) if m < n else SqrtSum.zero())

@@ -12,14 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .linalg import (
-    IntMatrix,
-    QMatrix,
-    clear_denominators,
-    det_q,
-    hnf_rows,
-    rank_over_rationals,
-)
+from .linalg import QMatrix, det_q, hnf_rows, rank_over_rationals
 from .radicals import SqrtSum
 
 
@@ -72,16 +65,16 @@ class Lattice:
 def kernel_and_image(lat: Lattice, b) -> Tuple[Lattice, Lattice]:
     """Split the lattice L along the matrix b into L meet ker b and b L.
 
-    One Hermite form of the rows of d (b L)^T, d its cleared denominator,
-    gives both.  The transform rows that reach zero rows span the kernel
-    coordinates over Z; the nonzero rows, divided by d, are the canonical
-    basis of the image.
+    One Hermite form of the rows of the numerator of (b L)^T gives both.
+    The transform rows that reach zero rows span the kernel coordinates over
+    Z; the nonzero rows, over the denominator, are the canonical basis of
+    the image.
     """
-    gens, d = clear_denominators(b @ lat.basis)
-    h, u, pivots = hnf_rows(gens.t().entries, transform=True)
+    gens = b @ lat.basis
+    h, u, pivots = hnf_rows(gens.t().num)
     r = len(pivots)  # zero rows come last
-    kernel = lat.basis @ IntMatrix(tuple(map(tuple, u[r:]))).t()
-    image = QMatrix(tuple(zip(*h[:r])) or ((),) * gens.nrows, d)
+    kernel = lat.basis @ QMatrix(tuple(map(tuple, u[r:]))).t()
+    image = QMatrix(tuple(zip(*h[:r])) or ((),) * gens.nrows, gens.den)
     return Lattice(lat.ambient_dim, kernel), Lattice(gens.nrows, image)
 
 

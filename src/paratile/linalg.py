@@ -1,12 +1,13 @@
 """Exact linear algebra over Z and Q with certified operator norms.
 
-Matrices are immutable tuples of rows.  A rational matrix is one integer
-numerator matrix over one positive denominator, so products, transposes,
-inverses, ranks, determinants and equality all run on integers: inversion
-and rank are fraction-free eliminations, and a Fraction is built only for an
-entry someone reads.  Operator norm upper bounds are certificates: exact
-rationals provably at or above the true spectral norm, never floating-point
-estimates.
+A matrix is one ``QMatrix``: an immutable integer numerator matrix over one
+positive denominator.  An integer matrix is the case den == 1, tested by
+``is_integer``, and its entries are its numerator rows.  Products,
+transposes, inverses, ranks, determinants and equality all run on integers:
+inversion and rank are fraction-free eliminations, and a Fraction is built
+only for an entry of a non-integer matrix that someone reads.  Operator norm
+upper bounds are certificates: exact rationals provably at or above the true
+spectral norm, never floating-point estimates.
 """
 
 from __future__ import annotations
@@ -46,73 +47,15 @@ def identity_rows(n: int, one: int = 1) -> Tuple[Tuple[int, ...], ...]:
     return tuple(band[n - 1 - i:2 * n - 1 - i] for i in range(n))
 
 
-# --- matrix containers -------------------------------------------------------
-
-@dataclass(frozen=True)
-class IntMatrix:
-    entries: Tuple[Tuple[int, ...], ...]
-
-    den = 1  # an integer matrix is its own numerator over 1
-
-    @staticmethod
-    def from_rows(rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        ent = tuple(tuple(int(x) for x in row) for row in rows)
-        if ent and any(len(r) != len(ent[0]) for r in ent):
-            raise ValueError("ragged rows")
-        for row in ent:
-            for x in row:
-                if not isinstance(x, int):
-                    raise TypeError("integer entries required")
-        return IntMatrix(ent)
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(identity_rows(n))
-
-    @property
-    def num(self) -> Tuple[Tuple[int, ...], ...]:
-        return self.entries
-
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return self.nrows, self.ncols
-
-    def row(self, i: int) -> Tuple[int, ...]:
-        return self.entries[i]
-
-    def col(self, j: int) -> Tuple[int, ...]:
-        return tuple(r[j] for r in self.entries)
-
-    def t(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries)) if self.entries else ())
-
-    def __matmul__(self, other):
-        return _product(self, other)
-
-    def to_q(self) -> "QMatrix":
-        return QMatrix(self.entries)
-
-    def mul_vec(self, v: Sequence[Rat]) -> tuple:
-        return tuple(dot(row, v) for row in self.entries)
-
-    def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(c * x for x in row) for row in self.entries))
-
+# --- the matrix container ----------------------------------------------------
 
 @dataclass(frozen=True)
 class QMatrix:
     """The rational matrix num / den: integer rows over one denominator.
 
     The form is canonical, den > 0 and gcd(den, every numerator) = 1, so two
-    equal matrices have equal (num, den), and == and hash are exact.
+    equal matrices have equal (num, den), and == and hash are exact.  An
+    integer matrix is one with den == 1, and its entries are its numerators.
     """
 
     num: Tuple[Tuple[int, ...], ...]
@@ -148,8 +91,11 @@ class QMatrix:
         return QMatrix(identity_rows(n))
 
     @property
-    def entries(self) -> Tuple[Tuple[Fraction, ...], ...]:
-        """The entries as Fractions, built on first read and kept."""
+    def entries(self) -> Tuple[Tuple[Rat, ...], ...]:
+        """The entries: num itself when den == 1, else Fractions built on
+        first read and kept."""
+        if self.den == 1:
+            return self.num
         if self._entries is None:
             den = self.den
             object.__setattr__(self, "_entries", tuple(
@@ -168,55 +114,33 @@ class QMatrix:
     def shape(self) -> Tuple[int, int]:
         return self.nrows, self.ncols
 
-    def col(self, j: int) -> Tuple[Fraction, ...]:
-        return tuple(Fraction(r[j], self.den) for r in self.num)
+    def col(self, j: int) -> Tuple[Rat, ...]:
+        c = tuple(r[j] for r in self.num)
+        return c if self.den == 1 else tuple(Fraction(x, self.den) for x in c)
 
     def t(self) -> "QMatrix":
         return QMatrix(tuple(zip(*self.num)) if self.num else (), self.den)
 
-    def __matmul__(self, other):
-        return _product(self, other)
+    def __matmul__(self, other: "QMatrix") -> "QMatrix":
+        a, b = self.num, other.num
+        if a and b and len(a[0]) != len(b):
+            raise ValueError(f"shape mismatch {len(a[0])} vs {len(b)}")
+        bt = tuple(zip(*b)) if b else ()
+        return QMatrix(tuple(tuple(dot(row, col) for col in bt) for row in a),
+                       self.den * other.den)
 
-    def mul_vec(self, v: Sequence[Rat]) -> Tuple[Fraction, ...]:
-        """M v, clearing v's denominators once: one Fraction per output."""
+    def mul_vec(self, v: Sequence[Rat]) -> Tuple[Rat, ...]:
+        """M v, clearing v's denominators once: one Fraction per output, or
+        one int when M and v are integer."""
         dv = denominator_lcm(v)
         iv = scaled_to_int(v, dv)
         den = self.den * dv
+        if den == 1:
+            return tuple(dot(row, iv) for row in self.num)
         return tuple(Fraction(dot(row, iv), den) for row in self.num)
 
     def is_integer(self) -> bool:
         return self.den == 1
-
-    def scale(self, c: Rat) -> "QMatrix":
-        c = Fraction(c)
-        p = c.numerator
-        return QMatrix(tuple(tuple(p * x for x in row) for row in self.num),
-                       self.den * c.denominator)
-
-
-def _product(a, b):
-    if not isinstance(b, (IntMatrix, QMatrix)):
-        raise TypeError(type(b))
-    num = _matmul(a.num, b.num)
-    if isinstance(a, IntMatrix) and isinstance(b, IntMatrix):
-        return IntMatrix(num)
-    return QMatrix(num, a.den * b.den)
-
-
-def _matmul(a, b):
-    if a and b and len(a[0]) != len(b):
-        raise ValueError(f"shape mismatch {len(a[0])} vs {len(b)}")
-    bt = tuple(zip(*b)) if b else ()
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
-def as_qmatrix(m: Union[IntMatrix, QMatrix]) -> QMatrix:
-    return m.to_q() if isinstance(m, IntMatrix) else m
-
-
-def clear_denominators(m: QMatrix) -> Tuple[IntMatrix, int]:
-    """(N, d) with m = N/d, d the lcm of all entry denominators."""
-    return IntMatrix(m.num), m.den
 
 
 # --- ranks and elimination ---------------------------------------------------
@@ -252,13 +176,8 @@ def pivot_columns(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
     return tuple(sorted(basis))
 
 
-def rank_int_rows(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over Q of an integer row list."""
-    return len(pivot_columns(rows))
-
-
-def rank_over_rationals(m: Union[IntMatrix, QMatrix]) -> int:
-    return rank_int_rows(m.num)
+def rank_over_rationals(m: QMatrix) -> int:
+    return len(pivot_columns(m.num))
 
 
 def inverse(a: QMatrix) -> QMatrix:
@@ -335,18 +254,17 @@ def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def hnf_rows(mat: Sequence[Sequence[int]],
-             transform: bool = False):
+def hnf_rows(mat: Sequence[Sequence[int]]):
     """Row-style Hermite normal form.
 
-    Returns (H, U, pivot_cols) with U unimodular and U @ mat = H when
-    ``transform`` is set, else (H, None, pivot_cols).  H is canonical: pivots
-    positive, entries above each pivot reduced into [0, pivot), zero rows last.
+    Returns (H, U, pivot_cols) with U unimodular and U @ mat = H.  H is
+    canonical: pivots positive, entries above each pivot reduced into
+    [0, pivot), zero rows last.
     """
     H = [list(r) for r in mat]
     m = len(H)
     n = len(H[0]) if m else 0
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if transform else None
+    U = [list(r) for r in identity_rows(m)]
     r = 0
     pivot_cols: List[int] = []
     for col in range(n):
@@ -354,8 +272,7 @@ def hnf_rows(mat: Sequence[Sequence[int]],
         if piv is None:
             continue
         H[r], H[piv] = H[piv], H[r]
-        if U is not None:
-            U[r], U[piv] = U[piv], U[r]
+        U[r], U[piv] = U[piv], U[r]
         for i in range(r + 1, m):
             if H[i][col] == 0:
                 continue
@@ -365,20 +282,17 @@ def hnf_rows(mat: Sequence[Sequence[int]],
             # [[x, y], [-q, p]] has determinant 1
             H[r], H[i] = ([x * u + y * v for u, v in zip(H[r], H[i])],
                           [-q * u + p * v for u, v in zip(H[r], H[i])])
-            if U is not None:
-                U[r], U[i] = ([x * u + y * v for u, v in zip(U[r], U[i])],
-                              [-q * u + p * v for u, v in zip(U[r], U[i])])
+            U[r], U[i] = ([x * u + y * v for u, v in zip(U[r], U[i])],
+                          [-q * u + p * v for u, v in zip(U[r], U[i])])
         if H[r][col] < 0:
             H[r] = [-x for x in H[r]]
-            if U is not None:
-                U[r] = [-x for x in U[r]]
+            U[r] = [-x for x in U[r]]
         p = H[r][col]
         for i in range(r):
             q = H[i][col] // p
             if q:
                 H[i] = [u - q * v for u, v in zip(H[i], H[r])]
-                if U is not None:
-                    U[i] = [u - q * v for u, v in zip(U[i], U[r])]
+                U[i] = [u - q * v for u, v in zip(U[i], U[r])]
         pivot_cols.append(col)
         r += 1
         if r == m:
@@ -399,7 +313,7 @@ def _abs_row_sums(entries) -> list:
     return [sum(abs(x) for x in row) for row in entries]
 
 
-def operator_norm_upper(m: Union[IntMatrix, QMatrix],
+def operator_norm_upper(m: QMatrix,
                         refine_steps: int = 0) -> NormCertificate:
     """Certified upper bound on the spectral norm of m.
 
@@ -431,12 +345,12 @@ def operator_norm_upper(m: Union[IntMatrix, QMatrix],
 
 @dataclass(frozen=True)
 class CompletionResult:
-    matrix: IntMatrix              # full-rank m x n
+    matrix: QMatrix                # full-rank integer m x n
     certificate: NormCertificate
     added_units: Tuple[int, ...]   # coordinates of the appended unit rows
 
 
-def complete_to_full_rank(a: IntMatrix,
+def complete_to_full_rank(a: QMatrix,
                           base_cert: Optional[NormCertificate] = None
                           ) -> CompletionResult:
     """Replace a possibly rank-deficient m x n matrix by a full-rank one.
@@ -447,24 +361,25 @@ def complete_to_full_rank(a: IntMatrix,
     kernel vectors survives, and the squared-norm certificate grows by at
     most 1 (the appended rows contribute a rank-one Gram summand each).
     """
+    if not a.is_integer():
+        raise ValueError("rank completion needs an integer matrix")
     m, n = a.shape
     if m > n:
         raise ValueError("more rows than columns")
     # the pivot columns of a^T are the greedy maximal independent row set
-    indep = pivot_columns(a.t().entries)
+    indep = pivot_columns(a.t().num)
     r = len(indep)
     if r == m:
         cert_a = base_cert or operator_norm_upper(a)
         return CompletionResult(a, cert_a, ())
-    pivot_cols = pivot_columns([a.entries[i] for i in indep])
+    rows = tuple(a.num[i] for i in indep)
+    pivot_cols = pivot_columns(rows)
     free_cols = [j for j in range(n) if j not in pivot_cols]
     added = tuple(free_cols[: m - r])
     if len(added) < m - r:
         raise ValueError("cannot complete: not enough free coordinates")
-    rows = [list(a.entries[i]) for i in indep]
-    for j in added:
-        rows.append([1 if k == j else 0 for k in range(n)])
-    b = IntMatrix.from_rows(rows)
+    b = QMatrix(rows + tuple(tuple(int(k == j) for k in range(n))
+                             for j in added))
     cert_a = base_cert or operator_norm_upper(a)
     derived = cert_a.usq + 1
     own = operator_norm_upper(b)
@@ -483,8 +398,7 @@ def lll_reduce(basis: QMatrix, delta: Fraction = Fraction(3, 4)) -> QMatrix:
     k = basis.ncols
     if k <= 1:
         return basis
-    cols = [[basis.entries[i][j] for i in range(basis.nrows)]
-            for j in range(k)]
+    cols = [[Fraction(x, basis.den) for x in col] for col in zip(*basis.num)]
 
     def gso():
         mu = [[Fraction(0)] * k for _ in range(k)]

@@ -42,8 +42,6 @@ from .intervals import sqrt_upper
 from .lattices import Lattice, enumerate_short_vectors
 from .linalg import (
     QMatrix,
-    as_qmatrix,
-    clear_denominators,
     denominator_lcm,
     det_int,
     det_q,
@@ -317,7 +315,6 @@ class HPolytope:
                         ) -> "HPolytope":
         if isinstance(frame, int):
             frame = QMatrix.identity(frame)
-        frame = as_qmatrix(frame)
         if rank_over_rationals(frame) != frame.ncols:
             raise ValueError("frame columns are dependent")
         hs = canonical_halfspaces(
@@ -553,7 +550,7 @@ def voronoi_cell(lat: Lattice, node_cap: int = 10 ** 7) -> HPolytope:
     lat = Lattice(lat.ambient_dim, lll_reduce(lat.basis))
     g = lat.gram()
     ginv = inverse(g)
-    g_int, g_den = clear_denominators(g)
+    g_int, g_den = QMatrix(g.num), g.den
     diag = [Fraction(g.num[i][i], g.den) for i in range(d)]
     sweep = _Sweep(d)
     for i in range(d):
@@ -643,15 +640,14 @@ def orthogonal_product(p: HPolytope, q: HPolytope) -> HPolytope:
     return body
 
 
-def linear_image(t, p: HPolytope) -> HPolytope:
+def linear_image(t: QMatrix, p: HPolytope) -> HPolytope:
     """Apply an injective linear map.  The chart and its halfspaces carry
     over, and only the metric changes, so the faces and the chart table
     are kept."""
-    tq = as_qmatrix(t)
-    frame = tq @ p.frame
+    frame = t @ p.frame
     if rank_over_rationals(frame) != p.dim:
         raise ValueError("map collapses the body")
-    body = HPolytope(tq.nrows, frame, p.halfspaces)
+    body = HPolytope(t.nrows, frame, p.halfspaces)
     for key in ("vertices", "facets", "chart"):
         if key in p._cache:
             body._cache[key] = p._cache[key]

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .intervals import enclose, iroot_floor, root_interval, sqrt_upper
-from .linalg import IntMatrix
+from .linalg import QMatrix
 
 
 class SamplerFailure(Exception):
@@ -176,7 +176,7 @@ _TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def masks_to_matrix(m: int, masks: Sequence[int]) -> IntMatrix:
+def masks_to_matrix(m: int, masks: Sequence[int]) -> QMatrix:
     """The m x len(masks) 0/1 matrix whose column j has bitmask masks[j].
 
     Each mask becomes its m binary digits as 0/1 bytes, most significant
@@ -189,17 +189,16 @@ def masks_to_matrix(m: int, masks: Sequence[int]) -> IntMatrix:
             for mask in masks]
     rows = list(zip(*cols)) or [()] * m
     rows.reverse()
-    return IntMatrix(tuple(rows))
+    return QMatrix(tuple(rows))
 
 
-def matrix_to_masks(mat: IntMatrix) -> List[int]:
+def matrix_to_masks(mat: QMatrix) -> List[int]:
     """Column bitmasks of a 0/1 matrix: row i is bit i."""
-    for row in mat.entries:
-        if not _BINARY.issuperset(row):
-            raise ValueError("entries must be 0/1")
+    if not (mat.is_integer() and all(map(_BINARY.issuperset, mat.num))):
+        raise ValueError("entries must be 0/1")
     # a column read from its last row up is its binary numeral
     return [int(bytes(col[::-1]).translate(_TO_DIGITS), 2)
-            for col in zip(*mat.entries)]
+            for col in zip(*mat.num)]
 
 
 def _row_weights(m: int, masks: Sequence[int]) -> List[int]:
@@ -212,7 +211,7 @@ def _row_weights(m: int, masks: Sequence[int]) -> List[int]:
     return rows
 
 
-def sample_ldpc(params: LdpcParams) -> Tuple[IntMatrix, Dict]:
+def sample_ldpc(params: LdpcParams) -> Tuple[QMatrix, Dict]:
     """Sample until every row weight is within the 4dn/m bound."""
     bound = params.effective_row_bound()
     first_try_pass = None
@@ -352,7 +351,7 @@ def verify_s_independence(mat_or_masks, s: int
     kernel vectors have support larger than s.
     """
     masks = (matrix_to_masks(mat_or_masks)
-             if isinstance(mat_or_masks, IntMatrix) else list(mat_or_masks))
+             if isinstance(mat_or_masks, QMatrix) else list(mat_or_masks))
     dep = shortest_dependency(masks, s)
     return (dep is None), dep
 

@@ -29,7 +29,7 @@ from importlib import resources
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from .lattices import Lattice
-from .linalg import IntMatrix, QMatrix
+from .linalg import QMatrix
 from .polytopes import HPolytope
 from .radicals import SqrtSum
 
@@ -70,8 +70,9 @@ def dec_str(x: Fraction, places: int = 15) -> str:
 
 # --- matrices ------------------------------------------------------------------
 
-def matrix_to_json(m: Union[IntMatrix, QMatrix]) -> Dict:
-    cell = str if isinstance(m, IntMatrix) else frac_str
+def matrix_to_json(m: QMatrix) -> Dict:
+    # an integer matrix's entries are ints, which str writes as frac_str does
+    cell = str if m.is_integer() else frac_str
     return {
         "rows": m.nrows,
         "cols": m.ncols,
@@ -79,14 +80,11 @@ def matrix_to_json(m: Union[IntMatrix, QMatrix]) -> Dict:
     }
 
 
-def matrix_from_json(obj: Dict) -> Union[IntMatrix, QMatrix]:
+def matrix_from_json(obj: Dict) -> QMatrix:
     entries = [[parse_frac(s) for s in row] for row in obj["entries"]]
     if len(entries) != obj["rows"] or any(len(r) != obj["cols"]
                                           for r in entries):
         raise SerializationError("matrix entry grid does not match rows/cols")
-    if all(x.denominator == 1 for row in entries for x in row):
-        return IntMatrix.from_rows([[x.numerator for x in row]
-                                    for row in entries])
     return QMatrix.from_rows(entries)
 
 

@@ -20,8 +20,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import mpmath
 import numpy as np
@@ -30,10 +29,9 @@ from paratile.construction import (RegimeError, _induction_inequality_holds,
                                    choose_m, predicted_bound_interval)
 from paratile.intervals import Interval, sqrt_upper
 from paratile.lattices import Lattice, enumerate_short_vectors
-from paratile.linalg import (IntMatrix, QMatrix, as_qmatrix,
-                             clear_denominators, denominator_lcm, det_q,
-                             hnf_rows, inverse, rank_int_rows,
-                             rank_over_rationals, scaled_to_int)
+from paratile.linalg import (QMatrix, denominator_lcm, det_q, hnf_rows,
+                             inverse, pivot_columns, rank_over_rationals,
+                             scaled_to_int)
 from paratile.polytopes import (BodyMeasures, DegenerateBody, EmptyBody,
                                 HPolytope, Unbounded, primitive_normal)
 from paratile.radicals import SqrtSum
@@ -59,7 +57,7 @@ def _affine_rank(points) -> int:
     for p in points[1:]:
         diff = [x - y for x, y in zip(p, p0)]
         rows.append(scaled_to_int(diff, denominator_lcm(diff)))
-    return rank_int_rows(rows)
+    return len(pivot_columns(rows))
 
 
 class ReferenceSweep:
@@ -106,8 +104,9 @@ class ReferenceSweep:
         for i in pos:
             for j in neg:
                 common = self.active[i] & self.active[j]
-                if len(common) < self.d - 1 or rank_int_rows(
-                        [self.halfspaces[k][0] for k in common]) != self.d - 1:
+                normals = [self.halfspaces[k][0] for k in common]
+                if len(common) < self.d - 1 or \
+                        len(pivot_columns(normals)) != self.d - 1:
                     continue
                 t = svals[i] / (svals[i] - svals[j])
                 new[tuple(x + t * (y - x) for x, y in
@@ -168,12 +167,12 @@ def reference_voronoi_faces(g: QMatrix):
     sweep = ReferenceSweep(d)
     for i in range(d):
         a, gamma = primitive_normal(g.col(i))
-        b = g.entries[i][i] / (2 * gamma)
+        b = Fraction(g.entries[i][i]) / (2 * gamma)
         sweep.add_seed_halfspace(a, b)
         sweep.add_seed_halfspace([-x for x in a], b)
     for signs in range(1 << d):
         sweep.seed_vertex(ginv.mul_vec(
-            [g.entries[i][i] / (2 if (signs >> i) & 1 else -2)
+            [Fraction(g.entries[i][i], 2 if (signs >> i) & 1 else -2)
              for i in range(d)]))
 
     def max_sq():
@@ -247,7 +246,7 @@ def triangulated_measures(body: HPolytope) -> BodyMeasures:
         if d == 1:
             surface = surface + SqrtSum.from_rational(1)
             continue
-        cq = integer_kernel_basis(IntMatrix.from_rows([list(a)])).to_q()
+        cq = integer_kernel_basis(QMatrix.from_rows([list(a)]))
         pinv = inverse(cq.t() @ cq) @ cq.t()
         y0 = verts[min(touch)]
         tmap = {i: pinv.mul_vec([x - y for x, y in zip(verts[i], y0)])
@@ -265,30 +264,28 @@ def triangulated_measures(body: HPolytope) -> BodyMeasures:
 
 # --- linear algebra ------------------------------------------------------------
 
-def integer_kernel_basis(b: IntMatrix) -> IntMatrix:
+def integer_kernel_basis(b: QMatrix) -> QMatrix:
     """Basis (as columns) of {x in Z^n : b @ x = 0}.
 
     Unimodular row reduction of b-transpose; the transform rows that map to
     zero rows of the Hermite form span the kernel over Z.
     """
-    bt = b.t()
-    H, U, _ = hnf_rows(bt.entries, transform=True)
+    H, U, _ = hnf_rows(b.t().num)
     kernel_rows = [U[i] for i in range(len(H)) if not any(H[i])]
     if not kernel_rows:
-        return IntMatrix(tuple(() for _ in range(b.ncols)))
-    return IntMatrix.from_rows(kernel_rows).t()
+        return QMatrix(tuple(() for _ in range(b.ncols)))
+    return QMatrix.from_rows(kernel_rows).t()
 
 
-def hnf_basis_columns(generators: IntMatrix) -> IntMatrix:
+def hnf_basis_columns(generators: QMatrix) -> QMatrix:
     """Canonical lattice basis (columns) of the group the columns generate."""
-    rows = generators.t().entries
-    H, _, _ = hnf_rows(rows)
+    H, _, _ = hnf_rows(generators.t().num)
     keep = [r for r in H if any(r)]
-    return IntMatrix.from_rows(keep).t() if keep else \
-        IntMatrix(tuple(() for _ in range(generators.nrows)))
+    return QMatrix.from_rows(keep).t() if keep else \
+        QMatrix(tuple(() for _ in range(generators.nrows)))
 
 
-def rank_over_gf2(m: IntMatrix) -> int:
+def rank_over_gf2(m: QMatrix) -> int:
     masks = []
     for row in m.entries:
         bits = 0
@@ -355,7 +352,7 @@ def reference_dependency(masks: Sequence[int], s: int
     return None
 
 
-def columns_independent(m: Union[IntMatrix, QMatrix], cols: Sequence[int],
+def columns_independent(m: QMatrix, cols: Sequence[int],
                         field: str = "Q") -> bool:
     """Whether the selected columns are linearly independent over Q or GF(2)."""
     if len(set(cols)) != len(cols):
@@ -364,10 +361,9 @@ def columns_independent(m: Union[IntMatrix, QMatrix], cols: Sequence[int],
     if field == "Q":
         return rank_over_rationals(QMatrix.from_rows(sub_rows)) == len(cols)
     if field == "GF2":
-        if isinstance(m, QMatrix):
+        if not m.is_integer():
             raise ValueError("GF(2) check needs integer entries")
-        sub = IntMatrix.from_rows(sub_rows)
-        return rank_over_gf2(sub) == len(cols)
+        return rank_over_gf2(QMatrix.from_rows(sub_rows)) == len(cols)
     raise ValueError(f"unknown field {field!r}")
 
 
@@ -470,9 +466,8 @@ def nullspace(a: QMatrix) -> List[Tuple[Fraction, ...]]:
     return basis
 
 
-def rayleigh_lower_sq(m: Union[IntMatrix, QMatrix], iters: int = 8) -> Fraction:
+def rayleigh_lower_sq(q: QMatrix, iters: int = 8) -> Fraction:
     """Certified lower bound on the squared spectral norm via power iteration."""
-    q = as_qmatrix(m)
     if q.nrows == 0 or q.ncols == 0:
         return Fraction(0)
     g = q.t() @ q
@@ -483,13 +478,13 @@ def rayleigh_lower_sq(m: Union[IntMatrix, QMatrix], iters: int = 8) -> Fraction:
         nx = sum(v * v for v in x)
         if nx == 0:
             break
-        best = max(best, sum(v * v for v in mx) / nx)
+        best = max(best, Fraction(sum(v * v for v in mx)) / nx)
         x = list(g.mul_vec(x))
         # rescale to keep numbers manageable
         mags = [abs(v) for v in x if v]
         if mags:
             s = max(mags)
-            x = [v / s for v in x]
+            x = [Fraction(v) / s for v in x]
     return best
 
 
@@ -499,21 +494,19 @@ def lattices_equal(a: Lattice, b: Lattice) -> bool:
         return False
     if a.basis.entries == b.basis.entries:
         return True  # the same basis spans the same lattice
-    na, da = clear_denominators(a.basis)
-    nb, db = clear_denominators(b.basis)
+    da, db = a.basis.den, b.basis.den
     d = math.lcm(da, db)
-    ma = na.scale(d // da)
-    mb = nb.scale(d // db)
+    ma = QMatrix.from_rows([[d // da * x for x in row] for row in a.basis.num])
+    mb = QMatrix.from_rows([[d // db * x for x in row] for row in b.basis.num])
     return hnf_basis_columns(ma).entries == hnf_basis_columns(mb).entries
 
 
 def apply_matrix(t, lat: Lattice) -> Lattice:
     """Image lattice under an injective-on-the-span linear map."""
-    tq = as_qmatrix(t)
-    new_basis = tq @ lat.basis
+    new_basis = t @ lat.basis
     if rank_over_rationals(new_basis) != lat.rank:
         raise ValueError("map collapses the lattice")
-    return Lattice(tq.nrows, new_basis)
+    return Lattice(t.nrows, new_basis)
 
 
 def coordinates_in_lattice(lat: Lattice, v: Sequence) -> Optional[Tuple[int, ...]]:
@@ -547,18 +540,17 @@ def reference_projection(lat: Lattice, b) -> Lattice:
     subgroup of (1/d) Z^m, hence discrete, and pulling its Hermite basis back
     through the pseudoinverse gives a genuine lattice basis of the projection.
     """
-    r_int, _ = clear_denominators(as_qmatrix(b))
-    if rank_over_rationals(r_int) != r_int.nrows:
+    r = QMatrix(b.num)
+    if rank_over_rationals(r) != r.nrows:
         raise ValueError("rows must be independent")
-    image = r_int.to_q() @ lat.basis
-    im_int, d = clear_denominators(image)
-    w = hnf_basis_columns(im_int)  # columns generate d * (R L) as a group
+    image = r @ lat.basis
+    # columns generate d * (R L) as a group, d the image's denominator
+    w = hnf_basis_columns(QMatrix(image.num))
     if w.ncols == 0:
         return Lattice(lat.ambient_dim,
                        QMatrix(tuple(() for _ in range(lat.ambient_dim))))
-    rrt = r_int.to_q() @ r_int.t().to_q()
-    pull = r_int.t().to_q() @ inverse(rrt)  # v -> point of the span with Rv = v
-    return Lattice(lat.ambient_dim, (pull @ w.to_q()).scale(Fraction(1, d)))
+    pull = r.t() @ inverse(r @ r.t())  # v -> point of the span with Rv = v
+    return Lattice(lat.ambient_dim, pull @ QMatrix(w.num, image.den))
 
 
 # --- walks and volumes ----------------------------------------------------------

@@ -16,7 +16,7 @@ from paratile.construction import (RecursionConfig, construct,
                                    construct_bound_only,
                                    isoperimetric_ratio_lower, scan_induction)
 from paratile.lattices import Lattice, shortest_vector_sq
-from paratile.linalg import (IntMatrix, complete_to_full_rank,
+from paratile.linalg import (QMatrix, complete_to_full_rank,
                              operator_norm_upper, rank_over_rationals)
 from paratile.polytopes import HPolytope, scaled, voronoi_cell
 from paratile.radicals import SqrtSum
@@ -53,7 +53,7 @@ CORPUS = [
     [[2, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]],
 ]
 
-WORKED_B = IntMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 1]])
+WORKED_B = QMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 1]])
 
 
 def _verdict(k: int, failures, detail: str, elapsed: float, budget: float):
@@ -116,7 +116,7 @@ def test_criterion_3_sampler_conformance():
         mats.append(mat)
         first_try += bool(stats["first_try_pass"])
         col_w = max(sum(mat.col(j)) for j in range(n))
-        row_w = max(sum(mat.row(i)) for i in range(m))
+        row_w = max(sum(mat.num[i]) for i in range(m))
         if col_w > d:
             failures.append(f"seed {seed}: column weight {col_w} > {d}")
         if row_w > row_cap:
@@ -277,7 +277,7 @@ def test_criterion_7_negative_controls():
         failures.append("inflated cube passed the tiling audit")
     if rep.overlap_violations == 0:
         failures.append("inflated cube shows no multiplicity >= 2 samples")
-    dup = IntMatrix.from_rows([[1, 0, 1, 1], [0, 1, 0, 1], [1, 1, 1, 0]])
+    dup = QMatrix.from_rows([[1, 0, 1, 1], [0, 1, 0, 1], [1, 1, 1, 0]])
     ok, witness = verify_s_independence(matrix_to_masks(dup), 2)
     if ok:
         failures.append("duplicated column passed s = 2 verification")

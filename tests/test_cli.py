@@ -6,7 +6,7 @@ import pytest
 
 from paratile import cli
 from paratile.cli import main
-from paratile.linalg import IntMatrix
+from paratile.linalg import QMatrix
 from paratile.polytopes import HPolytope
 from paratile.lattices import Lattice
 from paratile.serialization import (dump_json, lattice_to_json, matrix_to_json,
@@ -17,7 +17,7 @@ from oracles import parse_hrep
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
-WORKED_B = IntMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 1]])
+WORKED_B = QMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 1]])
 
 
 def write_json(path, doc):
@@ -246,7 +246,7 @@ def test_kernel4_step_fits_a_small_node_budget(tmp_path, capsys):
     rows = [[int(i == j) for j in range(4)] + [col[i] for col in extra]
             for i in range(4)]
     mat = write_json(tmp_path / "kernel4.json",
-                     matrix_to_json(IntMatrix.from_rows(rows)))
+                     matrix_to_json(QMatrix.from_rows(rows)))
     assert main(["construct", "--n", "9", "--matrix-override", mat,
                  "--svp-node-cap", "2000"]) == 0
     cap = capsys.readouterr()
@@ -259,6 +259,66 @@ def test_override_must_be_integer(tmp_path, capsys):
     mat = write_json(tmp_path / "half.json", doc)
     assert main(["construct", "--n", "2", "--matrix-override", mat]) == 2
     assert "integer" in capsys.readouterr().err
+
+
+def _integer_matrices_built(monkeypatch):
+    """Every QMatrix built from here on, with den == 1, in a list."""
+    built = []
+    post_init = QMatrix.__post_init__
+
+    def recording(self):
+        post_init(self)
+        if self.den == 1:
+            built.append(self)
+
+    monkeypatch.setattr(QMatrix, "__post_init__", recording)
+    return built
+
+
+def test_an_integer_matrix_is_its_own_entry_grid():
+    rows = ((1, -2, 0), (3, 4, 5))
+    assert QMatrix(rows).entries is rows
+    assert QMatrix.from_rows(rows).entries == rows
+
+
+def test_sampled_matrix_builds_no_fraction_grid(monkeypatch, capsys):
+    # the 128 x 1024 matrix is checked and written from its numerators; a
+    # Fraction grid would cost one Fraction per entry on every draw
+    built = _integer_matrices_built(monkeypatch)
+    assert main(["sample-matrix", "--m", "128", "--n", "1024", "--d", "4",
+                 "--verify-s", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["matrix"]["entries"]) == 128
+    assert any(m.shape == (128, 1024) for m in built)
+    assert all(m._entries is None for m in built)
+
+
+def test_geometric_override_builds_no_fraction_grid_of_an_integer_matrix(
+        tmp_path, monkeypatch, capsys):
+    # I_6 plus two columns: kernel cell, image step and integer Gram
+    # products, all on numerators
+    extra = ((1, 0, 1, 0, 1, 0), (0, 1, 1, 0, 1, 1))
+    rows = [[int(i == j) for j in range(6)] + [c[i] for c in extra]
+            for i in range(6)]
+    mat = write_json(tmp_path / "image6b.json",
+                     matrix_to_json(QMatrix.from_rows(rows)))
+    built = _integer_matrices_built(monkeypatch)
+    assert main(["construct", "--n", "8", "--matrix-override", mat]) == 0
+    validate_document("construction_report",
+                      json.loads(capsys.readouterr().out))
+    assert len(built) > 10
+    assert all(m._entries is None for m in built)
+
+
+def test_the_parser_is_built_once_and_keeps_no_call_state(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    # per-call state lives on each call's Namespace: the --config one call
+    # reads is not seen by the next
+    cfg = write_json(tmp_path / "cfg.json", {"kappa": 5})
+    assert main(["--config", cfg, "construct", "--n", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["kappa"] == 5
+    assert main(["construct", "--n", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["kappa"] == 4
 
 
 def test_override_entries_must_be_0_or_1(tmp_path, capsys):

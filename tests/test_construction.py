@@ -16,13 +16,13 @@ from paratile.construction import (ConstructionError, RecursionConfig,
                                    predicted_bound_interval, scan_induction,
                                    schedule_parameters)
 from paratile.lattices import Lattice
-from paratile.linalg import IntMatrix, inverse
+from paratile.linalg import QMatrix, inverse
 from paratile.radicals import SqrtSum
 from paratile.serialization import construction_report_to_json, dump_json
 
 from oracles import mp_reference, reference_scan_induction
 
-WORKED_B = IntMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 1]])
+WORKED_B = QMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 1]])
 
 
 def worked_config(**kw):
@@ -183,7 +183,7 @@ def _override_step(m):
     rows = [[int(i == j) for j in range(m)] + [int(i in (0, 1)),
                                               int(i in (1, 2))]
             for i in range(m)]
-    b = IntMatrix.from_rows(rows)
+    b = QMatrix.from_rows(rows)
     return b, construct(m + 2, RecursionConfig(matrix_override=((b, None),)))
 
 
@@ -204,7 +204,7 @@ def test_two_level_override_measures_its_outer_image_from_the_factors():
     # the product's chart table, so its 8-dimensional image is neither
     # swept nor triangulated
     def step(m):
-        return IntMatrix.from_rows(
+        return QMatrix.from_rows(
             [[int(i == j) for j in range(m)] + [int(i in (0, 1)),
                                                 int(i in (1, 2))]
              for i in range(m)])
@@ -227,8 +227,7 @@ def test_override_step_at_m16_image_ratio_is_twice_the_dual_norms():
     # the image is T = B^T (B B^T)^-1 applied to the unit cube, a
     # parallelepiped with ratio 2 * sum_i |b_i*| over the dual basis b_i* of
     # T's columns, whose squared norms are the diagonal of (T^T T)^-1
-    bq = b.to_q()
-    t = bq.t() @ inverse(bq @ bq.t())
+    t = b.t() @ inverse(b @ b.t())
     dual_gram = inverse(t.t() @ t)
     want = SqrtSum.zero()
     for i in range(16):
@@ -341,9 +340,23 @@ def test_a_false_section_fails_projection_image_agree(monkeypatch):
         construct(4, worked_config())
 
 
+def test_override_takes_any_integer_valued_matrix():
+    q = QMatrix.from_rows([[Fraction(1), 1, 0, 0], [0, 0, 1, 1]])
+    rep = construct(4, RecursionConfig(matrix_override=((q, None),)))
+    assert [lv.mode for lv in rep.levels] == ["step", "cube"]
+    assert rep.levels[0].s == 1 and rep.levels[0].matrix == q
+    assert rep.ratio_exact == SqrtSum.from_rational(6) * SqrtSum.sqrt(2)
+
+
+def test_config_refuses_a_non_integer_override():
+    half = QMatrix(((1, 1, 0, 0), (0, 0, 1, 1)), 2)
+    with pytest.raises(ValueError, match="integer"):
+        RecursionConfig(matrix_override=((half, None),))
+
+
 def test_override_with_zero_column_errors():
     # a zero column kills even single-column independence
-    bad = IntMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 0]])
+    bad = QMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 0]])
     with pytest.raises(ConstructionError):
         construct(4, RecursionConfig(matrix_override=((bad, None),)))
 

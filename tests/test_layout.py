@@ -2,11 +2,12 @@
 
 Code that only the tests call belongs in ``tests/oracles.py``, and code that
 nothing calls belongs nowhere.  The check is by name: a public module-level
-function of ``src/paratile``, and a public method of one of its public
-classes, must be referenced by some other code in the package, in
-``scripts/`` or in ``perfbench/``; a function may instead be exported
-through ``paratile.__all__``.  And ``intervals.enclose`` is the one bridge to
-mpmath: no other module of the package imports it.
+function of ``src/paratile`` must be referenced by some other code in the
+package, in ``scripts/`` or in ``perfbench/``, or be exported through
+``paratile.__all__``; a public method of one of its public classes must be
+referenced there as an attribute (``x.name``), since a bare name is a
+variable or a function, never a method call.  And ``intervals.enclose`` is
+the one bridge to mpmath: no other module of the package imports it.
 """
 
 import ast
@@ -36,14 +37,21 @@ def _references(tree: ast.Module):
     yield from walk(tree, None)
 
 
-def _used_names(tops=USERS, mentioning=None):
+def _attributes(tree: ast.Module):
+    """(attribute name, None) per ``x.name`` reference."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield node.attr, None
+
+
+def _used_names(tops=USERS, mentioning=None, refs_of=_references):
     """Names the code under tops references.  With mentioning, only the
     files that reference that name count, and only inside their functions,
     so a class body declaring a field is not a use of it."""
     used = set()
     for top in tops:
         for path in sorted(top.rglob("*.py")):
-            refs = list(_references(ast.parse(path.read_text())))
+            refs = list(refs_of(ast.parse(path.read_text())))
             if mentioning is not None:
                 if mentioning not in {name for name, _ in refs}:
                     continue
@@ -71,7 +79,7 @@ def test_every_public_function_has_a_caller_outside_the_tests():
 
 
 def test_every_public_method_has_a_caller_outside_the_tests():
-    used = _used_names()
+    used = _used_names(refs_of=_attributes)
     uncalled = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -153,11 +161,11 @@ def _function_names(path: pathlib.Path, name: str):
 
 
 def test_rank_completion_eliminates_over_the_integers():
-    # the independent rows and pivot columns come from integer elimination;
-    # no rational matrix is built to find them
+    # the independent rows and pivot columns come from integer elimination
+    # on the numerators; no Fraction is built to find them
     names = _function_names(PACKAGE / "linalg.py", "complete_to_full_rank")
     assert "pivot_columns" in names
-    assert not names & {"rref", "QMatrix", "Fraction", "to_q"}, names
+    assert not names & {"rref", "entries", "Fraction"}, names
 
 
 def test_rref_is_a_test_reference_only():

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from paratile.linalg import (IntMatrix, QMatrix, clear_denominators,
-                             complete_to_full_rank, denominator_lcm, det_int,
-                             det_q, inverse, lll_reduce, operator_norm_upper,
-                             pivot_columns, rank_int_rows, rank_over_rationals)
+from paratile.linalg import (QMatrix, complete_to_full_rank, denominator_lcm,
+                             det_int, det_q, inverse, lll_reduce,
+                             operator_norm_upper, pivot_columns,
+                             rank_over_rationals)
 
 from oracles import (columns_independent, grid_det, grid_inverse,
                      grid_product, hnf_basis_columns, integer_kernel_basis,
@@ -33,31 +33,31 @@ int_matrices = st.integers(min_value=1, max_value=4).flatmap(
 # --- ranks ------------------------------------------------------------------
 
 def test_rank_basics():
-    assert rank_int_rows([[1, 0], [0, 1]]) == 2
-    assert rank_int_rows([[1, 2], [2, 4]]) == 1
-    assert rank_int_rows([[0, 0]]) == 0
-    assert rank_over_gf2(IntMatrix.from_rows([[1, 1], [1, 1]])) == 1
-    assert rank_over_gf2(IntMatrix.from_rows([[2, 0], [0, 2]])) == 0
+    assert rank_over_rationals(QMatrix.from_rows([[1, 0], [0, 1]])) == 2
+    assert rank_over_rationals(QMatrix.from_rows([[1, 2], [2, 4]])) == 1
+    assert rank_over_rationals(QMatrix.from_rows([[0, 0]])) == 0
+    assert rank_over_gf2(QMatrix.from_rows([[1, 1], [1, 1]])) == 1
+    assert rank_over_gf2(QMatrix.from_rows([[2, 0], [0, 2]])) == 0
 
 
 @given(bit_matrices)
 def test_gf2_rank_never_exceeds_rational_rank(rows):
-    m = IntMatrix.from_rows(rows)
+    m = QMatrix.from_rows(rows)
     assert rank_over_gf2(m) <= rank_over_rationals(m)
 
 
 @given(bit_matrices)
 def test_gf2_independence_implies_rational(rows):
-    m = IntMatrix.from_rows(rows)
+    m = QMatrix.from_rows(rows)
     cols = list(range(m.ncols))
     if columns_independent(m, cols, field="GF2"):
         assert columns_independent(m, cols, field="Q")
 
 
 def test_independence_counterexamples():
-    dup = IntMatrix.from_rows([[1, 1], [0, 0]])
+    dup = QMatrix.from_rows([[1, 1], [0, 0]])
     assert not columns_independent(dup, [0, 1], field="GF2")
-    even = IntMatrix.from_rows([[2], [4]])
+    even = QMatrix.from_rows([[2], [4]])
     assert columns_independent(even, [0], field="Q")
     assert not columns_independent(even, [0], field="GF2")
 
@@ -91,14 +91,13 @@ def test_det_matches_rank_deficiency(rows):
     n = min(len(rows), len(rows[0]))
     square = [r[:n] for r in rows[:n]]
     d = det_int(square)
-    assert (d == 0) == (rank_int_rows(square) < n)
+    assert (d == 0) == (len(pivot_columns(square)) < n)
     assert det_q(QMatrix.from_rows(square)) == d
 
 
 def test_clear_denominators():
     m = QMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)]])
-    im, den = clear_denominators(m)
-    assert den == 6 and im.entries == ((3, 2),)
+    assert m.den == 6 and m.num == ((3, 2),)
 
 
 def test_denominator_lcm():
@@ -124,7 +123,7 @@ def _rank_by_row_loop(m):
     for row in m.entries:
         d = _lcm_loop(row)
         rows.append([int(x * d) for x in row])
-    return rank_int_rows(rows)
+    return len(pivot_columns(rows))
 
 
 rational_matrices = st.integers(min_value=1, max_value=4).flatmap(
@@ -140,22 +139,19 @@ rational_matrices = st.integers(min_value=1, max_value=4).flatmap(
 def test_clearing_and_rank_match_the_lcm_loops(rows):
     # integer-valued rows take the denominator-1 fast path, others the general
     q = QMatrix.from_rows(rows)
-    im, den = clear_denominators(q)
-    assert (im.entries, den) == _clear_denominators_by_loop(q)
-    assert all(type(x) is int for row in im.entries for x in row)
+    assert (q.num, q.den) == _clear_denominators_by_loop(q)
+    assert all(type(x) is int for row in q.num for x in row)
     assert rank_over_rationals(q) == _rank_by_row_loop(q)
-    if all(x.denominator == 1 for row in q.entries for x in row):
-        assert rank_over_rationals(im) == _rank_by_row_loop(q)
+    assert rank_over_rationals(QMatrix(q.num)) == _rank_by_row_loop(q)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5])
 def test_identity_matrices(n):
     want = tuple(tuple(1 if i == j else 0 for j in range(n))
                  for i in range(n))
-    assert IntMatrix.identity(n).entries == want
     q = QMatrix.identity(n)
-    assert q.entries == want
-    assert all(type(x) is Fraction for row in q.entries for x in row)
+    assert q.entries == want and q.entries is q.num and q.is_integer()
+    assert all(type(x) is int for row in q.entries for x in row)
     assert rank_over_rationals(q) == n
 
 
@@ -167,10 +163,6 @@ small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 def _grids(draw, nrows, ncols, integer):
     cell = st.integers(-4, 4) if integer else small_fractions
     return [[draw(cell) for _ in range(ncols)] for _ in range(nrows)]
-
-
-def _matrix(rows, integer):
-    return IntMatrix.from_rows(rows) if integer else QMatrix.from_rows(rows)
 
 
 def _frac(rows):
@@ -189,8 +181,11 @@ def matrix_pairs(draw):
 @given(matrix_pairs())
 def test_products_match_the_fraction_grid(pair):
     a_rows, a_int, b_rows, b_int = pair
-    got = _matrix(a_rows, a_int) @ _matrix(b_rows, b_int)
-    assert type(got) is (IntMatrix if a_int and b_int else QMatrix)
+    got = QMatrix.from_rows(a_rows) @ QMatrix.from_rows(b_rows)
+    # a product of integer matrices stays integer, its entries ints
+    if a_int and b_int:
+        assert got.is_integer()
+        assert all(type(x) is int for row in got.entries for x in row)
     assert got.entries == grid_product(_frac(a_rows), _frac(b_rows))
 
 
@@ -200,21 +195,17 @@ def rational_grids(draw):
     return _grids(draw, m, n, integer=False)
 
 
-@given(rational_grids(), small_fractions,
-       st.lists(small_fractions, min_size=4, max_size=4))
-def test_unary_operations_match_the_fraction_grid(rows, c, v):
+@given(rational_grids(), st.lists(small_fractions, min_size=4, max_size=4))
+def test_unary_operations_match_the_fraction_grid(rows, v):
     q, want = QMatrix.from_rows(rows), _frac(rows)
     assert q.entries == want
     assert q.t().entries == tuple(zip(*want))
-    assert q.scale(c).entries == tuple(tuple(c * x for x in row)
-                                       for row in want)
     assert q.is_integer() == all(x.denominator == 1 for row in want
                                  for x in row)
     vec = v[:q.ncols]
     assert q.mul_vec(vec) == tuple(
         sum((x * y for x, y in zip(row, vec)), Fraction(0)) for row in want)
-    num, den = clear_denominators(q)
-    assert all(Fraction(x, den) == y for r, w in zip(num.entries, want)
+    assert all(Fraction(x, q.den) == y for r, w in zip(q.num, want)
                for x, y in zip(r, w))
     assert rank_over_rationals(q) == len(rref(q)[1])
     k = min(q.nrows, q.ncols)
@@ -262,14 +253,17 @@ def test_canonical_form_makes_equality_exact(rows, k):
     # the same matrix reached by other routes has the same numbers and hash
     inflated = QMatrix(tuple(tuple(k * x for x in row) for row in q.num),
                        k * q.den)
+    over_den = QMatrix(QMatrix.identity(q.ncols).num, q.den)
     others = [inflated, q.t().t(), q @ QMatrix.identity(q.ncols),
-              IntMatrix.identity(q.nrows) @ q, q.scale(k).scale(Fraction(1, k)),
+              QMatrix.identity(q.nrows) @ q, QMatrix(q.num) @ over_den,
               QMatrix.from_rows(q.entries)]
     for other in others:
         assert (other.num, other.den) == (q.num, q.den)
         assert other == q and hash(other) == hash(q)
-    assert q.scale(0) == QMatrix(tuple((0,) * q.ncols for _ in rows))
-    assert q.scale(0).den == 1
+    # a zero matrix over any denominator is the integer zero matrix
+    zero = QMatrix(tuple((0,) * q.ncols for _ in rows), k * q.den)
+    assert zero.den == 1
+    assert zero == QMatrix.from_rows([[0] * q.ncols for _ in rows])
     if q.den > 1:
         assert q != QMatrix(q.num)
     with pytest.raises(ZeroDivisionError):
@@ -278,10 +272,18 @@ def test_canonical_form_makes_equality_exact(rows, k):
 
 @given(int_matrices)
 def test_integer_matrices_embed_exactly(rows):
-    m = IntMatrix.from_rows(rows)
-    assert m.to_q() == QMatrix.from_rows(rows)
-    assert m.to_q().num is m.entries and m.to_q().is_integer()
-    assert (m @ m.t()).to_q() == m.to_q() @ m.t().to_q()
+    # an integer matrix is den == 1: its entries, products, columns and
+    # vector products are ints, and no Fraction grid is ever built
+    m = QMatrix.from_rows(rows)
+    assert m.is_integer() and m.num == tuple(map(tuple, rows))
+    assert m.entries is m.num
+    gram = m @ m.t()
+    assert gram.is_integer() and gram.entries is gram.num
+    assert gram.entries == grid_product(rows, list(zip(*rows)))
+    ints = [m.mul_vec(range(m.ncols)), m.col(0)]
+    ints += gram.num
+    assert all(type(x) is int for vec in ints for x in vec)
+    assert m._entries is None and gram._entries is None
 
 
 @given(int_matrices)
@@ -299,13 +301,13 @@ def test_zero_column_matrices(n):
     assert z.mul_vec([]) == (Fraction(0),) * n
     assert z.t() == QMatrix(())
     assert (z @ QMatrix(())).shape == (n, 0)
-    assert clear_denominators(z) == (IntMatrix(((),) * n), 1)
+    assert (z.num, z.den) == (((),) * n, 1)
 
 
 # --- integer kernels ----------------------------------------------------------
 
 def test_kernel_of_worked_matrix():
-    b = IntMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 1]])
+    b = QMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 1]])
     k = integer_kernel_basis(b)
     assert k.shape == (4, 2)
     for j in range(2):
@@ -317,7 +319,7 @@ def test_kernel_of_worked_matrix():
 
 @given(bit_matrices)
 def test_kernel_rank_complements_row_rank(rows):
-    b = IntMatrix.from_rows(rows)
+    b = QMatrix.from_rows(rows)
     k = integer_kernel_basis(b)
     assert k.ncols == b.ncols - rank_over_rationals(b)
     for j in range(k.ncols):
@@ -325,7 +327,7 @@ def test_kernel_rank_complements_row_rank(rows):
 
 
 def test_hnf_basis_columns_spans_same_lattice():
-    gens = IntMatrix.from_rows([[2, 4, 6], [1, 2, 3]])  # rank 1 columns
+    gens = QMatrix.from_rows([[2, 4, 6], [1, 2, 3]])  # rank 1 columns
     basis = hnf_basis_columns(gens)
     assert basis.ncols == 1
     assert rank_over_rationals(basis) == 1
@@ -334,25 +336,25 @@ def test_hnf_basis_columns_spans_same_lattice():
 # --- completion ---------------------------------------------------------------
 
 def test_completion_already_full_rank():
-    a = IntMatrix.identity(2)
+    a = QMatrix.identity(2)
     res = complete_to_full_rank(a)
     assert res.matrix.entries == a.entries
     assert res.added_units == ()
 
 
 def test_completion_of_repeated_rows():
-    a = IntMatrix.from_rows([[1, 1], [1, 1]])
+    a = QMatrix.from_rows([[1, 1], [1, 1]])
     res = complete_to_full_rank(a)
     rows = set(res.matrix.entries)
     assert (1, 1) in rows
     assert (0, 1) in rows or (1, 0) in rows
-    assert rank_int_rows(res.matrix.entries) == 2
+    assert rank_over_rationals(res.matrix) == 2
 
 
 def test_completion_of_zero_row():
-    a = IntMatrix.from_rows([[1, 0, 0], [0, 0, 0]])
+    a = QMatrix.from_rows([[1, 0, 0], [0, 0, 0]])
     res = complete_to_full_rank(a)
-    assert rank_int_rows(res.matrix.entries) == 2
+    assert rank_over_rationals(res.matrix) == 2
     assert (1, 0, 0) in set(res.matrix.entries)
     # appended unit row at a non-pivot coordinate
     assert all(res.matrix.entries[i].count(1) == 1 for i in (1,))
@@ -360,7 +362,7 @@ def test_completion_of_zero_row():
 
 def test_completion_keeps_the_first_independent_rows():
     # row 1 repeats row 0 twice over, row 3 is the sum of rows 0 and 2
-    a = IntMatrix.from_rows([[1, 0, 1, 0], [2, 0, 2, 0], [0, 1, 0, 0],
+    a = QMatrix.from_rows([[1, 0, 1, 0], [2, 0, 2, 0], [0, 1, 0, 0],
                              [1, 1, 1, 0]])
     res = complete_to_full_rank(a)
     assert res.added_units == (2, 3)
@@ -368,13 +370,19 @@ def test_completion_keeps_the_first_independent_rows():
                                   (0, 0, 1, 0), (0, 0, 0, 1))
 
 
+def test_completion_refuses_a_non_integer_matrix():
+    # 0/1 numerators over 2: the entries are 1/2, not a step matrix
+    with pytest.raises(ValueError, match="integer"):
+        complete_to_full_rank(QMatrix(((1, 1, 0, 0), (0, 0, 1, 1)), 2))
+
+
 @given(bit_matrices)
 def test_completion_certificate_and_kernel(rows):
-    a = IntMatrix.from_rows(rows)
+    a = QMatrix.from_rows(rows)
     if a.nrows > a.ncols:
         a = a.t()
     res = complete_to_full_rank(a)
-    assert rank_int_rows(res.matrix.entries) == a.nrows
+    assert rank_over_rationals(res.matrix) == a.nrows
     cert_a = operator_norm_upper(a)
     assert res.certificate.usq <= cert_a.usq + 1
     assert rayleigh_lower_sq(res.matrix, iters=5) <= res.certificate.usq
@@ -383,8 +391,8 @@ def test_completion_certificate_and_kernel(rows):
 # --- norm bounds ----------------------------------------------------------------
 
 def test_norm_certificate_examples():
-    assert operator_norm_upper(IntMatrix.identity(3)).usq == 1
-    ones = IntMatrix.from_rows([[1] * 4 for _ in range(2)])
+    assert operator_norm_upper(QMatrix.identity(3)).usq == 1
+    ones = QMatrix.from_rows([[1] * 4 for _ in range(2)])
     # rank one: spectral norm sqrt(8), row-col product gives it exactly
     assert operator_norm_upper(ones).usq == 8
     assert rayleigh_lower_sq(ones, iters=3) == 8
@@ -392,7 +400,7 @@ def test_norm_certificate_examples():
 
 @given(int_matrices)
 def test_rayleigh_below_certificate(rows):
-    m = IntMatrix.from_rows(rows)
+    m = QMatrix.from_rows(rows)
     lo = rayleigh_lower_sq(m, iters=4)
     assert lo <= operator_norm_upper(m).usq
     assert lo <= operator_norm_upper(m, refine_steps=2).usq
@@ -400,14 +408,14 @@ def test_rayleigh_below_certificate(rows):
 
 @given(int_matrices)
 def test_transpose_norm_agreement(rows):
-    m = IntMatrix.from_rows(rows)
+    m = QMatrix.from_rows(rows)
     # both certify the same value, so each dominates the other's floor
     assert rayleigh_lower_sq(m, iters=4) <= operator_norm_upper(m.t()).usq
     assert rayleigh_lower_sq(m.t(), iters=4) <= operator_norm_upper(m).usq
 
 
 def test_refined_bound_never_worse():
-    m = IntMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    m = QMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
     base = operator_norm_upper(m).usq
     refined = operator_norm_upper(m, refine_steps=3).usq
     assert refined <= base
@@ -417,8 +425,7 @@ def test_refined_bound_never_worse():
 # --- basis reduction ---------------------------------------------------------------
 
 def _column_lattice_canonical(q: QMatrix) -> tuple:
-    im, den = clear_denominators(q)
-    return hnf_basis_columns(im).entries, den
+    return hnf_basis_columns(QMatrix(q.num)).entries, q.den
 
 
 def test_lll_preserves_lattice_and_reduces():

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from paratile.lattices import Lattice
-from paratile.linalg import IntMatrix, QMatrix
+from paratile.linalg import QMatrix
 from paratile.polytopes import (DegenerateBody, EmptyBody, HPolytope,
                                 Unbounded, linear_image, orthogonal_product,
                                 primitive_normal, scaled, voronoi_cell)

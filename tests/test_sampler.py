@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paratile.linalg import IntMatrix
+from paratile.linalg import QMatrix
 from paratile.sampler import (LdpcParams, SamplerFailure, admissible_s,
                               choose_d, default_c, expected_collisions,
                               largest_verified_s, masks_to_matrix,
@@ -195,7 +195,7 @@ def test_sampler_respects_weights():
     bound = stats["row_bound"]
     assert stats["heaviest_row"] <= bound
     for i in range(16):
-        assert sum(mat.row(i)) <= bound
+        assert sum(mat.num[i]) <= bound
     for j in range(64):
         w = sum(mat.col(j))
         assert w <= 4 and w % 2 == 0  # walk endpoint parity
@@ -217,7 +217,7 @@ def test_sampler_refuses_a_try_budget_below_one(max_tries):
 # --- independence verification -----------------------------------------------------
 
 def test_duplicate_column_fails_s2():
-    mat = IntMatrix.from_rows([[1, 0, 1], [0, 1, 0], [1, 1, 1]])
+    mat = QMatrix.from_rows([[1, 0, 1], [0, 1, 0], [1, 1, 1]])
     ok, witness = verify_s_independence(mat, 2)
     assert not ok
     assert witness == (0, 2)
@@ -225,7 +225,7 @@ def test_duplicate_column_fails_s2():
 
 
 def test_zero_column_fails_s1():
-    mat = IntMatrix.from_rows([[1, 0], [1, 0]])
+    mat = QMatrix.from_rows([[1, 0], [1, 0]])
     ok, witness = verify_s_independence(mat, 1)
     assert not ok and witness == (1,)
 
@@ -233,7 +233,7 @@ def test_zero_column_fails_s1():
 def test_verifier_requires_binary_entries():
     # general integer matrices go through linalg.columns_independent; the
     # mask-based verifier is for sampler output only
-    mat = IntMatrix.from_rows([[2], [4]])
+    mat = QMatrix.from_rows([[2], [4]])
     with pytest.raises(ValueError):
         verify_s_independence(mat, 1)
 
@@ -241,15 +241,32 @@ def test_verifier_requires_binary_entries():
 @pytest.mark.parametrize("entry", [3, -1])
 def test_every_entry_outside_0_1_is_refused(entry):
     # an odd entry is not a 1: the mask verifier takes 0/1 matrices only
-    mat = IntMatrix.from_rows([[1, 0, entry], [0, 1, 1]])
+    mat = QMatrix.from_rows([[1, 0, entry], [0, 1, 1]])
     with pytest.raises(ValueError, match="entries must be 0/1"):
         matrix_to_masks(mat)
     with pytest.raises(ValueError, match="entries must be 0/1"):
         verify_s_independence(mat, 3)
 
 
+def test_integer_valued_rational_matrices_are_step_matrices():
+    # any QMatrix with den == 1 is an integer matrix, however it was built
+    q = QMatrix.from_rows([[Fraction(1), Fraction(1), 0, 0], [0, 0, 1, 1]])
+    assert matrix_to_masks(q) == [1, 1, 2, 2]
+    assert verify_s_independence(q, 2) == (False, (0, 1))
+    assert verify_s_independence(q, 1) == (True, None)
+
+
+def test_halves_are_not_0_1_entries():
+    # 0/1 numerators over 2 are the entries 1/2, and a mask would lose them
+    half = QMatrix(((1, 1, 0, 0), (0, 0, 1, 1)), 2)
+    with pytest.raises(ValueError, match="entries must be 0/1"):
+        matrix_to_masks(half)
+    with pytest.raises(ValueError, match="entries must be 0/1"):
+        verify_s_independence(half, 2)
+
+
 def test_identity_passes_all_s():
-    mat = IntMatrix.identity(5)
+    mat = QMatrix.identity(5)
     for s in range(1, 6):
         assert verify_s_independence(mat, s)[0]
     assert largest_verified_s(matrix_to_masks(mat), 5) == 5
@@ -257,12 +274,12 @@ def test_identity_passes_all_s():
 
 def test_largest_verified_s_stops_at_first_dependency():
     # columns e1, e2, e1+e2: pairs fine, one triple dependent
-    mat = IntMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
+    mat = QMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
     assert largest_verified_s(matrix_to_masks(mat), 4) == 2
 
 
 def test_verify_s_zero_is_vacuous():
-    mat = IntMatrix.from_rows([[0, 0], [0, 0]])
+    mat = QMatrix.from_rows([[0, 0], [0, 0]])
     ok, witness = verify_s_independence(mat, 0)
     assert ok and witness is None
 

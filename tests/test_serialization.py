@@ -15,7 +15,7 @@ from paratile import serialization
 from paratile.cli import main
 from paratile.construction import RecursionConfig, construct
 from paratile.lattices import Lattice
-from paratile.linalg import IntMatrix, QMatrix
+from paratile.linalg import QMatrix
 from paratile.polytopes import HPolytope, voronoi_cell
 from paratile.radicals import SqrtSum
 from paratile.sampler import LdpcParams, sample_ldpc
@@ -73,12 +73,12 @@ def test_dec_str_renderings():
 
 
 def test_matrix_round_trip_integer():
-    m = IntMatrix.from_rows([[1, -2, 3], [0, 5, -7]])
+    m = QMatrix.from_rows([[1, -2, 3], [0, 5, -7]])
     doc = matrix_to_json(m)
     validate_document("matrix", doc)
     back = matrix_from_json(doc)
-    assert isinstance(back, IntMatrix)
-    assert back.entries == m.entries
+    assert back.is_integer()
+    assert back.entries is back.num == m.num
 
 
 def test_matrix_round_trip_rational():
@@ -184,7 +184,7 @@ def test_construction_report_documents():
     validate_document("construction_report", base)
     assert base["final"]["ratio_exact"] is not None
 
-    B = IntMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 1]])
+    B = QMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 1]])
     cfg = RecursionConfig(matrix_override=((B, 1),))
     worked = construction_report_to_json(construct(4, cfg), "1.2.3")
     validate_document("construction_report", worked)
@@ -366,7 +366,7 @@ def corpus(tmp_path_factory):
             docs.append(("matrix", obj))
     worked = tmp / "worked.json"
     worked.write_text(dump_json(matrix_to_json(
-        IntMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 1]]))))
+        QMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 1]]))))
     out = {kind: tmp / f"{kind}.json" for kind in serialization._SCHEMA_KINDS}
     runs = [
         ["construct", "--n", "3", "--out", out["construction_report"],
