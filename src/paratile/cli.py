@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import os
+import random
 import sys
 import time
 from typing import Dict, List, Optional
@@ -283,7 +284,6 @@ def cmd_walk_stats(args) -> int:
     for key, value in (("samples", samples), ("t_max", args.t_max)):
         if value < 0:
             raise ValueError(f"{key} must be at least 0")
-    import random as _random
     rows = []
     violations = 0
     for m in ms:
@@ -292,7 +292,7 @@ def cmd_walk_stats(args) -> int:
             bound = return_prob_bound(m, t)
             emp = None
             if samples:
-                rng = _random.Random(f"walkstats:{seed}:{m}:{t}")
+                rng = random.Random(f"walkstats:{seed}:{m}:{t}")
                 hits = sum(walk_endpoint(m, t, rng) == 0
                            for _ in range(samples))
                 emp = hits / samples

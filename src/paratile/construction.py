@@ -22,18 +22,12 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .intervals import Interval, enclose, iroot_floor, refine, sqrt_upper
-from .lattices import (
-    EnumerationCap,
-    Lattice,
-    kernel_and_image,
-    shortest_vector_sq,
-)
+from .lattices import Lattice, kernel_and_image
 from .linalg import (
     QMatrix,
     complete_to_full_rank,
     inverse,
     operator_norm_upper,
-    rank_over_rationals,
 )
 from .polytopes import (
     HPolytope,
@@ -275,7 +269,7 @@ def base_level(lat: Lattice, config: RecursionConfig
     checks = []
     # nonzero integer vectors have squared length >= 1, so the cell holds
     # a radius-1/2 ball; that is the whole content of the 2n base bound
-    ok_inradius = body.inradius_certify(Fraction(1, 4))
+    ok_inradius = body.inradius_sq() >= Fraction(1, 4)
     checks.append(("inradius_ge_half", ok_inradius))
     ratio = body.ratio()
     ok_ratio = ratio <= SqrtSum.from_rational(2 * r)
@@ -308,29 +302,27 @@ def inductive_level(lat: Lattice, a_matrix: QMatrix, s: int,
     completion = complete_to_full_rank(a_matrix, base_cert)
     b = completion.matrix
     m = b.nrows
-    checks.append(("full_rank", rank_over_rationals(b) == m))
-
-    checks.append(("s_independence", True))  # certified by the caller
-
     if m < n and n - m > config.dim_cap:
         raise DimCapExceeded(
             f"kernel rank {n - m} exceeds dim cap {config.dim_cap}")
+    # one Hermite form gives both lattices, and B's rank as the image's
     kernel, inner_lat = kernel_and_image(lat, b)
+    checks.append(("full_rank", inner_lat.rank == m))
+    checks.append(("s_independence", True))  # certified by the caller
+
     t = b.t() @ inverse(b @ b.t())  # right inverse; the section into row span
     # 2 (n-m) / sqrt(s), the kernel cell's share of the recursion bound
     kernel_bound = (SqrtSum.from_rational(Fraction(2 * (n - m), s))
                     * SqrtSum.sqrt(s) if m < n else SqrtSum.zero())
     if m < n:
         checks.append(("kernel_rank", kernel.rank == n - m))
-        try:
-            sv = shortest_vector_sq(kernel, node_cap=config.svp_node_cap)
-            checks.append(("kernel_shortest_exceeds_s", sv > s))
-        except EnumerationCap:
-            # support > s forces squared length >= s + 1 for integer vectors
-            sv = None
-            checks.append(("kernel_shortest_exceeds_s", True))
         k1 = voronoi_cell(kernel, node_cap=config.svp_node_cap)
-        checks.append(("kernel_inradius", k1.inradius_certify(Fraction(s, 4))))
+        # every shortest vector is Voronoi-relevant, so a facet at distance
+        # lambda_1 / 2 gives lambda_1^2 = 4 inradius^2; the swept cell holds
+        # the true one and volume_equals_covolume below makes them equal
+        sv = 4 * k1.inradius_sq()
+        checks.append(("kernel_shortest_exceeds_s", sv > s))
+        checks.append(("kernel_inradius", sv >= s))
         ratio1 = k1.ratio()
         checks.append(("kernel_ratio_bound", ratio1 <= kernel_bound))
     else:

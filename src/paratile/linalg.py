@@ -13,6 +13,7 @@ spectral norm, never floating-point estimates.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, compress
@@ -32,6 +33,15 @@ def denominator_lcm(values: Iterable[Rat]) -> int:
 def dot(a: Sequence[Rat], b: Sequence[Rat]) -> Rat:
     """Exact dot product of two sequences of ints or Fractions."""
     return sum(map(mul, a, b))
+
+
+def _exact_entry(x) -> Rat:
+    if isinstance(x, numbers.Integral):
+        return int(x)
+    if isinstance(x, numbers.Rational):
+        return Fraction(x)
+    raise TypeError(
+        f"matrix entries must be rational, not {type(x).__name__}")
 
 
 def scaled_to_int(row: Sequence[Rat], d: int) -> Tuple[int, ...]:
@@ -79,8 +89,9 @@ class QMatrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[Rat]]) -> "QMatrix":
-        ent = tuple(tuple(x if isinstance(x, int) else Fraction(x)
-                          for x in row) for row in rows)
+        """Entries must be numbers.Rational; a float is refused, since 0.1
+        would be read as its binary value, not as 1/10."""
+        ent = tuple(tuple(map(_exact_entry, row)) for row in rows)
         if ent and any(len(r) != len(ent[0]) for r in ent):
             raise ValueError("ragged rows")
         d = denominator_lcm(chain.from_iterable(ent))

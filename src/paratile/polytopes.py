@@ -395,21 +395,17 @@ class HPolytope:
             self._cache["circumradius_sq"] = best
         return self._cache["circumradius_sq"]
 
-    def inradius_certify(self, r_sq: Fraction) -> bool:
-        """Certify that the origin-centered ball of squared radius r_sq fits.
+    def inradius_sq(self) -> Fraction:
+        """Squared radius of the largest origin-centered ball inside, exactly.
 
         Distance from the origin to a facet plane a . y = b in the chart
-        metric is b / sqrt(a^T G^{-1} a); comparing squares keeps it exact.
+        metric is b / sqrt(a^T G^{-1} a); its signed square b |b| / (a^T
+        G^{-1} a) keeps it exact, and the minimum over the facets is <= 0
+        when the origin is not interior.
         """
-        r_sq = Fraction(r_sq)
         ginv = self.metric_inv()
-        for a, b, _ in self.facets():
-            if b <= 0:
-                return False
-            q = dot(a, ginv.mul_vec(a))
-            if b * b < r_sq * q:
-                return False
-        return True
+        return min(Fraction(b * abs(b)) / dot(a, ginv.mul_vec(a))
+                   for a, b, _ in self.facets())
 
     # face lattice and triangulation ---------------------------------------------
 
@@ -547,8 +543,8 @@ def voronoi_cell(lat: Lattice, node_cap: int = 10 ** 7) -> HPolytope:
         raise ValueError("zero-rank lattice has no cell")
     # the cell only depends on the lattice; a reduced basis keeps the seed
     # slab fat and the candidate enumeration small
-    lat = Lattice(lat.ambient_dim, lll_reduce(lat.basis))
-    g = lat.gram()
+    basis = lll_reduce(lat.basis)
+    g = basis.t() @ basis
     ginv = inverse(g)
     g_int, g_den = QMatrix(g.num), g.den
     diag = [Fraction(g.num[i][i], g.den) for i in range(d)]
@@ -592,7 +588,7 @@ def voronoi_cell(lat: Lattice, node_cap: int = 10 ** 7) -> HPolytope:
                 max_sq = current_max_sq()
         offered, bound = bound, 4 * max_sq
     verts, facets = sweep.faces()
-    body = HPolytope(lat.ambient_dim, lat.basis,
+    body = HPolytope(lat.ambient_dim, basis,
                      tuple((a, b) for a, b, _ in facets))
     body._cache["vertices"] = verts
     body._cache["facets"] = facets

@@ -236,8 +236,7 @@ def level_to_json(level) -> Dict:
         if level.ratio_kernel is not None else None,
         "ratio_image": sqrtsum_to_json(level.ratio_image)
         if level.ratio_image is not None else None,
-        "ratio": sqrtsum_to_json(level.ratio)
-        if level.ratio is not None else None,
+        "ratio": sqrtsum_to_json(level.ratio),
         "checks": [{"name": name, "ok": ok} for name, ok in level.checks],
     }
 
@@ -264,8 +263,7 @@ def construction_report_to_json(rep, version: str,
         "trivial_bound_2n": frac_str(rep.trivial_bound),
         "predicted_bound": {"lo": frac_str(rep.predicted[0]),
                             "hi": frac_str(rep.predicted[1]),
-                            "hi_dec": dec_str(rep.predicted[1])}
-        if rep.predicted is not None else None,
+                            "hi_dec": dec_str(rep.predicted[1])},
         "within_predicted": rep.within_predicted,
     }
     return {
@@ -273,7 +271,7 @@ def construction_report_to_json(rep, version: str,
         "kappa": rep.kappa,
         "epsilon": frac_str(rep.epsilon),
         "bound_only": rep.bound_only,
-        "downgrade_reason": getattr(rep, "downgrade_reason", None),
+        "downgrade_reason": rep.downgrade_reason,
         "levels": [level_to_json(lv) for lv in rep.levels],
         "final": final,
         "seeds": {"construction": rep.seed},

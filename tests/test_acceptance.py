@@ -209,8 +209,9 @@ def test_criterion_5_inequality_suite():
         r = lat.rank
         cell = voronoi_cell(lat)
         lam = shortest_vector_sq(lat)
-        if not cell.inradius_certify(Fraction(lam, 4)):
-            failures.append(f"{cols}: inradius certificate failed")
+        # a shortest vector is Voronoi-relevant: its facet is the nearest
+        if 4 * cell.inradius_sq() != lam:
+            failures.append(f"{cols}: 4 inradius^2 != lambda_1^2")
         # ratio <= r / R with R = sqrt(lam)/2, i.e. ratio * sqrt(lam) <= 2r
         if not cell.ratio() * SqrtSum.sqrt(lam) \
                 <= SqrtSum.from_rational(2 * r):

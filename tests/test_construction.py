@@ -15,7 +15,7 @@ from paratile.construction import (ConstructionError, RecursionConfig,
                                    isoperimetric_ratio_lower,
                                    predicted_bound_interval, scan_induction,
                                    schedule_parameters)
-from paratile.lattices import Lattice
+from paratile.lattices import Lattice, kernel_and_image, shortest_vector_sq
 from paratile.linalg import QMatrix, inverse
 from paratile.radicals import SqrtSum
 from paratile.serialization import construction_report_to_json, dump_json
@@ -319,12 +319,14 @@ def test_another_basis_of_z_n_takes_the_certified_voronoi_path():
     assert body.measures().volume == SqrtSum.from_rational(1)
 
 
-def test_worked_step_makes_at_most_six_rank_eliminations(monkeypatch):
-    # B T = I certifies the section with no lattice built from T or B
+def test_worked_step_makes_four_rank_eliminations(monkeypatch):
+    # B T = I certifies the section with no lattice built from T or B, B's
+    # rank is the image's Hermite rank, and voronoi_cell wraps no reduced
+    # basis: left are Z^4, the kernel, the image and the image body's frame
     shapes = _count_rank_calls(monkeypatch)
     rep = construct(4, worked_config())
     assert [lv.mode for lv in rep.levels] == ["step", "cube"]
-    assert len(shapes) <= 6, shapes
+    assert shapes == [(4, 4), (4, 2), (2, 2), (4, 2)], shapes
 
 
 def test_a_false_section_fails_projection_image_agree(monkeypatch):
@@ -338,6 +340,32 @@ def test_a_false_section_fails_projection_image_agree(monkeypatch):
     monkeypatch.setattr(construction, "inverse", off_by_one)
     with pytest.raises(ConstructionError, match="projection_image_agree"):
         construct(4, worked_config())
+
+
+# I_m plus the extra columns of perfbench's geometric-step workload
+GEOMETRIC_STEPS = (
+    (5, ((1, 1, 1, 0, 0), (0, 1, 1, 1, 1))),
+    (5, ((1, 1, 0, 0, 0), (0, 1, 1, 0, 0))),
+    (6, ((1, 1, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0))),
+    (6, ((1, 0, 1, 0, 1, 0), (0, 1, 1, 0, 1, 1))),
+    (4, ((1, 1, 0, 0), (1, 1, 1, 1), (0, 0, 1, 1), (0, 1, 1, 0),
+         (1, 1, 1, 0))),
+)
+
+
+@pytest.mark.parametrize("override", [(WORKED_B, 1)] + [
+    (QMatrix.from_rows([[int(i == j) for j in range(m)] + [c[i] for c in extra]
+                        for i in range(m)]), None)
+    for m, extra in GEOMETRIC_STEPS])
+def test_kernel_shortest_sq_is_the_kernel_minimum(override):
+    # read off the kernel cell's inradius, it must be what enumeration finds
+    b, _ = override
+    n = b.ncols
+    step = construct(n, RecursionConfig(matrix_override=(override,))).levels[0]
+    assert step.mode == "step" and step.m < n
+    kernel, _ = kernel_and_image(Lattice.standard(n), step.matrix)
+    assert step.kernel_shortest_sq == shortest_vector_sq(kernel)
+    assert dict(step.checks)["kernel_shortest_exceeds_s"]
 
 
 def test_override_takes_any_integer_valued_matrix():

@@ -178,3 +178,21 @@ def test_rref_is_a_test_reference_only():
     oracles = ast.parse((ROOT / "tests" / "oracles.py").read_text())
     assert "rref" in {node.name for node in oracles.body
                       if isinstance(node, ast.FunctionDef)}
+
+
+def test_the_step_reads_lambda_1_and_ranks_off_its_own_computations():
+    # lambda_1 of the kernel is 4 inradius^2 of its cell and B's rank is
+    # the image's Hermite rank, so the step enumerates and eliminates no
+    # second time; and voronoi_cell takes its lattice as given
+    construction = {name for name, _ in _references(
+        ast.parse((PACKAGE / "construction.py").read_text()))}
+    assert not construction & {"shortest_vector_sq",
+                               "enumerate_short_vectors",
+                               "rank_over_rationals"}, construction
+    tree = ast.parse((PACKAGE / "polytopes.py").read_text())
+    fn = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name == "voronoi_cell")
+    built = [node.lineno for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and "Lattice" in
+             {ref for ref, _ in _references(ast.Expression(node.func))}]
+    assert not built, f"voronoi_cell builds a Lattice at lines {built}"

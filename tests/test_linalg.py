@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -98,6 +99,16 @@ def test_det_matches_rank_deficiency(rows):
 def test_clear_denominators():
     m = QMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)]])
     assert m.den == 6 and m.num == ((3, 2),)
+
+
+def test_from_rows_takes_exact_rationals_only():
+    m = QMatrix.from_rows([[np.int64(3), Fraction(1, 2)], [True, 0]])
+    assert m.den == 2 and m.num == ((6, 1), (2, 0))
+    assert all(type(x) is int for row in m.num for x in row)
+    # 0.1 is 3602879701896397 / 2^55, not 1/10; a string is no number
+    for bad in (0.1, np.float64(0.5), "1/2", complex(1)):
+        with pytest.raises(TypeError, match=type(bad).__name__):
+            QMatrix.from_rows([[1, bad]])
 
 
 def test_denominator_lcm():

@@ -101,8 +101,12 @@ def test_cube_scaling_laws():
 def test_cube_radii():
     c = HPolytope.cube(3)
     assert c.circumradius_sq() == Fraction(3, 4)
-    assert c.inradius_certify(Fraction(1, 4))
-    assert not c.inradius_certify(Fraction(1, 4) + Fraction(1, 100))
+    assert c.inradius_sq() == Fraction(1, 4)
+    # an origin on or outside a facet plane reads as a radius^2 <= 0
+    off = HPolytope.from_halfspaces(1, [((1,), Fraction(1)), ((-1,), 0)])
+    assert off.inradius_sq() == 0
+    out = HPolytope.from_halfspaces(1, [((1,), Fraction(2)), ((-1,), -1)])
+    assert out.inradius_sq() == -1
 
 
 # --- voronoi cells ----------------------------------------------------------------
