@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .linalg import QMatrix, det_q, hnf_rows, rank_over_rationals
+from .linalg import QMatrix, det_q, hnf_rows, ldl_split, rank_over_rationals
 from .radicals import SqrtSum
 
 
@@ -79,23 +79,6 @@ def kernel_and_image(lat: Lattice, b) -> Tuple[Lattice, Lattice]:
 
 
 # --- short vector enumeration -------------------------------------------------
-
-def ldl_split(g: QMatrix) -> Tuple[List[Fraction], List[List[Fraction]]]:
-    """G = U^T diag(d) U with U unit upper triangular; requires G pos. def."""
-    n = g.nrows
-    a = [[Fraction(g.entries[i][j]) for j in range(n)] for i in range(n)]
-    d: List[Fraction] = [Fraction(0)] * n
-    u = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        acc = a[i][i] - sum(d[k] * u[k][i] * u[k][i] for k in range(i))
-        if acc <= 0:
-            raise ValueError("Gram matrix is not positive definite")
-        d[i] = acc
-        for j in range(i + 1, n):
-            s = a[i][j] - sum(d[k] * u[k][i] * u[k][j] for k in range(i))
-            u[i][j] = s / acc
-    return d, u
-
 
 def _range_for(dcoef: Fraction, shift: Fraction, budget: Fraction
                ) -> Tuple[int, int]:

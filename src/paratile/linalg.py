@@ -398,48 +398,68 @@ def complete_to_full_rank(a: QMatrix,
     return CompletionResult(b, cert, added)
 
 
-def lll_reduce(basis: QMatrix, delta: Fraction = Fraction(3, 4)) -> QMatrix:
+def ldl_split(g: QMatrix) -> Tuple[List[Fraction], List[List[Fraction]]]:
+    """G = U^T diag(d) U with U unit upper triangular; requires G pos. def.
+
+    For G = B^T B this is Gram-Schmidt: d[i] = |b*_i|^2 and U[j][i] is
+    mu_ij, the coefficient of b*_j in b_i."""
+    n = g.nrows
+    a = [[Fraction(g.entries[i][j]) for j in range(n)] for i in range(n)]
+    d: List[Fraction] = [Fraction(0)] * n
+    u = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        acc = a[i][i] - sum(d[k] * u[k][i] * u[k][i] for k in range(i))
+        if acc <= 0:
+            raise ValueError("Gram matrix is not positive definite")
+        d[i] = acc
+        for j in range(i + 1, n):
+            s = a[i][j] - sum(d[k] * u[k][i] * u[k][j] for k in range(i))
+            u[i][j] = s / acc
+    return d, u
+
+
+LLL_DELTA = Fraction(3, 4)
+
+
+def lll_reduce(basis: QMatrix) -> QMatrix:
     """Column basis reduction, exact rational arithmetic throughout.
 
     Same column lattice, far less eccentric basis; keeps downstream point
     enumerations from drowning in a skew slab.  The Gram-Schmidt data is
-    recomputed from scratch after each update: quadratic waste, irrelevant
-    at the ranks this package enumerates.
+    the LDL split of B^T B, kept current in place through each size
+    reduction and swap (Cohen 1993, Alg. 2.6.3); the steps act on an
+    integer transform T, and the result is B T.  Column i is fully size
+    reduced before its Lovasz test with delta = 3/4.
     """
     k = basis.ncols
     if k <= 1:
         return basis
-    cols = [[Fraction(x, basis.den) for x in col] for col in zip(*basis.num)]
-
-    def gso():
-        mu = [[Fraction(0)] * k for _ in range(k)]
-        star: List[List[Fraction]] = []
-        bs: List[Fraction] = []
-        for i in range(k):
-            v = list(cols[i])
-            for j in range(i):
-                mu[i][j] = dot(cols[i], star[j]) / bs[j]
-                v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
-            star.append(v)
-            bs.append(dot(v, v))
-            if bs[i] == 0:
-                raise ValueError("columns are dependent")
-        return mu, bs
-
-    mu, bs = gso()
+    # dependent columns make B^T B singular, and the split refuses it
+    bs, u = ldl_split(basis.t() @ basis)
+    mu = [[u[j][i] for j in range(i)] for i in range(k)]  # mu[i][j], j < i
+    t = [list(row) for row in identity_rows(k)]  # the columns of T
     i = 1
     while i < k:
-        # subtracting q b_j perturbs mu[i][j'] for j' < j, so refresh each time
         for j in range(i - 1, -1, -1):
             q = round(mu[i][j])
             if q:
-                cols[i] = [x - q * y for x, y in zip(cols[i], cols[j])]
-                mu, bs = gso()
-        if bs[i] >= (delta - mu[i][i - 1] ** 2) * bs[i - 1]:
+                t[i] = [x - q * y for x, y in zip(t[i], t[j])]
+                mu[i][j] -= q
+                for h in range(j):
+                    mu[i][h] -= q * mu[j][h]
+        c = mu[i][i - 1]
+        if bs[i] >= (LLL_DELTA - c * c) * bs[i - 1]:
             i += 1
-        else:
-            cols[i], cols[i - 1] = cols[i - 1], cols[i]
-            mu, bs = gso()
-            i = max(i - 1, 1)
-    return QMatrix.from_rows([[cols[j][r] for j in range(k)]
-                              for r in range(basis.nrows)])
+            continue
+        # swap columns i - 1 and i
+        t[i], t[i - 1] = t[i - 1], t[i]
+        mu[i][:i - 1], mu[i - 1] = mu[i - 1], mu[i][:i - 1]
+        b = bs[i] + c * c * bs[i - 1]
+        mu[i][i - 1] = c * bs[i - 1] / b
+        bs[i], bs[i - 1] = bs[i - 1] * bs[i] / b, b
+        for r in range(i + 1, k):
+            x = mu[r][i]
+            mu[r][i] = mu[r][i - 1] - c * x
+            mu[r][i - 1] = x + mu[i][i - 1] * mu[r][i]
+        i = max(i - 1, 1)
+    return basis @ QMatrix(tuple(zip(*t)))

@@ -7,7 +7,10 @@ description sweep started from a certified bounding parallelepiped, so no LP
 solver is involved.  Its predicates are integer and combinatorial: a vertex
 is a primitive integer pair (den, ints), a cut compares integers, and
 adjacency, facets and the faces of a facet follow from exact incidence sets,
-with no rank computation.
+with no rank computation.  A Voronoi cell is its basis slab box cut by its
+facet vectors alone: by Voronoi's theorem they are the lattice vectors v
+whose class v + 2L has +-v as its only shortest vectors, so one short-vector
+enumeration finds them and no other cut is tried.
 
 Measures come in two parts.  The chart table is metric-free: the body's
 volume in chart coordinates and, per normal pair +-a, the chart area of the
@@ -33,6 +36,7 @@ theorem, Lasserre 1983).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -527,16 +531,14 @@ class HPolytope:
 def voronoi_cell(lat: Lattice, node_cap: int = 10 ** 7) -> HPolytope:
     """Voronoi cell of the lattice around the origin, inside its own span.
 
-    Candidates are offered in order of (squared norm, coordinates): once the
-    running cell's vertices all have squared norm at most r^2, any lattice
-    vector w with |w|^2 >= 4 r^2 cuts nothing (a cut point p would satisfy
-    |w|^2 / 2 < p . w <= |p| |w|), so the first such w ends the sweep.  The
-    initial cell is the basis slab box, whose vertices are available in
-    closed form.  Its 4 r^2 is loose, so the enumeration runs in two stages:
-    first to min(4 r^2, 2 max G_ii), then, if nothing stopped it, to the
-    running cell's own 4 r^2, offering only the vectors beyond the first
-    stage.  Both stages together offer a prefix of the one-pass order, so
-    the cell is the one a single pass to the box's 4 r^2 would give.
+    By Voronoi's theorem a nonzero lattice vector v is Voronoi-relevant,
+    its bisector a facet, exactly when +-v are the only shortest vectors of
+    v + 2L (Conway and Sloane 1992).  So the facets come from the minima of
+    the nonzero classes of L/2L.  Each class has a member with coordinates
+    in {-1, 0, 1}, so one enumeration to the largest of those classes'
+    least {-1, 0, 1} norms holds every class minimum, with all its ties.
+    The basis slab box seeds the sweep, and only the sole pairs +-v of
+    minima are cut.
     """
     d = lat.rank
     if d == 0:
@@ -558,35 +560,24 @@ def voronoi_cell(lat: Lattice, node_cap: int = 10 ** 7) -> HPolytope:
         sweep.seed_vertex(ginv.mul_vec(
             [x / (2 if (signs >> i) & 1 else -2) for i, x in enumerate(diag)]))
 
-    norm_sq: Dict[Tuple[int, Tuple[int, ...]], Fraction] = {}
-
-    def current_max_sq() -> Fraction:
-        # a cut keeps most vertices; only the new ones need their norm
-        nonlocal norm_sq
-        fresh = {}
-        for iv in sweep.ivecs:
-            nsq = norm_sq.get(iv)
-            if nsq is None:
-                den, x = iv
-                nsq = Fraction(dot(x, g_int.mul_vec(x)), g_den * den * den)
-            fresh[iv] = nsq
-        norm_sq = fresh
-        return max(fresh.values())
-
-    max_sq = current_max_sq()
-    offered = Fraction(0)  # every candidate up to here has been offered
-    bound = min(4 * max_sq, 2 * max(diag))
-    while offered < bound:
-        for coords, nsq in enumerate_short_vectors(g, bound, skip_zero=True,
-                                                   node_cap=node_cap):
-            if nsq <= offered:
-                continue
-            if nsq >= 4 * max_sq:
-                break
-            a, gamma = primitive_normal(g_int.mul_vec(coords))
-            if sweep.insert(a, nsq * g_den / (2 * gamma)):
-                max_sq = current_max_sq()
-        offered, bound = bound, 4 * max_sq
+    least: Dict[Tuple[int, ...], int] = {}
+    for x in itertools.product((-1, 0, 1), repeat=d):
+        cls = tuple(c & 1 for c in x)
+        if any(cls):
+            nsq = dot(x, g_int.mul_vec(x))
+            least[cls] = min(nsq, least.get(cls, nsq))
+    minima: Dict[Tuple[int, ...], list] = {}
+    for coords, nsq in enumerate_short_vectors(
+            g, Fraction(max(least.values()), g_den), skip_zero=True,
+            node_cap=node_cap):
+        ties = minima.setdefault(tuple(c & 1 for c in coords), [])
+        if not ties or ties[0][1] == nsq:
+            ties.append((coords, nsq))
+    for cls, ties in minima.items():
+        if any(cls) and len(ties) == 2:
+            for coords, nsq in ties:
+                a, gamma = primitive_normal(g_int.mul_vec(coords))
+                sweep.insert(a, nsq * g_den / (2 * gamma))
     verts, facets = sweep.faces()
     body = HPolytope(lat.ambient_dim, basis,
                      tuple((a, b) for a, b, _ in facets))

@@ -306,39 +306,22 @@ def _first_triple(masks: Sequence[int], index: Dict[int, int]
 
 def _meet_in_the_middle(masks: Sequence[int], s: int
                         ) -> Optional[Tuple[int, ...]]:
-    """XORs of all subsets of size <= floor(s/2) are hashed (the empty set
-    included), then subsets of the complementary size range probe the
-    table.  A collision of distinct subsets yields a dependency via their
-    symmetric difference."""
+    """Subsets of size 1 to s - floor(s/2), in order, probe a table of the
+    XORs of the subsets of size <= floor(s/2) met before them (the empty set
+    included), and then enter it if they are that small.  A hit pairs two
+    distinct subsets, and their symmetric difference is a dependency."""
     n = len(masks)
     half = s // 2
     table: Dict[int, Tuple[int, ...]] = {0: ()}
-
-    def consider(a: Tuple[int, ...], b: Tuple[int, ...]
-                 ) -> Optional[Tuple[int, ...]]:
-        sym = tuple(sorted(set(a) ^ set(b)))
-        return sym if sym else None
-
-    for size in range(1, half + 1):
-        for combo in itertools.combinations(range(n), size):
-            x = 0
-            for j in combo:
-                x ^= masks[j]
-            if x in table:
-                witness = consider(table[x], combo)
-                if witness:
-                    return witness
-            else:
-                table[x] = combo
     for size in range(1, s - half + 1):
         for combo in itertools.combinations(range(n), size):
             x = 0
             for j in combo:
                 x ^= masks[j]
             if x in table:
-                witness = consider(table[x], combo)
-                if witness:
-                    return witness
+                return tuple(sorted(set(table[x]) ^ set(combo)))
+            if size <= half:
+                table[x] = combo
     return None
 
 

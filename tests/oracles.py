@@ -8,7 +8,8 @@ tests; the library's sweep is the integer, combinatorial one.
 The rest are small helpers the library itself never needs: the integer
 kernel and the Hermite column basis of an integer matrix, GF(2) ranks, the
 meet-in-the-middle dependency search at every s, a rational solver and
-kernel, a Rayleigh lower bound on spectral norms, lattice equality, the
+kernel, a Rayleigh lower bound on spectral norms, LLL with the Gram-Schmidt
+data recomputed after every step, lattice equality, the
 image of a lattice under a matrix, lattice membership, the
 projection of a lattice onto a row span, a grid volume enclosure, the
 H-representation parser, 4096-bit reference values of transcendental
@@ -486,6 +487,49 @@ def rayleigh_lower_sq(q: QMatrix, iters: int = 8) -> Fraction:
             s = max(mags)
             x = [Fraction(v) / s for v in x]
     return best
+
+
+def reference_lll_reduce(basis: QMatrix,
+                         delta: Fraction = Fraction(3, 4)) -> QMatrix:
+    """LLL with the whole Gram-Schmidt data recomputed from the columns
+    after every size reduction and swap: the same steps in the same order
+    as ``linalg.lll_reduce``, which keeps that data current in place."""
+    k = basis.ncols
+    if k <= 1:
+        return basis
+    cols = [[Fraction(x, basis.den) for x in col] for col in zip(*basis.num)]
+
+    def gso():
+        mu = [[Fraction(0)] * k for _ in range(k)]
+        star: List[List[Fraction]] = []
+        bs: List[Fraction] = []
+        for i in range(k):
+            v = list(cols[i])
+            for j in range(i):
+                mu[i][j] = sum(x * y for x, y in zip(cols[i], star[j])) / bs[j]
+                v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
+            star.append(v)
+            bs.append(sum(x * x for x in v))
+            if bs[i] == 0:
+                raise ValueError("columns are dependent")
+        return mu, bs
+
+    mu, bs = gso()
+    i = 1
+    while i < k:
+        for j in range(i - 1, -1, -1):
+            q = round(mu[i][j])
+            if q:
+                cols[i] = [x - q * y for x, y in zip(cols[i], cols[j])]
+                mu, bs = gso()
+        if bs[i] >= (delta - mu[i][i - 1] ** 2) * bs[i - 1]:
+            i += 1
+        else:
+            cols[i], cols[i - 1] = cols[i - 1], cols[i]
+            mu, bs = gso()
+            i = max(i - 1, 1)
+    return QMatrix.from_rows([[cols[j][r] for j in range(k)]
+                              for r in range(basis.nrows)])
 
 
 def lattices_equal(a: Lattice, b: Lattice) -> bool:

@@ -238,20 +238,34 @@ def test_construct_refuses_a_budget_that_cannot_work(tmp_path, capsys,
     assert cap.err == f"invalid parameters: {message}\n"
 
 
-def test_kernel4_step_fits_a_small_node_budget(tmp_path, capsys):
-    # the rank-5 kernel cell enumerates to its own radius, not to the
-    # seed box's, so 2000 enumeration nodes are enough
+def _kernel4_matrix(tmp_path):
+    """I_4 plus five columns: the n = 9 step with a rank-5 kernel."""
     extra = ((1, 1, 0, 0), (1, 1, 1, 1), (0, 0, 1, 1), (0, 1, 1, 0),
              (1, 1, 1, 0))
     rows = [[int(i == j) for j in range(4)] + [col[i] for col in extra]
             for i in range(4)]
-    mat = write_json(tmp_path / "kernel4.json",
-                     matrix_to_json(QMatrix.from_rows(rows)))
-    assert main(["construct", "--n", "9", "--matrix-override", mat,
-                 "--svp-node-cap", "2000"]) == 0
+    return write_json(tmp_path / "kernel4.json",
+                      matrix_to_json(QMatrix.from_rows(rows)))
+
+
+def test_kernel4_step_fits_a_small_node_budget(tmp_path, capsys):
+    # the rank-5 kernel cell enumerates only to the largest class minimum
+    # of L/2L, not to the seed box's radius, so 2000 nodes are enough
+    assert main(["construct", "--n", "9", "--matrix-override",
+                 _kernel4_matrix(tmp_path), "--svp-node-cap", "2000"]) == 0
     cap = capsys.readouterr()
     assert "ratio = 28/5 + 4*sqrt(3) + 104/25*sqrt(5) " in cap.err
     validate_document("construction_report", json.loads(cap.out))
+
+
+def test_capped_kernel_cell_refuses(tmp_path, capsys):
+    # five nodes cannot reach the class minima of the rank-5 kernel, so the
+    # step cannot decide its cell: exit 2 and no report
+    assert main(["construct", "--n", "9", "--matrix-override",
+                 _kernel4_matrix(tmp_path), "--svp-node-cap", "5"]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("cannot decide at these budgets: more than 5 ")
 
 
 def test_override_must_be_integer(tmp_path, capsys):

@@ -7,7 +7,8 @@ package, in ``scripts/`` or in ``perfbench/``, or be exported through
 ``paratile.__all__``; a public method of one of its public classes must be
 referenced there as an attribute (``x.name``), since a bare name is a
 variable or a function, never a method call.  And ``intervals.enclose`` is
-the one bridge to mpmath: no other module of the package imports it.
+the one bridge to mpmath: no other module of the package imports it.  Every
+module is one of the layers the benchmark's tracer files its spans under.
 """
 
 import ast
@@ -196,3 +197,16 @@ def test_the_step_reads_lambda_1_and_ranks_off_its_own_computations():
              if isinstance(node, ast.Call) and "Lattice" in
              {ref for ref, _ in _references(ast.Expression(node.func))}]
     assert not built, f"voronoi_cell builds a Lattice at lines {built}"
+
+
+def test_every_module_is_a_traced_layer():
+    # the benchmark's tracer files each span under one of its LAYERS and
+    # fails on a name outside them, so a new module needs a layer there
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    layers = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign) and any(
+                      isinstance(t, ast.Name) and t.id == "LAYERS"
+                      for t in node.targets))
+    modules = sorted(path.stem for path in PACKAGE.glob("*.py")
+                     if path.stem != "__init__")
+    assert modules == sorted(layers), (modules, layers)

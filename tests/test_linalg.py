@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +14,8 @@ from paratile.linalg import (QMatrix, complete_to_full_rank, denominator_lcm,
 
 from oracles import (columns_independent, grid_det, grid_inverse,
                      grid_product, hnf_basis_columns, integer_kernel_basis,
-                     nullspace, rank_over_gf2, rayleigh_lower_sq, rref,
-                     solve_unique)
+                     nullspace, rank_over_gf2, rayleigh_lower_sq,
+                     reference_lll_reduce, rref, solve_unique)
 
 bit_matrices = st.integers(min_value=1, max_value=4).flatmap(
     lambda m: st.integers(min_value=1, max_value=5).flatmap(
@@ -486,3 +487,26 @@ def test_lll_lovasz_condition():
 def test_lll_rejects_dependent_columns():
     with pytest.raises(ValueError):
         lll_reduce(QMatrix.from_rows([[1, 2], [2, 4]]))
+
+
+def test_lll_matches_the_recomputing_reference():
+    # the in-place Gram-Schmidt updates decide every step as a full
+    # recomputation would, so the reduced bases are identical: random
+    # rational bases of rank 2-6, and rank-6 bases sheared far from reduced
+    rng = random.Random(20)
+    bases = []
+    while len(bases) < 150:
+        k = rng.randint(2, 6)
+        den = rng.randint(1, 6)
+        b = QMatrix.from_rows([[Fraction(rng.randint(-9, 9), den)
+                                for _ in range(k)]
+                               for _ in range(k + rng.randint(0, 2))])
+        if rank_over_rationals(b) == k:
+            bases.append(b)
+    while len(bases) < 156:
+        rows = [[rng.randint(-9, 9) * (rng.randint(50, 500) if j > i else 1)
+                 for j in range(6)] for i in range(6)]
+        if det_int(rows):
+            bases.append(QMatrix.from_rows(rows))
+    for b in bases:
+        assert lll_reduce(b) == reference_lll_reduce(b), b

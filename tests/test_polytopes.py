@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from paratile.lattices import Lattice
-from paratile.linalg import QMatrix
+from paratile.lattices import (Lattice, enumerate_short_vectors,
+                               kernel_and_image)
+from paratile.linalg import QMatrix, dot
 from paratile.polytopes import (DegenerateBody, EmptyBody, HPolytope,
                                 Unbounded, linear_image, orthogonal_product,
                                 primitive_normal, scaled, voronoi_cell)
@@ -135,6 +136,40 @@ def test_hexagonal_voronoi():
     assert len(cell.facets()) == 6
     assert len(cell.vertices()) == 6
     assert cell.measures().volume == SqrtSum.from_rational(4)
+
+
+def _facet_vectors(cell):
+    """The lattice vector v of each facet (G v) . y <= |v|^2 / 2, in ambient
+    coordinates: v = t G^-1 a with t = 2 b / (a^T G^-1 a)."""
+    ginv = cell.metric_inv()
+    vecs = []
+    for a, b, _ in cell.facets():
+        w = ginv.mul_vec(a)
+        t = 2 * b / dot(a, w)
+        vecs.append(cell.frame.mul_vec([t * x for x in w]))
+    return vecs
+
+
+def test_voronoi_facets_are_the_sole_minima_of_their_classes():
+    # A_(n-1), the kernel of the all-ones row: each root e_i - e_j is the
+    # sole pair of minima of its class of L/2L, so its n(n-1) facets sit at
+    # the roots, all of squared norm 2
+    for n in range(4, 8):
+        kernel, _ = kernel_and_image(Lattice.standard(n),
+                                     QMatrix(((1,) * n,)))
+        vecs = _facet_vectors(voronoi_cell(kernel))
+        roots = {tuple(int(k == i) - int(k == j) for k in range(n))
+                 for i in range(n) for j in range(n) if i != j}
+        assert len(vecs) == n * (n - 1)
+        assert set(vecs) == roots
+        assert all(dot(v, v) == 2 for v in vecs)
+    # Z^2: the class (1, 1) has four minima +-e1 +- e2, so it gives no
+    # facet, and the square keeps the four facets at +-e1 and +-e2
+    found = enumerate_short_vectors(QMatrix.identity(2), 2, skip_zero=True)
+    assert [x for x, nsq in found if x[0] % 2 and x[1] % 2] == \
+        [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+    vecs = _facet_vectors(voronoi_cell(Lattice.standard(2)))
+    assert sorted(vecs) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
 
 
 def test_skew_basis_same_cell():
