@@ -14,7 +14,7 @@ from fractions import Fraction
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from paratile import (HPolytope, Lattice, QMatrix, RecursionConfig,
-                      SqrtSum, construct, scaled)
+                      SqrtSum, construct)
 from paratile import serialization as ser
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -52,7 +52,8 @@ def main(out=FIXTURES):
     write("worked_n4.json", ser.dump_json(doc))
 
     doc = ser.fixture_to_json(
-        "scaled_cube3", scaled(cube, Fraction(101, 100)), Lattice.standard(3),
+        "scaled_cube3", HPolytope.cube(3, Fraction(101, 200)),
+        Lattice.standard(3),
         expect_tiling=False,
         description="cube scaled by 101/100: translates overlap, volume "
                     "exceeds the covolume")

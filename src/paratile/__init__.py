@@ -13,11 +13,10 @@ from .construction import (ConstructionError, ConstructionReport,
                            construct_bound_only, isoperimetric_ratio_lower,
                            predicted_bound_interval, scan_induction)
 from .intervals import Interval, PrecisionExhausted
-from .lattices import EnumerationCap, Lattice, enumerate_short_vectors, \
-    shortest_vector_sq
+from .lattices import EnumerationCap, Lattice, enumerate_short_vectors
 from .linalg import QMatrix, complete_to_full_rank, operator_norm_upper
 from .polytopes import (BodyMeasures, DegenerateBody, EmptyBody, HPolytope,
-                        Unbounded, linear_image, orthogonal_product, scaled,
+                        Unbounded, linear_image, orthogonal_product,
                         voronoi_cell)
 from .radicals import SqrtSum
 from .sampler import (LdpcParams, SamplerFailure, admissible_s, choose_d,
@@ -39,6 +38,6 @@ __all__ = [
     "isoperimetric_ratio_lower", "linear_image",
     "operator_norm_upper", "orthogonal_product", "predicted_bound_interval",
     "return_prob_bound", "return_prob_exact", "sample_ldpc",
-    "scan_induction", "scaled", "shortest_vector_sq", "verify_s_independence",
+    "scan_induction", "verify_s_independence",
     "verify_tiling", "voronoi_cell",
 ]

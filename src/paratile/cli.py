@@ -24,8 +24,8 @@ import time
 from typing import Dict, List, Optional
 
 from . import __version__, serialization
-from .construction import (ConstructionError, DimCapExceeded, RegimeError,
-                           RecursionConfig, construct, construct_bound_only,
+from .construction import (ConstructionError, RecursionConfig, RegimeError,
+                           construct, construct_bound_only,
                            isoperimetric_ratio_lower)
 from .intervals import PrecisionExhausted
 from .lattices import EnumerationCap
@@ -124,8 +124,7 @@ def cmd_construct(args) -> int:
     except ConstructionError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (RegimeError, DimCapExceeded, EnumerationCap,
-            PrecisionExhausted) as exc:
+    except (RegimeError, EnumerationCap, PrecisionExhausted) as exc:
         print(f"cannot decide at these budgets: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
     timing = time.perf_counter() - t0 if args.timing else None

@@ -109,11 +109,15 @@ class ConstructionReport:
     levels: Tuple[LevelTrace, ...]
     ratio_upper: Fraction                  # certified rational upper bound
     ratio_exact: Optional[SqrtSum]         # exact value in geometric mode
-    trivial_bound: int                     # 2n
     predicted: Tuple[Fraction, Fraction]   # schedule bound enclosure
     within_predicted: Optional[bool]
     body: Optional[HPolytope] = None       # tiles Z^n; None in bound-only mode
     downgrade_reason: Optional[str] = None  # set when geometry hit the cap
+
+    @property
+    def trivial_bound(self) -> int:
+        """2n, the ratio of the unit cube."""
+        return 2 * self.n
 
 
 # --- the parameter schedule -----------------------------------------------------
@@ -255,7 +259,7 @@ def base_level(lat: Lattice, config: RecursionConfig
     like any other, and refused above the dim cap.
     """
     r = lat.rank
-    if lat.basis == QMatrix.identity(r):
+    if lat.basis.is_identity():
         body = HPolytope.cube(r)  # the tile of Z^r
         trace = LevelTrace(n=r, mode="cube", ratio=body.ratio(),
                            checks=(("ratio_le_2n", True),))
@@ -298,8 +302,8 @@ def inductive_level(lat: Lattice, a_matrix: QMatrix, s: int,
     checks: List[Tuple[str, bool]] = []
 
     # full-rank repair; keeps kernels (hence independence levels) intact
-    base_cert = operator_norm_upper(a_matrix, refine_steps=3)
-    completion = complete_to_full_rank(a_matrix, base_cert)
+    completion = complete_to_full_rank(
+        a_matrix, operator_norm_upper(a_matrix, refine_steps=3))
     b = completion.matrix
     m = b.nrows
     if m < n and n - m > config.dim_cap:
@@ -333,8 +337,7 @@ def inductive_level(lat: Lattice, a_matrix: QMatrix, s: int,
     # Then T is injective and B undoes it on all of Q^m, so T carries B L
     # one to one onto a lattice that B maps back onto B L; with T = B^T
     # (B B^T)^-1 that lattice is the projection of L onto the row span
-    checks.append(("projection_image_agree",
-                   b @ t == QMatrix.identity(m)))
+    checks.append(("projection_image_agree", (b @ t).is_identity()))
     checks.append(("inner_integer", inner_lat.is_integer()))
     checks.append(("inner_full_rank", inner_lat.rank == m))
 
@@ -343,7 +346,7 @@ def inductive_level(lat: Lattice, a_matrix: QMatrix, s: int,
 
     k2 = linear_image(t, inner_body)
     ratio2 = k2.ratio()
-    norm_term = SqrtSum.sqrt(completion.certificate.usq)
+    norm_term = SqrtSum.sqrt(completion.norm_usq)
     checks.append(("image_ratio_bound", ratio2 <= ratio_inner * norm_term))
 
     if k1 is not None:
@@ -363,7 +366,7 @@ def inductive_level(lat: Lattice, a_matrix: QMatrix, s: int,
 
     trace = LevelTrace(
         n=n, mode="step", m=m, d=None, s=s, matrix=b,
-        norm_usq=completion.certificate.usq,
+        norm_usq=completion.norm_usq,
         kernel_shortest_sq=sv,
         ratio_kernel=ratio1 if m < n else None,
         ratio_image=ratio2,
@@ -421,7 +424,6 @@ def construct(n: int, config: Optional[RecursionConfig] = None
         n=n, kappa=config.kappa, epsilon=config.epsilon, seed=config.seed,
         bound_only=False, levels=tuple(traces),
         ratio_upper=ratio_hi, ratio_exact=ratio,
-        trivial_bound=2 * n,
         predicted=(predicted.lo, predicted.hi),
         within_predicted=within,
         body=body)
@@ -467,7 +469,6 @@ def construct_bound_only(n: int, config: Optional[RecursionConfig] = None
         n=n, kappa=config.kappa, epsilon=config.epsilon, seed=config.seed,
         bound_only=True, levels=tuple(traces),
         ratio_upper=value, ratio_exact=None,
-        trivial_bound=2 * n,
         predicted=(predicted.lo, predicted.hi),
         within_predicted=value <= predicted.lo)
 

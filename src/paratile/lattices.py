@@ -24,23 +24,23 @@ class EnumerationCap(Exception):
 class Lattice:
     """Integer span of the basis columns; basis has full column rank."""
 
-    ambient_dim: int
     basis: QMatrix  # ambient_dim x rank, columns are basis vectors
 
     def __post_init__(self):
-        if self.basis.nrows != self.ambient_dim:
-            raise ValueError("basis rows must match ambient dimension")
         if self.rank and rank_over_rationals(self.basis) != self.rank:
             raise ValueError("basis columns are dependent")
 
     @staticmethod
     def standard(n: int) -> "Lattice":
-        return Lattice(n, QMatrix.identity(n))
+        return Lattice(QMatrix.identity(n))
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence]) -> "Lattice":
-        basis = QMatrix.from_rows(cols).t()
-        return Lattice(basis.nrows, basis)
+        return Lattice(QMatrix.from_rows(cols).t())
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.nrows
 
     @property
     def rank(self) -> int:
@@ -75,7 +75,7 @@ def kernel_and_image(lat: Lattice, b) -> Tuple[Lattice, Lattice]:
     r = len(pivots)  # zero rows come last
     kernel = lat.basis @ QMatrix(tuple(map(tuple, u[r:]))).t()
     image = QMatrix(tuple(zip(*h[:r])) or ((),) * gens.nrows, gens.den)
-    return Lattice(lat.ambient_dim, kernel), Lattice(gens.nrows, image)
+    return Lattice(kernel), Lattice(image)
 
 
 # --- short vector enumeration -------------------------------------------------

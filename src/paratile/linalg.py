@@ -153,6 +153,13 @@ class QMatrix:
     def is_integer(self) -> bool:
         return self.den == 1
 
+    def is_identity(self) -> bool:
+        """Whether this is I_n, read row by row off num; no I_n is built."""
+        n = self.nrows
+        return self.den == 1 and self.ncols == n and all(
+            row[i] == 1 and row.count(0) == n - 1
+            for i, row in enumerate(self.num))
+
 
 # --- ranks and elimination ---------------------------------------------------
 
@@ -313,29 +320,22 @@ def hnf_rows(mat: Sequence[Sequence[int]]):
 
 # --- operator norm certificates ----------------------------------------------
 
-@dataclass(frozen=True)
-class NormCertificate:
-    """Certified upper bound on a spectral norm: true norm <= sqrt(usq)."""
-
-    usq: Fraction          # exact rational bound on the squared norm
-
-
 def _abs_row_sums(entries) -> list:
     return [sum(abs(x) for x in row) for row in entries]
 
 
-def operator_norm_upper(m: QMatrix,
-                        refine_steps: int = 0) -> NormCertificate:
-    """Certified upper bound on the spectral norm of m.
+def operator_norm_upper(m: QMatrix, refine_steps: int = 0) -> Fraction:
+    """Certified upper bound on the squared spectral norm of m: an exact
+    rational at or above it.
 
-    The base certificate is sqrt(max abs row sum * max abs col sum).  With
+    The base certificate is max abs row sum * max abs col sum.  With
     ``refine_steps`` = j > 0 the bound is tightened through Gram powering:
     lambda_max(G)**(2**j) <= max-row-sum(G**(2**j)) for G = m^T m, all in
     exact arithmetic, and the best of all available bounds is kept.
     """
     rows = m.num
     if not rows or not rows[0]:
-        return NormCertificate(Fraction(0))
+        return Fraction(0)
     maxrow = max(_abs_row_sums(rows))
     maxcol = max(_abs_row_sums(zip(*rows)))
     best = Fraction(maxrow * maxcol, m.den ** 2)
@@ -349,7 +349,7 @@ def operator_norm_upper(m: QMatrix,
             mrs = Fraction(max(_abs_row_sums(power.num)), power.den)
             cand = root_interval(mrs, k, 32).hi
             best = min(best, cand)
-    return NormCertificate(best)
+    return best
 
 
 # --- rank completion ---------------------------------------------------------
@@ -357,45 +357,37 @@ def operator_norm_upper(m: QMatrix,
 @dataclass(frozen=True)
 class CompletionResult:
     matrix: QMatrix                # full-rank integer m x n
-    certificate: NormCertificate
-    added_units: Tuple[int, ...]   # coordinates of the appended unit rows
+    norm_usq: Fraction             # certified bound on its squared norm
 
 
-def complete_to_full_rank(a: QMatrix,
-                          base_cert: Optional[NormCertificate] = None
+def complete_to_full_rank(a: QMatrix, base_usq: Optional[Rat] = None
                           ) -> CompletionResult:
     """Replace a possibly rank-deficient m x n matrix by a full-rank one.
 
     Keeps a maximal independent set of rows of ``a`` and appends standard
-    basis rows at coordinates outside the pivot columns.  The kernel of the
-    result sits inside the kernel of ``a``, so any support-size guarantee on
-    kernel vectors survives, and the squared-norm certificate grows by at
-    most 1 (the appended rows contribute a rank-one Gram summand each).
+    basis rows at coordinates outside the pivot columns; with m <= n there
+    are always enough.  The kernel of the result sits inside the kernel of
+    ``a``, so any support-size guarantee on kernel vectors survives, and
+    the squared-norm bound ``base_usq`` of ``a`` (computed when not given)
+    grows by at most 1 (the appended rows contribute a rank-one Gram
+    summand each).
     """
     if not a.is_integer():
         raise ValueError("rank completion needs an integer matrix")
     m, n = a.shape
     if m > n:
         raise ValueError("more rows than columns")
+    usq_a = operator_norm_upper(a) if base_usq is None else base_usq
     # the pivot columns of a^T are the greedy maximal independent row set
     indep = pivot_columns(a.t().num)
-    r = len(indep)
-    if r == m:
-        cert_a = base_cert or operator_norm_upper(a)
-        return CompletionResult(a, cert_a, ())
+    if len(indep) == m:
+        return CompletionResult(a, usq_a)
     rows = tuple(a.num[i] for i in indep)
     pivot_cols = pivot_columns(rows)
     free_cols = [j for j in range(n) if j not in pivot_cols]
-    added = tuple(free_cols[: m - r])
-    if len(added) < m - r:
-        raise ValueError("cannot complete: not enough free coordinates")
     b = QMatrix(rows + tuple(tuple(int(k == j) for k in range(n))
-                             for j in added))
-    cert_a = base_cert or operator_norm_upper(a)
-    derived = cert_a.usq + 1
-    own = operator_norm_upper(b)
-    cert = NormCertificate(derived) if derived <= own.usq else own
-    return CompletionResult(b, cert, added)
+                             for j in free_cols[:m - len(indep)]))
+    return CompletionResult(b, min(usq_a + 1, operator_norm_upper(b)))
 
 
 def ldl_split(g: QMatrix) -> Tuple[List[Fraction], List[List[Fraction]]]:

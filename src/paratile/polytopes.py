@@ -307,8 +307,7 @@ class BodyMeasures:
 class HPolytope:
     """Bounded full-dimensional polytope over a rational chart."""
 
-    ambient_dim: int
-    frame: QMatrix
+    frame: QMatrix  # ambient_dim x dim, columns span the body's subspace
     halfspaces: Tuple[Halfspace, ...]
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -325,7 +324,7 @@ class HPolytope:
             (vec, Fraction(b)) for vec, b in halfspaces)
         if any(len(a) != frame.ncols for a, _ in hs):
             raise ValueError("normal length must match chart dimension")
-        return HPolytope(frame.nrows, frame, hs)
+        return HPolytope(frame, hs)
 
     @staticmethod
     def cube(n: int, half_side: Fraction = Fraction(1, 2)) -> "HPolytope":
@@ -339,7 +338,7 @@ class HPolytope:
             raise ValueError("half side must be positive")
         units = identity_rows(n)
         hs = tuple((a, half) for a in identity_rows(n, -1) + units[::-1])
-        body = HPolytope(n, QMatrix(units), hs)
+        body = HPolytope(QMatrix(units), hs)
         side = 2 * half
         area = 2 * side ** (n - 1)  # the opposite facets of an axis
         body._cache["chart"] = (side ** n, tuple((e, area) for e in units))
@@ -350,6 +349,10 @@ class HPolytope:
         return body
 
     # basic data ----------------------------------------------------------------
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.frame.nrows
 
     @property
     def dim(self) -> int:
@@ -579,8 +582,7 @@ def voronoi_cell(lat: Lattice, node_cap: int = 10 ** 7) -> HPolytope:
                 a, gamma = primitive_normal(g_int.mul_vec(coords))
                 sweep.insert(a, nsq * g_den / (2 * gamma))
     verts, facets = sweep.faces()
-    body = HPolytope(lat.ambient_dim, basis,
-                     tuple((a, b) for a, b, _ in facets))
+    body = HPolytope(basis, tuple((a, b) for a, b, _ in facets))
     body._cache["vertices"] = verts
     body._cache["facets"] = facets
     body._cache["metric"] = g
@@ -613,7 +615,7 @@ def orthogonal_product(p: HPolytope, q: HPolytope) -> HPolytope:
         hs.append((a + (0,) * dq, b))
     for a, b in q.halfspaces:
         hs.append(((0,) * dp + a, b))
-    body = HPolytope(p.ambient_dim, frame, tuple(sorted(hs)))
+    body = HPolytope(frame, tuple(sorted(hs)))
     vp, areas_p = p._chart()
     vq, areas_q = q._chart()
     body._cache["chart"] = (
@@ -634,17 +636,9 @@ def linear_image(t: QMatrix, p: HPolytope) -> HPolytope:
     frame = t @ p.frame
     if rank_over_rationals(frame) != p.dim:
         raise ValueError("map collapses the body")
-    body = HPolytope(t.nrows, frame, p.halfspaces)
+    body = HPolytope(frame, p.halfspaces)
     for key in ("vertices", "facets", "chart"):
         if key in p._cache:
             body._cache[key] = p._cache[key]
     return body
 
-
-def scaled(p: HPolytope, s: Fraction) -> HPolytope:
-    """Dilate by s > 0 about the origin of the chart."""
-    s = Fraction(s)
-    if s <= 0:
-        raise ValueError("scale must be positive")
-    return HPolytope(p.ambient_dim, p.frame,
-                     tuple((a, b * s) for a, b in p.halfspaces))

@@ -131,10 +131,8 @@ def sqrtsum_from_json(obj: Dict) -> SqrtSum:
 
 def polytope_to_json(p: HPolytope) -> Dict:
     frame = p.frame
-    identity = frame.nrows == frame.ncols and \
-        frame == QMatrix.identity(frame.nrows)
     basis = None
-    if not identity:
+    if not frame.is_identity():
         basis = [[frac_str(frame.entries[i][j]) for i in range(frame.nrows)]
                  for j in range(frame.ncols)]
     return {
@@ -173,7 +171,7 @@ def format_hrep(p: HPolytope) -> str:
     """
     lines = [f"# dim {p.dim} ambient {p.ambient_dim}"]
     frame = p.frame
-    if p.dim != p.ambient_dim or frame != QMatrix.identity(p.ambient_dim):
+    if not frame.is_identity():
         for j in range(frame.ncols):
             col = " ".join(frac_str(frame.entries[i][j])
                            for i in range(frame.nrows))

@@ -35,7 +35,6 @@ _MAX_WITNESSES = 8
 
 @dataclass(frozen=True)
 class TilingReport:
-    passed: bool
     samples: int
     translates: int
     volume_equal: bool
@@ -46,6 +45,13 @@ class TilingReport:
     seed: int                    # seed of the dyadic sample stream
     witnesses: Tuple[Tuple[int, ...], ...] = ()
 
+    @property
+    def passed(self) -> bool:
+        """The verdict: the volume identity holds, no sample is strictly
+        inside two translates and none is outside every closed one."""
+        return self.volume_equal and self.overlap_violations == 0 \
+            and self.gap_violations == 0
+
 
 def _integerized_system(body: HPolytope, lat: Lattice, bits: int
                         ) -> Tuple[List[List[int]], List[int]]:
@@ -53,11 +59,10 @@ def _integerized_system(body: HPolytope, lat: Lattice, bits: int
     iff u . (k - 2^bits c) <= r for every row."""
     rows: List[List[int]] = []
     rhs: List[int] = []
-    basis = lat.basis
+    basis_t = lat.basis.t()
     for a, b in body.ambient_halfspaces():
         # w . (B y) <= b  with y = k/2^bits - c
-        wb = [sum(Fraction(a[i]) * basis.entries[i][j]
-                  for i in range(len(a))) for j in range(basis.ncols)]
+        wb = basis_t.mul_vec(a)
         den = denominator_lcm((b, *wb))
         rows.append(list(scaled_to_int(wb, den)))
         rhs.append(int(b * den))
@@ -201,10 +206,8 @@ def verify_tiling(body: HPolytope, lat: Lattice, samples: int = 100000,
     engine = "int64" if max(max_abs_score, max_abs_off) < 2 ** 62 else "bigint"
     overlap, gap, boundary, witnesses = _count_membership(
         ks, rows, offsets, np.int64 if engine == "int64" else object)
-
-    passed = volume_equal and overlap == 0 and gap == 0
     return TilingReport(
-        passed=passed, samples=samples, translates=len(offsets),
+        samples=samples, translates=len(offsets),
         volume_equal=volume_equal, overlap_violations=overlap,
         gap_violations=gap, boundary_hits=boundary, engine=engine,
         seed=seed, witnesses=witnesses)

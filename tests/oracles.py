@@ -550,7 +550,7 @@ def apply_matrix(t, lat: Lattice) -> Lattice:
     new_basis = t @ lat.basis
     if rank_over_rationals(new_basis) != lat.rank:
         raise ValueError("map collapses the lattice")
-    return Lattice(t.nrows, new_basis)
+    return Lattice(new_basis)
 
 
 def coordinates_in_lattice(lat: Lattice, v: Sequence) -> Optional[Tuple[int, ...]]:
@@ -591,10 +591,9 @@ def reference_projection(lat: Lattice, b) -> Lattice:
     # columns generate d * (R L) as a group, d the image's denominator
     w = hnf_basis_columns(QMatrix(image.num))
     if w.ncols == 0:
-        return Lattice(lat.ambient_dim,
-                       QMatrix(tuple(() for _ in range(lat.ambient_dim))))
+        return Lattice(QMatrix(tuple(() for _ in range(lat.ambient_dim))))
     pull = r.t() @ inverse(r @ r.t())  # v -> point of the span with Rv = v
-    return Lattice(lat.ambient_dim, pull @ QMatrix(w.num, image.den))
+    return Lattice(pull @ QMatrix(w.num, image.den))
 
 
 # --- walks and volumes ----------------------------------------------------------

@@ -18,7 +18,7 @@ from paratile.construction import (RecursionConfig, construct,
 from paratile.lattices import Lattice, shortest_vector_sq
 from paratile.linalg import (QMatrix, complete_to_full_rank,
                              operator_norm_upper, rank_over_rationals)
-from paratile.polytopes import HPolytope, scaled, voronoi_cell
+from paratile.polytopes import HPolytope, voronoi_cell
 from paratile.radicals import SqrtSum
 from paratile.sampler import (LdpcParams, admissible_s, default_c,
                               expected_collisions, largest_verified_s,
@@ -234,11 +234,11 @@ def test_criterion_5_inequality_suite():
         res = complete_to_full_rank(a, base)
         if rank_over_rationals(res.matrix) != 8:
             failures.append(f"completion seed {seed}: rank < m")
-        if res.certificate.usq > base.usq + 1:
+        if res.norm_usq > base + 1:
             failures.append(
                 f"completion seed {seed}: certified norm^2 "
-                f"{res.certificate.usq} > {base.usq} + 1")
-        if rayleigh_lower_sq(res.matrix, 4) > res.certificate.usq:
+                f"{res.norm_usq} > {base} + 1")
+        if rayleigh_lower_sq(res.matrix, 4) > res.norm_usq:
             failures.append(f"completion seed {seed}: certificate below "
                             f"attained Rayleigh quotient")
     _verdict(5, failures,
@@ -272,7 +272,7 @@ def test_criterion_6_asymptotic_substitute():
 def test_criterion_7_negative_controls():
     t0 = time.perf_counter()
     failures = []
-    body = scaled(HPolytope.cube(3), Fraction(101, 100))
+    body = HPolytope.cube(3, Fraction(101, 200))
     rep = verify_tiling(body, Lattice.standard(3), samples=20000)
     if rep.passed:
         failures.append("inflated cube passed the tiling audit")

@@ -368,6 +368,32 @@ def test_kernel_shortest_sq_is_the_kernel_minimum(override):
     assert dict(step.checks)["kernel_shortest_exceeds_s"]
 
 
+def test_a_square_step_is_the_image_of_the_cube_alone():
+    # a full-rank square B leaves no kernel, so the body is B^-1 applied to
+    # the cube of Z^3: its facet pairs are b_i . x = +-1/2 for the rows b_i
+    # of B, and with det B = 1 its ratio is 2 sum_i |b_i|, that is
+    # 2 sum_i sqrt((B B^T)_ii)
+    b = QMatrix.from_rows([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    rep = construct(3, RecursionConfig(matrix_override=((b, None),)))
+    assert [lv.mode for lv in rep.levels] == ["step", "cube"]
+    step = rep.levels[0]
+    assert step.m == 3
+    assert step.ratio_kernel is None and step.kernel_shortest_sq is None
+    assert [name for name, _ in step.checks] == [
+        "full_rank", "s_independence", "projection_image_agree",
+        "inner_integer", "inner_full_rank", "image_ratio_bound",
+        "ratio_additivity", "volume_equals_covolume",
+        "recursion_inequality"]
+    assert all(ok for _, ok in step.checks)
+    gram = b @ b.t()
+    want = SqrtSum.zero()
+    for i in range(3):
+        want = want + 2 * SqrtSum.sqrt(gram.entries[i][i])
+    assert rep.ratio_exact.terms == want.terms
+    assert rep.ratio_exact == SqrtSum.from_rational(2) \
+        + SqrtSum.from_rational(4) * SqrtSum.sqrt(2)
+
+
 def test_override_takes_any_integer_valued_matrix():
     q = QMatrix.from_rows([[Fraction(1), 1, 0, 0], [0, 0, 1, 1]])
     rep = construct(4, RecursionConfig(matrix_override=((q, None),)))

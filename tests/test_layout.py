@@ -7,8 +7,10 @@ package, in ``scripts/`` or in ``perfbench/``, or be exported through
 ``paratile.__all__``; a public method of one of its public classes must be
 referenced there as an attribute (``x.name``), since a bare name is a
 variable or a function, never a method call.  And ``intervals.enclose`` is
-the one bridge to mpmath: no other module of the package imports it.  Every
-module is one of the layers the benchmark's tracer files its spans under.
+the one bridge to mpmath: no other module of the package imports it.  No
+module builds ``QMatrix.identity(n)`` only to compare a matrix with it, since
+``QMatrix.is_identity`` reads that off the rows.  Every module is one of the
+layers the benchmark's tracer files its spans under.
 """
 
 import ast
@@ -197,6 +199,31 @@ def test_the_step_reads_lambda_1_and_ranks_off_its_own_computations():
              if isinstance(node, ast.Call) and "Lattice" in
              {ref for ref, _ in _references(ast.Expression(node.func))}]
     assert not built, f"voronoi_cell builds a Lattice at lines {built}"
+
+
+def _identity_comparisons(tree: ast.Module):
+    """Line numbers of ``==`` or ``!=`` tests against a
+    ``QMatrix.identity(...)`` call."""
+    def builds_identity(node):
+        return isinstance(node, ast.Call) and \
+            isinstance(node.func, ast.Attribute) and \
+            node.func.attr == "identity" and \
+            isinstance(node.func.value, ast.Name) and \
+            node.func.value.id == "QMatrix"
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops) and \
+                any(map(builds_identity, [node.left, *node.comparators])):
+            yield node.lineno
+
+
+def test_no_module_builds_an_identity_to_compare_with_it():
+    # QMatrix.is_identity reads I_n off the rows; building I_n only to
+    # compare a matrix with it costs n^2 ints each time
+    found = [f"{path.stem}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in _identity_comparisons(ast.parse(path.read_text()))]
+    assert not found, f"comparisons with a built identity: {found}"
 
 
 def test_every_module_is_a_traced_layer():

@@ -350,8 +350,7 @@ def test_hnf_basis_columns_spans_same_lattice():
 def test_completion_already_full_rank():
     a = QMatrix.identity(2)
     res = complete_to_full_rank(a)
-    assert res.matrix.entries == a.entries
-    assert res.added_units == ()
+    assert res.matrix == a
 
 
 def test_completion_of_repeated_rows():
@@ -377,7 +376,7 @@ def test_completion_keeps_the_first_independent_rows():
     a = QMatrix.from_rows([[1, 0, 1, 0], [2, 0, 2, 0], [0, 1, 0, 0],
                              [1, 1, 1, 0]])
     res = complete_to_full_rank(a)
-    assert res.added_units == (2, 3)
+    # unit rows at the non-pivot coordinates 2 and 3
     assert res.matrix.entries == ((1, 0, 1, 0), (0, 1, 0, 0),
                                   (0, 0, 1, 0), (0, 0, 0, 1))
 
@@ -395,18 +394,17 @@ def test_completion_certificate_and_kernel(rows):
         a = a.t()
     res = complete_to_full_rank(a)
     assert rank_over_rationals(res.matrix) == a.nrows
-    cert_a = operator_norm_upper(a)
-    assert res.certificate.usq <= cert_a.usq + 1
-    assert rayleigh_lower_sq(res.matrix, iters=5) <= res.certificate.usq
+    assert res.norm_usq <= operator_norm_upper(a) + 1
+    assert rayleigh_lower_sq(res.matrix, iters=5) <= res.norm_usq
 
 
 # --- norm bounds ----------------------------------------------------------------
 
 def test_norm_certificate_examples():
-    assert operator_norm_upper(QMatrix.identity(3)).usq == 1
+    assert operator_norm_upper(QMatrix.identity(3)) == 1
     ones = QMatrix.from_rows([[1] * 4 for _ in range(2)])
     # rank one: spectral norm sqrt(8), row-col product gives it exactly
-    assert operator_norm_upper(ones).usq == 8
+    assert operator_norm_upper(ones) == 8
     assert rayleigh_lower_sq(ones, iters=3) == 8
 
 
@@ -414,22 +412,22 @@ def test_norm_certificate_examples():
 def test_rayleigh_below_certificate(rows):
     m = QMatrix.from_rows(rows)
     lo = rayleigh_lower_sq(m, iters=4)
-    assert lo <= operator_norm_upper(m).usq
-    assert lo <= operator_norm_upper(m, refine_steps=2).usq
+    assert lo <= operator_norm_upper(m)
+    assert lo <= operator_norm_upper(m, refine_steps=2)
 
 
 @given(int_matrices)
 def test_transpose_norm_agreement(rows):
     m = QMatrix.from_rows(rows)
     # both certify the same value, so each dominates the other's floor
-    assert rayleigh_lower_sq(m, iters=4) <= operator_norm_upper(m.t()).usq
-    assert rayleigh_lower_sq(m.t(), iters=4) <= operator_norm_upper(m).usq
+    assert rayleigh_lower_sq(m, iters=4) <= operator_norm_upper(m.t())
+    assert rayleigh_lower_sq(m.t(), iters=4) <= operator_norm_upper(m)
 
 
 def test_refined_bound_never_worse():
     m = QMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
-    base = operator_norm_upper(m).usq
-    refined = operator_norm_upper(m, refine_steps=3).usq
+    base = operator_norm_upper(m)
+    refined = operator_norm_upper(m, refine_steps=3)
     assert refined <= base
     assert rayleigh_lower_sq(m, iters=8) <= refined
 

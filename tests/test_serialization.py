@@ -37,7 +37,7 @@ from oracles import lattices_equal, parse_hrep
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 SRC_DIR = FIXTURE_DIR.parent / "src"
 
-FCC = Lattice(3, QMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 1]]))
+FCC = Lattice(QMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 1]]))
 
 
 # --- scalar codecs ----------------------------------------------------------

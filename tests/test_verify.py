@@ -8,7 +8,7 @@ import pytest
 
 from paratile.lattices import Lattice
 from paratile.linalg import QMatrix, det_q
-from paratile.polytopes import HPolytope, linear_image, scaled, voronoi_cell
+from paratile.polytopes import HPolytope, linear_image, voronoi_cell
 from paratile.serialization import fixture_from_json
 from paratile import verify
 from paratile.verify import (_count_membership, _dyadic_numerators,
@@ -17,7 +17,7 @@ from paratile.verify import (_count_membership, _dyadic_numerators,
 from oracles import (brute_force_volume, dyadic_numerators_loop,
                      membership_count_by_translate)
 
-FCC = Lattice(3, QMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 1]]))
+FCC = Lattice(QMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 1]]))
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
@@ -43,7 +43,7 @@ def test_fcc_cell_tiles_its_lattice():
 
 
 def test_inflated_cube_overlaps():
-    body = scaled(HPolytope.cube(3), Fraction(101, 100))
+    body = HPolytope.cube(3, Fraction(101, 200))
     rep = verify_tiling(body, Lattice.standard(3), samples=3000)
     assert not rep.passed
     assert not rep.volume_equal
@@ -53,7 +53,7 @@ def test_inflated_cube_overlaps():
 
 
 def test_shrunk_cube_leaves_gaps():
-    body = scaled(HPolytope.cube(3), Fraction(99, 100))
+    body = HPolytope.cube(3, Fraction(99, 200))
     rep = verify_tiling(body, Lattice.standard(3), samples=3000)
     assert not rep.passed
     assert rep.gap_violations > 0
@@ -73,7 +73,7 @@ def test_bigint_engine_reaches_same_verdicts():
                        samples=400, bits=62)
     assert ok.engine == "bigint"
     assert ok.passed
-    bad = verify_tiling(scaled(HPolytope.cube(2), Fraction(101, 100)),
+    bad = verify_tiling(HPolytope.cube(2, Fraction(101, 200)),
                         Lattice.standard(2), samples=400, bits=62)
     assert bad.engine == "bigint"
     assert not bad.passed and bad.overlap_violations > 0
@@ -85,7 +85,7 @@ def _random_parallelepiped(seed: int):
         t = QMatrix.from_rows([[rng.randint(-3, 3) for _ in range(3)]
                                for _ in range(3)])
         if det_q(t) != 0:
-            return linear_image(t, HPolytope.cube(3)), Lattice(3, t)
+            return linear_image(t, HPolytope.cube(3)), Lattice(t)
 
 
 @pytest.mark.parametrize("bits", [4, 24])
