@@ -24,9 +24,8 @@ import time
 from typing import Dict, List, Optional
 
 from . import __version__, serialization
-from .construction import (ConstructionError, RecursionConfig, RegimeError,
-                           construct, construct_bound_only,
-                           isoperimetric_ratio_lower)
+from .construction import (ConstructionError, RecursionConfig, construct,
+                           construct_bound_only, isoperimetric_ratio_lower)
 from .intervals import PrecisionExhausted
 from .lattices import EnumerationCap
 from .polytopes import DegenerateBody, EmptyBody, Unbounded
@@ -107,9 +106,8 @@ def cmd_construct(args) -> int:
         print("error: --override-s needs --matrix-override", file=sys.stderr)
         return EXIT_UNDECIDED
     if args.matrix_override:
-        doc = _load_json(args.matrix_override)
-        serialization.validate_document("matrix", doc)
-        override = ((serialization.matrix_from_json(doc), override_s),)
+        override = ((serialization.matrix_from_json(
+            _load_json(args.matrix_override)), override_s),)
     opts = _supplied(args, "kappa", "epsilon", "seed", "max_depth", "dim_cap",
                      "svp_node_cap")
     if "epsilon" in opts:
@@ -124,7 +122,7 @@ def cmd_construct(args) -> int:
     except ConstructionError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (RegimeError, EnumerationCap, PrecisionExhausted) as exc:
+    except (EnumerationCap, PrecisionExhausted) as exc:
         print(f"cannot decide at these budgets: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
     timing = time.perf_counter() - t0 if args.timing else None
@@ -226,21 +224,15 @@ def cmd_sample_matrix(args) -> int:
 def cmd_verify(args) -> int:
     fixture = None
     if args.fixture:
-        doc = _load_json(args.fixture)
-        serialization.validate_document("fixture", doc)
-        fixture = serialization.fixture_from_json(doc)
+        fixture = serialization.fixture_from_json(_load_json(args.fixture))
         body, lat = fixture["body"], fixture["lattice"]
     else:
         if not (args.body and args.lattice):
             print("error: need --fixture, or --body and --lattice",
                   file=sys.stderr)
             return EXIT_UNDECIDED
-        bdoc = _load_json(args.body)
-        serialization.validate_document("polytope", bdoc)
-        body = serialization.polytope_from_json(bdoc)
-        ldoc = _load_json(args.lattice)
-        serialization.validate_document("lattice", ldoc)
-        lat = serialization.lattice_from_json(ldoc)
+        body = serialization.polytope_from_json(_load_json(args.body))
+        lat = serialization.lattice_from_json(_load_json(args.lattice))
 
     try:
         rep = verify_tiling(body, lat,
@@ -443,8 +435,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
-    except (serialization.SerializationError, Unbounded, EmptyBody,
-            DegenerateBody) as exc:
+    except (serialization.SerializationError, json.JSONDecodeError,
+            Unbounded, EmptyBody, DegenerateBody) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
     except ValueError as exc:

@@ -22,13 +22,11 @@ class EnumerationCap(Exception):
 
 @dataclass(frozen=True)
 class Lattice:
-    """Integer span of the basis columns; basis has full column rank."""
+    """Integer span of the basis columns, which are independent.  The
+    constructor trusts that, as the package builds only independent bases;
+    ``from_columns`` proves it for columns from outside."""
 
     basis: QMatrix  # ambient_dim x rank, columns are basis vectors
-
-    def __post_init__(self):
-        if self.rank and rank_over_rationals(self.basis) != self.rank:
-            raise ValueError("basis columns are dependent")
 
     @staticmethod
     def standard(n: int) -> "Lattice":
@@ -36,7 +34,10 @@ class Lattice:
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence]) -> "Lattice":
-        return Lattice(QMatrix.from_rows(cols).t())
+        basis = QMatrix.from_rows(cols).t()
+        if rank_over_rationals(basis) != basis.ncols:
+            raise ValueError("basis columns are dependent")
+        return Lattice(basis)
 
     @property
     def ambient_dim(self) -> int:
@@ -68,7 +69,8 @@ def kernel_and_image(lat: Lattice, b) -> Tuple[Lattice, Lattice]:
     One Hermite form of the rows of the numerator of (b L)^T gives both.
     The transform rows that reach zero rows span the kernel coordinates over
     Z; the nonzero rows, over the denominator, are the canonical basis of
-    the image.
+    the image.  Unimodular rows and nonzero Hermite rows are independent,
+    so neither basis needs a proof.
     """
     gens = b @ lat.basis
     h, u, pivots = hnf_rows(gens.t().num)

@@ -214,19 +214,15 @@ def _row_weights(m: int, masks: Sequence[int]) -> List[int]:
 def sample_ldpc(params: LdpcParams) -> Tuple[QMatrix, Dict]:
     """Sample until every row weight is within the 4dn/m bound."""
     bound = params.effective_row_bound()
-    first_try_pass = None
     for attempt in range(params.max_tries):
         masks = sample_columns(params.m, params.n, params.d,
                                params.seed, attempt)
         heaviest = max(_row_weights(params.m, masks))
-        if first_try_pass is None:
-            first_try_pass = heaviest <= bound
         if heaviest <= bound:
             stats = {
                 "tries": attempt + 1,
                 "row_bound": bound,
                 "heaviest_row": heaviest,
-                "first_try_pass": first_try_pass,
             }
             return masks_to_matrix(params.m, masks), stats
     raise SamplerFailure(

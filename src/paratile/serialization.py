@@ -2,8 +2,9 @@
 
 Every number crosses the boundary as a decimal string ("17", "-3/4") so no
 consumer is forced to guess at integer width or binary float rounding.  The
-shapes are checked against the draft-07 schemas shipped with the package; see
-``validate_document``.
+readers of the matrix, lattice, polytope and fixture kinds validate their
+whole document before reading it, a fixture's body and lattice by their own
+readers, so bad input raises SerializationError, not KeyError or TypeError.
 
 Each schema is compiled once per kind into one closure per schema node, and
 an ``items`` list checks each distinct string once, so a 128x1024 0/1 matrix
@@ -81,6 +82,7 @@ def matrix_to_json(m: QMatrix) -> Dict:
 
 
 def matrix_from_json(obj: Dict) -> QMatrix:
+    validate_document("matrix", obj)
     entries = [[parse_frac(s) for s in row] for row in obj["entries"]]
     if len(entries) != obj["rows"] or any(len(r) != obj["cols"]
                                           for r in entries):
@@ -90,21 +92,29 @@ def matrix_from_json(obj: Dict) -> QMatrix:
 
 # --- lattices ------------------------------------------------------------------
 
+def _columns_to_json(m: QMatrix) -> List[List[str]]:
+    """The columns of a lattice basis or a chart frame, as rational strings."""
+    return [list(map(frac_str, col)) for col in zip(*m.entries)]
+
+
+def _columns_from_json(cols: List[List[str]], n: int) -> List[List[Fraction]]:
+    """The columns of a basis or frame, each of the document's length n."""
+    if any(len(c) != n for c in cols):
+        raise SerializationError("basis column length does not match dimension")
+    return [list(map(parse_frac, c)) for c in cols]
+
+
 def lattice_to_json(lat: Lattice) -> Dict:
-    cols = [[frac_str(lat.basis.entries[i][j]) for i in range(lat.ambient_dim)]
-            for j in range(lat.rank)]
     return {
         "ambient_dim": lat.ambient_dim,
-        "basis_cols": cols,
+        "basis_cols": _columns_to_json(lat.basis),
         "integer": lat.is_integer(),
     }
 
 
 def lattice_from_json(obj: Dict) -> Lattice:
-    cols = [[parse_frac(s) for s in col] for col in obj["basis_cols"]]
-    n = obj["ambient_dim"]
-    if any(len(c) != n for c in cols):
-        raise SerializationError("basis column length does not match dimension")
+    validate_document("lattice", obj)
+    cols = _columns_from_json(obj["basis_cols"], obj["ambient_dim"])
     try:
         return Lattice.from_columns(cols)
     except ValueError as exc:  # dependent columns
@@ -130,20 +140,17 @@ def sqrtsum_from_json(obj: Dict) -> SqrtSum:
 # --- polytopes -----------------------------------------------------------------
 
 def polytope_to_json(p: HPolytope) -> Dict:
-    frame = p.frame
-    basis = None
-    if not frame.is_identity():
-        basis = [[frac_str(frame.entries[i][j]) for i in range(frame.nrows)]
-                 for j in range(frame.ncols)]
     return {
         "ambient_dim": p.ambient_dim,
-        "subspace_basis": basis,
+        "subspace_basis": None if p.frame.is_identity()
+        else _columns_to_json(p.frame),
         "halfspaces": [{"a": [frac_str(x) for x in a], "b": frac_str(b)}
                        for a, b in p.halfspaces],
     }
 
 
 def polytope_from_json(obj: Dict) -> HPolytope:
+    validate_document("polytope", obj)
     n = obj["ambient_dim"]
     basis = obj.get("subspace_basis")
     hs = [(tuple(parse_frac(x) for x in h["a"]), parse_frac(h["b"]))
@@ -151,12 +158,8 @@ def polytope_from_json(obj: Dict) -> HPolytope:
     if basis is None:
         frame = n
     else:
-        cols = [[parse_frac(s) for s in col] for col in basis]
-        if any(len(c) != n for c in cols):
-            raise SerializationError(
-                "basis column length does not match dimension")
-        frame = QMatrix.from_rows(
-            [[cols[j][i] for j in range(len(cols))] for i in range(n)])
+        cols = _columns_from_json(basis, n)
+        frame = QMatrix.from_rows([[c[i] for c in cols] for i in range(n)])
     try:
         return HPolytope.from_halfspaces(frame, hs)
     except ValueError as exc:  # dependent frame columns, mis-sized normals
@@ -170,12 +173,9 @@ def format_hrep(p: HPolytope) -> str:
     subspace, so the file stays self-describing.
     """
     lines = [f"# dim {p.dim} ambient {p.ambient_dim}"]
-    frame = p.frame
-    if not frame.is_identity():
-        for j in range(frame.ncols):
-            col = " ".join(frac_str(frame.entries[i][j])
-                           for i in range(frame.nrows))
-            lines.append(f"# basis {col}")
+    if not p.frame.is_identity():
+        lines.extend("# basis " + " ".join(col)
+                     for col in _columns_to_json(p.frame))
     for a, b in p.halfspaces:
         lines.append(" ".join(str(x) for x in a) + " <= " + frac_str(b))
     return "\n".join(lines) + "\n"
@@ -299,6 +299,7 @@ def fixture_to_json(name: str, body: HPolytope, lat: Lattice,
 
 
 def fixture_from_json(obj: Dict) -> Dict:
+    validate_document("fixture", obj)
     return {
         "name": obj["name"],
         "description": obj.get("description", ""),
@@ -308,7 +309,7 @@ def fixture_from_json(obj: Dict) -> Dict:
         if obj.get("expected_ratio") else None,
         "ratio_parts": [sqrtsum_from_json(p) for p in obj["ratio_parts"]]
         if obj.get("ratio_parts") else None,
-        "expect_tiling": obj.get("expect_tiling", True),
+        "expect_tiling": obj["expect_tiling"],
     }
 
 

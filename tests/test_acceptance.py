@@ -114,7 +114,7 @@ def test_criterion_3_sampler_conformance():
     for seed in range(100):
         mat, stats = sample_ldpc(LdpcParams(m=m, n=n, d=d, seed=seed))
         mats.append(mat)
-        first_try += bool(stats["first_try_pass"])
+        first_try += stats["tries"] == 1
         col_w = max(sum(mat.col(j)) for j in range(n))
         row_w = max(sum(mat.num[i]) for i in range(m))
         if col_w > d:

@@ -515,6 +515,43 @@ def test_verify_reports_a_malformed_document_as_bad_input(
     assert cap.err == f"bad input: {message}\n"
 
 
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["body"].pop("halfspaces"),
+    lambda doc: doc["lattice"]["basis_cols"][0].__setitem__(0, 5),
+    lambda doc: doc["expected_ratio"]["terms"][0].__setitem__("coeff", 5),
+    lambda doc: doc.__setitem__("ratio_parts", [{}]),
+    lambda doc: doc["lattice"].pop("basis_cols"),
+    lambda doc: doc["expected_ratio"]["terms"][0].__setitem__("radicand",
+                                                              "-2"),
+], ids=["no-halfspaces", "number-in-basis", "number-coeff", "empty-part",
+        "no-basis-cols", "negative-radicand"])
+def test_verify_reports_a_malformed_nested_document_as_bad_input(
+        tmp_path, capsys, edit):
+    # each reader validates its own document, so a fault inside the body,
+    # the lattice or a radical sum exits 2, never 1 with a traceback
+    doc = json.loads((FIXTURE_DIR / "cube3.json").read_text())
+    edit(doc)
+    fx = write_json(tmp_path / "fixture.json", doc)
+    assert main(["verify", "--fixture", fx, "--samples", "100"]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("bad input: ")
+    assert "Traceback" not in cap.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--fixture"],
+    ["construct", "--n", "3", "--matrix-override"],
+], ids=["fixture", "matrix-override"])
+def test_malformed_json_text_is_bad_input(tmp_path, capsys, argv):
+    path = tmp_path / "cut.json"
+    path.write_text('{"rows": 1,')
+    assert main(argv + [str(path)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("bad input: Expecting property name")
+
+
 # --- sample-matrix ------------------------------------------------------------
 
 

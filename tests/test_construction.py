@@ -288,12 +288,12 @@ def _count_rank_calls(monkeypatch):
     return shapes
 
 
-def test_cube_path_makes_one_rank_elimination(monkeypatch):
-    # Z^n is read off its identity basis and the cube states its own
-    # halfspaces; the one elimination left is Lattice.standard(n)'s own
+def test_cube_path_makes_no_rank_elimination(monkeypatch):
+    # Z^n is read off its identity basis, the cube states its own
+    # halfspaces, and Lattice.standard(n) trusts the identity it builds
     shapes = _count_rank_calls(monkeypatch)
     construct(40)
-    assert shapes == [(40, 40)]
+    assert shapes == []
 
 
 def test_cube_path_builds_no_fraction_grid(monkeypatch):
@@ -319,14 +319,15 @@ def test_another_basis_of_z_n_takes_the_certified_voronoi_path():
     assert body.measures().volume == SqrtSum.from_rational(1)
 
 
-def test_worked_step_makes_four_rank_eliminations(monkeypatch):
+def test_worked_step_makes_one_rank_elimination(monkeypatch):
     # B T = I certifies the section with no lattice built from T or B, B's
-    # rank is the image's Hermite rank, and voronoi_cell wraps no reduced
-    # basis: left are Z^4, the kernel, the image and the image body's frame
+    # rank is the image's Hermite rank, voronoi_cell wraps no reduced basis,
+    # and Z^4, the kernel and the image are independent by construction:
+    # left is the image body's frame
     shapes = _count_rank_calls(monkeypatch)
     rep = construct(4, worked_config())
     assert [lv.mode for lv in rep.levels] == ["step", "cube"]
-    assert shapes == [(4, 4), (4, 2), (2, 2), (4, 2)], shapes
+    assert shapes == [(4, 2)], shapes
 
 
 def test_a_false_section_fails_projection_image_agree(monkeypatch):

@@ -10,13 +10,15 @@ variable or a function, never a method call.  And ``intervals.enclose`` is
 the one bridge to mpmath: no other module of the package imports it.  No
 module builds ``QMatrix.identity(n)`` only to compare a matrix with it, since
 ``QMatrix.is_identity`` reads that off the rows.  Every module is one of the
-layers the benchmark's tracer files its spans under.
+layers the benchmark's tracer files its spans under.  Every reader of a
+document kind that has a schema validates its document itself.
 """
 
 import ast
 import pathlib
 
 import paratile
+from paratile import serialization
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "paratile"
@@ -237,3 +239,24 @@ def test_every_module_is_a_traced_layer():
     modules = sorted(path.stem for path in PACKAGE.glob("*.py")
                      if path.stem != "__init__")
     assert modules == sorted(layers), (modules, layers)
+
+
+def test_every_reader_of_a_schema_kind_validates_its_document():
+    # input is checked once, where it enters: a reader that trusted its
+    # caller to validate would crash on a malformed nested document
+    tree = ast.parse((PACKAGE / "serialization.py").read_text())
+    readers = {node.name[:-len("_from_json")]: node for node in tree.body
+               if isinstance(node, ast.FunctionDef)
+               and node.name.endswith("_from_json")}
+    readers = {kind: fn for kind, fn in readers.items()
+               if kind in serialization._SCHEMA_KINDS}
+    assert readers, "no reader of a schema kind found"
+    unchecked = [kind for kind, fn in sorted(readers.items())
+                 if not any(isinstance(node, ast.Call)
+                            and isinstance(node.func, ast.Name)
+                            and node.func.id == "validate_document"
+                            and node.args
+                            and isinstance(node.args[0], ast.Constant)
+                            and node.args[0].value == kind
+                            for node in ast.walk(fn))]
+    assert not unchecked, f"readers that do not validate: {unchecked}"

@@ -107,6 +107,14 @@ def test_lattice_from_json_checks_column_length():
         lattice_from_json(doc)
 
 
+def test_lattice_from_json_refuses_a_rank_0_document():
+    # the schema's minItems refuses it before its ambient dimension, which
+    # no column could carry, is lost
+    doc = {"ambient_dim": 3, "basis_cols": [], "integer": True}
+    with pytest.raises(SerializationError, match="too short"):
+        lattice_from_json(doc)
+
+
 # --- radicals -----------------------------------------------------------------
 
 

@@ -144,6 +144,16 @@ def test_tiling_rejects_rank_mismatch():
         verify_tiling(HPolytope.cube(2), Lattice.standard(3))
 
 
+def test_a_dependent_basis_given_to_the_constructor_is_refused_downstream():
+    # Lattice(basis) trusts its basis; a dependent one still cannot pass
+    # for a lattice, since the Gram matrix it gives is singular
+    lat = Lattice(QMatrix.from_rows([[1, 2], [2, 4]]))
+    with pytest.raises(ValueError, match="not positive definite"):
+        voronoi_cell(lat)
+    with pytest.raises(ValueError, match="not positive definite"):
+        verify_tiling(HPolytope.cube(2), lat, samples=100)
+
+
 # --- volume oracles ---------------------------------------------------------
 
 
