@@ -93,7 +93,11 @@ def _supplied(args, *keys: str) -> Dict:
 
 def _load_json(path: str) -> Dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise serialization.SerializationError(
+                f"{exc} in {path}") from exc
 
 
 # --- construct ----------------------------------------------------------------
@@ -114,17 +118,10 @@ def cmd_construct(args) -> int:
         opts["epsilon"] = parse_frac(opts["epsilon"])
     config = RecursionConfig(matrix_override=override, **opts)
     t0 = time.perf_counter()
-    try:
-        if args.bound_only:
-            report = construct_bound_only(n, config)
-        else:
-            report = construct(n, config)
-    except ConstructionError as exc:
-        print(f"certification failed: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except (EnumerationCap, PrecisionExhausted) as exc:
-        print(f"cannot decide at these budgets: {exc}", file=sys.stderr)
-        return EXIT_UNDECIDED
+    if args.bound_only:
+        report = construct_bound_only(n, config)
+    else:
+        report = construct(n, config)
     timing = time.perf_counter() - t0 if args.timing else None
 
     iso = None if report.body is None else isoperimetric_ratio_lower(n).lo
@@ -174,11 +171,7 @@ def cmd_sample_matrix(args) -> int:
         raise ValueError("verify_s must be at least 1")
     params = LdpcParams(m=m, n=n, d=d, **opts)
     seed = params.seed
-    try:
-        mat, stats = sample_ldpc(params)
-    except SamplerFailure as exc:
-        print(f"sampler failed: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    mat, stats = sample_ldpc(params)
     c = default_c()
     s = admissible_s(m, n, d, c)
     e_d = expected_collisions(m, n, d, s) if s >= 1 else None
@@ -234,12 +227,8 @@ def cmd_verify(args) -> int:
         body = serialization.polytope_from_json(_load_json(args.body))
         lat = serialization.lattice_from_json(_load_json(args.lattice))
 
-    try:
-        rep = verify_tiling(body, lat,
-                            **_supplied(args, "samples", "bits", "seed"))
-    except (EnumerationCap, PrecisionExhausted) as exc:
-        print(f"cannot decide at these budgets: {exc}", file=sys.stderr)
-        return EXIT_UNDECIDED
+    rep = verify_tiling(body, lat,
+                        **_supplied(args, "samples", "bits", "seed"))
 
     human = [f"tiling: {'PASS' if rep.passed else 'FAIL'} "
              f"({rep.samples} samples, {rep.translates} translates, "
@@ -408,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(path: Optional[str]) -> Dict:
     if not path:
         return {}
-    doc = _load_json(path)
+    with open(path) as fh:  # main's message names the file
+        doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("expected a JSON object")
     return doc
@@ -429,14 +419,23 @@ def main(argv: Optional[List[str]] = None) -> int:
                "walk-stats": cmd_walk_stats}[args.command]
     try:
         return handler(args)
+    except ConstructionError as exc:
+        print(f"certification failed: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except SamplerFailure as exc:
+        print(f"sampler failed: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except (EnumerationCap, PrecisionExhausted) as exc:
+        print(f"cannot decide at these budgets: {exc}", file=sys.stderr)
+        return EXIT_UNDECIDED
     except ConfigError as exc:
         print(f"error: --config {args.config}: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
-    except (serialization.SerializationError, json.JSONDecodeError,
-            Unbounded, EmptyBody, DegenerateBody) as exc:
+    except (serialization.SerializationError, Unbounded, EmptyBody,
+            DegenerateBody) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
     except ValueError as exc:

@@ -396,6 +396,15 @@ def _construct_lattice(lat: Lattice, config: RecursionConfig, depth: int
     return body, [trace]
 
 
+def _within(lo, hi: Fraction, predicted: Interval) -> Optional[bool]:
+    """Whether a value enclosed in [lo(), hi] lies below the enclosure of
+    P(n): True when hi is at most its lower end, False when lo() passes its
+    upper end, and None when the two overlap."""
+    if hi <= predicted.lo:
+        return True
+    return False if lo() > predicted.hi else None
+
+
 def construct(n: int, config: Optional[RecursionConfig] = None
               ) -> ConstructionReport:
     """Build a tiling body for the standard lattice Z^n with certificates."""
@@ -413,19 +422,13 @@ def construct(n: int, config: Optional[RecursionConfig] = None
         return replace(rep, downgrade_reason=str(exc))
     ratio = body.ratio()
     ratio_hi = ratio.interval_with_width(Fraction(1, 10 ** 12)).hi
-    within: Optional[bool]
-    if ratio_hi <= predicted.lo:
-        within = True
-    elif ratio.interval(96).lo > predicted.hi:
-        within = False
-    else:
-        within = None
     return ConstructionReport(
         n=n, kappa=config.kappa, epsilon=config.epsilon, seed=config.seed,
         bound_only=False, levels=tuple(traces),
         ratio_upper=ratio_hi, ratio_exact=ratio,
         predicted=(predicted.lo, predicted.hi),
-        within_predicted=within,
+        within_predicted=_within(lambda: ratio.interval(96).lo, ratio_hi,
+                                 predicted),
         body=body)
 
 
@@ -470,7 +473,7 @@ def construct_bound_only(n: int, config: Optional[RecursionConfig] = None
         bound_only=True, levels=tuple(traces),
         ratio_upper=value, ratio_exact=None,
         predicted=(predicted.lo, predicted.hi),
-        within_predicted=value <= predicted.lo)
+        within_predicted=_within(lambda: value, value, predicted))
 
 
 # --- schedule consistency scan ------------------------------------------------------

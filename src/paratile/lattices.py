@@ -54,12 +54,8 @@ class Lattice:
         return self.basis.t() @ self.basis
 
     def covolume(self) -> SqrtSum:
-        """Volume of a fundamental cell inside the lattice's span."""
-        if self.rank == 0:
-            return SqrtSum.from_rational(1)
-        if self.rank == self.ambient_dim:
-            # det(B^T B) = det(B)^2 for a square basis, without the Gram product
-            return SqrtSum.sqrt(det_q(self.basis) ** 2)
+        """Volume of a fundamental cell inside the lattice's span,
+        sqrt(det(B^T B)) at every rank (an empty Gram matrix has det 1)."""
         return SqrtSum.sqrt(det_q(self.gram()))
 
 

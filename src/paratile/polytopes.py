@@ -3,13 +3,15 @@
 A body is stored as halfspaces over a coordinate chart: points are frame @ y
 with the frame columns spanning the body's subspace, and each halfspace reads
 a . y <= b with a primitive integer normal.  Vertex enumeration is a double
-description sweep started from a certified bounding parallelepiped, so no LP
-solver is involved.  Its predicates are integer and combinatorial: a vertex
-is a primitive integer pair (den, ints), a cut compares integers, and
-adjacency, facets and the faces of a facet follow from exact incidence sets,
-with no rank computation.  A Voronoi cell is its basis slab box cut by its
-facet vectors alone: by Voronoi's theorem they are the lattice vectors v
-whose class v + 2L has +-v as its only shortest vectors, so one short-vector
+description sweep from one parallelepiped |a_i . y| <= w_i, so no LP solver
+is involved.  A body given by halfspaces starts from a box whose walls a
+bounded body never touches (a vertex on a wall proves it unbounded).  The
+sweep's predicates are integer and combinatorial: a vertex is a primitive
+integer pair (den, ints), a cut compares integers, and adjacency, facets
+and the faces of a facet follow from exact incidence sets, with no rank
+computation.  A Voronoi cell is its basis slab box cut by its facet vectors
+alone: by Voronoi's theorem they are the lattice vectors v whose class
+v + 2L has +-v as its only shortest vectors, so one short-vector
 enumeration finds them and no other cut is tried.
 
 Measures come in two parts.  The chart table is metric-free: the body's
@@ -104,11 +106,8 @@ def canonical_halfspaces(raw: Iterable[Tuple[Sequence, Fraction]]
 
 # --- double description sweep --------------------------------------------------
 
-def _homogeneous(coords: Sequence) -> Tuple[int, Tuple[int, ...]]:
-    """(den, ints) with coords = ints / den, den > 0 and gcd(den, ints) = 1."""
-    fr = [Fraction(x) for x in coords]
-    den = denominator_lcm(fr)
-    return den, scaled_to_int(fr, den)
+def _neg(a: Tuple[int, ...]) -> Tuple[int, ...]:
+    return tuple(-x for x in a)
 
 
 class _Sweep:
@@ -117,34 +116,29 @@ class _Sweep:
     A vertex is a primitive homogeneous pair (den, ints), the point ints/den,
     so that pair is also its key; its active set is a bitmask over the
     halfspace list.  Every halfspace on the list is valid for the current
-    body, which makes the incidences exact without any dot product past
-    the seeds.
+    body, which makes the incidences exact without any dot product.
+
+    The sweep starts from the parallelepiped |a_i . y| <= w_i (w_i > 0,
+    independent a_i), with halfspaces a_0, -a_0, a_1, -a_1, ...  Its corner
+    k solves A y = s with s_i = w_i where bit i of k is set and -w_i
+    elsewhere, so it lies on halfspace 2i or 2i + 1 accordingly.
     """
 
-    def __init__(self, dim: int):
-        self.d = dim
-        self.halfspaces: List[Halfspace] = []
-        self.aux: List[bool] = []
+    def __init__(self, normals: Sequence[Tuple[int, ...]],
+                 widths: Sequence[Fraction]):
+        self.d = len(normals)
+        self.halfspaces: List[Halfspace] = [
+            h for a, w in zip(normals, widths) for h in ((a, w), (_neg(a), w))]
+        ainv = inverse(QMatrix(tuple(normals)))
         self.ivecs: List[Tuple[int, Tuple[int, ...]]] = []
         self.active: List[int] = []
-
-    def add_seed_halfspace(self, a: Tuple[int, ...], b: Fraction,
-                           aux: bool = False) -> None:
-        self.halfspaces.append((a, Fraction(b)))
-        self.aux.append(aux)
-
-    def seed_vertex(self, coords: Sequence[Fraction]) -> None:
-        iv = _homogeneous(coords)
-        self.ivecs.append(iv)
-        self.active.append(self._exact_active(iv))
-
-    def _exact_active(self, iv: Tuple[int, Tuple[int, ...]]) -> int:
-        den, x = iv
-        mask = 0
-        for k, (a, b) in enumerate(self.halfspaces):
-            if b.denominator * dot(a, x) == b.numerator * den:
-                mask |= 1 << k
-        return mask
+        for k in range(1 << self.d):
+            s = [w if (k >> i) & 1 else -w for i, w in enumerate(widths)]
+            y = ainv.mul_vec(s)
+            den = denominator_lcm(y)
+            self.ivecs.append((den, scaled_to_int(y, den)))
+            self.active.append(sum(1 << (2 * i + 1 - ((k >> i) & 1))
+                                   for i in range(self.d)))
 
     def insert(self, a: Tuple[int, ...], b: Fraction) -> bool:
         """Cut with a . y <= b.  Returns True when the vertex set changed.
@@ -166,7 +160,6 @@ class _Sweep:
             raise EmptyBody("cut removes every vertex")
         cut = 1 << len(self.halfspaces)
         self.halfspaces.append((a, b))
-        self.aux.append(False)
         active, ivecs = self.active, self.ivecs
         fresh: Dict[Tuple[int, Tuple[int, ...]], int] = {}
         for i in pos:
@@ -191,15 +184,15 @@ class _Sweep:
         return True
 
     def faces(self):
-        """Sorted vertices, and the facet-defining non-auxiliary halfspaces
-        as (a, b, indices of the vertices on a . y = b), sorted.
+        """Sorted vertices, and the facet-defining halfspaces as (a, b,
+        indices of the vertices on a . y = b), sorted.
 
         The active sets are the incidence.  A halfspace defines a facet when
         no other halfspace holds a strictly larger set of vertices: a
         smaller face lies in some facet, and every facet is cut out by a
         halfspace on the list.  A body that is not full-dimensional has an
-        implicit equality, a halfspace on the list that holds every vertex
-        (the walls of the seed box hold none), and raises DegenerateBody.
+        implicit equality, a halfspace on the list that holds every vertex,
+        and raises DegenerateBody.
         """
         verts = [tuple(Fraction(x, den) for x in xs) for den, xs in self.ivecs]
         order = sorted(range(len(verts)), key=verts.__getitem__)
@@ -212,8 +205,6 @@ class _Sweep:
                 touching[k] = touch
         facets = []
         for k, touch in touching.items():
-            if self.aux[k]:
-                continue
             if len(touch) == len(verts):
                 raise DegenerateBody("a halfspace holds every vertex")
             if not any(touch < other for other in touching.values()):
@@ -221,10 +212,6 @@ class _Sweep:
                 facets.append((a, b, touch))
         return (tuple(verts[i] for i in order),
                 tuple(sorted(facets, key=lambda f: (f[0], f[1]))))
-
-
-def _neg(a: Tuple[int, ...]) -> Tuple[int, ...]:
-    return tuple(-x for x in a)
 
 
 def _parallelepiped_chart(pairs, det_a: int) -> _Chart:
@@ -267,7 +254,9 @@ def _sweep_from_halfspaces(dim: int, halfspaces: Sequence[Halfspace]) -> _Sweep:
     Every vertex of a bounded intersection solves a nonsingular integer
     d x d subsystem, so Cramer plus Hadamard bounds each coordinate by the
     product of the d largest augmented row norms.  A final vertex on the
-    (strictly larger) wall therefore witnesses a recession direction.
+    (strictly larger) wall therefore witnesses a recession direction, and
+    the walls of a bounded body touch no vertex, so ``faces`` never counts
+    them as facets.
     """
     if len(halfspaces) < dim:
         raise Unbounded("fewer halfspaces than dimensions")
@@ -278,14 +267,7 @@ def _sweep_from_halfspaces(dim: int, halfspaces: Sequence[Halfspace]) -> _Sweep:
     for x in row_bounds[:dim]:
         m *= max(x, Fraction(1))
     w = math.floor(m) + 1
-    sweep = _Sweep(dim)
-    for i in range(dim):
-        for sign in (1, -1):
-            a = tuple(sign if j == i else 0 for j in range(dim))
-            sweep.add_seed_halfspace(a, Fraction(w), aux=True)
-    for signs in range(1 << dim):
-        coords = [Fraction(w if (signs >> i) & 1 else -w) for i in range(dim)]
-        sweep.seed_vertex(coords)
+    sweep = _Sweep(identity_rows(dim), [Fraction(w)] * dim)
     for a, b in halfspaces:
         sweep.insert(a, b)
     for den, x in sweep.ivecs:
@@ -553,15 +535,9 @@ def voronoi_cell(lat: Lattice, node_cap: int = 10 ** 7) -> HPolytope:
     ginv = inverse(g)
     g_int, g_den = QMatrix(g.num), g.den
     diag = [Fraction(g.num[i][i], g.den) for i in range(d)]
-    sweep = _Sweep(d)
-    for i in range(d):
-        a, gamma = primitive_normal(g.col(i))
-        b = diag[i] / (2 * gamma)
-        sweep.add_seed_halfspace(a, b)
-        sweep.add_seed_halfspace(_neg(a), b)
-    for signs in range(1 << d):
-        sweep.seed_vertex(ginv.mul_vec(
-            [x / (2 if (signs >> i) & 1 else -2) for i, x in enumerate(diag)]))
+    seeds = [primitive_normal(g.col(i)) for i in range(d)]
+    sweep = _Sweep([a for a, _ in seeds],
+                   [x / (2 * gamma) for x, (_, gamma) in zip(diag, seeds)])
 
     least: Dict[Tuple[int, ...], int] = {}
     for x in itertools.product((-1, 0, 1), repeat=d):

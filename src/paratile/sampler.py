@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .intervals import enclose, iroot_floor, root_interval, sqrt_upper
+from .intervals import enclose, iroot_floor, sqrt_upper
 from .linalg import QMatrix
 
 
@@ -85,23 +85,18 @@ def choose_d(epsilon: Union[int, Fraction]) -> int:
         raise ValueError("epsilon must be in (0, 2]")
     return 2 + math.floor(2 / eps)
 
-def default_c(d_max: int = 16) -> Fraction:
+def default_c() -> Fraction:
     """A certified admissible collision constant.
 
     The sparsity bound needs c below (1/(7 e d))^(2/(d-2)) for the column
-    weight in use; the value returned is a rational lower bound for the
-    minimum of that expression over 3 <= d <= d_max, shaved by 2^-12.
+    weight in use, that is exp(-2 f(d)) with f(d) = ln(7 e d) / (d - 2).
+    f falls for d >= 3, since the numerator of its derivative,
+    (d - 2) / d - ln(7 e d), is negative (ln 57 > 1).  So the bound is least
+    at d = 3, where it is (1/(21 e))^2; the value returned is that square
+    with e rounded up, shaved by 2^-12.
     """
-    if d_max < 3:
-        raise ValueError("d_max must be at least 3")
     e_hi = enclose(128, lambda iv: iv.exp(1)).hi
-    best: Optional[Fraction] = None
-    for d in range(3, d_max + 1):
-        x_lo = Fraction(1) / (7 * d * e_hi)  # lower bound of 1/(7 e d)
-        lo = root_interval(x_lo * x_lo, d - 2, bits=128).lo
-        if best is None or lo < best:
-            best = lo
-    return best * (Fraction(1) - Fraction(1, 4096))
+    return (1 / (21 * e_hi)) ** 2 * (1 - Fraction(1, 4096))
 
 
 def admissible_s(m: int, n: int, d: int, c: Fraction) -> int:

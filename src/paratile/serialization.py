@@ -299,12 +299,20 @@ def fixture_to_json(name: str, body: HPolytope, lat: Lattice,
 
 
 def fixture_from_json(obj: Dict) -> Dict:
+    """A fixture's fields; a fault in its body or lattice is reported with
+    the name of that nested document."""
     validate_document("fixture", obj)
+    nested = {}
+    for key, read in (("body", polytope_from_json),
+                      ("lattice", lattice_from_json)):
+        try:
+            nested[key] = read(obj[key])
+        except SerializationError as exc:
+            raise SerializationError(f"{key}: {exc}") from exc
     return {
         "name": obj["name"],
         "description": obj.get("description", ""),
-        "body": polytope_from_json(obj["body"]),
-        "lattice": lattice_from_json(obj["lattice"]),
+        **nested,
         "expected_ratio": sqrtsum_from_json(obj["expected_ratio"])
         if obj.get("expected_ratio") else None,
         "ratio_parts": [sqrtsum_from_json(p) for p in obj["ratio_parts"]]

@@ -6,6 +6,7 @@ import pytest
 
 from paratile import cli
 from paratile.cli import main
+from paratile.intervals import PrecisionExhausted
 from paratile.linalg import QMatrix
 from paratile.polytopes import HPolytope
 from paratile.lattices import Lattice
@@ -367,6 +368,21 @@ def test_construct_rejects_bad_dimension(capsys):
     assert "invalid parameters" in capsys.readouterr().err
 
 
+def test_construct_maps_a_budget_failure_while_reporting_to_exit_2(
+        monkeypatch, capsys):
+    # the report's enclosures are computed after the construction itself;
+    # main maps their failure like any other
+    def exhausted(*args, **kwargs):
+        raise PrecisionExhausted("report enclosure")
+
+    monkeypatch.setattr(cli.serialization, "construction_report_to_json",
+                        exhausted)
+    assert main(["construct", "--n", "3"]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == "cannot decide at these budgets: report enclosure\n"
+
+
 # --- verify -----------------------------------------------------------------
 
 
@@ -487,7 +503,7 @@ def test_verify_refuses_a_fixture_basis_column_shorter_than_the_dimension(
     cap = capsys.readouterr()
     assert cap.out == ""
     assert cap.err == \
-        "bad input: basis column length does not match dimension\n"
+        "bad input: body: basis column length does not match dimension\n"
 
 
 SQUARE_BODY = {"ambient_dim": 2, "subspace_basis": None, "halfspaces": SQUARE}
@@ -515,27 +531,32 @@ def test_verify_reports_a_malformed_document_as_bad_input(
     assert cap.err == f"bad input: {message}\n"
 
 
-@pytest.mark.parametrize("edit", [
-    lambda doc: doc["body"].pop("halfspaces"),
-    lambda doc: doc["lattice"]["basis_cols"][0].__setitem__(0, 5),
-    lambda doc: doc["expected_ratio"]["terms"][0].__setitem__("coeff", 5),
-    lambda doc: doc.__setitem__("ratio_parts", [{}]),
-    lambda doc: doc["lattice"].pop("basis_cols"),
-    lambda doc: doc["expected_ratio"]["terms"][0].__setitem__("radicand",
-                                                              "-2"),
+@pytest.mark.parametrize("edit, where", [
+    (lambda doc: doc["body"].pop("halfspaces"), "body: "),
+    (lambda doc: doc["lattice"]["basis_cols"][0].__setitem__(0, 5),
+     "lattice: "),
+    (lambda doc: doc["expected_ratio"]["terms"][0].__setitem__("coeff", 5),
+     "fixture document invalid: "),
+    (lambda doc: doc.__setitem__("ratio_parts", [{}]),
+     "fixture document invalid: "),
+    (lambda doc: doc["lattice"].pop("basis_cols"), "lattice: "),
+    (lambda doc: doc["expected_ratio"]["terms"][0].__setitem__("radicand",
+                                                               "-2"),
+     "fixture document invalid: "),
 ], ids=["no-halfspaces", "number-in-basis", "number-coeff", "empty-part",
         "no-basis-cols", "negative-radicand"])
 def test_verify_reports_a_malformed_nested_document_as_bad_input(
-        tmp_path, capsys, edit):
+        tmp_path, capsys, edit, where):
     # each reader validates its own document, so a fault inside the body,
-    # the lattice or a radical sum exits 2, never 1 with a traceback
+    # the lattice or a radical sum exits 2, never 1 with a traceback, and
+    # the message names the nested document the fault is in
     doc = json.loads((FIXTURE_DIR / "cube3.json").read_text())
     edit(doc)
     fx = write_json(tmp_path / "fixture.json", doc)
     assert main(["verify", "--fixture", fx, "--samples", "100"]) == 2
     cap = capsys.readouterr()
     assert cap.out == ""
-    assert cap.err.startswith("bad input: ")
+    assert cap.err.startswith("bad input: " + where)
     assert "Traceback" not in cap.err
 
 
@@ -550,6 +571,17 @@ def test_malformed_json_text_is_bad_input(tmp_path, capsys, argv):
     cap = capsys.readouterr()
     assert cap.out == ""
     assert cap.err.startswith("bad input: Expecting property name")
+
+
+def test_malformed_json_text_names_its_file(tmp_path, capsys):
+    body = write_json(tmp_path / "body.json", SQUARE_BODY)
+    lat = tmp_path / "lat.json"
+    lat.write_text(dump_json(Z2)[:20])
+    assert main(["verify", "--body", body, "--lattice", str(lat)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad input: ")
+    assert err.endswith(f" in {lat}\n")
+    assert body not in err
 
 
 # --- sample-matrix ------------------------------------------------------------

@@ -441,6 +441,18 @@ def test_bound_only_at_a_million():
     assert rep.within_predicted is True
 
 
+def test_bound_only_leaves_a_value_inside_the_prediction_undecided(
+        monkeypatch):
+    # the value 2n lies inside this enclosure of P(n), so neither "within"
+    # nor "beyond" is certain; geometric mode says None there too
+    monkeypatch.setattr(construction, "predicted_bound_interval",
+                        lambda n, kappa: intervals.Interval(2 * n - 1,
+                                                            2 * n + 1))
+    rep = construct_bound_only(4)
+    assert rep.ratio_upper == 8
+    assert rep.within_predicted is None
+
+
 @pytest.mark.parametrize("exponent, s", [
     (3, None), (6, None), (9, None), (12, None), (14, None), (15, 2)])
 def test_bound_chain_steps_where_the_schedule_admits_s(exponent, s):

@@ -67,8 +67,9 @@ square_bases = st.integers(min_value=1, max_value=4).flatmap(
 def test_covolume_square_path_matches_gram_path(cols):
     if det_q(QMatrix.from_rows(cols)) == 0:
         return
+    # covolume takes sqrt(det(B^T B)); a square basis also has |det B|
     lat = Lattice.from_columns(cols)
-    assert lat.covolume() == SqrtSum.sqrt(det_q(lat.gram()))
+    assert lat.covolume() == SqrtSum.from_rational(abs(det_q(lat.basis)))
 
 
 def test_covolume_of_a_plane_lattice_in_space():

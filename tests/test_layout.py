@@ -11,7 +11,9 @@ the one bridge to mpmath: no other module of the package imports it.  No
 module builds ``QMatrix.identity(n)`` only to compare a matrix with it, since
 ``QMatrix.is_identity`` reads that off the rows.  Every module is one of the
 layers the benchmark's tracer files its spans under.  Every reader of a
-document kind that has a schema validates its document itself.
+document kind that has a schema validates its document itself.  The CLI maps
+failures to exit codes in one table, in ``main``: no command handler
+catches an exception itself.
 """
 
 import ast
@@ -260,3 +262,14 @@ def test_every_reader_of_a_schema_kind_validates_its_document():
                             and node.args[0].value == kind
                             for node in ast.walk(fn))]
     assert not unchecked, f"readers that do not validate: {unchecked}"
+
+
+def test_no_command_handler_catches_an_exception():
+    # every failure reaches main's one table of exit codes and messages
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    catching = [node.name for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("cmd_")
+                and any(isinstance(inner, ast.Try)
+                        for inner in ast.walk(node))]
+    assert not catching, f"handlers with a try: {catching}"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paratile.intervals import enclose, root_interval
 from paratile.linalg import QMatrix
 from paratile.sampler import (LdpcParams, SamplerFailure, admissible_s,
                               choose_d, default_c, expected_collisions,
@@ -96,11 +97,19 @@ def test_default_c_strictly_below_infimum():
     assert c < Fraction(1, 57) ** 2
     # squeezing harder: c stays below the exact d=3 value via e < 2.7182819
     assert c * (21 * Fraction(27182819, 10 ** 7)) ** 2 < 1
-    assert default_c(32) <= default_c(3)
     # e enters as the upper end of a 128-bit enclosure; c is pinned exactly
     assert c == Fraction(
         5742252960529749071145716877414485176439322664845761613895220154201014272,
         18716124069713729249256993489173902865546187599495399274393745496095754329515)
+
+
+def test_default_c_is_the_least_term_over_the_column_weights():
+    # the bound (1/(7 e d))^(2/(d-2)) is least at d = 3: the minimum over
+    # 3 <= d <= 32 of its 128-bit lower ends, shaved by 2^-12, is default_c
+    e_hi = enclose(128, lambda iv: iv.exp(1)).hi
+    least = min(root_interval((1 / (7 * d * e_hi)) ** 2, d - 2, bits=128).lo
+                for d in range(3, 33))
+    assert default_c() == least * (1 - Fraction(1, 4096))
 
 
 def test_admissible_s_formula():
