@@ -343,9 +343,11 @@ class _Invalid(Exception):
     from the failing node up to the root, appended as the error propagates,
     so a valid document builds no path at all."""
 
-    def __init__(self, message: str) -> None:
+    def __init__(self, message: str, wrong_type: bool = False) -> None:
         super().__init__(message)
         self.path: List[Union[str, int]] = []
+        # raised by a ``type`` keyword: the node refuses the instance's type
+        self.wrong_type = wrong_type
 
 
 def _is_number(x) -> bool:
@@ -379,7 +381,7 @@ def _kw_type(names, schema, sub):
         for test in tests:
             if test(x):
                 return
-        raise _Invalid(f"{x!r} is not of type {shown}")
+        raise _Invalid(f"{x!r} is not of type {shown}", wrong_type=True)
     return check
 
 
@@ -505,12 +507,20 @@ def _kw_any_of(branches, schema, sub):
     subs = tuple(sub(s) for s in branches)
 
     def check(x):
+        errors = []
         for validate in subs:
             try:
                 validate(x)
                 return
-            except _Invalid:
-                pass
+            except _Invalid as exc:
+                # without its traceback, which holds this frame and so
+                # would make a cycle through this list
+                errors.append(exc.with_traceback(None))
+        # as jsonschema.best_match: when one branch alone takes the
+        # instance's type and breaks below its root, its error names the leaf
+        typed = [exc for exc in errors if exc.path or not exc.wrong_type]
+        if len(typed) == 1 and typed[0].path:
+            raise typed[0]
         raise _Invalid(f"{x!r} is not valid under any of the given schemas")
     return check
 

@@ -11,9 +11,16 @@ The sample numerators are the stream of ``randrange(2**bits)`` calls on
 ``random.Random(f"tiling:{seed}")``, drawn in bulk: one ``getrandbits`` call
 yields the same Mersenne Twister words that the per-coordinate calls would
 consume, and CPython's rejection rule is replayed on them with numpy, so the
-samples and hence the report bytes are those of the per-call loop.  The count
-keeps the scores row-major, one contiguous row of all samples per halfspace,
-and builds each translate's closed and open masks one row at a time.
+samples and hence the report bytes are those of the per-call loop.  Samples
+are drawn and counted in blocks of ``_DRAW_CHUNK`` points, so the audit's
+memory is bounded by a block, not by the sample count.
+
+A halfspace row's offset repeats across translates, so the count compares
+each row's scores once per distinct offset and packs the closed and open
+masks into uint64 words, one bit per sample.  A translate's masks are the
+and of its rows' packed masks, and bit-sliced counters over all translates
+give the overlaps (strictly inside at least twice), the gaps (inside no
+closed translate) and the boundary hits.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -87,52 +94,51 @@ def _candidate_translates(body: HPolytope, lat: Lattice
     return [coords for coords, _ in found]
 
 
-def _membership_inputs(body: HPolytope, lat: Lattice, samples: int, bits: int,
-                       seed: int) -> Tuple[np.ndarray, List[List[int]],
-                                           List[List[int]]]:
-    """Sample numerators ks (samples x rank), integer rows u, and
-    per-translate offsets."""
+def _membership_system(body: HPolytope, lat: Lattice, bits: int
+                       ) -> Tuple[List[List[int]], List[List[int]]]:
+    """Integer rows u and, per candidate translate c, the offsets
+    (r + u . c) * 2^bits of its rows."""
     rows, rhs = _integerized_system(body, lat, bits)
     scale = 1 << bits
-    # offset per (row, translate): r * 2^bits + 2^bits * u . c
     offsets = [[(rhs[r] + dot(rows[r], c)) * scale
                 for r in range(len(rows))]
                for c in _candidate_translates(body, lat)]
-    rank = lat.rank
-    rng = random.Random(f"tiling:{seed}")
-    ks = _dyadic_numerators(rng, samples * rank, bits).reshape(samples, rank)
-    return ks, rows, offsets
+    return rows, offsets
 
 
-# candidates decoded per refill of the dyadic stream; bounds the size of the
-# integer that one getrandbits call builds
+# candidates decoded per refill of the dyadic stream, which bounds the size of
+# the integer that one getrandbits call builds, and samples counted per block,
+# which bounds the audit's memory whatever the sample count
 _DRAW_CHUNK = 1 << 16
 
 
-def _dyadic_numerators(rng: random.Random, count: int, bits: int
-                       ) -> np.ndarray:
-    """The next count values of rng.randrange(2**bits), bit for bit.
+def _sample_blocks(rng: random.Random, samples: int, rank: int, bits: int
+                   ) -> Iterator[np.ndarray]:
+    """The numerators of the next samples points, in blocks of _DRAW_CHUNK
+    rows of rank coordinates (the last block may be shorter).
 
-    CPython's randrange(2**bits) calls getrandbits(bits + 1) and rejects any
-    value >= 2**bits.  getrandbits(k) takes ceil(k/32) 32-bit Mersenne
-    Twister words, least significant first, and shifts the last one right by
-    32*ceil(k/32) - k.  getrandbits of a multiple of 32 bits returns the raw
-    words in the same order, so one bulk draw, cut into ceil(k/32)-word
-    candidates, replays the per-call stream.  Words drawn past the last
-    accepted value are simply not used.  The result is int64 while every
-    candidate fits (bits + 1 <= 63) and exact Python integers (object dtype)
-    above that.
+    Coordinate j of the stream is the j-th call of rng.randrange(2**bits), bit
+    for bit.  CPython's randrange(2**bits) calls getrandbits(bits + 1) and
+    rejects any value >= 2**bits.  getrandbits(k) takes ceil(k/32) 32-bit
+    Mersenne Twister words, least significant first, and shifts the last one
+    right by 32*ceil(k/32) - k.  getrandbits of a multiple of 32 bits returns
+    the raw words in the same order, so bulk draws, cut into ceil(k/32)-word
+    candidates, replay the per-call stream.  Accepted values a block does not
+    use are carried into the next one, and words drawn past the last value
+    needed are simply not used.  The blocks are int64 while every candidate
+    fits (bits + 1 <= 63) and exact Python integers (object dtype) above that.
     """
     k = bits + 1
     words = -(-k // 32)
     shift = 32 * words - k
     dtype = np.int64 if k <= 63 else object
     bound = 1 << bits
-    kept: List[np.ndarray] = []
-    have = 0
-    while have < count:
+    count = samples * rank
+    block = np.empty(min(_DRAW_CHUNK * rank, count), dtype=dtype)
+    filled = done = drawn = 0
+    while drawn < count:
         # about half of the candidates are rejected
-        draws = min(2 * (count - have) + 64, _DRAW_CHUNK)
+        draws = min(2 * (count - drawn) + 64, _DRAW_CHUNK)
         raw = np.frombuffer(
             rng.getrandbits(32 * words * draws).to_bytes(4 * words * draws,
                                                           "little"),
@@ -141,10 +147,37 @@ def _dyadic_numerators(rng: random.Random, count: int, bits: int
         cand = limbs[:, -1] >> shift
         for i in range(words - 2, -1, -1):
             cand = (cand << 32) | limbs[:, i]
-        cand = cand[cand < bound]
-        kept.append(cand)
-        have += len(cand)
-    return np.concatenate(kept)[:count]
+        cand = cand[cand < bound][:count - drawn]
+        drawn += len(cand)
+        while len(cand):
+            take = cand[:len(block) - filled]
+            block[filled:filled + len(take)] = take
+            filled += len(take)
+            cand = cand[len(take):]
+            if filled == len(block):
+                yield block.reshape(-1, rank)
+                done += filled
+                block = np.empty(min(len(block), count - done), dtype=dtype)
+                filled = 0
+
+
+_BYTE_POPCOUNT = np.array([bin(i).count("1") for i in range(256)],
+                          dtype=np.uint8)
+
+
+def _popcount(words: np.ndarray) -> int:
+    """Number of set bits in an array of uint64 words, read byte by byte
+    from a table (numpy's bitwise_count needs numpy 2).  Only the nonzero
+    words are looked up: boundary hits are rare at more than a few bits."""
+    return int(_BYTE_POPCOUNT[words[words != 0].view(np.uint8)].sum())
+
+
+def _pack(masks: np.ndarray) -> np.ndarray:
+    """Boolean masks (..., S) as little-endian uint64 words (..., ceil(S/64)):
+    sample i is bit i % 64 of word i // 64, and the pad bits are zero."""
+    packed = np.packbits(masks, axis=-1, bitorder="little")
+    pad = [(0, 0)] * (packed.ndim - 1) + [(0, -packed.shape[-1] % 8)]
+    return np.pad(packed, pad).view("<u8")
 
 
 def _count_membership(ks: np.ndarray, rows: Sequence[Sequence[int]],
@@ -155,30 +188,48 @@ def _count_membership(ks: np.ndarray, rows: Sequence[Sequence[int]],
     Sample k lies in the closed translate with offsets off iff every score
     u . k is <= off[row], and in its interior iff every score is < off[row].
     dtype is np.int64 when no score or offset can overflow it, and object
-    (exact Python integers) otherwise.  Scores are kept row-major (one
-    contiguous row of all samples per halfspace), and each translate's masks
-    are and-ed together one halfspace row at a time.
+    (exact Python integers) otherwise.  A row's offset repeats across
+    translates, so each row is compared once per distinct offset, giving one
+    closed and one open mask packed into uint64 words, one bit per sample.
+    A translate's masks are the and of its rows' packed masks.  Bit-sliced
+    counters then take every translate at once: the or of the closed masks
+    (a sample outside it is a gap), and of the open masks the or ("at least
+    once") and the or of each one and-ed with the or of those before it
+    ("at least twice", an overlap).  Boundary hits are the set bits of each
+    translate's closed and not open mask.  Witnesses are the first
+    _MAX_WITNESSES overlaps or gaps, in sample order.
     """
     ks = np.asarray(ks, dtype=dtype)
-    scores_t = np.array(rows, dtype=dtype) @ ks.T
-    open_count = np.zeros(len(ks), dtype=np.int32)
-    closed_count = np.zeros(len(ks), dtype=np.int32)
-    boundary = 0
-    for off in offsets:
-        closed_here = scores_t[0] <= off[0]
-        open_here = scores_t[0] < off[0]
-        for row, o in zip(scores_t[1:], off[1:]):
-            closed_here &= row <= o
-            open_here &= row < o
-        closed_count += closed_here
-        open_count += open_here
-        boundary += int(np.count_nonzero(closed_here & ~open_here))
-    overlap_mask = open_count >= 2
-    gap_mask = closed_count == 0
-    bad = np.nonzero(overlap_mask | gap_mask)[0][:_MAX_WITNESSES]
-    return (int(np.count_nonzero(overlap_mask)),
-            int(np.count_nonzero(gap_mask)), boundary,
-            tuple(tuple(int(x) for x in ks[i]) for i in bad))
+    distinct = [sorted({off[r] for off in offsets}) for r in range(len(rows))]
+    width = -(-len(ks) // 64)
+    closed = np.empty((sum(map(len, distinct)), width), dtype="<u8")
+    opened = np.empty_like(closed)
+    position: Dict[Tuple[int, int], int] = {}
+    for r, (row, values) in enumerate(zip(rows, distinct)):
+        at = len(position)
+        position.update(((r, o), at + i) for i, o in enumerate(values))
+        score = np.array(row, dtype=dtype) @ ks.T
+        bounds = np.array(values, dtype=dtype)[:, None]
+        closed[at:len(position)] = _pack(score <= bounds)
+        opened[at:len(position)] = _pack(score < bounds)
+    index = np.array([[position[key] for key in enumerate(off)]
+                      for off in offsets], dtype=np.intp
+                     ).reshape(len(offsets), len(rows))
+    closed_t = closed[index[:, 0]]
+    open_t = opened[index[:, 0]]
+    for r in range(1, len(rows)):
+        closed_t &= closed[index[:, r]]
+        open_t &= opened[index[:, r]]
+    boundary = _popcount(closed_t & ~open_t)
+    seen = np.bitwise_or.reduce(closed_t, axis=0)
+    once = np.bitwise_or.accumulate(open_t, axis=0)
+    twice = np.bitwise_or.reduce(open_t[1:] & once[:-1], axis=0)
+    gaps = ~seen & _pack(np.ones(len(ks), dtype=bool))
+    bad = np.flatnonzero(np.unpackbits((twice | gaps).view(np.uint8),
+                                       count=len(ks), bitorder="little"))
+    return (_popcount(twice), _popcount(gaps), boundary,
+            tuple(tuple(int(x) for x in ks[i])
+                  for i in bad[:_MAX_WITNESSES]))
 
 
 def verify_tiling(body: HPolytope, lat: Lattice, samples: int = 100000,
@@ -198,16 +249,24 @@ def verify_tiling(body: HPolytope, lat: Lattice, samples: int = 100000,
             lat.ambient_dim != n:
         raise ValueError("tiling check needs a full-dimensional body")
     volume_equal = body.volume() == lat.covolume()
-    ks, rows, offsets = _membership_inputs(body, lat, samples, bits, seed)
+    rows, offsets = _membership_system(body, lat, bits)
     scale = 1 << bits
     max_abs_score = max(
         (sum(abs(x) for x in row) * (scale - 1) for row in rows), default=0)
     max_abs_off = max((abs(o) for row in offsets for o in row), default=0)
     engine = "int64" if max(max_abs_score, max_abs_off) < 2 ** 62 else "bigint"
-    overlap, gap, boundary, witnesses = _count_membership(
-        ks, rows, offsets, np.int64 if engine == "int64" else object)
+    dtype = np.int64 if engine == "int64" else object
+    overlap = gap = boundary = 0
+    witnesses: List[Tuple[int, ...]] = []
+    for ks in _sample_blocks(random.Random(f"tiling:{seed}"), samples, n,
+                             bits):
+        o, g, b, w = _count_membership(ks, rows, offsets, dtype)
+        overlap += o
+        gap += g
+        boundary += b
+        witnesses += w
     return TilingReport(
         samples=samples, translates=len(offsets),
         volume_equal=volume_equal, overlap_violations=overlap,
         gap_violations=gap, boundary_hits=boundary, engine=engine,
-        seed=seed, witnesses=witnesses)
+        seed=seed, witnesses=tuple(witnesses[:_MAX_WITNESSES]))

@@ -536,20 +536,23 @@ def test_verify_reports_a_malformed_document_as_bad_input(
     (lambda doc: doc["lattice"]["basis_cols"][0].__setitem__(0, 5),
      "lattice: "),
     (lambda doc: doc["expected_ratio"]["terms"][0].__setitem__("coeff", 5),
-     "fixture document invalid: "),
+     "fixture document invalid: 5 is not of type 'string' at "
+     "expected_ratio.terms[0].coeff\n"),
     (lambda doc: doc.__setitem__("ratio_parts", [{}]),
      "fixture document invalid: "),
     (lambda doc: doc["lattice"].pop("basis_cols"), "lattice: "),
     (lambda doc: doc["expected_ratio"]["terms"][0].__setitem__("radicand",
                                                                "-2"),
-     "fixture document invalid: "),
+     "fixture document invalid: '-2' does not match "
+     "'^[0-9]+(/[1-9][0-9]*)?$' at expected_ratio.terms[0].radicand\n"),
 ], ids=["no-halfspaces", "number-in-basis", "number-coeff", "empty-part",
         "no-basis-cols", "negative-radicand"])
 def test_verify_reports_a_malformed_nested_document_as_bad_input(
         tmp_path, capsys, edit, where):
     # each reader validates its own document, so a fault inside the body,
     # the lattice or a radical sum exits 2, never 1 with a traceback, and
-    # the message names the nested document the fault is in
+    # the message names the nested document the fault is in; a fault inside
+    # the expected ratio's anyOf is named at its leaf
     doc = json.loads((FIXTURE_DIR / "cube3.json").read_text())
     edit(doc)
     fx = write_json(tmp_path / "fixture.json", doc)

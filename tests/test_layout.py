@@ -13,11 +13,13 @@ module builds ``QMatrix.identity(n)`` only to compare a matrix with it, since
 layers the benchmark's tracer files its spans under.  Every reader of a
 document kind that has a schema validates its document itself.  The CLI maps
 failures to exit codes in one table, in ``main``: no command handler
-catches an exception itself.
+catches an exception itself.  And the package calls no numpy function newer
+than the numpy floor that ``pyproject.toml`` declares.
 """
 
 import ast
 import pathlib
+import re
 
 import paratile
 from paratile import serialization
@@ -273,3 +275,17 @@ def test_no_command_handler_catches_an_exception():
                 and any(isinstance(inner, ast.Try)
                         for inner in ast.walk(node))]
     assert not catching, f"handlers with a try: {catching}"
+
+
+def test_no_numpy_function_is_newer_than_the_declared_floor():
+    # np.bitwise_count arrived in numpy 2.0; below that floor verify counts
+    # bits with a byte table
+    found = re.search(r'"numpy>=([0-9]+)\.([0-9]+)',
+                      (ROOT / "pyproject.toml").read_text())
+    assert found, "pyproject.toml declares no numpy floor"
+    floor = (int(found[1]), int(found[2]))
+    users = sorted(path.stem for path in PACKAGE.glob("*.py")
+                   if any(name == "bitwise_count" for name, _ in
+                          _references(ast.parse(path.read_text()))))
+    assert floor >= (2, 0) or not users, \
+        f"bitwise_count needs numpy 2.0, the floor is {floor}: {users}"
