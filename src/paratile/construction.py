@@ -113,6 +113,9 @@ class ConstructionReport:
     within_predicted: Optional[bool]
     body: Optional[HPolytope] = None       # tiles Z^n; None in bound-only mode
     downgrade_reason: Optional[str] = None  # set when geometry hit the cap
+    # geometric mode: the lower end of the width-10^-12 enclosure of
+    # ratio_exact whose upper end is ratio_upper
+    ratio_lower: Optional[Fraction] = None
 
     @property
     def trivial_bound(self) -> int:
@@ -128,11 +131,11 @@ def _growth_exponent(iv, n: int, kappa: int):
     return iv.sqrt(2 * iv.log(n) * iv.log(2 * kappa))
 
 
-def predicted_bound_interval(n: int, kappa: int, prec: int = 96) -> Interval:
-    """Enclosure of 4 kappa sqrt(n) exp(sqrt(2 ln n ln 2 kappa))."""
+def predicted_bound_interval(n: int, kappa: int) -> Interval:
+    """Enclosure of 4 kappa sqrt(n) exp(sqrt(2 ln n ln 2 kappa)) at 96 bits."""
     if n < 1 or kappa < 1:
         raise ValueError("need n >= 1, kappa >= 1")
-    return enclose(prec, lambda iv: 4 * kappa * iv.sqrt(n)
+    return enclose(96, lambda iv: 4 * kappa * iv.sqrt(n)
                    * iv.exp(_growth_exponent(iv, n, kappa)))
 
 
@@ -224,9 +227,9 @@ def _schedule_step(n: int, config: RecursionConfig, depth: int
 
 # --- isoperimetric context --------------------------------------------------------
 
-def isoperimetric_ratio_lower(n: int, prec: int = 96) -> Interval:
-    """Enclosure of n omega_n^(1/n), a lower bound on the ratio of any tile
-    of Z^n.
+def isoperimetric_ratio_lower(n: int) -> Interval:
+    """Enclosure of n omega_n^(1/n) at 96 bits, a lower bound on the ratio
+    of any tile of Z^n.
 
     Surface >= n omega_n^(1/n) vol^((n-1)/n) for every convex body, and a
     body tiling Z^n has volume 1.  The unit-ball volume omega_n follows the
@@ -241,7 +244,7 @@ def isoperimetric_ratio_lower(n: int, prec: int = 96) -> Interval:
             omega = omega * 2 * iv.pi / k
         return n * iv.exp(iv.log(omega) / n)
 
-    return enclose(prec, formula)
+    return enclose(96, formula)
 
 
 # --- level builders ---------------------------------------------------------------
@@ -301,14 +304,16 @@ def inductive_level(lat: Lattice, a_matrix: QMatrix, s: int,
         raise ValueError(f"shape mismatch {a_matrix.ncols} vs {n}")
     checks: List[Tuple[str, bool]] = []
 
+    # the completion keeps A's row count, so the cap is decided before any
+    # n x n work
+    m = a_matrix.nrows
+    if m < n and n - m > config.dim_cap:
+        raise DimCapExceeded(
+            f"kernel rank {n - m} exceeds dim cap {config.dim_cap}")
     # full-rank repair; keeps kernels (hence independence levels) intact
     completion = complete_to_full_rank(
         a_matrix, operator_norm_upper(a_matrix, refine_steps=3))
     b = completion.matrix
-    m = b.nrows
-    if m < n and n - m > config.dim_cap:
-        raise DimCapExceeded(
-            f"kernel rank {n - m} exceeds dim cap {config.dim_cap}")
     # one Hermite form gives both lattices, and B's rank as the image's
     kernel, inner_lat = kernel_and_image(lat, b)
     checks.append(("full_rank", inner_lat.rank == m))
@@ -421,15 +426,15 @@ def construct(n: int, config: Optional[RecursionConfig] = None
         rep = construct_bound_only(n, config)
         return replace(rep, downgrade_reason=str(exc))
     ratio = body.ratio()
-    ratio_hi = ratio.interval_with_width(Fraction(1, 10 ** 12)).hi
+    enclosure = ratio.interval_with_width(Fraction(1, 10 ** 12))
     return ConstructionReport(
         n=n, kappa=config.kappa, epsilon=config.epsilon, seed=config.seed,
         bound_only=False, levels=tuple(traces),
-        ratio_upper=ratio_hi, ratio_exact=ratio,
+        ratio_upper=enclosure.hi, ratio_exact=ratio,
         predicted=(predicted.lo, predicted.hi),
-        within_predicted=_within(lambda: ratio.interval(96).lo, ratio_hi,
-                                 predicted),
-        body=body)
+        within_predicted=_within(lambda: ratio.interval(96).lo,
+                                 enclosure.hi, predicted),
+        body=body, ratio_lower=enclosure.lo)
 
 
 # --- bound-only mode --------------------------------------------------------------

@@ -3,8 +3,9 @@
 Endpoints are ``fractions.Fraction``, so sums and products of intervals are
 exact and no rounding-direction bookkeeping is needed.  Irrational values
 enter only through enclosures that take an explicit precision in bits.  Roots
-of rationals are built from integer roots, whose endpoints print into the
-ratio enclosures.  Every formula with a log, exp, pi or e is evaluated whole
+of rationals are built from integer roots, found by Newton's iteration from
+a power of two above the root, and their endpoints print into the ratio
+enclosures.  Every formula with a log, exp, pi or e is evaluated whole
 by ``enclose`` in mpmath's outward-rounding interval context and converted
 once; its binary endpoints convert to Fraction losslessly.
 
@@ -44,7 +45,7 @@ def iroot_floor(n: int, k: int) -> int:
         return math.isqrt(n)
     # Newton iteration on integers; it descends to the floor root from any
     # start at or above it, so the start only decides the number of steps.
-    r = _iroot_start(n, k)
+    r = 1 << (n.bit_length() // k + 1)
     while True:
         nr = ((k - 1) * r + n // r ** (k - 1)) // k
         if nr >= r:
@@ -55,23 +56,6 @@ def iroot_floor(n: int, k: int) -> int:
     while (r + 1) ** k <= n:
         r += 1
     return r
-
-
-def _iroot_start(n: int, k: int) -> int:
-    """An integer above n**(1/k), by a relative 2**-40 or so when k <= 512.
-
-    A 53-bit float root of the leading bits, pushed up past its rounding
-    error, starts Newton in the quadratic regime.  When that estimate is not
-    provably high (or k is too large for a float), fall back to a power of 2.
-    """
-    if k <= 512:
-        shift = max(0, (n.bit_length() - 64) // k) * k
-        est = float(n >> shift) ** (1.0 / k)
-        r = (int(math.ldexp(est, 53)) << (shift // k)) >> 53
-        r += (r >> 40) + 2
-        if r ** k > n:
-            return r
-    return 1 << (n.bit_length() // k + 1)
 
 
 def _as_fraction(x: Rat) -> Fraction:
@@ -98,10 +82,6 @@ class Interval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def __add__(self, other):
         other = _coerce(other)
         return Interval(self.lo + other.lo, self.hi + other.hi)
@@ -111,9 +91,6 @@ class Interval:
         prods = (self.lo * other.lo, self.lo * other.hi,
                  self.hi * other.lo, self.hi * other.hi)
         return Interval(min(prods), max(prods))
-
-    def __str__(self):
-        return f"[{self.lo}, {self.hi}]"
 
 
 def _coerce(x) -> Interval:

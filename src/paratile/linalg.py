@@ -5,16 +5,17 @@ positive denominator.  An integer matrix is the case den == 1, tested by
 ``is_integer``, and its entries are its numerator rows.  Products,
 transposes, inverses, ranks, determinants and equality all run on integers:
 inversion and rank are fraction-free eliminations, and a Fraction is built
-only for an entry of a non-integer matrix that someone reads.  Operator norm
-upper bounds are certificates: exact rationals provably at or above the true
-spectral norm, never floating-point estimates.
+only for an entry of a non-integer matrix that someone reads, on each read:
+a matrix keeps no second copy of itself.  Operator norm upper bounds are
+certificates: exact rationals provably at or above the true spectral norm,
+never floating-point estimates.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
 from operator import mul
@@ -70,8 +71,6 @@ class QMatrix:
 
     num: Tuple[Tuple[int, ...], ...]
     den: int = 1
-    _entries: Optional[Tuple[Tuple[Fraction, ...], ...]] = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         num, den = self.num, self.den
@@ -104,14 +103,11 @@ class QMatrix:
     @property
     def entries(self) -> Tuple[Tuple[Rat, ...], ...]:
         """The entries: num itself when den == 1, else Fractions built on
-        first read and kept."""
+        each read."""
         if self.den == 1:
             return self.num
-        if self._entries is None:
-            den = self.den
-            object.__setattr__(self, "_entries", tuple(
-                tuple(Fraction(x, den) for x in row) for row in self.num))
-        return self._entries
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
 
     @property
     def nrows(self) -> int:
@@ -395,8 +391,8 @@ def ldl_split(g: QMatrix) -> Tuple[List[Fraction], List[List[Fraction]]]:
 
     For G = B^T B this is Gram-Schmidt: d[i] = |b*_i|^2 and U[j][i] is
     mu_ij, the coefficient of b*_j in b_i."""
-    n = g.nrows
-    a = [[Fraction(g.entries[i][j]) for j in range(n)] for i in range(n)]
+    n, den = g.nrows, g.den
+    a = [[Fraction(x, den) for x in row] for row in g.num]
     d: List[Fraction] = [Fraction(0)] * n
     u = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
     for i in range(n):

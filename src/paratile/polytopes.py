@@ -375,14 +375,12 @@ class HPolytope:
 
     def circumradius_sq(self) -> Fraction:
         """Exact max squared ambient norm over the vertices."""
-        if "circumradius_sq" not in self._cache:
-            g = self.metric()
-            best = Fraction(0)
-            for v in self.vertices():
-                gv = g.mul_vec(v)
-                best = max(best, dot(v, gv))
-            self._cache["circumradius_sq"] = best
-        return self._cache["circumradius_sq"]
+        g = self.metric()
+        best = Fraction(0)
+        for v in self.vertices():
+            gv = g.mul_vec(v)
+            best = max(best, dot(v, gv))
+        return best
 
     def inradius_sq(self) -> Fraction:
         """Squared radius of the largest origin-centered ball inside, exactly.
@@ -532,7 +530,6 @@ def voronoi_cell(lat: Lattice, node_cap: int = 10 ** 7) -> HPolytope:
     # slab fat and the candidate enumeration small
     basis = lll_reduce(lat.basis)
     g = basis.t() @ basis
-    ginv = inverse(g)
     g_int, g_den = QMatrix(g.num), g.den
     diag = [Fraction(g.num[i][i], g.den) for i in range(d)]
     seeds = [primitive_normal(g.col(i)) for i in range(d)]
@@ -562,7 +559,6 @@ def voronoi_cell(lat: Lattice, node_cap: int = 10 ** 7) -> HPolytope:
     body._cache["vertices"] = verts
     body._cache["facets"] = facets
     body._cache["metric"] = g
-    body._cache["metric_inv"] = ginv
     return body
 
 

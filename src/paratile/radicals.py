@@ -163,9 +163,6 @@ class SqrtSum:
     def __sub__(self, other):
         return self + (-_coerce(other))
 
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
     def __mul__(self, other):
         other = _coerce(other)
         acc: dict = {}
@@ -239,9 +236,6 @@ class SqrtSum:
     def interval_with_width(self, max_width: Fraction) -> Interval:
         return refine(self.interval, lambda iv: iv.width <= max_width,
                       what=f"SqrtSum enclosure of width <= {max_width}")
-
-    def __float__(self):
-        return float(self.interval(bits=64).mid)
 
     def __str__(self):
         if not self.terms:

@@ -60,13 +60,14 @@ def parse_frac(s: str) -> Fraction:
         raise SerializationError(f"bad rational literal {s!r}") from exc
 
 
-def dec_str(x: Fraction, places: int = 15) -> str:
-    """Decimal rendering for humans; exact values travel as p/q elsewhere."""
+def dec_str(x: Fraction) -> str:
+    """Decimal rendering for humans, truncated to 15 places; exact values
+    travel as p/q elsewhere."""
     sign = "-" if x < 0 else ""
     x = abs(x)
-    scaled = int(x * 10 ** places)
-    whole, frac = divmod(scaled, 10 ** places)
-    return f"{sign}{whole}.{frac:0{places}d}".rstrip("0").rstrip(".") or "0"
+    scaled = int(x * 10 ** 15)
+    whole, frac = divmod(scaled, 10 ** 15)
+    return f"{sign}{whole}.{frac:015d}".rstrip("0").rstrip(".") or "0"
 
 
 # --- matrices ------------------------------------------------------------------
@@ -247,9 +248,7 @@ def construction_report_to_json(rep, version: str,
     ratio_hi = frac_str(rep.ratio_upper)
     ratio_terms = None
     if rep.ratio_exact is not None:
-        iv = rep.ratio_exact.interval_with_width(Fraction(1, 10 ** 12))
-        ratio_lo = frac_str(iv.lo)
-        ratio_hi = frac_str(iv.hi)
+        ratio_lo = frac_str(rep.ratio_lower)
         ratio_terms = sqrtsum_to_json(rep.ratio_exact)
     final = {
         "ratio_lo": ratio_lo,

@@ -305,7 +305,7 @@ def test_sampled_matrix_builds_no_fraction_grid(monkeypatch, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["matrix"]["entries"]) == 128
     assert any(m.shape == (128, 1024) for m in built)
-    assert all(m._entries is None for m in built)
+    assert all(m.entries is m.num for m in built)
 
 
 def test_geometric_override_builds_no_fraction_grid_of_an_integer_matrix(
@@ -322,7 +322,7 @@ def test_geometric_override_builds_no_fraction_grid_of_an_integer_matrix(
     validate_document("construction_report",
                       json.loads(capsys.readouterr().out))
     assert len(built) > 10
-    assert all(m._entries is None for m in built)
+    assert all(m.entries is m.num for m in built)
 
 
 def test_the_parser_is_built_once_and_keeps_no_call_state(tmp_path, capsys):

@@ -425,6 +425,22 @@ def test_dim_cap_downgrades_to_bound_only():
     assert rep.within_predicted is True
 
 
+def test_dim_cap_is_decided_before_any_n_by_n_work(monkeypatch):
+    # the all-ones row leaves a rank-7 kernel at n = 8; A's row count
+    # decides the cap, before the norm, the completion or the Hermite form
+    def refuse(*args, **kwargs):
+        raise AssertionError("n x n work before the dim-cap decision")
+
+    for name in ("operator_norm_upper", "complete_to_full_rank",
+                 "kernel_and_image"):
+        monkeypatch.setattr(construction, name, refuse)
+    ones = QMatrix.from_rows([[1] * 8])
+    rep = construct(8, RecursionConfig(matrix_override=((ones, None),)))
+    assert rep.bound_only and rep.body is None
+    assert rep.ratio_upper == 16
+    assert rep.downgrade_reason == "kernel rank 7 exceeds dim cap 6"
+
+
 def test_geometric_reports_have_no_downgrade_reason():
     assert construct(3).downgrade_reason is None
 
@@ -470,6 +486,22 @@ def test_bound_value_trivial_chain():
     value, traces = bound_value(100, RecursionConfig())
     assert value == 200
     assert [t.mode for t in traces] == ["cube"]
+
+
+def test_bound_value_keeps_the_cube_when_a_step_is_no_better(monkeypatch):
+    # a step to m = n/2 at s = 1 costs 2(n - m) + 2m sqrt(1 + d l) >= 2n
+    depths = []
+
+    def one_step(n, config, depth):
+        depths.append(depth)
+        return (n // 2, 3, 1) if depth == 0 else None
+
+    monkeypatch.setattr(construction, "_schedule_step", one_step)
+    value, traces = bound_value(100, RecursionConfig())
+    assert depths == [0, 1]
+    assert value == 200
+    assert traces == [construction.LevelTrace(
+        n=100, mode="cube", ratio=SqrtSum.from_rational(200))]
 
 
 # --- schedule consistency scan ----------------------------------------------
@@ -519,6 +551,33 @@ def test_scan_induction_encloses_each_size_once(monkeypatch):
     sizes = {r["n"] for r in recs}
     ms = {r["m"] for r in recs if r["m"] >= 4}
     assert len(calls) <= len(sizes) + len(ms)
+
+
+def test_induction_from_undecided_bounds_falls_back_to_the_ladder(
+        monkeypatch):
+    # enclosures of P(n) and P(m) too wide to decide leave the verdict to
+    # the inequality's own ladder, which must agree with the scan's
+    recs = [r for r in scan_induction(4, 10 ** 6, 40) if r["m"] >= 4]
+    holds = construction._induction_inequality_holds
+    ladder = []
+
+    def counted(n, m, kappa):
+        ladder.append((n, m))
+        return holds(n, m, kappa)
+
+    monkeypatch.setattr(construction, "_induction_inequality_holds", counted)
+
+    def wide(x):
+        return intervals.Interval(0, 2 * predicted_bound_interval(x, 4).hi)
+
+    assert recs
+    for r in recs:
+        n, m = r["n"], r["m"]
+        ladder.clear()
+        verdict = construction._induction_from_bounds(n, m, 4, wide(n),
+                                                      wide(m))
+        assert ladder == [(n, m)]
+        assert verdict == holds(n, m, 4) == r["induction_covers"]
 
 
 # --- isoperimetric context --------------------------------------------------

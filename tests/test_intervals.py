@@ -54,7 +54,7 @@ def test_iroot_floor_exact_powers():
     assert iroot_floor(27, 3) == 3
     assert iroot_floor(26, 3) == 2
     assert iroot_floor(1 << 60, 2) == 1 << 30
-    # k beyond the float estimate's range takes the power-of-two start
+    # a root far below its power-of-two start: Newton still lands on it
     assert iroot_floor(3 ** 1000, 1000) == 3
     assert iroot_floor(3 ** 1000 - 1, 1000) == 2
 

@@ -14,10 +14,14 @@ layers the benchmark's tracer files its spans under.  Every reader of a
 document kind that has a schema validates its document itself.  The CLI maps
 failures to exit codes in one table, in ``main``: no command handler
 catches an exception itself.  And the package calls no numpy function newer
-than the numpy floor that ``pyproject.toml`` declares.
+than the numpy floor that ``pyproject.toml`` declares.  Each defaulted
+parameter of a public function or method is passed by some call in the
+package, ``scripts/`` or ``perfbench/``, by name, by position or through
+``**kwargs``: a parameter no call passes is a constant with a name.
 """
 
 import ast
+import math
 import pathlib
 import re
 
@@ -97,6 +101,66 @@ def test_every_public_method_has_a_caller_outside_the_tests():
                 if node.name not in used:
                     uncalled.append(f"{path.stem}.{cls.name}.{node.name}")
     assert not uncalled, f"public methods no code calls: {uncalled}"
+
+
+def _defaulted_parameters(path: pathlib.Path):
+    """(name, parameter, positional index or None) per defaulted parameter
+    of a public function or a public method of a public class in path; the
+    index counts the arguments a call writes, so a method's self is not
+    one of them."""
+    tree = ast.parse(path.read_text())
+    functions = [(fn, 0) for fn in _public(tree.body, ast.FunctionDef)]
+    for cls in _public(tree.body, ast.ClassDef):
+        for fn in _public(cls.body, ast.FunctionDef):
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in fn.decorator_list)
+            functions.append((fn, 0 if static else 1))
+    for fn, skip in functions:
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for i in range(first, len(positional)):
+            yield fn.name, positional[i].arg, i - skip
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield fn.name, arg.arg, None
+
+
+def _passed_arguments():
+    """Per called name, the (positional count, keyword names) of each call;
+    a *args call counts as every position and a **kwargs call as every
+    keyword."""
+    calls = {}
+    for top in USERS:
+        for path in sorted(top.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else \
+                    func.attr if isinstance(func, ast.Attribute) else None
+                if name is None:
+                    continue
+                count = math.inf if any(isinstance(arg, ast.Starred)
+                                        for arg in node.args) \
+                    else len(node.args)
+                keywords = {kw.arg for kw in node.keywords}
+                calls.setdefault(name, []).append((count, keywords))
+    return calls
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    # a parameter every caller leaves at its default is a constant with a
+    # name; the package should say the value where it is used
+    calls = _passed_arguments()
+    unpassed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, param, index in _defaulted_parameters(path):
+            if not any(param in keywords or None in keywords
+                       or (index is not None and count > index)
+                       for count, keywords in calls.get(name, ())):
+                unpassed.append(f"{path.stem}.{name}({param})")
+    assert not unpassed, f"parameters no call passes: {unpassed}"
 
 
 def test_every_recursion_config_field_is_read_by_the_package():
