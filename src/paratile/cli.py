@@ -161,10 +161,6 @@ def cmd_construct(args) -> int:
 
 def cmd_sample_matrix(args) -> int:
     m, n, d = args.m, args.n, args.d
-    if d < 3:
-        print("error: column weight d must be at least 3 (the independence "
-              "argument needs it)", file=sys.stderr)
-        return EXIT_UNDECIDED
     opts = _supplied(args, "seed", "max_tries", "row_bound", "verify_s")
     verify_s = opts.pop("verify_s", None)
     if verify_s is not None and verify_s < 1:
@@ -201,14 +197,12 @@ def cmd_sample_matrix(args) -> int:
     if args.stats_out:
         path = _write(args.stats_out, serialization.dump_json(sdoc))
         human.append(f"wrote stats to {path}")
-    if args.out or args.stats_out:
-        for line in human:
-            print(line)
-    else:
+    if not args.out:
+        # the matrix goes to stdout, with the stats unless they have a file
         sys.stdout.write(serialization.dump_json(
-            {"matrix": mdoc, "stats": sdoc}))
-        for line in human:
-            print(line, file=sys.stderr)
+            mdoc if args.stats_out else {"matrix": mdoc, "stats": sdoc}))
+    for line in human:
+        print(line, file=sys.stdout if args.out else sys.stderr)
     return EXIT_PASS
 
 
@@ -362,8 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default ceil(4dn/m))")
     s.add_argument("--verify-s", type=int, dest="verify_s",
                    help="exhaustively certify s-subset independence")
-    s.add_argument("--out", help="matrix path (default: stdout, combined)")
-    s.add_argument("--stats-out", dest="stats_out", help="stats path")
+    s.add_argument("--out", help="matrix path (default: stdout, together "
+                                 "with the stats unless --stats-out is set)")
+    s.add_argument("--stats-out", dest="stats_out",
+                   help="stats path (default: with the matrix on stdout; "
+                        "not written when only --out is set)")
 
     v = sub.add_parser("verify", help="audit a body/lattice tiling claim")
     v.add_argument("--fixture", help="fixture JSON (body + lattice bundle)")

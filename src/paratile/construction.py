@@ -17,7 +17,7 @@ exact arithmetic; nothing is trusted from the derivation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -70,7 +70,12 @@ class RecursionConfig:
     matrix_override: Optional[Sequence[Tuple[QMatrix, Optional[int]]]] = None
 
     def __post_init__(self):
-        # budgets that no run can meet are refused before any work
+        # values that no run can use are refused before any work
+        choose_d(self.epsilon)
+        if self.max_depth < 0:
+            raise ValueError("max_depth must be at least 0")
+        if self.dim_cap < 0:
+            raise ValueError("dim_cap must be at least 0")
         if self.svp_node_cap < 1:
             raise ValueError("svp_node_cap must be at least 1")
         for mat, s in self.matrix_override or ():
@@ -413,18 +418,13 @@ def _within(lo, hi: Fraction, predicted: Interval) -> Optional[bool]:
 def construct(n: int, config: Optional[RecursionConfig] = None
               ) -> ConstructionReport:
     """Build a tiling body for the standard lattice Z^n with certificates."""
-    if n < 1:
-        raise ValueError("dimension must be positive")
     config = config or RecursionConfig()
-    # the report records kappa and epsilon: refuse bad ones before building
-    predicted = predicted_bound_interval(n, config.kappa)
-    choose_d(config.epsilon)
+    predicted = predicted_bound_interval(n, config.kappa)  # checks n, kappa
     try:
         body, traces = _construct_lattice(Lattice.standard(n), config, 0)
     except DimCapExceeded as exc:
         # too big to materialize; keep the arithmetic chain, say so loudly
-        rep = construct_bound_only(n, config)
-        return replace(rep, downgrade_reason=str(exc))
+        return _bound_only_report(n, config, predicted, str(exc))
     ratio = body.ratio()
     enclosure = ratio.interval_with_width(Fraction(1, 10 ** 12))
     return ConstructionReport(
@@ -468,17 +468,23 @@ def bound_value(n: int, config: RecursionConfig, depth: int = 0
     return cube
 
 
-def construct_bound_only(n: int, config: Optional[RecursionConfig] = None
-                         ) -> ConstructionReport:
-    config = config or RecursionConfig()
-    predicted = predicted_bound_interval(n, config.kappa)  # checks n, kappa
+def _bound_only_report(n: int, config: RecursionConfig, predicted: Interval,
+                       reason: Optional[str] = None) -> ConstructionReport:
     value, traces = bound_value(n, config)
     return ConstructionReport(
         n=n, kappa=config.kappa, epsilon=config.epsilon, seed=config.seed,
         bound_only=True, levels=tuple(traces),
         ratio_upper=value, ratio_exact=None,
         predicted=(predicted.lo, predicted.hi),
-        within_predicted=_within(lambda: value, value, predicted))
+        within_predicted=_within(lambda: value, value, predicted),
+        downgrade_reason=reason)
+
+
+def construct_bound_only(n: int, config: Optional[RecursionConfig] = None
+                         ) -> ConstructionReport:
+    config = config or RecursionConfig()
+    predicted = predicted_bound_interval(n, config.kappa)  # checks n, kappa
+    return _bound_only_report(n, config, predicted)
 
 
 # --- schedule consistency scan ------------------------------------------------------
@@ -546,8 +552,8 @@ def scan_induction(kappa: int = 4, n_hi: int = 10 ** 6, count: int = 1000
     and P(m) shares them with the grid points.
     """
     lo = 4 * kappa ** 2 + 1
-    if n_hi <= lo:
-        raise ValueError("scan range is empty")
+    if n_hi <= lo or count < 2:
+        raise ValueError(f"scan needs n_hi > {lo} and count >= 2")
     points = [
         min(n_hi, max(lo, round(math.exp(
             math.log(lo) + (math.log(n_hi) - math.log(lo)) * i / (count - 1)))))

@@ -43,19 +43,16 @@ def iroot_floor(n: int, k: int) -> int:
         return n
     if k == 2:
         return math.isqrt(n)
-    # Newton iteration on integers; it descends to the floor root from any
-    # start at or above it, so the start only decides the number of steps.
+    # Newton on integers from above the root: by AM-GM and floor((a +
+    # floor(x)) / k) = floor((a + x) / k) no step lands below the floor root,
+    # and each step from above it decreases, so the first that does not
+    # starts at the floor root.
     r = 1 << (n.bit_length() // k + 1)
     while True:
         nr = ((k - 1) * r + n // r ** (k - 1)) // k
         if nr >= r:
-            break
+            return r
         r = nr
-    while r ** k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
 
 
 def _as_fraction(x: Rat) -> Fraction:
@@ -107,12 +104,6 @@ def sqrt_interval(x: Rat, bits: int = 64) -> Interval:
 def root_interval(x: Rat, k: int, bits: int = 64) -> Interval:
     """Enclosure of x**(1/k) for x >= 0, integer k >= 1."""
     f = _as_fraction(x)
-    if f < 0:
-        raise ValueError("negative radicand")
-    if k == 1:
-        return Interval.point(f)
-    if f == 0:
-        return Interval.point(0)
     p, q = f.numerator, f.denominator
     rp, rq = iroot_floor(p, k), iroot_floor(q, k)
     if rp ** k == p and rq ** k == q:

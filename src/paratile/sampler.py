@@ -103,7 +103,8 @@ def admissible_s(m: int, n: int, d: int, c: Fraction) -> int:
     """Largest s with s <= (c/d) * (m^d / n^2)^(1/(d-2)), exactly.
 
     Clearing the root: s qualifies iff (s d q)^(d-2) n^2 <= p^(d-2) m^d for
-    c = p/q, so the answer is an integer root of a ratio of integers.
+    c = p/q, that is s^(d-2) den <= num.  As s^(d-2) is an integer, that
+    holds iff s^(d-2) <= num // den: the answer is an integer root.
     """
     if d < 3:
         raise ValueError("column weight must be at least 3")
@@ -115,14 +116,7 @@ def admissible_s(m: int, n: int, d: int, c: Fraction) -> int:
     p, q = c.numerator, c.denominator
     num = p ** (d - 2) * m ** d
     den = (d * q) ** (d - 2) * n ** 2
-    if num < den:
-        return 0
-    s = iroot_floor(num // den, d - 2)
-    while (s + 1) ** (d - 2) * den <= num:
-        s += 1
-    while s > 0 and s ** (d - 2) * den > num:
-        s -= 1
-    return s
+    return iroot_floor(num // den, d - 2)
 
 
 def row_weight_bound(m: int, n: int, d: int) -> int:
@@ -142,7 +136,10 @@ class LdpcParams:
 
     def __post_init__(self):
         # shapes and budgets that no run can meet are refused before any work
-        if not (3 <= self.d <= self.m <= self.n):
+        if self.d < 3:
+            raise ValueError("column weight d must be at least 3 (the "
+                             "independence argument needs it)")
+        if not (self.d <= self.m <= self.n):
             raise ValueError("need 3 <= d <= m <= n")
         if self.max_tries < 1:
             raise ValueError("max_tries must be at least 1")

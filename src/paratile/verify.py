@@ -25,6 +25,7 @@ closed translate) and the boundary hits.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,10 +61,26 @@ class TilingReport:
             and self.gap_violations == 0
 
 
-def _integerized_system(body: HPolytope, lat: Lattice, bits: int
-                        ) -> Tuple[List[List[int]], List[int]]:
-    """Rows u and offsets r with: point B k / 2^bits in (translate c + body)
-    iff u . (k - 2^bits c) <= r for every row."""
+def _candidate_translates(body: HPolytope, lat: Lattice
+                          ) -> List[Tuple[int, ...]]:
+    """Lattice coordinates whose translate can meet the basis parallelepiped."""
+    n = lat.rank
+    g = lat.gram()
+    r_body = sqrt_upper(body.circumradius_sq(), 64)
+    # the parallelepiped's squared radius about its centre is the largest
+    # (s/2) . G (s/2) over sign vectors s: an integer over 4 den(G)
+    corner = max(sum(x * dot(row, s) for x, row in zip(s, g.num))
+                 for s in itertools.product((-1, 1), repeat=n))
+    reach = (r_body + sqrt_upper(Fraction(corner, 4 * g.den), 64)) ** 2
+    found = enumerate_short_vectors(g, reach, center=[Fraction(1, 2)] * n)
+    return [coords for coords, _ in found]
+
+
+def _membership_system(body: HPolytope, lat: Lattice, bits: int
+                       ) -> Tuple[List[List[int]], List[List[int]]]:
+    """Integer rows u and, per candidate translate c, the offsets
+    (r + u . c) * 2^bits of its rows: the point B k / 2^bits lies in the
+    translate c + body iff u . k <= (r + u . c) * 2^bits for every row."""
     rows: List[List[int]] = []
     rhs: List[int] = []
     basis_t = lat.basis.t()
@@ -73,35 +90,8 @@ def _integerized_system(body: HPolytope, lat: Lattice, bits: int
         den = denominator_lcm((b, *wb))
         rows.append(list(scaled_to_int(wb, den)))
         rhs.append(int(b * den))
-    return rows, rhs
-
-
-def _candidate_translates(body: HPolytope, lat: Lattice
-                          ) -> List[Tuple[int, ...]]:
-    """Lattice coordinates whose translate can meet the basis parallelepiped."""
-    n = lat.rank
-    g = lat.gram()
-    r_body = sqrt_upper(body.circumradius_sq(), 64)
-    half = [Fraction(1, 2)] * n
-    r_par_sq = Fraction(0)
-    for signs in range(1 << n):
-        s = [Fraction(1, 2) if (signs >> i) & 1 else Fraction(-1, 2)
-             for i in range(n)]
-        gs = g.mul_vec(s)
-        r_par_sq = max(r_par_sq, dot(s, gs))
-    reach = (r_body + sqrt_upper(r_par_sq, 64)) ** 2
-    found = enumerate_short_vectors(g, reach, center=half)
-    return [coords for coords, _ in found]
-
-
-def _membership_system(body: HPolytope, lat: Lattice, bits: int
-                       ) -> Tuple[List[List[int]], List[List[int]]]:
-    """Integer rows u and, per candidate translate c, the offsets
-    (r + u . c) * 2^bits of its rows."""
-    rows, rhs = _integerized_system(body, lat, bits)
     scale = 1 << bits
-    offsets = [[(rhs[r] + dot(rows[r], c)) * scale
-                for r in range(len(rows))]
+    offsets = [[(r + dot(u, c)) * scale for u, r in zip(rows, rhs)]
                for c in _candidate_translates(body, lat)]
     return rows, offsets
 
@@ -133,12 +123,20 @@ def _sample_blocks(rng: random.Random, samples: int, rank: int, bits: int
     shift = 32 * words - k
     dtype = np.int64 if k <= 63 else object
     bound = 1 << bits
-    count = samples * rank
-    block = np.empty(min(_DRAW_CHUNK * rank, count), dtype=dtype)
-    filled = done = drawn = 0
-    while drawn < count:
+    left = samples * rank            # values still to yield
+    accepted: List[np.ndarray] = []  # drawn and not yet yielded
+    have = 0
+    while left:
+        take = min(_DRAW_CHUNK * rank, left)
+        if have >= take:
+            values = np.concatenate(accepted)
+            accepted = [values[take:]]
+            have -= take
+            left -= take
+            yield values[:take].reshape(-1, rank)
+            continue
         # about half of the candidates are rejected
-        draws = min(2 * (count - drawn) + 64, _DRAW_CHUNK)
+        draws = min(2 * (left - have) + 64, _DRAW_CHUNK)
         raw = np.frombuffer(
             rng.getrandbits(32 * words * draws).to_bytes(4 * words * draws,
                                                           "little"),
@@ -147,18 +145,9 @@ def _sample_blocks(rng: random.Random, samples: int, rank: int, bits: int
         cand = limbs[:, -1] >> shift
         for i in range(words - 2, -1, -1):
             cand = (cand << 32) | limbs[:, i]
-        cand = cand[cand < bound][:count - drawn]
-        drawn += len(cand)
-        while len(cand):
-            take = cand[:len(block) - filled]
-            block[filled:filled + len(take)] = take
-            filled += len(take)
-            cand = cand[len(take):]
-            if filled == len(block):
-                yield block.reshape(-1, rank)
-                done += filled
-                block = np.empty(min(len(block), count - done), dtype=dtype)
-                filled = 0
+        accepted.append(cand[cand < bound])
+        have += len(accepted[-1])
+        del raw, limbs, cand  # freed before a block is concatenated
 
 
 _BYTE_POPCOUNT = np.array([bin(i).count("1") for i in range(256)],

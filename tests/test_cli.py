@@ -1,6 +1,7 @@
 import json
 import pathlib
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -107,6 +108,15 @@ def test_mistyped_config_value_is_refused(tmp_path, capsys, cfg, argv,
     (["--kappa", "0", "--bound-only"], "need n >= 1, kappa >= 1"),
     (["--kappa", "0"], "need n >= 1, kappa >= 1"),
     (["--epsilon", "0"], "epsilon must be in (0, 2]"),
+    # the recursion never reaches the schedule at depth cap 0, so only the
+    # config can refuse these
+    (["--bound-only", "--epsilon", "5", "--max-depth", "0"],
+     "epsilon must be in (0, 2]"),
+    (["--bound-only", "--epsilon", "-1", "--max-depth", "0"],
+     "epsilon must be in (0, 2]"),
+    (["--epsilon", "-1"], "epsilon must be in (0, 2]"),
+    (["--max-depth", "-2"], "max_depth must be at least 0"),
+    (["--bound-only", "--dim-cap", "-1"], "dim_cap must be at least 0"),
 ])
 def test_construct_names_a_bad_schedule_parameter(capsys, argv, message):
     assert main(["construct", "--n", "5"] + argv) == 2
@@ -217,6 +227,10 @@ def test_override_s_needs_an_override_matrix(capsys):
     ("svp_node_cap", 0, "svp_node_cap must be at least 1"),
     ("override_s", 0, "override s must be at least 1"),
     ("override_s", -2, "override s must be at least 1"),
+    ("epsilon", "5", "epsilon must be in (0, 2]"),
+    ("epsilon", "-1", "epsilon must be in (0, 2]"),
+    ("max_depth", -2, "max_depth must be at least 0"),
+    ("dim_cap", -1, "dim_cap must be at least 0"),
 ])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_construct_refuses_a_budget_that_cannot_work(tmp_path, capsys,
@@ -226,17 +240,19 @@ def test_construct_refuses_a_budget_that_cannot_work(tmp_path, capsys,
         raise AssertionError("construct ran")
 
     monkeypatch.setattr(cli, "construct", no_work)
+    monkeypatch.setattr(cli, "construct_bound_only", no_work)
     mat = write_json(tmp_path / "b.json", matrix_to_json(WORKED_B))
-    argv = ["construct", "--n", "4", "--matrix-override", mat]
-    if source == "flag":
-        argv += ["--" + key.replace("_", "-"), str(value)]
-    else:
-        argv = ["--config", write_json(tmp_path / "cfg.json", {key: value})] \
-            + argv
-    assert main(argv) == 2
-    cap = capsys.readouterr()
-    assert cap.out == ""
-    assert cap.err == f"invalid parameters: {message}\n"
+    for mode in ([], ["--bound-only"]):
+        argv = ["construct", "--n", "4", "--matrix-override", mat, *mode]
+        if source == "flag":
+            argv += ["--" + key.replace("_", "-"), str(value)]
+        else:
+            cfg = write_json(tmp_path / "cfg.json", {key: value})
+            argv = ["--config", cfg] + argv
+        assert main(argv) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err == f"invalid parameters: {message}\n"
 
 
 def _kernel4_matrix(tmp_path):
@@ -276,18 +292,25 @@ def test_override_must_be_integer(tmp_path, capsys):
     assert "integer" in capsys.readouterr().err
 
 
-def _integer_matrices_built(monkeypatch):
-    """Every QMatrix built from here on, with den == 1, in a list."""
-    built = []
-    post_init = QMatrix.__post_init__
+def _entry_grids_read(monkeypatch):
+    """Every grid that a QMatrix.entries read returns from here on."""
+    grids = []
+    entries = QMatrix.entries.fget
 
     def recording(self):
-        post_init(self)
-        if self.den == 1:
-            built.append(self)
+        grids.append(entries(self))
+        return grids[-1]
 
-    monkeypatch.setattr(QMatrix, "__post_init__", recording)
-    return built
+    monkeypatch.setattr(QMatrix, "entries", property(recording))
+    return grids
+
+
+def _assert_no_fraction_grid(grids):
+    # a read builds Fractions on a matrix with den > 1, and on an integer
+    # one unless it hands back the numerators as they are
+    assert grids
+    assert not any(isinstance(x, Fraction)
+                   for grid in grids for row in grid for x in row)
 
 
 def test_an_integer_matrix_is_its_own_entry_grid():
@@ -298,14 +321,24 @@ def test_an_integer_matrix_is_its_own_entry_grid():
 
 def test_sampled_matrix_builds_no_fraction_grid(monkeypatch, capsys):
     # the 128 x 1024 matrix is checked and written from its numerators; a
-    # Fraction grid would cost one Fraction per entry on every draw
-    built = _integer_matrices_built(monkeypatch)
+    # Fraction grid would cost one Fraction per entry, 131,072 of them
+    grids = _entry_grids_read(monkeypatch)
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
     assert main(["sample-matrix", "--m", "128", "--n", "1024", "--d", "4",
                  "--verify-s", "3"]) == 0
+    assert len(made) < 1000
+    monkeypatch.undo()
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["matrix"]["entries"]) == 128
-    assert any(m.shape == (128, 1024) for m in built)
-    assert all(m.entries is m.num for m in built)
+    assert any(len(grid) == 128 and len(grid[0]) == 1024 for grid in grids)
+    _assert_no_fraction_grid(grids)
 
 
 def test_geometric_override_builds_no_fraction_grid_of_an_integer_matrix(
@@ -317,12 +350,12 @@ def test_geometric_override_builds_no_fraction_grid_of_an_integer_matrix(
             for i in range(6)]
     mat = write_json(tmp_path / "image6b.json",
                      matrix_to_json(QMatrix.from_rows(rows)))
-    built = _integer_matrices_built(monkeypatch)
+    grids = _entry_grids_read(monkeypatch)
     assert main(["construct", "--n", "8", "--matrix-override", mat]) == 0
+    monkeypatch.undo()
     validate_document("construction_report",
                       json.loads(capsys.readouterr().out))
-    assert len(built) > 10
-    assert all(m.entries is m.num for m in built)
+    _assert_no_fraction_grid(grids)
 
 
 def test_the_parser_is_built_once_and_keeps_no_call_state(tmp_path, capsys):
@@ -691,8 +724,20 @@ def test_sample_matrix_stats_out_makes_its_directory(tmp_path, capsys):
     stats = tmp_path / "new" / "s.json"
     assert main(["sample-matrix", "--m", "8", "--n", "16", "--d", "3",
                  "--stats-out", str(stats)]) == 0
-    assert f"wrote stats to {stats}" in capsys.readouterr().out
+    # stdout carries the matrix, so the summary goes to stderr
+    assert f"wrote stats to {stats}" in capsys.readouterr().err
     validate_document("sampler_stats", json.loads(stats.read_text()))
+
+
+def test_sample_matrix_without_out_prints_the_matrix(tmp_path, capsys):
+    argv = ["sample-matrix", "--m", "8", "--n", "16", "--d", "4"]
+    out = tmp_path / "m.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--stats-out", str(tmp_path / "s.json")]) == 0
+    cap = capsys.readouterr()
+    assert cap.out == out.read_text()
+    assert "admissible s" in cap.err
 
 
 # --- walk-stats -----------------------------------------------------------------

@@ -441,6 +441,21 @@ def test_dim_cap_is_decided_before_any_n_by_n_work(monkeypatch):
     assert rep.downgrade_reason == "kernel rank 7 exceeds dim cap 6"
 
 
+def test_a_downgraded_run_encloses_p_of_n_once(monkeypatch):
+    calls = []
+    enclosure = construction.predicted_bound_interval
+
+    def counted(n, kappa):
+        calls.append(n)
+        return enclosure(n, kappa)
+
+    monkeypatch.setattr(construction, "predicted_bound_interval", counted)
+    ones = QMatrix.from_rows([[1] * 8])
+    rep = construct(8, RecursionConfig(matrix_override=((ones, None),)))
+    assert rep.downgrade_reason == "kernel rank 7 exceeds dim cap 6"
+    assert calls == [8]
+
+
 def test_geometric_reports_have_no_downgrade_reason():
     assert construct(3).downgrade_reason is None
 
@@ -528,6 +543,13 @@ def test_scan_induction_grid():
 def test_scan_induction_rejects_empty_range():
     with pytest.raises(ValueError):
         scan_induction(4, 65, 10)
+
+
+@pytest.mark.parametrize("count", [1, 0, -3])
+def test_scan_induction_needs_two_grid_points(count):
+    # one point leaves the log-spacing step undefined, and none is no scan
+    with pytest.raises(ValueError, match="count >= 2"):
+        scan_induction(4, 10 ** 3, count)
 
 
 @pytest.mark.parametrize("kappa, n_hi", [(1, 10 ** 6), (2, 10 ** 6),

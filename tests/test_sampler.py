@@ -123,6 +123,27 @@ def test_admissible_s_formula():
         admissible_s(32, 256, 2, c)
 
 
+def test_admissible_s_is_the_largest_s_of_its_inequality():
+    # s qualifies iff (s d q)^(d-2) n^2 <= p^(d-2) m^d for c = p/q
+    rng = random.Random(28)
+    cases = [(m, m, 4, Fraction(4 * s, m))    # equality at s exactly
+             for m, s in ((16, 3), (1000, 7), (10 ** 6, 12345))]
+    for _ in range(3000):
+        m = rng.randrange(3, 10 ** rng.randrange(1, 7) + 4)
+        n = rng.randrange(m, 20 * m)
+        cases.append((m, n, rng.randrange(3, 9),
+                      Fraction(rng.randrange(1, 10 ** 4),
+                               rng.randrange(1, 10 ** 3))))
+    for m, n, d, c in cases:
+        p, q = c.numerator, c.denominator
+
+        def qualifies(s):
+            return (s * d * q) ** (d - 2) * n ** 2 <= p ** (d - 2) * m ** d
+
+        s = admissible_s(m, n, d, c)
+        assert qualifies(s) and not qualifies(s + 1), (m, n, d, c)
+
+
 def test_admissible_s_monotone_in_c():
     for c_small, c_big in ((Fraction(1, 100), Fraction(1, 2)),):
         assert admissible_s(64, 64, 4, c_small) \
