@@ -19,9 +19,10 @@ from .polytopes import (BodyMeasures, DegenerateBody, EmptyBody, HPolytope,
                         Unbounded, linear_image, orthogonal_product,
                         voronoi_cell)
 from .radicals import SqrtSum
-from .sampler import (LdpcParams, SamplerFailure, admissible_s, choose_d,
-                      default_c, expected_collisions, return_prob_bound,
-                      return_prob_exact, sample_ldpc, verify_s_independence)
+from .sampler import (LdpcParams, SamplerFailure, SearchCap, admissible_s,
+                      choose_d, default_c, expected_collisions,
+                      return_prob_bound, return_prob_exact, sample_ldpc,
+                      verify_s_independence)
 from .verify import TilingReport, verify_tiling
 
 __all__ = [
@@ -30,7 +31,8 @@ __all__ = [
     "DegenerateBody", "DimCapExceeded", "EmptyBody", "EnumerationCap",
     "HPolytope", "Interval", "Lattice", "LdpcParams",
     "LevelTrace", "PrecisionExhausted", "QMatrix",
-    "RecursionConfig", "RegimeError", "SamplerFailure", "SqrtSum",
+    "RecursionConfig", "RegimeError", "SamplerFailure", "SearchCap",
+    "SqrtSum",
     "TilingReport", "Unbounded",
     "admissible_s", "choose_d", "choose_m",
     "complete_to_full_rank", "construct", "construct_bound_only",

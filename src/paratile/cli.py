@@ -8,7 +8,7 @@ decided at the configured budgets (or bad usage).
 
 A JSON config file (--config) supplies option values; explicit flags win.
 Options neither supplies are left to the defaults of the library call they
-configure.  When an output filename has no directory part,
+configure, and a key in the file that no command reads is refused.  When an output filename has no directory part,
 PARATILE_REPORT_DIR (if set) names the directory it goes to.
 """
 
@@ -29,8 +29,8 @@ from .construction import (ConstructionError, RecursionConfig, construct,
 from .intervals import PrecisionExhausted
 from .lattices import EnumerationCap
 from .polytopes import DegenerateBody, EmptyBody, Unbounded
-from .sampler import (LdpcParams, SamplerFailure, admissible_s, default_c,
-                      expected_collisions, return_prob_bound,
+from .sampler import (LdpcParams, SamplerFailure, SearchCap, admissible_s,
+                      default_c, expected_collisions, return_prob_bound,
                       return_prob_exact, sample_ldpc, verify_s_independence,
                       walk_endpoint)
 from .serialization import parse_frac
@@ -74,11 +74,22 @@ class ConfigError(Exception):
     """A --config value does not have the type its flag declares."""
 
 
-def _supplied(args, *keys: str) -> Dict:
-    """The values of keys that a flag or the --config file gives; flags win.
-    A value from the file must have the type its flag declares."""
+# the options each command reads from a flag or the --config file
+_CONFIG_KEYS = {
+    "construct": ("override_s", "kappa", "epsilon", "seed", "max_depth",
+                  "dim_cap", "svp_node_cap"),
+    "sample-matrix": ("seed", "max_tries", "row_bound", "verify_s"),
+    "verify": ("samples", "bits", "seed"),
+    "walk-stats": ("samples", "seed"),
+}
+
+
+def _supplied(args) -> Dict:
+    """The values of the command's keys that a flag or the --config file
+    gives; flags win.  A value from the file must have the type its flag
+    declares."""
     out = {}
-    for key in keys:
+    for key in _CONFIG_KEYS[args.command]:
         v = getattr(args, key, None)
         if v is None:
             v = args._config_doc.get(key)
@@ -105,15 +116,14 @@ def _load_json(path: str) -> Dict:
 def cmd_construct(args) -> int:
     n = args.n
     override = None
-    override_s = _supplied(args, "override_s").get("override_s")
+    opts = _supplied(args)
+    override_s = opts.pop("override_s", None)
     if override_s is not None and not args.matrix_override:
         print("error: --override-s needs --matrix-override", file=sys.stderr)
         return EXIT_UNDECIDED
     if args.matrix_override:
         override = ((serialization.matrix_from_json(
             _load_json(args.matrix_override)), override_s),)
-    opts = _supplied(args, "kappa", "epsilon", "seed", "max_depth", "dim_cap",
-                     "svp_node_cap")
     if "epsilon" in opts:
         opts["epsilon"] = parse_frac(opts["epsilon"])
     config = RecursionConfig(matrix_override=override, **opts)
@@ -161,7 +171,7 @@ def cmd_construct(args) -> int:
 
 def cmd_sample_matrix(args) -> int:
     m, n, d = args.m, args.n, args.d
-    opts = _supplied(args, "seed", "max_tries", "row_bound", "verify_s")
+    opts = _supplied(args)
     verify_s = opts.pop("verify_s", None)
     if verify_s is not None and verify_s < 1:
         raise ValueError("verify_s must be at least 1")
@@ -221,8 +231,7 @@ def cmd_verify(args) -> int:
         body = serialization.polytope_from_json(_load_json(args.body))
         lat = serialization.lattice_from_json(_load_json(args.lattice))
 
-    rep = verify_tiling(body, lat,
-                        **_supplied(args, "samples", "bits", "seed"))
+    rep = verify_tiling(body, lat, **_supplied(args))
 
     human = [f"tiling: {'PASS' if rep.passed else 'FAIL'} "
              f"({rep.samples} samples, {rep.translates} translates, "
@@ -253,7 +262,7 @@ def cmd_verify(args) -> int:
 
 def cmd_walk_stats(args) -> int:
     ms = [int(x) for x in args.m.split(",")]
-    opts = _supplied(args, "samples", "seed")
+    opts = _supplied(args)
     samples, seed = opts.get("samples", 0), opts.get("seed", 0)
     for key, value in (("samples", samples), ("t_max", args.t_max)):
         if value < 0:
@@ -398,6 +407,10 @@ def _load_config(path: Optional[str]) -> Dict:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("expected a JSON object")
+    # a key that no command reads would be dropped without a word
+    for key in doc:
+        if not any(key in keys for keys in _CONFIG_KEYS.values()):
+            raise ValueError(f"unknown option {key!r}")
     return doc
 
 
@@ -422,7 +435,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SamplerFailure as exc:
         print(f"sampler failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (EnumerationCap, PrecisionExhausted) as exc:
+    except (EnumerationCap, PrecisionExhausted, SearchCap) as exc:
         print(f"cannot decide at these budgets: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
     except ConfigError as exc:

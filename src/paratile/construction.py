@@ -195,19 +195,20 @@ def choose_m(n: int, kappa: int) -> int:
 
 
 def schedule_parameters(n: int, config: RecursionConfig) -> Tuple[int, int]:
-    """(m, d) from the schedule, or RegimeError when hypotheses fail."""
+    """(m, d) from the schedule, or RegimeError when hypotheses fail.
+
+    Once m >= 4 only d <= m of 3 <= d <= m <= n and m ln m <= n d can fail:
+    d >= 3 by `choose_d`, m = floor(n e^-g(n)) <= n, and kappa >= 1 (which
+    `predicted_bound_interval` enforces first) gives g(n) >= sqrt(2 ln 2
+    ln n), so m ln m <= n ln(n) e^-g(n) <= n max_x x e^-sqrt(2 ln 2 x), and
+    that maximum, at sqrt(x) = 2 / sqrt(2 ln 2), is 2 / (e^2 ln 2) < 0.4.
+    """
     d = choose_d(config.epsilon)
     m = choose_m(n, config.kappa)
     if m < 4:
         raise RegimeError(f"schedule yields m = {m} < 4 at n = {n}")
-    if not (3 <= d <= m <= n):
-        raise RegimeError(f"ordering 3 <= d <= m <= n fails: d={d} m={m} n={n}")
-    nd = n * d
-    m_ln_m = refine(lambda prec: enclose(prec, lambda iv: m * iv.log(m)),
-                    lambda iv: iv.hi <= nd or iv.lo > nd,
-                    what=f"n d >= m ln m at n={n}")
-    if m_ln_m.hi > nd:
-        raise RegimeError(f"aspect requirement n >= m ln(m)/d fails at n = {n}")
+    if d > m:
+        raise RegimeError(f"d = {d} exceeds m = {m} at n = {n}")
     return m, d
 
 
@@ -295,16 +296,24 @@ def base_level(lat: Lattice, config: RecursionConfig
     return body, trace
 
 
-def inductive_level(lat: Lattice, a_matrix: QMatrix, s: int,
+def inductive_level(lat: Lattice, a_matrix: QMatrix, s: Optional[int],
                     config: RecursionConfig, depth: int
                     ) -> Tuple[HPolytope, List[LevelTrace]]:
-    """One recursion step on a_matrix, whose columns the caller has
-    certified s-wise independent over GF(2)."""
+    """One recursion step on a_matrix over lat: Z^n, or the image lattice
+    that the step above certified full-rank and integer.  It first certifies
+    the columns s-wise independent over GF(2), at the largest s up to
+    `_PROBE_S_CAP` when s is None."""
+    masks = matrix_to_masks(a_matrix)
+    if s is None:
+        s = largest_verified_s(masks, _PROBE_S_CAP)
+    else:
+        ok, witness = verify_s_independence(masks, s)
+        if not ok:
+            raise ConstructionError(
+                f"columns admit a dependency of size <= {s}: {witness}")
+    if s < 1:
+        raise ConstructionError("override matrix has no usable level")
     n = lat.rank
-    if lat.ambient_dim != n:
-        raise ConstructionError("step expects a full-rank lattice")
-    if not lat.is_integer():
-        raise ConstructionError("step expects an integer lattice")
     if a_matrix.ncols != n:
         raise ValueError(f"shape mismatch {a_matrix.ncols} vs {n}")
     checks: List[Tuple[str, bool]] = []
@@ -322,21 +331,19 @@ def inductive_level(lat: Lattice, a_matrix: QMatrix, s: int,
     # one Hermite form gives both lattices, and B's rank as the image's
     kernel, inner_lat = kernel_and_image(lat, b)
     checks.append(("full_rank", inner_lat.rank == m))
-    checks.append(("s_independence", True))  # certified by the caller
+    checks.append(("s_independence", True))  # certified above
 
     t = b.t() @ inverse(b @ b.t())  # right inverse; the section into row span
     # 2 (n-m) / sqrt(s), the kernel cell's share of the recursion bound
     kernel_bound = (SqrtSum.from_rational(Fraction(2 * (n - m), s))
                     * SqrtSum.sqrt(s) if m < n else SqrtSum.zero())
     if m < n:
-        checks.append(("kernel_rank", kernel.rank == n - m))
         k1 = voronoi_cell(kernel, node_cap=config.svp_node_cap)
         # every shortest vector is Voronoi-relevant, so a facet at distance
         # lambda_1 / 2 gives lambda_1^2 = 4 inradius^2; the swept cell holds
         # the true one and volume_equals_covolume below makes them equal
         sv = 4 * k1.inradius_sq()
         checks.append(("kernel_shortest_exceeds_s", sv > s))
-        checks.append(("kernel_inradius", sv >= s))
         ratio1 = k1.ratio()
         checks.append(("kernel_ratio_bound", ratio1 <= kernel_bound))
     else:
@@ -349,7 +356,6 @@ def inductive_level(lat: Lattice, a_matrix: QMatrix, s: int,
     # (B B^T)^-1 that lattice is the projection of L onto the row span
     checks.append(("projection_image_agree", (b @ t).is_identity()))
     checks.append(("inner_integer", inner_lat.is_integer()))
-    checks.append(("inner_full_rank", inner_lat.rank == m))
 
     inner_body, inner_traces = _construct_lattice(inner_lat, config, depth + 1)
     ratio_inner = inner_body.ratio()
@@ -389,30 +395,18 @@ def _construct_lattice(lat: Lattice, config: RecursionConfig, depth: int
                        ) -> Tuple[HPolytope, List[LevelTrace]]:
     overrides = config.matrix_override or ()
     if depth < len(overrides):
-        a_matrix, s_opt = overrides[depth]
-        masks = matrix_to_masks(a_matrix)
-        if s_opt is None:
-            s_opt = largest_verified_s(masks, _PROBE_S_CAP)
-        else:
-            ok, witness = verify_s_independence(masks, s_opt)
-            if not ok:
-                raise ConstructionError(
-                    f"columns admit a dependency of size <= {s_opt}: "
-                    f"{witness}")
-        if s_opt < 1:
-            raise ConstructionError("override matrix has no usable level")
-        return inductive_level(lat, a_matrix, s_opt, config, depth)
+        return inductive_level(lat, *overrides[depth], config, depth)
     body, trace = base_level(lat, config)
     return body, [trace]
 
 
-def _within(lo, hi: Fraction, predicted: Interval) -> Optional[bool]:
-    """Whether a value enclosed in [lo(), hi] lies below the enclosure of
-    P(n): True when hi is at most its lower end, False when lo() passes its
+def _within(lo: Fraction, hi: Fraction, predicted: Interval) -> Optional[bool]:
+    """Whether a value enclosed in [lo, hi] lies below the enclosure of
+    P(n): True when hi is at most its lower end, False when lo passes its
     upper end, and None when the two overlap."""
     if hi <= predicted.lo:
         return True
-    return False if lo() > predicted.hi else None
+    return False if lo > predicted.hi else None
 
 
 def construct(n: int, config: Optional[RecursionConfig] = None
@@ -432,8 +426,7 @@ def construct(n: int, config: Optional[RecursionConfig] = None
         bound_only=False, levels=tuple(traces),
         ratio_upper=enclosure.hi, ratio_exact=ratio,
         predicted=(predicted.lo, predicted.hi),
-        within_predicted=_within(lambda: ratio.interval(96).lo,
-                                 enclosure.hi, predicted),
+        within_predicted=_within(enclosure.lo, enclosure.hi, predicted),
         body=body, ratio_lower=enclosure.lo)
 
 
@@ -476,7 +469,7 @@ def _bound_only_report(n: int, config: RecursionConfig, predicted: Interval,
         bound_only=True, levels=tuple(traces),
         ratio_upper=value, ratio_exact=None,
         predicted=(predicted.lo, predicted.hi),
-        within_predicted=_within(lambda: value, value, predicted),
+        within_predicted=_within(value, value, predicted),
         downgrade_reason=reason)
 
 

@@ -227,7 +227,7 @@ class SqrtSum:
 
     # -- numerics -------------------------------------------------------------
 
-    def interval(self, bits: int = 64) -> Interval:
+    def interval(self, bits: int) -> Interval:
         acc = Interval.point(0)
         for c, r in self.terms:
             acc = acc + sqrt_interval(r, bits) * c

@@ -24,6 +24,13 @@ class SamplerFailure(Exception):
     """No sampled matrix satisfied the row-sparsity bound."""
 
 
+class SearchCap(Exception):
+    """A dependency search would hold more subsets than its budget."""
+
+
+_TABLE_CAP = 10 ** 7  # subsets a meet-in-the-middle table may hold
+
+
 # --- walk return probabilities -------------------------------------------------
 
 def walk_endpoint(m: int, steps: int, rng: random.Random) -> int:
@@ -235,8 +242,9 @@ def shortest_dependency(masks: Sequence[int], s: int
     triple a < b < c with zero XOR.  It is found by bit buckets: the lowest
     set bit of column a lies in exactly one of columns b and c, so each a
     probes only the columns holding that bit, and looks the XOR of the two
-    up among the columns.  From s = 4 on, a meet in the middle decides.
-    Masks must be non-negative.
+    up among the columns.  From s = 4 on, a meet in the middle decides; it
+    raises SearchCap before building a table of more than `_TABLE_CAP`
+    subsets.  Masks must be non-negative.
     """
     if min(masks, default=0) < 0:
         raise ValueError("column masks must be non-negative")
@@ -300,6 +308,11 @@ def _meet_in_the_middle(masks: Sequence[int], s: int
     distinct subsets, and their symmetric difference is a dependency."""
     n = len(masks)
     half = s // 2
+    subsets = sum(math.comb(n, k) for k in range(half + 1))
+    if subsets > _TABLE_CAP:
+        raise SearchCap(f"a search for dependencies of size <= {s} among "
+                        f"{n} columns needs a table of {subsets} subsets, "
+                        f"more than {_TABLE_CAP}")
     table: Dict[int, Tuple[int, ...]] = {0: ()}
     for size in range(1, s - half + 1):
         for combo in itertools.combinations(range(n), size):

@@ -104,6 +104,30 @@ def test_mistyped_config_value_is_refused(tmp_path, capsys, cfg, argv,
     assert cap.err == f"error: --config {path}: {message}\n"
 
 
+@pytest.mark.parametrize("cfg, name", [
+    ({"kapa": 9, "sampels": 5}, "kapa"),
+    ({"bound_only": True}, "bound_only"),
+])
+def test_config_key_that_no_command_reads_is_refused(tmp_path, capsys,
+                                                     monkeypatch, cfg, name):
+    def no_work(*args):
+        raise AssertionError("construct ran")
+
+    monkeypatch.setattr(cli, "construct", no_work)
+    path = write_json(tmp_path / "cfg.json", cfg)
+    assert main(["--config", path, "construct", "--n", "3"]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == f"error: --config {path}: unknown option {name!r}\n"
+
+
+def test_config_keeps_keys_that_another_command_reads(tmp_path, capsys):
+    # one file serves every command: verify's samples ride along construct
+    cfg = write_json(tmp_path / "cfg.json", {"kappa": 5, "samples": 10})
+    assert main(["--config", cfg, "construct", "--n", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["kappa"] == 5
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--kappa", "0", "--bound-only"], "need n >= 1, kappa >= 1"),
     (["--kappa", "0"], "need n >= 1, kappa >= 1"),
@@ -213,6 +237,39 @@ def test_override_s_beyond_the_matrix_level_fails(tmp_path, capsys):
     assert cap.out == ""
     assert cap.err == ("certification failed: columns admit a dependency "
                        "of size <= 3: (0, 1)\n")
+
+
+def test_override_of_the_wrong_width_is_refused(tmp_path, capsys):
+    mat = write_json(tmp_path / "b.json", matrix_to_json(WORKED_B))
+    assert main(["construct", "--n", "5", "--matrix-override", mat]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == "invalid parameters: shape mismatch 4 vs 5\n"
+
+
+def test_a_failing_override_s_fails_ahead_of_the_dim_cap(tmp_path, capsys):
+    # s is certified before the kernel rank 2 meets the cap of 1, so the
+    # run fails instead of downgrading
+    mat = write_json(tmp_path / "b.json", matrix_to_json(WORKED_B))
+    assert main(["construct", "--n", "4", "--matrix-override", mat,
+                 "--override-s", "2", "--dim-cap", "1"]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == ("certification failed: columns admit a dependency "
+                       "of size <= 2: (0, 1)\n")
+
+
+def test_a_voronoi_base_above_the_dim_cap_downgrades(tmp_path, capsys):
+    # B Z^3 has index 2, so its base case is a rank-3 Voronoi cell
+    square = QMatrix.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    mat = write_json(tmp_path / "b.json", matrix_to_json(square))
+    assert main(["construct", "--n", "3", "--matrix-override", mat,
+                 "--dim-cap", "2"]) == 0
+    cap = capsys.readouterr()
+    doc = json.loads(cap.out)
+    assert doc["downgrade_reason"] == "rank 3 Voronoi cell exceeds dim cap 2"
+    assert "geometry skipped: rank 3 Voronoi cell exceeds dim cap 2" \
+        in cap.err
 
 
 def test_override_s_needs_an_override_matrix(capsys):
@@ -637,6 +694,20 @@ def test_sample_matrix_rejects_small_d(capsys):
     assert "at least 3" in capsys.readouterr().err
 
 
+def test_sample_matrix_refuses_a_dependency_table_beyond_its_budget(capsys):
+    # s = 6 over 1024 columns would tabulate C(1024, 3) + C(1024, 2) + 1025
+    # subsets; the search refuses before it builds any
+    t0 = time.perf_counter()
+    assert main(["sample-matrix", "--m", "128", "--n", "1024", "--d", "4",
+                 "--verify-s", "6"]) == 2
+    assert time.perf_counter() - t0 < 5.0
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == ("cannot decide at these budgets: a search for "
+                       "dependencies of size <= 6 among 1024 columns needs "
+                       "a table of 178957825 subsets, more than 10000000\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--verify-s", "0"], "verify_s must be at least 1"),
     (["--verify-s", "-1"], "verify_s must be at least 1"),
@@ -645,6 +716,7 @@ def test_sample_matrix_rejects_small_d(capsys):
      "row_bound -1 is below 0, the least heaviest row of any sample"),
     (["--d", "3", "--row-bound", "1"],
      "row_bound 1 is below 2, the least heaviest row of any sample"),
+    (["--m", "3", "--n", "8"], "need 3 <= d <= m <= n"),
 ])
 def test_sample_matrix_refuses_a_budget_that_cannot_work(argv, message,
                                                          monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import itertools
 import json
 import pkgutil
 import time
@@ -16,9 +17,10 @@ from paratile.construction import (ConstructionError, RecursionConfig,
                                    predicted_bound_interval, scan_induction,
                                    schedule_parameters)
 from paratile.lattices import Lattice, kernel_and_image, shortest_vector_sq
-from paratile.linalg import QMatrix, inverse
+from paratile.linalg import QMatrix, det_q, inverse
 from paratile.radicals import SqrtSum
 from paratile.serialization import construction_report_to_json, dump_json
+from paratile.verify import verify_tiling
 
 from oracles import mp_reference, reference_scan_induction
 
@@ -89,6 +91,34 @@ def test_schedule_rejects_tiny_m():
     # just above the base regime the schedule collapses to m < 4
     with pytest.raises(RegimeError):
         schedule_parameters(70, RecursionConfig())
+
+
+def test_the_aspect_constant_is_below_one():
+    # m ln m <= n ln(n) e^-g(n) <= n 2 / (e^2 ln 2) for kappa >= 1, so
+    # n d >= m ln m needs no check once d >= 3
+    iv = intervals.enclose(96, lambda iv: 2 / (iv.exp(2) * iv.log(2)))
+    assert iv.hi < Fraction(2, 5) < 1
+
+
+def test_the_schedule_meets_the_aspect_wherever_it_returns():
+    grid = sorted({round(10 ** (k / 4)) for k in range(4, 121)})
+    returned = refused = 0
+    for kappa in (1, 4, 16):
+        for epsilon in (Fraction(2), Fraction(1), Fraction(1, 10)):
+            config = RecursionConfig(kappa=kappa, epsilon=epsilon)
+            for n in grid:
+                if n <= 4 * kappa ** 2:
+                    continue
+                try:
+                    m, d = schedule_parameters(n, config)
+                except RegimeError:
+                    refused += 1
+                    continue
+                returned += 1
+                assert 3 <= d <= m <= n and m >= 4
+                m_ln_m = intervals.enclose(96, lambda iv: m * iv.log(m))
+                assert m_ln_m.hi <= n * d, (n, kappa, epsilon)
+    assert returned and refused
 
 
 def test_every_irrational_decision_goes_through_the_one_ladder(monkeypatch):
@@ -382,9 +412,8 @@ def test_a_square_step_is_the_image_of_the_cube_alone():
     assert step.ratio_kernel is None and step.kernel_shortest_sq is None
     assert [name for name, _ in step.checks] == [
         "full_rank", "s_independence", "projection_image_agree",
-        "inner_integer", "inner_full_rank", "image_ratio_bound",
-        "ratio_additivity", "volume_equals_covolume",
-        "recursion_inequality"]
+        "inner_integer", "image_ratio_bound", "ratio_additivity",
+        "volume_equals_covolume", "recursion_inequality"]
     assert all(ok for _, ok in step.checks)
     gram = b @ b.t()
     want = SqrtSum.zero()
@@ -393,6 +422,39 @@ def test_a_square_step_is_the_image_of_the_cube_alone():
     assert rep.ratio_exact.terms == want.terms
     assert rep.ratio_exact == SqrtSum.from_rational(2) \
         + SqrtSum.from_rational(4) * SqrtSum.sqrt(2)
+
+
+SQUARE_DET2 = QMatrix.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+DET2_RATIO = SqrtSum.from_rational(Fraction(3, 2)) \
+    * (SqrtSum.sqrt(2) + SqrtSum.sqrt(6))
+
+
+def test_a_square_step_of_determinant_2_reaches_a_voronoi_base():
+    # B Z^3 has index 2, so its Hermite basis is no identity and the base
+    # case is the certified Voronoi cell of B Z^3, pulled back through B^-1
+    rep = construct(3, RecursionConfig(matrix_override=((SQUARE_DET2, None),)))
+    assert [lv.mode for lv in rep.levels] == ["step", "voronoi"]
+    assert all(ok for lv in rep.levels for _, ok in lv.checks)
+    assert rep.ratio_exact == DET2_RATIO
+    assert rep.ratio_exact < SqrtSum.from_rational(6)
+    tiling = verify_tiling(rep.body, Lattice.standard(3), samples=20000)
+    assert tiling.passed
+    assert (tiling.translates, tiling.overlap_violations,
+            tiling.gap_violations) == (32, 0, 0)
+
+
+def test_no_square_0_1_step_at_n3_beats_determinant_2():
+    # the 168 overrides with |det| = 1 give 2n (the permutations) or more,
+    # and the 6 with |det| = 2 all give the Voronoi-base value
+    ratios = {1: [], 2: []}
+    for bits in itertools.product((0, 1), repeat=9):
+        b = QMatrix.from_rows([bits[0:3], bits[3:6], bits[6:9]])
+        det = abs(det_q(b))
+        if det:
+            ratios[det].append(construct(3, RecursionConfig(
+                matrix_override=((b, None),))).ratio_exact)
+    assert (len(ratios[1]), len(ratios[2])) == (168, 6)
+    assert min(ratios[1]) == 6 and all(r == DET2_RATIO for r in ratios[2])
 
 
 def test_override_takes_any_integer_valued_matrix():
