@@ -43,10 +43,10 @@ _PRIMES = _primes_below(_TRIAL_LIMIT)
 def split_square(n: int) -> Tuple[int, int]:
     """Write n = f*f * r with r free of square factors found by trial division.
 
-    Returns (f, r).  r is genuinely squarefree whenever its remaining part is
-    below _TRIAL_LIMIT**2 or a perfect square; larger square factors with all
-    prime divisors above the trial limit are left in place, which only makes
-    the canonical form coarser, never wrong.
+    Returns (f, r), with r = 1 exactly when n is a perfect square.  r is
+    genuinely squarefree whenever it is below _TRIAL_LIMIT**2; larger square
+    factors with all prime divisors above the trial limit are left in place,
+    which only makes the canonical form coarser, never wrong.
     """
     if n <= 0:
         raise ValueError("radicand must be positive")
@@ -61,9 +61,6 @@ def split_square(n: int) -> Tuple[int, int]:
         while n % pp == 0:
             n //= pp
             f *= p
-    root = math.isqrt(n)
-    if root * root == n:
-        return f * root, 1
     return f, n
 
 

@@ -25,10 +25,10 @@ class SamplerFailure(Exception):
 
 
 class SearchCap(Exception):
-    """A dependency search would hold more subsets than its budget."""
+    """A dependency search would visit more subsets than its budget."""
 
 
-_TABLE_CAP = 10 ** 7  # subsets a meet-in-the-middle table may hold
+_SEARCH_CAP = 10 ** 7  # subsets a meet in the middle may visit
 
 
 # --- walk return probabilities -------------------------------------------------
@@ -243,8 +243,8 @@ def shortest_dependency(masks: Sequence[int], s: int
     set bit of column a lies in exactly one of columns b and c, so each a
     probes only the columns holding that bit, and looks the XOR of the two
     up among the columns.  From s = 4 on, a meet in the middle decides; it
-    raises SearchCap before building a table of more than `_TABLE_CAP`
-    subsets.  Masks must be non-negative.
+    raises SearchCap before it starts if it would visit more than
+    `_SEARCH_CAP` subsets.  Masks must be non-negative.
     """
     if min(masks, default=0) < 0:
         raise ValueError("column masks must be non-negative")
@@ -305,14 +305,16 @@ def _meet_in_the_middle(masks: Sequence[int], s: int
     """Subsets of size 1 to s - floor(s/2), in order, probe a table of the
     XORs of the subsets of size <= floor(s/2) met before them (the empty set
     included), and then enter it if they are that small.  A hit pairs two
-    distinct subsets, and their symmetric difference is a dependency."""
+    distinct subsets, and their symmetric difference is a dependency.  The
+    probes, at most sum_{k <= s - floor(s/2)} C(n, k), outnumber the table,
+    so their count bounds both the time and the memory."""
     n = len(masks)
     half = s // 2
-    subsets = sum(math.comb(n, k) for k in range(half + 1))
-    if subsets > _TABLE_CAP:
+    subsets = sum(math.comb(n, k) for k in range(s - half + 1))
+    if subsets > _SEARCH_CAP:
         raise SearchCap(f"a search for dependencies of size <= {s} among "
-                        f"{n} columns needs a table of {subsets} subsets, "
-                        f"more than {_TABLE_CAP}")
+                        f"{n} columns would visit {subsets} subsets, "
+                        f"more than {_SEARCH_CAP}")
     table: Dict[int, Tuple[int, ...]] = {0: ()}
     for size in range(1, s - half + 1):
         for combo in itertools.combinations(range(n), size):

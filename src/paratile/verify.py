@@ -7,13 +7,13 @@ integers: the dyadic denominator and the halfspace denominators are cleared up
 front, and one vectorised count runs on numpy int64 where an overflow audit
 allows it and on exact Python integers (object dtype) where it does not.
 
-The sample numerators are the stream of ``randrange(2**bits)`` calls on
-``random.Random(f"tiling:{seed}")``, drawn in bulk: one ``getrandbits`` call
-yields the same Mersenne Twister words that the per-coordinate calls would
-consume, and CPython's rejection rule is replayed on them with numpy, so the
-samples and hence the report bytes are those of the per-call loop.  Samples
-are drawn and counted in blocks of ``_DRAW_CHUNK`` points, so the audit's
-memory is bounded by a block, not by the sample count.
+The sample numerators are the stream of ``getrandbits(bits)`` calls on
+``random.Random(f"tiling:{seed}")``, uniform on [0, 2**bits), drawn in bulk:
+one ``getrandbits`` call per block yields the same Mersenne Twister words
+that the per-coordinate calls would consume, cut with numpy into the same
+values, so the samples and hence the report bytes are those of the per-call
+loop.  Samples are drawn and counted in blocks of ``_DRAW_CHUNK`` points, so
+the audit's memory is bounded by a block, not by the sample count.
 
 A halfspace row's offset repeats across translates, so the count compares
 each row's scores once per distinct offset and packs the closed and open
@@ -96,9 +96,9 @@ def _membership_system(body: HPolytope, lat: Lattice, bits: int
     return rows, offsets
 
 
-# candidates decoded per refill of the dyadic stream, which bounds the size of
-# the integer that one getrandbits call builds, and samples counted per block,
-# which bounds the audit's memory whatever the sample count
+# samples drawn and counted per block, which bounds the size of the integer
+# that one getrandbits call builds and the audit's memory, whatever the
+# sample count
 _DRAW_CHUNK = 1 << 16
 
 
@@ -107,47 +107,29 @@ def _sample_blocks(rng: random.Random, samples: int, rank: int, bits: int
     """The numerators of the next samples points, in blocks of _DRAW_CHUNK
     rows of rank coordinates (the last block may be shorter).
 
-    Coordinate j of the stream is the j-th call of rng.randrange(2**bits), bit
-    for bit.  CPython's randrange(2**bits) calls getrandbits(bits + 1) and
-    rejects any value >= 2**bits.  getrandbits(k) takes ceil(k/32) 32-bit
-    Mersenne Twister words, least significant first, and shifts the last one
-    right by 32*ceil(k/32) - k.  getrandbits of a multiple of 32 bits returns
-    the raw words in the same order, so bulk draws, cut into ceil(k/32)-word
-    candidates, replay the per-call stream.  Accepted values a block does not
-    use are carried into the next one, and words drawn past the last value
-    needed are simply not used.  The blocks are int64 while every candidate
-    fits (bits + 1 <= 63) and exact Python integers (object dtype) above that.
+    Coordinate j of the stream is the j-th call of rng.getrandbits(bits), bit
+    for bit.  getrandbits(k) takes ceil(k/32) 32-bit Mersenne Twister words,
+    least significant first, and shifts the last one right by
+    32*ceil(k/32) - k; getrandbits of a multiple of 32 bits returns the raw
+    words in the same order, so one bulk draw per block, cut into
+    ceil(bits/32)-word values, replays the per-call stream.  The blocks are
+    int64 while every value fits (bits <= 63) and exact Python integers
+    (object dtype) above that.
     """
-    k = bits + 1
-    words = -(-k // 32)
-    shift = 32 * words - k
-    dtype = np.int64 if k <= 63 else object
-    bound = 1 << bits
-    left = samples * rank            # values still to yield
-    accepted: List[np.ndarray] = []  # drawn and not yet yielded
-    have = 0
-    while left:
-        take = min(_DRAW_CHUNK * rank, left)
-        if have >= take:
-            values = np.concatenate(accepted)
-            accepted = [values[take:]]
-            have -= take
-            left -= take
-            yield values[:take].reshape(-1, rank)
-            continue
-        # about half of the candidates are rejected
-        draws = min(2 * (left - have) + 64, _DRAW_CHUNK)
+    words = -(-bits // 32)
+    shift = 32 * words - bits
+    dtype = np.int64 if bits <= 63 else object
+    for first in range(0, samples, _DRAW_CHUNK):
+        count = min(_DRAW_CHUNK, samples - first) * rank
         raw = np.frombuffer(
-            rng.getrandbits(32 * words * draws).to_bytes(4 * words * draws,
+            rng.getrandbits(32 * words * count).to_bytes(4 * words * count,
                                                           "little"),
-            dtype="<u4").reshape(draws, words)
-        limbs = raw.astype(dtype)
-        cand = limbs[:, -1] >> shift
+            dtype="<u4").reshape(count, words)
+        values = (raw[:, -1] >> shift).astype(dtype)
         for i in range(words - 2, -1, -1):
-            cand = (cand << 32) | limbs[:, i]
-        accepted.append(cand[cand < bound])
-        have += len(accepted[-1])
-        del raw, limbs, cand  # freed before a block is concatenated
+            values = (values << 32) | raw[:, i].astype(dtype)
+        del raw  # freed before the block is counted
+        yield values.reshape(-1, rank)
 
 
 _BYTE_POPCOUNT = np.array([bin(i).count("1") for i in range(256)],

@@ -709,10 +709,10 @@ def parse_hrep(text: str) -> HPolytope:
 
 def dyadic_numerators_loop(seed: int, samples: int, rank: int, bits: int
                            ) -> List[List[int]]:
-    """The tiling audit's sample numerators, one ``randrange`` per coordinate."""
+    """The tiling audit's sample numerators, one ``getrandbits`` per
+    coordinate."""
     rng = random.Random(f"tiling:{seed}")
-    scale = 1 << bits
-    return [[rng.randrange(scale) for _ in range(rank)]
+    return [[rng.getrandbits(bits) for _ in range(rank)]
             for _ in range(samples)]
 
 

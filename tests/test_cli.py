@@ -695,17 +695,20 @@ def test_sample_matrix_rejects_small_d(capsys):
 
 
 def test_sample_matrix_refuses_a_dependency_table_beyond_its_budget(capsys):
-    # s = 6 over 1024 columns would tabulate C(1024, 3) + C(1024, 2) + 1025
-    # subsets; the search refuses before it builds any
-    t0 = time.perf_counter()
-    assert main(["sample-matrix", "--m", "128", "--n", "1024", "--d", "4",
-                 "--verify-s", "6"]) == 2
-    assert time.perf_counter() - t0 < 5.0
-    cap = capsys.readouterr()
-    assert cap.out == ""
-    assert cap.err == ("cannot decide at these budgets: a search for "
-                       "dependencies of size <= 6 among 1024 columns needs "
-                       "a table of 178957825 subsets, more than 10000000\n")
+    # s = 5 and s = 6 over 1024 columns would both probe every subset of
+    # at most 3 columns, C(1024, 3) + C(1024, 2) + 1025 of them; the search
+    # refuses before it builds anything
+    for s in (5, 6):
+        t0 = time.perf_counter()
+        assert main(["sample-matrix", "--m", "128", "--n", "1024", "--d", "4",
+                     "--verify-s", str(s)]) == 2
+        assert time.perf_counter() - t0 < 5.0
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err == ("cannot decide at these budgets: a search for "
+                           f"dependencies of size <= {s} among 1024 columns "
+                           "would visit 178957825 subsets, more than "
+                           "10000000\n")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -830,6 +833,14 @@ def test_walk_stats_empirical_column(capsys):
                  "--samples", "200"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert all("empirical" in r for r in doc["rows"])
+
+
+def test_walk_stats_exits_1_on_a_bound_violation(monkeypatch, capsys):
+    # with a zero bound every nonzero return probability (t = 0 and t = 2
+    # at m = 2) is a violation
+    monkeypatch.setattr(cli, "return_prob_bound", lambda m, t: 0)
+    assert main(["walk-stats", "--m", "2", "--t-max", "2"]) == 1
+    assert "2 bound violations" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -664,6 +664,24 @@ def test_induction_from_undecided_bounds_falls_back_to_the_ladder(
         assert verdict == holds(n, m, 4) == r["induction_covers"]
 
 
+@pytest.mark.parametrize("n, m", [(1000, 999), (10 ** 6, 10 ** 6 - 1),
+                                  (10 ** 6, 5000)])
+def test_induction_from_bounds_refuses_without_the_ladder(n, m, monkeypatch):
+    # an m far above the schedule's choice (510 at n = 10^6) fails the
+    # inequality by a margin the 96-bit enclosures already show, so no
+    # ladder runs
+    holds = construction._induction_inequality_holds
+
+    def refused(*args):
+        raise AssertionError("the ladder ran")
+
+    monkeypatch.setattr(construction, "_induction_inequality_holds", refused)
+    assert construction._induction_from_bounds(
+        n, m, 4, predicted_bound_interval(n, 4),
+        predicted_bound_interval(m, 4)) is False
+    assert holds(n, m, 4) is False
+
+
 # --- isoperimetric context --------------------------------------------------
 
 

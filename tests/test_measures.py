@@ -12,8 +12,9 @@ from oracles import (reference_faces, reference_voronoi_faces,
 from paratile.lattices import Lattice
 from paratile.linalg import QMatrix, det_int, rank_over_rationals
 from paratile.polytopes import (DegenerateBody, EmptyBody, HPolytope,
-                                Unbounded, linear_image, orthogonal_product,
-                                voronoi_cell)
+                                Unbounded, _opposite_pairs, linear_image,
+                                orthogonal_product, voronoi_cell)
+from paratile.radicals import SqrtSum
 
 small_int = st.integers(min_value=-3, max_value=3)
 entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -159,6 +160,19 @@ def test_translated_box_is_not_symmetric_but_agrees():
          ((0, 0, 1), Fraction(1, 2)), ((0, 0, -1), Fraction(1, 2)),
          ((1, 1, 1), Fraction(3))])
     assert_same_terms(body.measures(), triangulated_measures(fresh(body)))
+
+
+def test_trapezoid_with_one_opposite_pair_takes_the_facet_sum():
+    # 0 <= x <= 2, y >= 0, x + 2y <= 4: four halfspaces in the plane, as
+    # many as a parallelogram has, but only x <= 2 has its opposite
+    body = HPolytope.from_halfspaces(
+        2, [((1, 0), Fraction(2)), ((-1, 0), Fraction(0)),
+            ((0, -1), Fraction(0)), ((1, 2), Fraction(4))])
+    assert _opposite_pairs(2, body.halfspaces) is None
+    got = body.measures()
+    assert_same_terms(got, triangulated_measures(fresh(body)))
+    assert got.volume == SqrtSum.from_rational(3)
+    assert got.surface == SqrtSum.from_rational(5) + SqrtSum.sqrt(5)
 
 
 # --- the integer sweep against the reference sweep -----------------------------------

@@ -130,9 +130,9 @@ _STREAM_BITS = [1, 24, 31, 32, 33, 60, 62, 63, 64, 70]
 
 
 @pytest.mark.parametrize("bits", _STREAM_BITS)
-def test_bulk_samples_replay_the_randrange_stream(bits, monkeypatch):
-    # a few hundred candidates per refill forces many refills; this pins
-    # CPython's randrange(2**bits): if an interpreter changes it, the bulk
+def test_bulk_samples_replay_the_getrandbits_stream(bits, monkeypatch):
+    # a few hundred points per block forces many blocks; this pins
+    # CPython's getrandbits(bits): if an interpreter changes it, the bulk
     # stream (and so every audit's report bytes) no longer matches
     monkeypatch.setattr(verify, "_DRAW_CHUNK", 300)
     for seed, samples, rank in ((0, 1, 1), (1, 97, 3), (7, 500, 4),
@@ -140,14 +140,14 @@ def test_bulk_samples_replay_the_randrange_stream(bits, monkeypatch):
         got = _inputs(HPolytope.cube(rank), Lattice.standard(rank),
                       samples, bits, seed)[0]
         assert got.shape == (samples, rank)
-        assert got.dtype == (np.int64 if bits + 1 <= 63 else object)
+        assert got.dtype == (np.int64 if bits <= 63 else object)
         assert got.tolist() == dyadic_numerators_loop(seed, samples, rank,
                                                       bits)
 
 
 def test_bulk_samples_replay_the_stream_across_default_refills():
     count = 3 * verify._DRAW_CHUNK
-    for bits in (24, 33):
+    for bits in (24, 33, 63, 70):
         got = np.concatenate(list(_sample_blocks(random.Random("tiling:5"),
                                                  count, 1, bits)))
         assert got.tolist() == dyadic_numerators_loop(5, count, 1, bits)
