@@ -31,9 +31,10 @@ and a facet of P keeps its normal padded with zeros and gains the factor vq
 (likewise for Q).  A parallelepiped (d opposite pairs of halfspaces with
 independent normals) needs no vertices: its chart volume is the product of
 the widths over |det A|.  Any other body has its vertices swept, each facet
-pulling-triangulated (one integer determinant per simplex), and its chart
-volume summed over the facets as (1/d) sum_F b_F vol(F) (the divergence
-theorem, Lasserre 1983).
+measured by Lasserre's recursion over its face lattice (faces as vertex
+bitmasks, integer vertices, no determinant; each pyramid's volume is an
+exact integer division, which checks the lattice), and its chart volume
+summed over the facets as (1/d) sum_F b_F vol(F) (the divergence theorem).
 """
 
 from __future__ import annotations
@@ -276,6 +277,77 @@ def _sweep_from_halfspaces(dim: int, halfspaces: Sequence[Halfspace]) -> _Sweep:
     return sweep
 
 
+def _section(piv: List[int], rows: List[Tuple[int, ...]], den: int,
+             alpha: List[int]):
+    """(pivots, rows, den) of a hyperplane section of the affine hull that
+    projects one to one onto piv along rows / den (row t is den at piv[t]
+    and 0 at the other pivots), where the hyperplane's normal a reads
+    alpha_t = a . row_t.  The section loses the last pivot t* with
+    alpha_t* != 0 and runs along the rows alpha_t* row_t - alpha_t row_t*,
+    whose pivots all read alpha_t* den, over their gcd signed so that the
+    new den is positive."""
+    top = max(t for t, x in enumerate(alpha) if x)
+    at, rt = alpha[top], rows[top]
+    sub = [tuple(at * x - al * y for x, y in zip(r, rt))
+           for t, (r, al) in enumerate(zip(rows, alpha)) if t != top]
+    div = math.gcd(at * den, *(x for r in sub for x in r))
+    if at < 0:
+        div = -div
+    return (piv[:top] + piv[top + 1:],
+            [tuple(x // div for x in r) for r in sub], at * den // div)
+
+
+def _face_volume(face: int, piv: List[int], rows: List[Tuple[int, ...]],
+                 den: int, gens, pts, memo: Dict[int, int]) -> int:
+    """k! times the k-volume of a face's projection onto its pivots.
+
+    The face is a bitmask over the integer points pts, k = len(piv) >= 1,
+    and (piv, rows, den) is its affine hull as in `_section`.  Its facets
+    are the inclusion-maximal proper intersections face & m over the
+    generators (m, a, c), each on the hyperplane a . x = c, and the lowest
+    vertex v0 is the apex (Lasserre 1983): V(f) is the sum over the facets
+    g missing v0 of (c - a . pts[v0]) den V(g) / |alpha_t*|, with alpha and
+    t* as in `_section`.  Each term is k! times the volume of a lattice
+    pyramid in Z^k, an integer, so an inexact division means a wrong face
+    lattice and raises.  The facets of g come from the facets of f, and
+    the memo is keyed by the face alone, since its affine hull fixes its
+    pivots and rows."""
+    if face in memo:
+        return memo[face]
+    if len(piv) == 1:  # an edge, from its lowest vertex to its highest
+        t = piv[0]
+        vol = abs(pts[(face & -face).bit_length() - 1][t]
+                  - pts[face.bit_length() - 1][t])
+        memo[face] = vol
+        return vol
+    inters: Dict[int, tuple] = {}
+    for m, a, c in gens:
+        g = face & m
+        if g and g != face:
+            inters.setdefault(g, (a, c))
+    children = []  # by size, so a set's proper supersets come before it
+    for g in sorted(inters, key=int.bit_count, reverse=True):
+        if all(g & h != g for h, _, _ in children):
+            children.append((g, *inters[g]))
+    v0 = (face & -face).bit_length() - 1
+    p0 = pts[v0]
+    vol = 0
+    for g, a, c in children:
+        if g >> v0 & 1:
+            continue  # the apex lies on g: a pyramid of height 0
+        alpha = [dot(a, r) for r in rows]
+        if g not in memo:
+            _face_volume(g, *_section(piv, rows, den, alpha), children,
+                         pts, memo)
+        at = next(x for x in reversed(alpha) if x)
+        term, rem = divmod((c - dot(a, p0)) * den * memo[g], abs(at))
+        if rem:
+            raise ArithmeticError("a pyramid's volume is not integral")
+        vol += term
+    memo[face] = vol
+    return vol
+
+
 # --- the body class -------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -390,38 +462,17 @@ class HPolytope:
         G^{-1} a) keeps it exact, and the minimum over the facets is <= 0
         when the origin is not interior.
         """
-        ginv = self.metric_inv()
-        return min(Fraction(b * abs(b)) / dot(a, ginv.mul_vec(a))
-                   for a, b, _ in self.facets())
+        return min(b * abs(b) / self._dual_sq(a) for a, b, _ in self.facets())
 
-    # face lattice and triangulation ---------------------------------------------
-
-    def _face_children(self, face: FrozenSet[int]) -> List[FrozenSet[int]]:
-        """The facets of a face: its inclusion-maximal proper intersections
-        with the body's facets, in the order the facets first meet them."""
-        inters = dict.fromkeys(face & touch for _, _, touch in self.facets()
-                               if not face <= touch)
-        inters.pop(frozenset(), None)
-        return [f for f in inters if not any(f < g for g in inters)]
-
-    def _triangulate(self, face: FrozenSet[int], dim: int
-                     ) -> List[Tuple[int, ...]]:
-        memo = self._cache.setdefault("triangulations", {})
-        key = face
-        if key in memo:
-            return memo[key]
-        if dim == 0:
-            result = [(min(face),)]
-        else:
-            v0 = min(face)
-            result = []
-            for child in self._face_children(face):
-                if v0 in child:
-                    continue
-                for s in self._triangulate(child, dim - 1):
-                    result.append((v0,) + s)
-        memo[key] = result
-        return result
+    def _dual_sq(self, a: Tuple[int, ...]) -> Fraction:
+        """a^T G^-1 a, on integers as a^T num a / den for G^-1 = num / den,
+        once per normal pair +-a."""
+        memo = self._cache.setdefault("dual_sq", {})
+        if a not in memo:
+            ginv = self.metric_inv()
+            memo[a] = memo[_neg(a)] = Fraction(
+                dot(a, [dot(row, a) for row in ginv.num]), ginv.den)
+        return memo[a]
 
     # measures --------------------------------------------------------------------
 
@@ -435,12 +486,11 @@ class HPolytope:
         if "measures" not in self._cache:
             coordvol, areas = self._chart()
             det_g = det_q(self.metric())
-            ginv = self.metric_inv()
             volume = SqrtSum.from_rational(coordvol) * SqrtSum.sqrt(det_g)
             surface = SqrtSum.zero()
             for a, area in areas:
                 surface = surface + SqrtSum.from_rational(area) \
-                    * SqrtSum.sqrt(det_g * dot(a, ginv.mul_vec(a)))
+                    * SqrtSum.sqrt(det_g * self._dual_sq(a))
             self._cache["measures"] = BodyMeasures(volume, surface,
                                                    surface / volume)
         return self._cache["measures"]
@@ -462,45 +512,42 @@ class HPolytope:
 
         In chart coordinates the facet a . y = b lies at distance b / |a|
         from the origin and has area |a| vol_C(F), so the divergence theorem
-        needs no top-dimensional triangulation.  When the facets are closed
-        under a -> -a with equal offsets the body is centrally symmetric and
-        each opposite pair is measured once.
+        needs no top-dimensional volume.  When the facets are closed under
+        a -> -a with equal offsets the body is centrally symmetric and each
+        opposite pair is measured once.
+
+        A facet's volume comes from Lasserre's recursion (`_face_volume`)
+        on the vertices scaled to integers by their common denominator.
+        Its affine hull projects one to one onto the coordinates other
+        than the last j with a_j != 0, and that projection maps the lattice
+        Z^d in a's hyperplane onto a sublattice of index |a_j| (a is
+        primitive), so vol_C(F) is the projected volume over |a_j|.
         """
+        d = self.dim
         verts = self.vertices()
         facets = self.facets()
         offsets = {a: b for a, b, _ in facets}
         symmetric = all(offsets.get(_neg(a)) == b for a, b, _ in facets)
+        scale = denominator_lcm(x for v in verts for x in v)
+        pts = [scaled_to_int(v, scale) for v in verts]
+        gens = [(sum(1 << i for i in touch), a, dot(a, pts[min(touch)]))
+                for a, _, touch in facets]
+        memo: Dict[int, int] = {}
+        unit = scale ** (d - 1) * math.factorial(d - 1)
         coordvol = Fraction(0)
         areas: Dict[Tuple[int, ...], Fraction] = {}
-        for a, b, touch in facets:
+        for (a, b, _), (mask, _, _) in zip(facets, gens):
             key = max(a, _neg(a))
             if symmetric and a != key:
                 continue
-            area = (2 if symmetric else 1) \
-                * self._facet_chart_volume(a, touch, verts)
+            # den is |a_j|, for the last j with a_j != 0
+            piv, rows, den = _section(list(range(d)), identity_rows(d), 1,
+                                      list(a))
+            vol = _face_volume(mask, piv, rows, den, gens, pts, memo)
+            area = Fraction((2 if symmetric else 1) * vol, den * unit)
             coordvol += b * area
             areas[key] = areas.get(key, 0) + area
-        return coordvol / self.dim, tuple(areas.items())
-
-    def _facet_chart_volume(self, a: Tuple[int, ...], touch: FrozenSet[int],
-                            verts) -> Fraction:
-        """Volume of a facet in the coordinates of a Z-basis C of a^perp.
-
-        For edge vectors W of a simplex in a^perp, |det C^-1 W| equals
-        |det [W; a]| / |a|^2 (a primitive), so one integer determinant per
-        simplex does it once the facet's denominators are cleared.
-        """
-        d = self.dim
-        order = sorted(touch)
-        scale = denominator_lcm(x for i in order for x in verts[i])
-        pts = {i: scaled_to_int(verts[i], scale) for i in order}
-        acc = 0
-        for simplex in self._triangulate(touch, d - 1):
-            p0 = pts[simplex[0]]
-            rows = [[x - y for x, y in zip(pts[i], p0)] for i in simplex[1:]]
-            acc += abs(det_int(rows + [list(a)]))
-        return Fraction(acc, scale ** (d - 1) * dot(a, a)
-                        * math.factorial(d - 1))
+        return coordvol / d, tuple(areas.items())
 
     def volume(self) -> SqrtSum:
         return self.measures().volume

@@ -343,13 +343,25 @@ def verify_s_independence(mat_or_masks, s: int
 
 
 def largest_verified_s(masks: Sequence[int], s_cap: int) -> int:
-    """Largest s <= s_cap that verify_s_independence certifies."""
-    best = 0
-    for s in range(1, s_cap + 1):
-        ok, _ = verify_s_independence(masks, s)
-        if not ok:
-            break
-        best = s
+    """Largest s <= s_cap that verify_s_independence certifies.
+
+    One `_scan` decides s <= 2: a zero column leaves 0 and a repeated pair
+    1.  With neither, a dependent triple leaves 2, and from s = 4 on each
+    level runs its own meet in the middle."""
+    if min(masks, default=0) < 0:
+        raise ValueError("column masks must be non-negative")
+    if s_cap < 1:
+        return 0
+    zero, repeat, index = _scan(masks)
+    if zero:
+        return 0
+    if repeat or s_cap == 1:
+        return 1
+    if s_cap == 2 or _first_triple(masks, index):
+        return 2
+    best = 3
+    while best < s_cap and _meet_in_the_middle(masks, best + 1) is None:
+        best += 1
     return best
 
 

@@ -443,6 +443,26 @@ def test_a_square_step_of_determinant_2_reaches_a_voronoi_base():
             tiling.gap_violations) == (32, 0, 0)
 
 
+@pytest.mark.parametrize("n, want", [
+    (6, SqrtSum.from_rational(5) * SqrtSum.sqrt(2)
+     + SqrtSum.from_rational(2) * SqrtSum.sqrt(6)),
+    (7, SqrtSum.from_rational(6) * SqrtSum.sqrt(2)
+     + SqrtSum.from_rational(2) * SqrtSum.sqrt(7)),
+])
+def test_the_all_ones_row_certifies_below_2n(n, want):
+    # route: one all-ones row, so the kernel Z^n & 1^perp is A_(n-1), whose
+    # Voronoi cell has ratio sqrt(2) (n - 1), and the image T [-1/2, 1/2]
+    # adds 2 sqrt(n); the sum is below 2n from n = 6 on
+    ones = QMatrix.from_rows([[1] * n])
+    rep = construct(n, RecursionConfig(matrix_override=((ones, None),)))
+    assert [lv.mode for lv in rep.levels] == ["step", "cube"]
+    assert all(ok for lv in rep.levels for _, ok in lv.checks)
+    assert rep.levels[0].ratio_kernel == SqrtSum.from_rational(n - 1) \
+        * SqrtSum.sqrt(2)
+    assert rep.ratio_exact == want
+    assert rep.ratio_exact < SqrtSum.from_rational(2 * n)
+
+
 def test_no_square_0_1_step_at_n3_beats_determinant_2():
     # the 168 overrides with |det| = 1 give 2n (the permutations) or more,
     # and the 6 with |det| = 2 all give the Voronoi-base value

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from oracles import (reference_faces, reference_voronoi_faces,
                      triangulated_measures)
-from paratile.lattices import Lattice
+from paratile import linalg, polytopes
+from paratile.lattices import Lattice, kernel_and_image
 from paratile.linalg import QMatrix, det_int, rank_over_rationals
 from paratile.polytopes import (DegenerateBody, EmptyBody, HPolytope,
-                                Unbounded, _opposite_pairs, linear_image,
-                                orthogonal_product, voronoi_cell)
+                                Unbounded, _face_volume, _opposite_pairs,
+                                linear_image, orthogonal_product,
+                                voronoi_cell)
 from paratile.radicals import SqrtSum
 
 small_int = st.integers(min_value=-3, max_value=3)
@@ -175,6 +177,38 @@ def test_trapezoid_with_one_opposite_pair_takes_the_facet_sum():
     assert got.surface == SqrtSum.from_rational(5) + SqrtSum.sqrt(5)
 
 
+# --- facet volumes by Lasserre's recursion ---------------------------------------------
+
+def test_a_voronoi_chart_takes_no_determinant(monkeypatch):
+    calls = []
+
+    def counted(rows, _det=linalg.det_int):
+        calls.append(len(rows))
+        return _det(rows)
+
+    monkeypatch.setattr(polytopes, "det_int", counted)
+    monkeypatch.setattr(linalg, "det_int", counted)
+    cell = voronoi_cell(Lattice.from_columns([[2, 0, 1], [1, 2, 0],
+                                              [0, 1, 2]]))
+    assert _opposite_pairs(cell.dim, cell.halfspaces) is None
+    volume, _ = cell._chart()
+    assert calls == []
+    assert volume == 1  # the cell of a lattice in its own basis coordinates
+
+
+def test_a_pyramid_that_does_not_divide_exactly_raises():
+    # the triangle (0,0), (1,0), (0,1): its slanted edge on x + y = 1 gives
+    # 2! * 1/2 = 1, and the wrong plane x + 2y = 3 leaves a remainder
+    pts = [(0, 0), (1, 0), (0, 1)]
+    edges = [(0b011, (0, -1), 0), (0b101, (-1, 0), 0)]
+    rows = [(1, 0), (0, 1)]
+    good = edges + [(0b110, (1, 1), 1)]
+    assert _face_volume(0b111, [0, 1], rows, 1, good, pts, {}) == 1
+    bad = edges + [(0b110, (1, 2), 3)]
+    with pytest.raises(ArithmeticError, match="not integral"):
+        _face_volume(0b111, [0, 1], rows, 1, bad, pts, {})
+
+
 # --- the integer sweep against the reference sweep -----------------------------------
 
 @st.composite
@@ -223,6 +257,12 @@ def assert_same_faces(body, verts, facets):
                        [((0, 0, -2, -2), -4), ((2, 1, 0, -2), -3)]))
 @example(box_with_cuts([-3, -2, -3, -2], [1, 3, 2, 3],
                        [((2, -1, 0, 0), -4)]))
+# not centrally symmetric, off the origin, and vertices with denominators
+# above 3, which the facet volumes scale to integers first
+@example(box_with_cuts(
+    [Fraction(-1, 2), Fraction(-2, 3), -1, Fraction(1, 5)],
+    [Fraction(3, 2), 1, Fraction(4, 3), 2],
+    [((1, 2, 3, 1), Fraction(7, 2)), ((-2, 1, 0, 3), Fraction(13, 3))]))
 def test_sweep_matches_the_reference_sweep(body):
     verts, facets = reference_faces(body.dim, body.halfspaces)
     assert_same_faces(body, verts, facets)
@@ -234,6 +274,12 @@ def test_sweep_matches_the_reference_sweep(body):
 # a facet vector of this cell has squared norm 23, more than twice the
 # squared norm 11 of the longest vector of its reduced basis
 @example(Lattice.from_columns([[1, 2, 2, 3], [2, 1, -2, 0], [1, 3, 1, 0]]))
+# the rank-5 kernel of [I_4 | five columns]: 204 vertices and 44 facets,
+# and only 84 of the vertices lie on exactly 5 facets, so the cell is far
+# from simple
+@example(kernel_and_image(Lattice.standard(9), QMatrix.from_rows(
+    [[1, 0, 0, 0, 1, 1, 0, 0, 1], [0, 1, 0, 0, 1, 1, 0, 1, 1],
+     [0, 0, 1, 0, 0, 1, 1, 1, 1], [0, 0, 0, 1, 0, 1, 1, 0, 0]]))[0])
 def test_voronoi_cell_matches_the_one_pass_reference(lat):
     cell = voronoi_cell(lat)
     verts, facets = reference_voronoi_faces(cell.metric())

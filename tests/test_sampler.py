@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paratile import sampler
 from paratile.intervals import enclose, root_interval
 from paratile.linalg import QMatrix
 from paratile.sampler import (LdpcParams, SamplerFailure, admissible_s,
@@ -339,6 +340,23 @@ def test_dependency_search_matches_the_meet_in_the_middle(masks, s):
     while level < s and reference_dependency(masks, level + 1) is None:
         level += 1
     assert largest_verified_s(masks, s) == level
+
+
+@pytest.mark.parametrize("masks, level, triples", [
+    ([1, 0, 2], 0, 0),     # a zero column
+    ([1, 2, 1], 1, 0),     # a repeated pair
+    ([1, 2, 3], 2, 1),     # a dependent triple
+    ([1, 2, 4, 8], 3, 1),  # none of them
+])
+def test_levels_up_to_3_take_one_scan(monkeypatch, masks, level, triples):
+    calls = {"_scan": 0, "_first_triple": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(sampler, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(sampler, name, counted)
+    assert largest_verified_s(masks, 3) == level
+    assert calls == {"_scan": 1, "_first_triple": triples}
 
 
 @pytest.mark.parametrize("s", range(6))

@@ -145,7 +145,9 @@ def test_bulk_samples_replay_the_getrandbits_stream(bits, monkeypatch):
                                                       bits)
 
 
-def test_bulk_samples_replay_the_stream_across_default_refills():
+def test_bulk_samples_replay_the_stream_across_default_block_edges():
+    # three default blocks: each block is one draw, and the stream runs on
+    # across its edges
     count = 3 * verify._DRAW_CHUNK
     for bits in (24, 33, 63, 70):
         got = np.concatenate(list(_sample_blocks(random.Random("tiling:5"),
