@@ -5,7 +5,7 @@ Usage: python scripts/make_golden.py
 
 Writes the worked n = 4 override matrix the cases read, then runs every case
 of tests/test_golden_reports.py in-process and writes its stdout, stderr and
-exit code.  Deterministic: run it twice and the bytes do not change.  Run it
+exit code, and the body file of a case that writes one.  Deterministic: run it twice and the bytes do not change.  Run it
 only when a change means to move report bytes, and review the diff.
 """
 
@@ -36,8 +36,7 @@ def main():
     write(WORKED_MATRIX, ser.dump_json(doc))
 
     for case in sorted(CASES):
-        outputs = run_case(CASES[case])
-        for suffix, text in zip(("stdout", "stderr", "exit"), outputs):
+        for suffix, text in run_case(CASES[case]).items():
             write(GOLDEN / f"{case}.{suffix}", text)
 
 

@@ -40,6 +40,11 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_UNDECIDED = 2
 
+# the largest halfspace table (halfspaces x chart dimension) that
+# --body-out writes: the cube's 2n^2 entries at n = 1000, a 59 MB JSON
+# file whose writing peaks near 250 MiB under CPython 3.11
+BODY_TABLE_CAP = 2 * 10 ** 6
+
 
 def _write(out: str, text: str) -> str:
     """Write text to out, under PARATILE_REPORT_DIR when out is a bare name,
@@ -150,7 +155,8 @@ def cmd_construct(args) -> int:
     human.append(f"trivial bound 2n = {report.trivial_bound}; predicted "
                  f"schedule bound <= {float(report.predicted[1]):.6g}")
 
-    if args.body_out and report.body is not None:
+    refusal = _body_refusal(report) if args.body_out else None
+    if args.body_out and refusal is None:
         if args.format == "hrep":
             text = serialization.format_hrep(report.body)
         else:
@@ -159,12 +165,24 @@ def cmd_construct(args) -> int:
             text = serialization.dump_json(bdoc)
         human.append(f"wrote body to {_write(args.body_out, text)}")
     _emit(doc, "construction_report", args.out, human)
-    if args.body_out and report.body is None:
-        reason = report.downgrade_reason or "bound-only mode builds no body"
-        print(f"no body written to {args.body_out}: {reason}",
+    if refusal is not None:
+        print(f"no body written to {args.body_out}: {refusal}",
               file=sys.stderr)
         return EXIT_UNDECIDED
     return EXIT_PASS
+
+
+def _body_refusal(report) -> Optional[str]:
+    """Why --body-out writes nothing, or None when it writes the body.  The
+    table's size is read by rule, before any row of it is built."""
+    body = report.body
+    if body is None:
+        return report.downgrade_reason or "bound-only mode builds no body"
+    entries = body.halfspace_count() * body.dim
+    if entries > BODY_TABLE_CAP:
+        return (f"its halfspace table has {entries} entries, above the cap "
+                f"of {BODY_TABLE_CAP}")
+    return None
 
 
 # --- sample-matrix --------------------------------------------------------------

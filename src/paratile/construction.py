@@ -257,18 +257,19 @@ def isoperimetric_ratio_lower(n: int) -> Interval:
 
 def base_level(lat: Lattice, config: RecursionConfig
                ) -> Tuple[HPolytope, LevelTrace]:
-    """The cube when the basis of lat is the r x r identity, else the
-    certified Voronoi cell.
+    """The cube when lat is Z^r with the identity basis, else the
+    certified Voronoi cell.  This is the one place the cube is chosen.
 
     Both lattices that reach here carry a canonical basis: `construct`
-    passes `Lattice.standard(n)`, and `kernel_and_image` returns the Hermite
-    basis of B L, which is the identity exactly when B L = Z^m.  Another
-    basis of Z^r, which only a direct library call can pass, takes the
-    Voronoi path, which is still correct: its cell is the cube, certified
-    like any other, and refused above the dim cap.
+    passes `Lattice.standard(n)`, which says by rule that it is Z^n, so no
+    n x n row is compared, and `kernel_and_image` returns the Hermite basis
+    of B L, which is the m x m identity exactly when B L = Z^m, read off
+    its rows.  Another basis of Z^r, which only a direct library call can
+    pass, takes the Voronoi path, which is still correct: its cell is the
+    cube, certified like any other, and refused above the dim cap.
     """
     r = lat.rank
-    if lat.basis.is_identity():
+    if lat.is_standard() or lat.basis.is_identity():
         body = HPolytope.cube(r)  # the tile of Z^r
         trace = LevelTrace(n=r, mode="cube", ratio=body.ratio(),
                            checks=(("ratio_le_2n", True),))

@@ -8,7 +8,6 @@ recursion over an exact LDL split of the Gram matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -20,17 +19,24 @@ class EnumerationCap(Exception):
     """Raised when short-vector enumeration exceeds its node budget."""
 
 
-@dataclass(frozen=True)
 class Lattice:
     """Integer span of the basis columns, which are independent.  The
     constructor trusts that, as the package builds only independent bases;
-    ``from_columns`` proves it for columns from outside."""
+    ``from_columns`` proves it for columns from outside.
 
-    basis: QMatrix  # ambient_dim x rank, columns are basis vectors
+    ``standard(n)`` is Z^n with the identity basis, stated by rule: its
+    rank, integrality and covolume 1 need no basis, `kernel_and_image` maps
+    it by B itself, and the n x n identity is built only when ``basis`` is
+    read.  A basis held as a matrix is never read as standard, even the
+    identity: the rule is what the lattice was made as, not a test.
+    """
+
+    def __init__(self, basis: QMatrix):
+        self._basis = basis  # ambient_dim x rank, columns are basis vectors
 
     @staticmethod
     def standard(n: int) -> "Lattice":
-        return Lattice(QMatrix.identity(n))
+        return _StandardLattice(n)
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence]) -> "Lattice":
@@ -38,6 +44,14 @@ class Lattice:
         if rank_over_rationals(basis) != basis.ncols:
             raise ValueError("basis columns are dependent")
         return Lattice(basis)
+
+    @property
+    def basis(self) -> QMatrix:
+        return self._basis
+
+    def is_standard(self) -> bool:
+        """Whether this is Z^n made by ``standard(n)``."""
+        return False
 
     @property
     def ambient_dim(self) -> int:
@@ -59,6 +73,37 @@ class Lattice:
         return SqrtSum.sqrt(det_q(self.gram()))
 
 
+class _StandardLattice(Lattice):
+    """Z^n with the identity basis: every answer but ``basis`` by rule."""
+
+    def __init__(self, n: int):
+        super().__init__(None)
+        self._n = n
+
+    @property
+    def basis(self) -> QMatrix:
+        if self._basis is None:
+            self._basis = QMatrix.identity(self._n)
+        return self._basis
+
+    def is_standard(self) -> bool:
+        return True
+
+    @property
+    def ambient_dim(self) -> int:
+        return self._n
+
+    @property
+    def rank(self) -> int:
+        return self._n
+
+    def is_integer(self) -> bool:
+        return True
+
+    def covolume(self) -> SqrtSum:
+        return SqrtSum.from_rational(1)
+
+
 def kernel_and_image(lat: Lattice, b) -> Tuple[Lattice, Lattice]:
     """Split the lattice L along the matrix b into L meet ker b and b L.
 
@@ -66,12 +111,16 @@ def kernel_and_image(lat: Lattice, b) -> Tuple[Lattice, Lattice]:
     The transform rows that reach zero rows span the kernel coordinates over
     Z; the nonzero rows, over the denominator, are the canonical basis of
     the image.  Unimodular rows and nonzero Hermite rows are independent,
-    so neither basis needs a proof.
+    so neither basis needs a proof.  For Z^n made by ``Lattice.standard``,
+    b L is b itself and the kernel coordinates are the kernel vectors, so
+    no product with the n x n identity is formed.
     """
-    gens = b @ lat.basis
+    standard = lat.is_standard()
+    gens = b if standard else b @ lat.basis
     h, u, pivots = hnf_rows(gens.t().num)
     r = len(pivots)  # zero rows come last
-    kernel = lat.basis @ QMatrix(tuple(map(tuple, u[r:]))).t()
+    coords = QMatrix(tuple(zip(*u[r:])) or ((),) * lat.rank)
+    kernel = coords if standard else lat.basis @ coords
     image = QMatrix(tuple(zip(*h[:r])) or ((),) * gens.nrows, gens.den)
     return Lattice(kernel), Lattice(image)
 

@@ -24,7 +24,8 @@ lattice in a's hyperplane.  Every volume and facet measure is therefore a
 rational multiple of a single square root, so surface, volume and their
 quotient are exact radical expressions.
 
-The table comes by the first rule that applies.  A cube states it.  A
+The table comes by the first rule that applies.  A cube states it, and
+builds its unit normals, like its frame and halfspaces, only when read.  A
 linear image keeps its body's table, since only the metric changes.  An
 orthogonal product multiplies its factors' tables: chart volume vp * vq,
 and a facet of P keeps its normal padded with zeros and gains the factor vq
@@ -382,25 +383,13 @@ class HPolytope:
 
     @staticmethod
     def cube(n: int, half_side: Fraction = Fraction(1, 2)) -> "HPolytope":
-        """[-h, h]^n.  It states its halfspaces, its chart table and, its
-        metric being the identity, its measures, so no n x n metric is ever
-        formed.  The 2n unit normals are primitive and distinct, so their
-        sorted order, -e_0 < ... < -e_(n-1) < e_(n-1) < ... < e_0, is all
-        `canonical_halfspaces` would give."""
+        """[-h, h]^n, stated by rule (see `_Cube`): its measures come with
+        it, and no n x n object exists until its frame, halfspaces or chart
+        table is read."""
         half = Fraction(half_side)
         if half <= 0:
             raise ValueError("half side must be positive")
-        units = identity_rows(n)
-        hs = tuple((a, half) for a in identity_rows(n, -1) + units[::-1])
-        body = HPolytope(QMatrix(units), hs)
-        side = 2 * half
-        area = 2 * side ** (n - 1)  # the opposite facets of an axis
-        body._cache["chart"] = (side ** n, tuple((e, area) for e in units))
-        volume = SqrtSum.from_rational(side ** n)
-        surface = SqrtSum.from_rational(n * area)
-        body._cache["measures"] = BodyMeasures(volume, surface,
-                                               surface / volume)
-        return body
+        return _Cube(n, half)
 
     # basic data ----------------------------------------------------------------
 
@@ -421,6 +410,9 @@ class HPolytope:
         if "metric_inv" not in self._cache:
             self._cache["metric_inv"] = inverse(self.metric())
         return self._cache["metric_inv"]
+
+    def halfspace_count(self) -> int:
+        return len(self.halfspaces)
 
     def vertices(self) -> Tuple[Tuple[Fraction, ...], ...]:
         if "vertices" not in self._cache:
@@ -556,6 +548,65 @@ class HPolytope:
         return self.measures().ratio
 
 
+class _Cube(HPolytope):
+    """[-h, h]^n, stated by rule.
+
+    Its metric is the identity, so it states its measures: volume (2h)^n
+    and surface 2n (2h)^(n-1).  Its dimensions, its halfspace count 2n and
+    everything else come by rule too, and its identity frame, its 2n
+    halfspaces and its chart table (chart volume (2h)^n, and 2 (2h)^(n-1)
+    per unit normal) are built on first read and kept.  The 2n unit normals
+    are primitive and distinct, so their sorted order, -e_0 < ... <
+    -e_(n-1) < e_(n-1) < ... < e_0, is all `canonical_halfspaces` would
+    give.  The dataclass fields frame and halfspaces are these properties
+    here, so the frozen dataclass's __init__ is never run.
+    """
+
+    def __init__(self, n: int, half: Fraction):
+        object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "_n", n)
+        object.__setattr__(self, "_half", half)
+        side = 2 * half
+        volume = SqrtSum.from_rational(side ** n)
+        surface = SqrtSum.from_rational(2 * n * side ** (n - 1))
+        self._cache["measures"] = BodyMeasures(volume, surface,
+                                               surface / volume)
+
+    @property
+    def ambient_dim(self) -> int:
+        return self._n
+
+    @property
+    def dim(self) -> int:
+        return self._n
+
+    @property
+    def frame(self) -> QMatrix:
+        if "frame" not in self._cache:
+            self._cache["frame"] = QMatrix(identity_rows(self._n))
+        return self._cache["frame"]
+
+    @property
+    def halfspaces(self) -> Tuple[Halfspace, ...]:
+        if "halfspaces" not in self._cache:
+            units = self.frame.num
+            self._cache["halfspaces"] = tuple(
+                (a, self._half)
+                for a in identity_rows(self._n, -1) + units[::-1])
+        return self._cache["halfspaces"]
+
+    def halfspace_count(self) -> int:
+        return 2 * self._n
+
+    def _chart(self) -> _Chart:
+        if "chart" not in self._cache:
+            side = 2 * self._half
+            area = 2 * side ** (self._n - 1)  # the opposite facets of an axis
+            self._cache["chart"] = (side ** self._n,
+                                    tuple((e, area) for e in self.frame.num))
+        return self._cache["chart"]
+
+
 # --- constructions ----------------------------------------------------------------
 
 def voronoi_cell(lat: Lattice, node_cap: int = 10 ** 7) -> HPolytope:
@@ -650,13 +701,14 @@ def orthogonal_product(p: HPolytope, q: HPolytope) -> HPolytope:
 
 def linear_image(t: QMatrix, p: HPolytope) -> HPolytope:
     """Apply an injective linear map.  The chart and its halfspaces carry
-    over, and only the metric changes, so the faces and the chart table
-    are kept."""
+    over, and only the metric changes, so the chart table is handed over
+    (a cube states its own) and the faces are kept once swept."""
     frame = t @ p.frame
     if rank_over_rationals(frame) != p.dim:
         raise ValueError("map collapses the body")
     body = HPolytope(frame, p.halfspaces)
-    for key in ("vertices", "facets", "chart"):
+    body._cache["chart"] = p._chart()
+    for key in ("vertices", "facets"):
         if key in p._cache:
             body._cache[key] = p._cache[key]
     return body

@@ -27,6 +27,7 @@ import numbers
 import re
 from fractions import Fraction
 from importlib import resources
+from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from .lattices import Lattice
@@ -73,12 +74,15 @@ def dec_str(x: Fraction) -> str:
 # --- matrices ------------------------------------------------------------------
 
 def matrix_to_json(m: QMatrix) -> Dict:
-    # an integer matrix's entries are ints, which str writes as frac_str does
-    cell = str if m.is_integer() else frac_str
+    """One string per distinct entry, shared by every cell that holds it.
+    An integer matrix's entries are its numerator rows, so it builds no
+    Fraction."""
+    grid = m.entries
+    text = {x: frac_str(x) for x in set(chain.from_iterable(grid))}
     return {
         "rows": m.nrows,
         "cols": m.ncols,
-        "entries": [list(map(cell, row)) for row in m.entries],
+        "entries": [list(map(text.__getitem__, row)) for row in grid],
     }
 
 

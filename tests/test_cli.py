@@ -201,6 +201,24 @@ def test_bound_only_body_out_says_no_body_and_exits_2(tmp_path, capsys):
     validate_document("construction_report", json.loads(report.read_text()))
 
 
+@pytest.mark.parametrize("fmt", ["json", "hrep"])
+def test_body_out_above_the_table_cap_writes_nothing_and_exits_2(
+        tmp_path, capsys, fmt):
+    # the cube at n = 10^4 states its 2n^2 = 2 * 10^8 table entries by rule
+    # and builds none of them
+    body_path, report = tmp_path / f"b.{fmt}", tmp_path / "r.json"
+    t0 = time.perf_counter()
+    assert main(["construct", "--n", "10000", "--body-out", str(body_path),
+                 "--format", fmt, "--out", str(report)]) == 2
+    assert time.perf_counter() - t0 < 1
+    assert capsys.readouterr().err == (
+        f"no body written to {body_path}: its halfspace table has "
+        f"200000000 entries, above the cap of {cli.BODY_TABLE_CAP}\n")
+    assert not body_path.exists()
+    doc = json.loads(report.read_text())
+    assert doc["final"]["ratio_hi"] == "20000"
+
+
 def test_downgraded_body_out_says_no_body_and_exits_2(tmp_path, capsys):
     mat = write_json(tmp_path / "b.json", matrix_to_json(WORKED_B))
     body_path = tmp_path / "body.json"

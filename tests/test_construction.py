@@ -301,21 +301,27 @@ def test_worked_example_deterministic_bytes():
     assert doc_a == doc_b
 
 
-def _count_rank_calls(monkeypatch):
-    """Shapes of the matrices the package hands to rank_over_rationals,
-    through whichever module's name for it."""
-    shapes = []
-    original = linalg.rank_over_rationals
+def _record_calls(monkeypatch, name, record):
+    """Wrap linalg.<name> under whichever module's name for it, appending
+    record(*args) per call to the returned list."""
+    seen = []
+    original = getattr(linalg, name)
 
-    def counted(m):
-        shapes.append(m.shape)
-        return original(m)
+    def counted(*args):
+        seen.append(record(*args))
+        return original(*args)
 
     for info in pkgutil.iter_modules(paratile.__path__):
         module = importlib.import_module(f"paratile.{info.name}")
-        if getattr(module, "rank_over_rationals", None) is original:
-            monkeypatch.setattr(module, "rank_over_rationals", counted)
-    return shapes
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return seen
+
+
+def _count_rank_calls(monkeypatch):
+    """Shapes of the matrices the package hands to rank_over_rationals."""
+    return _record_calls(monkeypatch, "rank_over_rationals",
+                         lambda m: m.shape)
 
 
 def test_cube_path_makes_no_rank_elimination(monkeypatch):
@@ -324,6 +330,19 @@ def test_cube_path_makes_no_rank_elimination(monkeypatch):
     shapes = _count_rank_calls(monkeypatch)
     construct(40)
     assert shapes == []
+
+
+def test_cube_path_builds_no_n_sized_object(monkeypatch):
+    # Z^n and its cube state what they are by rule, so construct builds
+    # none of the n x n identities it once built four times over
+    n = 10 ** 5
+    sizes = _record_calls(monkeypatch, "identity_rows", lambda k, *_: k)
+    rep = construct(n)
+    assert rep.ratio_exact == SqrtSum.from_rational(2 * n)
+    assert rep.ratio_upper == 2 * n
+    assert [(lv.mode, lv.checks) for lv in rep.levels] == \
+        [("cube", (("ratio_le_2n", True),))]
+    assert sizes.count(n) == 0, sizes
 
 
 def test_cube_path_builds_no_fraction_grid(monkeypatch):

@@ -1,15 +1,20 @@
 """Golden report bytes: what the CLI prints and returns, pinned.
 
-Each case runs ``paratile.cli.main`` in-process and compares its stdout,
-stderr and exit code with ``tests/golden/<case>.stdout``, ``.stderr`` and
-``.exit``.  Reports are deterministic for a fixed seed, so any difference is
-a change in report bytes: a change that means to move them regenerates the
-files with ``python scripts/make_golden.py`` and says so in CHANGES.md.
+Each case runs ``paratile.cli.main`` in-process, in a fresh temporary
+directory, and compares its stdout, stderr and exit code with
+``tests/golden/<case>.stdout``, ``.stderr`` and ``.exit``.  A case that
+writes a body file (``--body-out`` with a bare name, which lands in that
+directory) also compares the file with ``tests/golden/<case>.body``.
+Reports are deterministic for a fixed seed, so any difference is a change
+in report bytes: a change that means to move them regenerates the files
+with ``python scripts/make_golden.py`` and says so in CHANGES.md.
 """
 
 import contextlib
 import io
+import os
 import pathlib
+import tempfile
 
 import pytest
 
@@ -27,6 +32,11 @@ def _fixture(name):
 CASES = {
     "construct_n3": ["construct", "--n", "3"],
     "construct_n24": ["construct", "--n", "24"],
+    # the cube's halfspaces, as written to a body file
+    "construct_n5_body_json": ["construct", "--n", "5", "--body-out",
+                               "body.json"],
+    "construct_n5_body_hrep": ["construct", "--n", "5", "--body-out",
+                               "body.hrep", "--format", "hrep"],
     "worked_override_s1": ["construct", "--n", "4", "--matrix-override",
                            str(WORKED_MATRIX), "--override-s", "1"],
     "bound_only_1e6": ["construct", "--bound-only", "--n", "1000000"],
@@ -47,17 +57,31 @@ CASES = {
 
 
 def run_case(argv):
-    """(stdout, stderr, exit code text) of one in-process CLI call."""
+    """{golden suffix: text} of one in-process CLI call: its stdout, stderr
+    and exit code, and the body file when it writes one.  The call runs in
+    a fresh temporary directory, so a bare --body-out name lands there and
+    is printed as that name."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return out.getvalue(), err.getvalue(), f"{code}\n"
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+            got = {"stdout": out.getvalue(), "stderr": err.getvalue(),
+                   "exit": f"{code}\n"}
+            if "--body-out" in argv:
+                path = argv[argv.index("--body-out") + 1]
+                got["body"] = pathlib.Path(path).read_text()
+        finally:
+            os.chdir(cwd)
+    return got
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_matches_golden_bytes(case, monkeypatch):
     monkeypatch.delenv("PARATILE_REPORT_DIR", raising=False)
-    got = run_case(CASES[case])
-    for suffix, text in zip(("stdout", "stderr", "exit"), got):
+    for suffix, text in run_case(CASES[case]).items():
         want = (GOLDEN / f"{case}.{suffix}").read_text()
         assert text == want, f"{case}.{suffix} differs from the golden file"

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 from itertools import product
@@ -29,6 +30,28 @@ def test_standard_lattice():
     assert lat.covolume() == SqrtSum.from_rational(1)
     assert coordinates_in_lattice(lat, [1, -2, 5]) is not None
     assert coordinates_in_lattice(lat, [Fraction(1, 2), 0, 0]) is None
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_standard_lattice_states_what_its_identity_basis_gives(n):
+    rule, held = Lattice.standard(n), Lattice(QMatrix.identity(n))
+    assert rule.is_standard() and not held.is_standard()
+    rng = random.Random(n)
+    for m in sorted({1, (n + 1) // 2, n}):
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+        for b in (QMatrix.from_rows(rows),
+                  QMatrix(QMatrix.from_rows(rows).num, 3)):
+            got, want = kernel_and_image(rule, b), kernel_and_image(held, b)
+            for g, w in zip(got, want):
+                assert g.basis == w.basis and g.rank == w.rank
+                assert g.ambient_dim == w.ambient_dim == \
+                    (n if g is got[0] else m)
+    assert (rule.rank, rule.ambient_dim, rule.is_integer()) == \
+        (held.rank, held.ambient_dim, held.is_integer()) == (n, n, True)
+    assert rule.covolume() == held.covolume()
+    assert rule.gram() == held.gram()
+    assert rule.basis == held.basis
+    assert rule.basis is rule.basis  # built once, on the first read
 
 
 def test_fcc_basics():

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from paratile import polytopes
 from paratile.lattices import (Lattice, enumerate_short_vectors,
                                kernel_and_image)
 from paratile.linalg import QMatrix, dot
 from paratile.polytopes import (DegenerateBody, EmptyBody, HPolytope,
-                                Unbounded, linear_image, orthogonal_product,
-                                primitive_normal, voronoi_cell)
+                                Unbounded, canonical_halfspaces, linear_image,
+                                orthogonal_product, primitive_normal,
+                                voronoi_cell)
 from paratile.radicals import SqrtSum
 
 FCC = [[1, 1, 0], [1, 0, 1], [0, 1, 1]]
@@ -82,6 +84,38 @@ def test_cube_states_what_the_generic_path_computes(n, half):
     for got, want in zip(vars(cube.measures()).values(),
                          vars(generic.measures()).values()):
         assert got.terms == want.terms
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("half", [Fraction(1, 2), Fraction(3, 7)])
+def test_cube_builds_on_first_read_what_a_generic_build_holds(
+        n, half, monkeypatch):
+    built = []
+    rows = polytopes.identity_rows
+    monkeypatch.setattr(polytopes, "identity_rows",
+                        lambda k, *one: built.append(k) or rows(k, *one))
+    cube = HPolytope.cube(n, half)
+    # stated by rule: the ratio 2n (2h)^(n-1) / (2h)^n, the sizes
+    assert cube.ratio() == SqrtSum.from_rational(n / half)
+    assert (cube.dim, cube.ambient_dim, cube.halfspace_count()) == \
+        (n, n, 2 * n)
+    assert built == []
+    frame, halfspaces, chart = cube.frame, cube.halfspaces, cube._chart()
+    # each is built once and kept: the unit rows, then the negated ones
+    assert (cube.frame, cube.halfspaces, cube._chart()) == \
+        (frame, halfspaces, chart)
+    assert built == [n, n]
+    monkeypatch.undo()
+    generic = HPolytope(QMatrix.identity(n), canonical_halfspaces(
+        (tuple(sign * int(i == j) for j in range(n)), half)
+        for i in range(n) for sign in (1, -1)))
+    assert frame == generic.frame
+    assert halfspaces == generic.halfspaces
+    assert cube.halfspace_count() == len(generic.halfspaces)
+    (volume, areas), (want_volume, want_areas) = chart, generic._chart()
+    assert volume == want_volume and dict(areas) == dict(want_areas)
+    assert cube.vertices() == generic.vertices()
+    assert cube.facets() == generic.facets()
 
 
 def test_cube_needs_a_positive_half_side():
