@@ -7,12 +7,20 @@ description sweep from one parallelepiped |a_i . y| <= w_i, so no LP solver
 is involved.  A body given by halfspaces starts from a box whose walls a
 bounded body never touches (a vertex on a wall proves it unbounded).  The
 sweep's predicates are integer and combinatorial: a vertex is a primitive
-integer pair (den, ints), a cut compares integers, and adjacency, facets
-and the faces of a facet follow from exact incidence sets, with no rank
-computation.  A Voronoi cell is its basis slab box cut by its facet vectors
-alone: by Voronoi's theorem they are the lattice vectors v whose class
-v + 2L has +-v as its only shortest vectors, so one short-vector
-enumeration finds them and no other cut is tried.
+integer pair (den, ints) in a slot it keeps while it lives, a cut compares
+integers, and each halfspace keeps a column, the bitmask of the live
+vertices on it.  The vertices on a set of halfspaces are the AND of their
+columns, so two vertices sharing at least d - 1 halfspaces are adjacent
+when that AND over the shared ones is the pair alone, a cut-off vertex on
+exactly d halfspaces walks its d edges (the AND of any d - 1 of its
+columns is an edge's two ends), and the facets are the maximal columns,
+with no rank computation.  The faces reach the facet volumes as integer
+points over one common denominator and vertex bitmasks; ``Fraction``
+vertices and frozenset incidences are built only when read.  A Voronoi
+cell is its basis slab box cut by its facet vectors alone: by Voronoi's
+theorem they are the lattice vectors v whose class v + 2L has +-v as its
+only shortest vectors, so one short-vector enumeration finds them and no
+other cut is tried.
 
 Measures come in two parts.  The chart table is metric-free: the body's
 volume in chart coordinates and, per normal pair +-a, the chart area of the
@@ -44,7 +52,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from .intervals import sqrt_upper
 from .lattices import Lattice, enumerate_short_vectors
@@ -112,108 +121,202 @@ def _neg(a: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(-x for x in a)
 
 
+def _indices(mask: int) -> List[int]:
+    """The positions of the set bits of mask, lowest first."""
+    bits = bin(mask)[:1:-1]
+    out = []
+    i = bits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = bits.find("1", i + 1)
+    return out
+
+
+class _Faces(NamedTuple):
+    """A swept body's faces on integers: the vertices as integer points over
+    one common denominator, in sorted order, and the facets as (a, b, mask)
+    sorted by (a, b), where bit i of mask marks the vertex points[i]."""
+    points: Tuple[Tuple[int, ...], ...]
+    scale: int
+    facets: Tuple[Tuple[Tuple[int, ...], Fraction, int], ...]
+
+
 class _Sweep:
     """Incremental halfspace intersection over the integers.
 
     A vertex is a primitive homogeneous pair (den, ints), the point ints/den,
-    so that pair is also its key; its active set is a bitmask over the
-    halfspace list.  Every halfspace on the list is valid for the current
+    and sits in a slot that it keeps while it lives.  The incidence is held
+    both ways: a vertex's active set is a bitmask over the halfspace list,
+    and a halfspace's column is a bitmask over the slots of the live
+    vertices on it.  Every halfspace on the list is valid for the current
     body, which makes the incidences exact without any dot product.
 
     The sweep starts from the parallelepiped |a_i . y| <= w_i (w_i > 0,
     independent a_i), with halfspaces a_0, -a_0, a_1, -a_1, ...  Its corner
     k solves A y = s with s_i = w_i where bit i of k is set and -w_i
     elsewhere, so it lies on halfspace 2i or 2i + 1 accordingly.
+
+    ``peak_vertices``, ``edges_walked`` and ``pairs_tested`` count the most
+    vertices alive at once, the edges followed from simple vertices and the
+    vertex pairs whose common face was taken, for profiling.
     """
 
     def __init__(self, normals: Sequence[Tuple[int, ...]],
                  widths: Sequence[Fraction]):
-        self.d = len(normals)
+        self.d = d = len(normals)
         self.halfspaces: List[Halfspace] = [
             h for a, w in zip(normals, widths) for h in ((a, w), (_neg(a), w))]
         ainv = inverse(QMatrix(tuple(normals)))
-        self.ivecs: List[Tuple[int, Tuple[int, ...]]] = []
+        self.verts: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
         self.active: List[int] = []
-        for k in range(1 << self.d):
+        self.cols = [0] * (2 * d)
+        for k in range(1 << d):
             s = [w if (k >> i) & 1 else -w for i, w in enumerate(widths)]
             y = ainv.mul_vec(s)
             den = denominator_lcm(y)
-            self.ivecs.append((den, scaled_to_int(y, den)))
+            self.verts[k] = (den, scaled_to_int(y, den))
             self.active.append(sum(1 << (2 * i + 1 - ((k >> i) & 1))
-                                   for i in range(self.d)))
+                                   for i in range(d)))
+            for h in _indices(self.active[k]):
+                self.cols[h] |= 1 << k
+        self.live = (1 << (1 << d)) - 1
+        self.free: List[int] = []
+        self.peak_vertices = 1 << d
+        self.edges_walked = 0
+        self.pairs_tested = 0
 
     def insert(self, a: Tuple[int, ...], b: Fraction) -> bool:
         """Cut with a . y <= b.  Returns True when the vertex set changed.
 
-        Vertices i (cut off) and j (kept) span an edge when their common
-        active set has at least d - 1 members and no third vertex's active
-        set contains it: that set then cuts out the smallest face holding
-        both, and only i and j lie on it.  The new vertex is interior to
-        that edge, so its active set is the common one plus the cut.
+        Vertices i (cut off) and j (kept) span an edge when they are the
+        only vertices on every halfspace they share, and those are at least
+        d - 1 (Fukuda and Prodon 1996): the shared halfspaces then cut out
+        the smallest face holding both.  The vertices on a set of halfspaces
+        are the AND of their columns, the live vertices for the empty set.
+        A cut-off vertex on exactly d halfspaces walks its d edges instead
+        of testing pairs: any d - 1 of its halfspaces cut out an edge, and
+        the AND of their columns is {i, j} for its other end j.  The new
+        vertex is interior to the edge, so its active set is the common one
+        plus the cut, and it takes a slot that a cut-off vertex left free.
         """
         b = Fraction(b)
         bn, bd = b.numerator, b.denominator
-        svals = [bd * dot(a, x) - bn * den for den, x in self.ivecs]
-        pos = [i for i, s in enumerate(svals) if s > 0]
+        verts, active, cols = self.verts, self.active, self.cols
+        svals = {i: bd * dot(a, x) - bn * den
+                 for i, (den, x) in verts.items()}
+        pos = [i for i, s in svals.items() if s > 0]
         if not pos:
             return False  # redundant here; never becomes a facet later
-        neg = [i for i, s in enumerate(svals) if s < 0]
-        if not neg and 0 not in svals:
+        if len(pos) == len(svals):
             raise EmptyBody("cut removes every vertex")
+        zero = [i for i, s in svals.items() if s == 0]
+        d, live = self.d, self.live
+        dead = sum(1 << i for i in pos)
+        below = live & ~dead & ~sum(1 << i for i in zero)
         cut = 1 << len(self.halfspaces)
         self.halfspaces.append((a, b))
-        active, ivecs = self.active, self.ivecs
         fresh: Dict[Tuple[int, Tuple[int, ...]], int] = {}
+
+        def join(i: int, j: int) -> None:
+            si, sj = svals[i], svals[j]
+            di, xi = verts[i]
+            dj, xj = verts[j]
+            den = si * dj - sj * di  # > 0: si > 0 > sj
+            x = [si * q - sj * p for p, q in zip(xi, xj)]
+            g = math.gcd(den, *x)
+            fresh[(den // g, tuple(v // g for v in x))] = \
+                (active[i] & active[j]) | cut
+
         for i in pos:
-            ai, si = active[i], svals[i]
-            di, xi = ivecs[i]
-            for j in neg:
-                common = ai & active[j]
-                if common.bit_count() < self.d - 1 or any(
-                        ak & common == common and k != i and k != j
-                        for k, ak in enumerate(active)):
-                    continue
-                sj = svals[j]
-                dj, xj = ivecs[j]
-                den = si * dj - sj * di  # > 0: si > 0 > sj
-                x = [si * q - sj * p for p, q in zip(xi, xj)]
-                g = math.gcd(den, *x)
-                fresh[(den // g, tuple(v // g for v in x))] = common | cut
-        keep = [i for i, s in enumerate(svals) if s <= 0]
-        self.ivecs = [ivecs[i] for i in keep] + list(fresh)
-        self.active = [active[i] | (cut if svals[i] == 0 else 0)
-                       for i in keep] + list(fresh.values())
+            on = _indices(active[i])
+            if len(on) == d:  # simple: AND over all of its halfspaces but one
+                self.edges_walked += d
+                before = [live]
+                for h in on[:-1]:
+                    before.append(before[-1] & cols[h])
+                after = live
+                for k in range(d - 1, -1, -1):
+                    j = ((before[k] & after) ^ (1 << i)).bit_length() - 1
+                    if svals[j] < 0:
+                        join(i, j)
+                    after &= cols[on[k]]
+                continue
+            # a neighbour lies on at least d - 1 of the halfspaces on:
+            # count by columns, least[k] marking the vertices on k + 1 so far
+            least = [live] + [0] * (d - 1)
+            for h in on:
+                col = cols[h]
+                for k in range(d - 1, 0, -1):
+                    least[k] |= least[k - 1] & col
+            for j in _indices(least[d - 1] & below):
+                self.pairs_tested += 1
+                pair = 1 << i | 1 << j
+                face = live
+                for h in _indices(active[i] & active[j]):
+                    if face == pair:
+                        break
+                    face &= cols[h]
+                if face == pair:
+                    join(i, j)
+
+        touched = 0
+        for i in pos:
+            touched |= active[i]
+            del verts[i]
+        for h in _indices(touched):
+            cols[h] &= ~dead
+        on_cut = 0
+        for i in zero:
+            active[i] |= cut
+            on_cut |= 1 << i
+        self.free += pos
+        for v, act in fresh.items():
+            if self.free:
+                i = self.free.pop()
+                active[i] = act
+            else:
+                i = len(active)
+                active.append(act)
+            verts[i] = v
+            bit = 1 << i
+            on_cut |= bit
+            for h in _indices(act ^ cut):
+                cols[h] |= bit
+        cols.append(on_cut)
+        self.live = (live & ~dead) | on_cut
+        self.peak_vertices = max(self.peak_vertices, len(verts))
         return True
 
-    def faces(self):
-        """Sorted vertices, and the facet-defining halfspaces as (a, b,
-        indices of the vertices on a . y = b), sorted.
+    def faces(self) -> _Faces:
+        """The vertices and the facet-defining halfspaces, read off the
+        columns.
 
-        The active sets are the incidence.  A halfspace defines a facet when
-        no other halfspace holds a strictly larger set of vertices: a
-        smaller face lies in some facet, and every facet is cut out by a
-        halfspace on the list.  A body that is not full-dimensional has an
-        implicit equality, a halfspace on the list that holds every vertex,
-        and raises DegenerateBody.
+        A halfspace defines a facet when no other halfspace's column is a
+        strict superset of its own: a smaller face lies in some facet, and
+        every facet is cut out by a halfspace on the list.  A body that is
+        not full-dimensional has an implicit equality, a halfspace on the
+        list that holds every vertex, and raises DegenerateBody.
         """
-        verts = [tuple(Fraction(x, den) for x in xs) for den, xs in self.ivecs]
-        order = sorted(range(len(verts)), key=verts.__getitem__)
-        touching: Dict[int, FrozenSet[int]] = {}
-        for k in range(len(self.halfspaces)):
-            bit = 1 << k
-            touch = frozenset(new for new, old in enumerate(order)
-                              if self.active[old] & bit)
-            if touch:
-                touching[k] = touch
+        scale = math.lcm(*(den for den, _ in self.verts.values()))
+        points = {i: tuple(x * (scale // den) for x in xs)
+                  for i, (den, xs) in self.verts.items()}
+        order = sorted(points, key=points.__getitem__)
+        rank = dict(zip(order, range(len(order))))
+        by_size = sorted((k for k, c in enumerate(self.cols) if c),
+                         key=lambda k: self.cols[k].bit_count(), reverse=True)
+        if self.cols[by_size[0]] == self.live:
+            raise DegenerateBody("a halfspace holds every vertex")
+        kept: List[int] = []
         facets = []
-        for k, touch in touching.items():
-            if len(touch) == len(verts):
-                raise DegenerateBody("a halfspace holds every vertex")
-            if not any(touch < other for other in touching.values()):
-                a, b = self.halfspaces[k]
-                facets.append((a, b, touch))
-        return (tuple(verts[i] for i in order),
-                tuple(sorted(facets, key=lambda f: (f[0], f[1]))))
+        for k in by_size:
+            col = self.cols[k]
+            if any(col & c == col and c != col for c in kept):
+                continue  # inside a strict superset, which came first
+            kept.append(col)
+            a, b = self.halfspaces[k]
+            facets.append((a, b, sum(1 << rank[i] for i in _indices(col))))
+        return _Faces(tuple(points[i] for i in order), scale,
+                      tuple(sorted(facets, key=lambda f: (f[0], f[1]))))
 
 
 def _parallelepiped_chart(pairs, det_a: int) -> _Chart:
@@ -272,7 +375,7 @@ def _sweep_from_halfspaces(dim: int, halfspaces: Sequence[Halfspace]) -> _Sweep:
     sweep = _Sweep(identity_rows(dim), [Fraction(w)] * dim)
     for a, b in halfspaces:
         sweep.insert(a, b)
-    for den, x in sweep.ivecs:
+    for den, x in sweep.verts.values():
         if any(abs(c) == w * den for c in x):
             raise Unbounded("vertex pinned to the bounding wall")
     return sweep
@@ -358,13 +461,33 @@ class BodyMeasures:
     ratio: SqrtSum
 
 
+class _Cache(dict):
+    """A body's cache.  Swept faces are kept as integers under "faces", and
+    "vertices" and "facets", as ``Fraction`` tuples and frozensets of
+    vertex indices, are built from them on first read, also by code that
+    reads the cache directly (perfbench's tracer counts a Voronoi cell's
+    "facets")."""
+
+    def __missing__(self, key):
+        if key == "vertices" and "faces" in self:
+            points, scale, _ = self["faces"]
+            self[key] = tuple(tuple(Fraction(x, scale) for x in p)
+                              for p in points)
+        elif key == "facets" and "faces" in self:
+            self[key] = tuple((a, b, frozenset(_indices(mask)))
+                              for a, b, mask in self["faces"].facets)
+        else:
+            raise KeyError(key)
+        return self[key]
+
+
 @dataclass(frozen=True, eq=False)
 class HPolytope:
     """Bounded full-dimensional polytope over a rational chart."""
 
     frame: QMatrix  # ambient_dim x dim, columns span the body's subspace
     halfspaces: Tuple[Halfspace, ...]
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=_Cache, repr=False)
 
     # construction -------------------------------------------------------------
 
@@ -414,15 +537,20 @@ class HPolytope:
     def halfspace_count(self) -> int:
         return len(self.halfspaces)
 
+    def _faces(self) -> _Faces:
+        if "faces" not in self._cache:
+            self._cache["faces"] = _sweep_from_halfspaces(
+                self.dim, self.halfspaces).faces()
+        return self._cache["faces"]
+
     def vertices(self) -> Tuple[Tuple[Fraction, ...], ...]:
-        if "vertices" not in self._cache:
-            sweep = _sweep_from_halfspaces(self.dim, self.halfspaces)
-            self._cache["vertices"], self._cache["facets"] = sweep.faces()
+        """The vertices, sorted."""
+        self._faces()
         return self._cache["vertices"]
 
     def facets(self):
         """Tuple of (normal, offset, touching vertex index frozenset)."""
-        self.vertices()  # the sweep caches both
+        self._faces()
         return self._cache["facets"]
 
     def ambient_halfspaces(self) -> Tuple[Halfspace, ...]:
@@ -431,20 +559,19 @@ class HPolytope:
             raise ValueError("body does not span the ambient space")
         finv_t = inverse(self.frame).t()
         out = []
-        for a, b, _ in self.facets():
+        for a, b, _ in self._faces().facets:
             vec = finv_t.mul_vec(a)
             prim, gamma = primitive_normal(vec)
             out.append((prim, b / gamma))
         return tuple(sorted(out))
 
     def circumradius_sq(self) -> Fraction:
-        """Exact max squared ambient norm over the vertices."""
+        """Exact max squared ambient norm over the vertices, on the integer
+        points as p^T num p / (den scale^2) for G = num / den."""
         g = self.metric()
-        best = Fraction(0)
-        for v in self.vertices():
-            gv = g.mul_vec(v)
-            best = max(best, dot(v, gv))
-        return best
+        points, scale, _ = self._faces()
+        best = max(dot(p, [dot(row, p) for row in g.num]) for p in points)
+        return Fraction(best, g.den * scale * scale)
 
     def inradius_sq(self) -> Fraction:
         """Squared radius of the largest origin-centered ball inside, exactly.
@@ -454,7 +581,8 @@ class HPolytope:
         G^{-1} a) keeps it exact, and the minimum over the facets is <= 0
         when the origin is not interior.
         """
-        return min(b * abs(b) / self._dual_sq(a) for a, b, _ in self.facets())
+        return min(b * abs(b) / self._dual_sq(a)
+                   for a, b, _ in self._faces().facets)
 
     def _dual_sq(self, a: Tuple[int, ...]) -> Fraction:
         """a^T G^-1 a, on integers as a^T num a / den for G^-1 = num / den,
@@ -513,22 +641,20 @@ class HPolytope:
         Its affine hull projects one to one onto the coordinates other
         than the last j with a_j != 0, and that projection maps the lattice
         Z^d in a's hyperplane onto a sublattice of index |a_j| (a is
-        primitive), so vol_C(F) is the projected volume over |a_j|.
+        primitive), so vol_C(F) is the projected volume over |a_j|.  The
+        sweep's faces come as those integer points and vertex masks.
         """
         d = self.dim
-        verts = self.vertices()
-        facets = self.facets()
+        pts, scale, facets = self._faces()
         offsets = {a: b for a, b, _ in facets}
         symmetric = all(offsets.get(_neg(a)) == b for a, b, _ in facets)
-        scale = denominator_lcm(x for v in verts for x in v)
-        pts = [scaled_to_int(v, scale) for v in verts]
-        gens = [(sum(1 << i for i in touch), a, dot(a, pts[min(touch)]))
-                for a, _, touch in facets]
+        gens = [(mask, a, dot(a, pts[(mask & -mask).bit_length() - 1]))
+                for a, _, mask in facets]
         memo: Dict[int, int] = {}
         unit = scale ** (d - 1) * math.factorial(d - 1)
         coordvol = Fraction(0)
         areas: Dict[Tuple[int, ...], Fraction] = {}
-        for (a, b, _), (mask, _, _) in zip(facets, gens):
+        for a, b, mask in facets:
             key = max(a, _neg(a))
             if symmetric and a != key:
                 continue
@@ -563,7 +689,7 @@ class _Cube(HPolytope):
     """
 
     def __init__(self, n: int, half: Fraction):
-        object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "_cache", _Cache())
         object.__setattr__(self, "_n", n)
         object.__setattr__(self, "_half", half)
         side = 2 * half
@@ -634,11 +760,16 @@ def voronoi_cell(lat: Lattice, node_cap: int = 10 ** 7) -> HPolytope:
     sweep = _Sweep([a for a, _ in seeds],
                    [x / (2 * gamma) for x, (_, gamma) in zip(diag, seeds)])
 
+    # the {-1, 0, 1} members of the class with support S are the sign
+    # vectors on S, and x and -x have one norm: visit those whose first
+    # nonzero coordinate is 1, keyed by that place and the rest's support
     least: Dict[Tuple[int, ...], int] = {}
-    for x in itertools.product((-1, 0, 1), repeat=d):
-        cls = tuple(c & 1 for c in x)
-        if any(cls):
-            nsq = dot(x, g_int.mul_vec(x))
+    for lead in range(d):
+        head = (0,) * lead + (1,)
+        for tail in itertools.product((-1, 0, 1), repeat=d - 1 - lead):
+            x = head + tail
+            nsq = dot(x, [dot(row, x) for row in g.num])
+            cls = (lead, *map(abs, tail))
             least[cls] = min(nsq, least.get(cls, nsq))
     minima: Dict[Tuple[int, ...], list] = {}
     for coords, nsq in enumerate_short_vectors(
@@ -652,10 +783,9 @@ def voronoi_cell(lat: Lattice, node_cap: int = 10 ** 7) -> HPolytope:
             for coords, nsq in ties:
                 a, gamma = primitive_normal(g_int.mul_vec(coords))
                 sweep.insert(a, nsq * g_den / (2 * gamma))
-    verts, facets = sweep.faces()
-    body = HPolytope(basis, tuple((a, b) for a, b, _ in facets))
-    body._cache["vertices"] = verts
-    body._cache["facets"] = facets
+    faces = sweep.faces()
+    body = HPolytope(basis, tuple((a, b) for a, b, _ in faces.facets))
+    body._cache["faces"] = faces
     body._cache["metric"] = g
     return body
 
@@ -708,8 +838,7 @@ def linear_image(t: QMatrix, p: HPolytope) -> HPolytope:
         raise ValueError("map collapses the body")
     body = HPolytope(frame, p.halfspaces)
     body._cache["chart"] = p._chart()
-    for key in ("vertices", "facets"):
-        if key in p._cache:
-            body._cache[key] = p._cache[key]
+    if "faces" in p._cache:
+        body._cache["faces"] = p._cache["faces"]
     return body
 

@@ -1,6 +1,7 @@
 """Measures by formula against the triangulated oracle, term for term, and
 the integer sweep's faces against the reference sweep's."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,22 @@ def assert_same_terms(got, want):
     assert got.ratio.terms == want.ratio.terms
 
 
+def kernel4():
+    """The rank-5 kernel of [I_4 | five columns], the step that perfbench's
+    geometric-step calls kernel4: its cell has 204 vertices and 44 facets,
+    and only 84 of the vertices lie on exactly 5 facets."""
+    return kernel_and_image(Lattice.standard(9), QMatrix.from_rows(
+        [[1, 0, 0, 0, 1, 1, 0, 0, 1], [0, 1, 0, 0, 1, 1, 0, 1, 1],
+         [0, 0, 1, 0, 0, 1, 1, 1, 1], [0, 0, 0, 1, 0, 1, 1, 0, 0]]))[0]
+
+
+def image_lattice(cols):
+    """The lattice of T = B^T (B B^T)^-1 for the matrix B with these
+    columns."""
+    b = QMatrix.from_rows(cols).t()
+    return Lattice(b.t() @ linalg.inverse(b @ b.t()))
+
+
 def fresh(body):
     """The same halfspaces and chart with nothing cached."""
     return HPolytope(body.frame, body.halfspaces)
@@ -69,7 +86,7 @@ def parallelepipeds(draw):
 @given(parallelepipeds())
 def test_parallelepiped_formula_matches_triangulation(body):
     got = body.measures()
-    assert "vertices" not in body._cache  # answered without the sweep
+    assert "faces" not in body._cache  # answered without the sweep
     assert_same_terms(got, triangulated_measures(fresh(body)))
 
 
@@ -274,17 +291,104 @@ def test_sweep_matches_the_reference_sweep(body):
 # a facet vector of this cell has squared norm 23, more than twice the
 # squared norm 11 of the longest vector of its reduced basis
 @example(Lattice.from_columns([[1, 2, 2, 3], [2, 1, -2, 0], [1, 3, 1, 0]]))
-# the rank-5 kernel of [I_4 | five columns]: 204 vertices and 44 facets,
-# and only 84 of the vertices lie on exactly 5 facets, so the cell is far
-# from simple
-@example(kernel_and_image(Lattice.standard(9), QMatrix.from_rows(
-    [[1, 0, 0, 0, 1, 1, 0, 0, 1], [0, 1, 0, 0, 1, 1, 0, 1, 1],
-     [0, 0, 1, 0, 0, 1, 1, 1, 1], [0, 0, 0, 1, 0, 1, 1, 0, 0]]))[0])
+# the kernel4 cell is far from simple
+@example(kernel4())
 def test_voronoi_cell_matches_the_one_pass_reference(lat):
     cell = voronoi_cell(lat)
     verts, facets = reference_voronoi_faces(cell.metric())
     assert_same_faces(cell, verts, facets)
     assert_same_terms(cell.measures(), triangulated_measures(fresh(cell)))
+
+
+# --- the columns: simple vertices walk their edges, the rest test pairs -----------
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Every sweep made while the test runs, to read its counters."""
+    made = []
+
+    class Recorded(polytopes._Sweep):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(polytopes, "_Sweep", Recorded)
+    return made
+
+
+def assert_matches_reference(body):
+    verts, facets = reference_faces(body.dim, body.halfspaces)
+    assert_same_faces(body, verts, facets)
+
+
+def test_a_segment_walks_to_its_other_live_end(sweeps):
+    # d = 1: no halfspace cuts out an edge, so the AND over the empty set
+    # must be the live vertices, the segment's two ends, not every bit
+    body = HPolytope.from_halfspaces(1, [((1,), Fraction(3)),
+                                         ((-1,), Fraction(1))])
+    assert_matches_reference(body)
+    assert body.vertices() == ((-1,), (3,))
+    (sweep,) = sweeps
+    assert (sweep.edges_walked, sweep.pairs_tested) == (2, 0)
+
+
+def test_a_polygon_walks_every_edge(sweeps):
+    # [1, 3] x [0, 2] with the corner (3, 2) cut: every vertex of a polygon
+    # lies on two edges, so no cut tests a pair
+    body = HPolytope.from_halfspaces(
+        2, [((1, 0), Fraction(3)), ((-1, 0), Fraction(-1)),
+            ((0, -1), Fraction(0)), ((0, 1), Fraction(2)),
+            ((1, 1), Fraction(4))])
+    assert_matches_reference(body)
+    assert len(body.vertices()) == 5
+    assert_same_terms(body.measures(), triangulated_measures(fresh(body)))
+    (sweep,) = sweeps
+    assert sweep.edges_walked > 0 and sweep.pairs_tested == 0
+
+
+def test_the_octahedron_tests_pairs(sweeps):
+    # |x| + |y| + |z| <= 1: each vertex lies on 4 facets in R^3, so the cuts
+    # that make them leave non-simple vertices for the pair test
+    body = HPolytope.from_halfspaces(
+        3, [((sx, sy, sz), Fraction(1)) for sx in (-1, 1) for sy in (-1, 1)
+            for sz in (-1, 1)])
+    assert_matches_reference(body)
+    assert len(body.vertices()) == 6 and len(body.facets()) == 8
+    assert_same_terms(body.measures(), triangulated_measures(fresh(body)))
+    (sweep,) = sweeps
+    assert sweep.pairs_tested > 0
+
+
+def test_an_edge_ending_on_the_cut_makes_no_vertex(sweeps):
+    # x + y + z <= 2 cuts the corner (1, 1, 1) off the unit cube, and its
+    # three edges end at vertices on the cut: they are kept, none is made
+    body = box_with_cuts([0, 0, 0], [1, 1, 1], [((1, 1, 1), Fraction(2))])
+    assert_matches_reference(body)
+    assert len(body.vertices()) == 7
+    assert (1, 1, 0) in body.vertices()
+    assert_same_terms(body.measures(), triangulated_measures(fresh(body)))
+
+
+def test_the_sweep_counts_its_work_on_the_kernel4_cell(sweeps):
+    # 84 of the cell's 204 vertices are simple; the counters appear in no
+    # report
+    voronoi_cell(kernel4())
+    (sweep,) = sweeps
+    assert sweep.peak_vertices == 204
+    assert sweep.edges_walked == 130
+    assert sweep.pairs_tested == 336
+
+
+def test_a_rank6_image_cell_is_exact():
+    # T = B^T (B B^T)^-1 for B = [I_6 | the first six weight-3 columns of
+    # GF(2)^6 in lexicographic order]: 4,464 vertices, nearly all simple
+    weight3 = [tuple(int(i in c) for i in range(6))
+               for c in itertools.combinations(range(6), 3)][:6]
+    lat = image_lattice(list(linalg.identity_rows(6)) + weight3)
+    cell = voronoi_cell(lat)
+    assert len(cell._faces().points) == 4464
+    assert len(cell.halfspaces) == 118
+    assert cell.measures().volume == lat.covolume()
 
 
 # --- products: measures from the factors, faces swept on request ----------------------
@@ -318,7 +422,7 @@ def test_image_of_a_product_measures_from_the_factors():
                                            [0, 1, 1, 0], [0, 0, 1, 1]]),
                         orthogonal_product(hexagon, square))
     got = body.measures()
-    assert "vertices" not in body._cache
+    assert "faces" not in body._cache
     assert_same_terms(got, triangulated_measures(fresh(body)))
     volume, areas = body._chart()
     swept_volume, swept_areas = fresh(body)._chart()
@@ -330,7 +434,7 @@ def test_lazy_product_faces_match_the_eager_build():
     square = linear_image(QMatrix.from_rows([[0, 0], [0, 0], [1, 1], [0, 1]]),
                           HPolytope.cube(2))
     prod = orthogonal_product(hexagon, square)
-    assert "vertices" not in prod._cache and "facets" not in prod._cache
+    assert "faces" not in prod._cache
     verts, facets = eager_product_faces(hexagon, square)
     assert prod.vertices() == verts
     assert prod.facets() == facets
