@@ -238,17 +238,21 @@ def isoperimetric_ratio_lower(n: int) -> Interval:
     of any tile of Z^n.
 
     Surface >= n omega_n^(1/n) vol^((n-1)/n) for every convex body, and a
-    body tiling Z^n has volume 1.  The unit-ball volume omega_n follows the
-    recurrence omega_k = omega_(k-2) 2 pi / k from omega_0 = 1, omega_1 = 2.
+    body tiling Z^n has volume 1.  The unit-ball volume is omega_n =
+    pi^(n/2) / Gamma(n/2 + 1), so the bound is
+
+        n exp(((n/2) ln pi - lnGamma(n/2 + 1)) / n),
+
+    one formula at every n.  lnGamma increases on [3/2, oo) (its minimum is
+    at 1.4616), where n/2 + 1 lies, so ``iv.loggamma`` rounds its endpoints
+    outward by monotonicity, as ``iv.log`` and ``iv.exp`` do.
     """
     if n < 1:
         raise ValueError("dimension must be positive")
 
     def formula(iv):
-        omega = iv.mpf(1 + n % 2)
-        for k in range(2 + n % 2, n + 1, 2):
-            omega = omega * 2 * iv.pi / k
-        return n * iv.exp(iv.log(omega) / n)
+        half = iv.mpf(n) / 2
+        return n * iv.exp((half * iv.log(iv.pi) - iv.loggamma(half + 1)) / n)
 
     return enclose(96, formula)
 

@@ -623,7 +623,21 @@ def validate_document(kind: str, obj: Dict) -> None:
                                  f"{_path_str(exc.path)}") from exc
 
 
-_SCALARS = (str, int, float, type(None))
+# exact types: a subclass (a bool is one of int) takes the walk below
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.lru_cache(maxsize=None)
+def _flat_encoder(item_separator: str) -> Callable:
+    """The C encoder json.dumps(..., sort_keys=True, separators=
+    (item_separator, ": ")) builds per call, built once per depth.  It only
+    sees containers of scalars, which cannot be circular, so it keeps no
+    markers."""
+    # markers, default, string encoder, indent, key and item separators,
+    # sort_keys, skipkeys, allow_nan: json.dumps's defaults otherwise
+    return json.encoder.c_make_encoder(
+        None, None, json.encoder.encode_basestring_ascii, None, ": ",
+        item_separator, True, False, True)
 
 
 def dump_json(obj: Dict) -> str:
@@ -631,8 +645,9 @@ def dump_json(obj: Dict) -> str:
 
     With ``indent`` set, CPython's json module encodes in pure Python.  Here
     each container whose members are all scalars (a matrix row, a flat
-    record) goes to the C encoder whole, with its newline and indentation
-    folded into the item separator; only the nesting above is walked.
+    record) goes whole to one C encoder per indentation depth, cached by
+    ``_flat_encoder``, with its newline and indentation folded into the item
+    separator; only the nesting above is walked.
     """
     out: List[str] = []
     _encode(obj, "\n", out)
@@ -651,8 +666,8 @@ def _encode(obj, newline: str, out: List[str]) -> None:
         out.append(json.dumps(obj))
         return
     inner = newline + "  "
-    if all(isinstance(v, _SCALARS) for v in members):
-        text = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))
+    if _SCALARS.issuperset(map(type, members)):
+        text = "".join(_flat_encoder("," + inner)(obj, 0))
         if len(text) > 2:  # not empty
             text = text[0] + inner + text[1:-1] + newline + text[-1]
         out.append(text)
@@ -661,7 +676,9 @@ def _encode(obj, newline: str, out: List[str]) -> None:
         out.append("{")
         for i, (key, value) in enumerate(sorted(obj.items())):
             # the key as json writes one: "1.5" for 1.5, "true" for True
-            key_text = json.dumps({key: 0})[1:-4]
+            key_text = (json.encoder.encode_basestring_ascii(key)
+                        if isinstance(key, str)
+                        else json.dumps({key: 0})[1:-4])
             out.append(("," if i else "") + inner + key_text + ": ")
             _encode(value, inner, out)
         out.append(newline + "}")

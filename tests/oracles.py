@@ -13,8 +13,9 @@ data recomputed after every step, lattice equality, the
 image of a lattice under a matrix, lattice membership, the
 projection of a lattice onto a row span, a grid volume enclosure, the
 H-representation parser, 4096-bit reference values of transcendental
-formulas, the per-call sample loop and per-translate membership count of
-the tiling audit, and the schedule scan with three ladders per grid point.
+formulas, the isoperimetric bound by the ball-volume recurrence, the
+per-call sample loop and per-translate membership count of the tiling
+audit, and the schedule scan with three ladders per grid point.
 """
 
 import itertools
@@ -28,7 +29,7 @@ import numpy as np
 
 from paratile.construction import (RegimeError, _induction_inequality_holds,
                                    choose_m, predicted_bound_interval)
-from paratile.intervals import Interval, sqrt_upper
+from paratile.intervals import Interval, enclose, sqrt_upper
 from paratile.lattices import Lattice, enumerate_short_vectors
 from paratile.linalg import (QMatrix, denominator_lcm, det_q, hnf_rows,
                              inverse, pivot_columns, rank_over_rationals,
@@ -594,6 +595,31 @@ def reference_projection(lat: Lattice, b) -> Lattice:
         return Lattice(QMatrix(tuple(() for _ in range(lat.ambient_dim))))
     pull = r.t() @ inverse(r @ r.t())  # v -> point of the span with Rv = v
     return Lattice(pull @ QMatrix(w.num, image.den))
+
+
+# --- the isoperimetric bound by recurrence ---------------------------------------
+
+def reference_isoperimetric_ratio_lower(n: int) -> Interval:
+    """Enclosure of n omega_n^(1/n) at 96 bits by the unit-ball volume
+    recurrence omega_k = omega_(k-2) 2 pi / k from omega_0 = 1, omega_1 = 2:
+    n/2 interval steps where the library evaluates one lnGamma."""
+    def formula(iv):
+        omega = iv.mpf(1 + n % 2)
+        for k in range(2 + n % 2, n + 1, 2):
+            omega = omega * 2 * iv.pi / k
+        return n * iv.exp(iv.log(omega) / n)
+
+    return enclose(96, formula)
+
+
+def mp_isoperimetric_ratio(n: int) -> Fraction:
+    """n omega_n^(1/n), omega_n = pi^(n/2) / Gamma(n/2 + 1), by
+    ``mp_reference``."""
+    def formula(mp):
+        half = mp.mpf(n) / 2
+        return n * (mp.pi ** half / mp.gamma(half + 1)) ** (1 / mp.mpf(n))
+
+    return mp_reference(formula)
 
 
 # --- walks and volumes ----------------------------------------------------------

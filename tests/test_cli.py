@@ -15,7 +15,7 @@ from paratile.serialization import (dump_json, lattice_to_json, matrix_to_json,
                                     parse_frac, polytope_to_json,
                                     validate_document)
 
-from oracles import parse_hrep
+from oracles import mp_isoperimetric_ratio, parse_hrep
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -244,6 +244,18 @@ def test_construct_n250_within_budget(tmp_path, capsys):
     doc = json.loads((tmp_path / "r.json").read_text())
     assert doc["final"]["ratio_hi"] == "500"
     assert 64 < parse_frac(doc["final"]["isoperimetric_lb"]) < 65
+
+
+def test_construct_n1e6_pays_constant_time_for_its_report(capsys):
+    # the cube body and the isoperimetric bound are both O(1) in n; a
+    # recurrence for the bound would take 5 10^5 interval steps here
+    n = 10 ** 6
+    assert main(["construct", "--n", str(n)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["final"]["ratio_hi"] == str(2 * n)
+    ref = mp_isoperimetric_ratio(n)
+    lb = parse_frac(doc["final"]["isoperimetric_lb"])
+    assert ref * (1 - Fraction(1, 2 ** 80)) <= lb <= ref
 
 
 def test_override_s_beyond_the_matrix_level_fails(tmp_path, capsys):

@@ -22,7 +22,9 @@ from paratile.radicals import SqrtSum
 from paratile.serialization import construction_report_to_json, dump_json
 from paratile.verify import verify_tiling
 
-from oracles import mp_reference, reference_scan_induction
+from oracles import (mp_isoperimetric_ratio, mp_reference,
+                     reference_isoperimetric_ratio_lower,
+                     reference_scan_induction)
 
 WORKED_B = QMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 1]])
 
@@ -740,16 +742,24 @@ def test_isoperimetric_lower_bound_unit_lattice():
     (3, lambda mp: 3 * mp.cbrt(4 * mp.pi / 3)),
     (24, None),
     (250, None),
-], ids=["n1", "n2", "n3", "n24", "n250"])
+    (10 ** 5, None),
+    (10 ** 6, None),
+    (10 ** 9, None),
+], ids=["n1", "n2", "n3", "n24", "n250", "n1e5", "n1e6", "n1e9"])
 def test_isoperimetric_lower_bound_brackets_the_reference(n, closed_form):
-    # n omega_n^(1/n) with omega_n = pi^(n/2) / Gamma(n/2 + 1)
-    def gamma_form(mp):
-        half = mp.mpf(n) / 2
-        return n * (mp.pi ** half / mp.gamma(half + 1)) ** (1 / mp.mpf(n))
-
-    ref = mp_reference(gamma_form)
+    # at 10^9 the recurrence would take 5 10^8 interval steps; the bound
+    # takes one lnGamma
+    ref = mp_isoperimetric_ratio(n)
     if closed_form is not None:
         assert abs(mp_reference(closed_form) - ref) < Fraction(1, 2 ** 4000)
     iso = isoperimetric_ratio_lower(n)
     assert iso.lo <= ref <= iso.hi
-    assert iso.width < Fraction(1, 2 ** 80)
+    # relative 2^-88: below 2^-80 absolute too while ref < 2^8 (n <= 250)
+    assert iso.width < ref / 2 ** 88
+
+
+def test_isoperimetric_lower_bound_overlaps_the_recurrence():
+    for n in range(1, 65):
+        iso, ref = (isoperimetric_ratio_lower(n),
+                    reference_isoperimetric_ratio_lower(n))
+        assert iso.lo <= ref.hi and ref.lo <= iso.hi, n

@@ -530,3 +530,27 @@ _JSON_SCALARS = st.one_of(
     max_leaves=30))
 def test_dump_json_matches_the_indenting_encoder(obj):
     assert dump_json(obj) == _indented(obj)
+
+
+class _Text(str):
+    pass
+
+
+@pytest.mark.parametrize("obj", [
+    {3: [1, 2], -1: {"a": 0}, 10: 2.5},
+    {1.5: [1], -0.0: {"a": None}, 2.0: "x"},
+    {True: {"a": 1}, False: [False]},
+    {None: {"a": [1]}},
+    {3: 1, -1: 2.5, 10: None},
+    {1.5: 1, -0.0: "x", float("inf"): True},
+    {True: None, False: "x"},
+    {None: 0},
+    [True, _Text("subé"), 0, 1.5, None],
+    {"k": [_Text("a"), {"b": False}]},
+], ids=["int-keys", "float-keys", "bool-keys", "none-key",
+        "flat-int-keys", "flat-float-keys", "flat-bool-keys",
+        "flat-none-key", "bool-and-str-subclass", "nested-str-subclass"])
+def test_dump_json_matches_the_indenting_encoder_off_the_text_keys(obj):
+    # non-text keys and scalar subclasses reach the paths the hypothesis
+    # property, whose keys are all text, never does
+    assert dump_json(obj) == _indented(obj)
