@@ -308,6 +308,9 @@ def inductive_level(lat: Lattice, a_matrix: QMatrix, s: Optional[int],
     that the step above certified full-rank and integer.  It first certifies
     the columns s-wise independent over GF(2), at the largest s up to
     `_PROBE_S_CAP` when s is None."""
+    n = lat.rank
+    if a_matrix.ncols != n:
+        raise ValueError(f"shape mismatch {a_matrix.ncols} vs {n}")
     masks = matrix_to_masks(a_matrix)
     if s is None:
         s = largest_verified_s(masks, _PROBE_S_CAP)
@@ -318,15 +321,12 @@ def inductive_level(lat: Lattice, a_matrix: QMatrix, s: Optional[int],
                 f"columns admit a dependency of size <= {s}: {witness}")
     if s < 1:
         raise ConstructionError("override matrix has no usable level")
-    n = lat.rank
-    if a_matrix.ncols != n:
-        raise ValueError(f"shape mismatch {a_matrix.ncols} vs {n}")
     checks: List[Tuple[str, bool]] = []
 
     # the completion keeps A's row count, so the cap is decided before any
     # n x n work
     m = a_matrix.nrows
-    if m < n and n - m > config.dim_cap:
+    if n - m > config.dim_cap:  # dim_cap >= 0: true only when m < n
         raise DimCapExceeded(
             f"kernel rank {n - m} exceeds dim cap {config.dim_cap}")
     # full-rank repair; keeps kernels (hence independence levels) intact
@@ -339,10 +339,10 @@ def inductive_level(lat: Lattice, a_matrix: QMatrix, s: Optional[int],
     checks.append(("s_independence", True))  # certified above
 
     t = b.t() @ inverse(b @ b.t())  # right inverse; the section into row span
-    # 2 (n-m) / sqrt(s), the kernel cell's share of the recursion bound
-    kernel_bound = (SqrtSum.from_rational(Fraction(2 * (n - m), s))
-                    * SqrtSum.sqrt(s) if m < n else SqrtSum.zero())
     if m < n:
+        # 2 (n-m) / sqrt(s), the kernel cell's share of the recursion bound
+        kernel_bound = (SqrtSum.from_rational(Fraction(2 * (n - m), s))
+                        * SqrtSum.sqrt(s))
         k1 = voronoi_cell(kernel, node_cap=config.svp_node_cap)
         # every shortest vector is Voronoi-relevant, so a facet at distance
         # lambda_1 / 2 gives lambda_1^2 = 4 inradius^2; the swept cell holds
@@ -352,8 +352,8 @@ def inductive_level(lat: Lattice, a_matrix: QMatrix, s: Optional[int],
         ratio1 = k1.ratio()
         checks.append(("kernel_ratio_bound", ratio1 <= kernel_bound))
     else:
-        sv = k1 = None
-        ratio1 = SqrtSum.zero()
+        k1 = sv = ratio1 = None
+        kernel_bound = SqrtSum.zero()
 
     # T must be a section of B: B T = I_m, checked exactly, not assumed.
     # Then T is injective and B undoes it on all of Q^m, so T carries B L
@@ -370,12 +370,10 @@ def inductive_level(lat: Lattice, a_matrix: QMatrix, s: Optional[int],
     norm_term = SqrtSum.sqrt(completion.norm_usq)
     checks.append(("image_ratio_bound", ratio2 <= ratio_inner * norm_term))
 
-    if k1 is not None:
-        body = orthogonal_product(k1, k2)
-    else:
-        body = k2
+    body = orthogonal_product(k1, k2) if k1 else k2
     ratio_total = body.ratio()
-    checks.append(("ratio_additivity", ratio_total == ratio1 + ratio2))
+    checks.append(("ratio_additivity",
+                   ratio_total == (ratio1 or SqrtSum.zero()) + ratio2))
     checks.append(("volume_equals_covolume",
                    body.volume() == lat.covolume()))
     chain = kernel_bound + ratio_inner * norm_term
@@ -389,7 +387,7 @@ def inductive_level(lat: Lattice, a_matrix: QMatrix, s: Optional[int],
         n=n, mode="step", m=m, d=None, s=s, matrix=b,
         norm_usq=completion.norm_usq,
         kernel_shortest_sq=sv,
-        ratio_kernel=ratio1 if m < n else None,
+        ratio_kernel=ratio1,
         ratio_image=ratio2,
         ratio=ratio_total,
         checks=tuple(checks))

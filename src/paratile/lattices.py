@@ -1,8 +1,10 @@
 """Rational lattices: the kernel/image split, short vectors, covolumes.
 
 A lattice is the integer span of the columns of a rational basis matrix.
-Everything here is exact; enumeration uses a fraction-free style Fincke-Pohst
-recursion over an exact LDL split of the Gram matrix.
+Everything here is exact.  Enumeration is a depth-first Fincke-Pohst
+recursion over an exact LDL split of the Gram matrix: each node updates its
+center and remaining budget in `Fraction` arithmetic, and one integer square
+root bounds the next coordinate's range.
 """
 
 from __future__ import annotations
@@ -147,18 +149,16 @@ def _range_for(dcoef: Fraction, shift: Fraction, budget: Fraction
 
 def enumerate_short_vectors(g: QMatrix, bound: Fraction,
                             center: Optional[Sequence[Fraction]] = None,
-                            skip_zero: bool = False,
                             node_cap: int = 10 ** 7
                             ) -> List[Tuple[Tuple[int, ...], Fraction]]:
     """All integer coordinate vectors x with (x-c)^T G (x-c) <= bound.
 
     Results are (coords, squared length) pairs sorted by squared length then
-    coordinates.  Raises EnumerationCap if the search tree exceeds node_cap.
+    coordinates; with no center the zero vector is among them, first.
+    Raises EnumerationCap if the search tree exceeds node_cap.
     """
     n = g.nrows
     bound = Fraction(bound)
-    if n == 0:
-        return [] if skip_zero else [((), Fraction(0))]
     c = [Fraction(x) for x in center] if center is not None \
         else [Fraction(0)] * n
     d, u = ldl_split(g)
@@ -169,10 +169,7 @@ def enumerate_short_vectors(g: QMatrix, bound: Fraction,
     def rec(i: int, budget: Fraction):
         nonlocal nodes
         if i < 0:
-            vec = tuple(x)
-            if skip_zero and center is None and not any(vec):
-                return
-            out.append((vec, bound - budget))
+            out.append((tuple(x), bound - budget))
             return
         z = sum(u[i][j] * (x[j] - c[j]) for j in range(i + 1, n)) - c[i]
         lo, hi = _range_for(d[i], z, budget)
@@ -196,8 +193,7 @@ def shortest_vector_sq(lat: Lattice, node_cap: int = 10 ** 7
         return None
     g = lat.gram()
     start = Fraction(min(g.num[i][i] for i in range(g.nrows)), g.den)
-    found = enumerate_short_vectors(g, start, skip_zero=True,
-                                    node_cap=node_cap)
-    # the shortest basis vector realizes the starting bound, so found is
-    # nonempty
-    return found[0][1]
+    found = enumerate_short_vectors(g, start, node_cap=node_cap)
+    # the shortest basis vector realizes the starting bound, so a nonzero
+    # vector is found; the zero vector comes first
+    return next(nsq for coords, nsq in found if any(coords))

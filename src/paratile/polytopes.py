@@ -156,9 +156,8 @@ class _Sweep:
     k solves A y = s with s_i = w_i where bit i of k is set and -w_i
     elsewhere, so it lies on halfspace 2i or 2i + 1 accordingly.
 
-    ``peak_vertices``, ``edges_walked`` and ``pairs_tested`` count the most
-    vertices alive at once, the edges followed from simple vertices and the
-    vertex pairs whose common face was taken, for profiling.
+    ``peak_vertices`` and ``pairs_tested`` count the most vertices alive at
+    once and the vertex pairs whose common face was taken, for profiling.
     """
 
     def __init__(self, normals: Sequence[Tuple[int, ...]],
@@ -182,7 +181,6 @@ class _Sweep:
         self.live = (1 << (1 << d)) - 1
         self.free: List[int] = []
         self.peak_vertices = 1 << d
-        self.edges_walked = 0
         self.pairs_tested = 0
 
     def insert(self, a: Tuple[int, ...], b: Fraction) -> bool:
@@ -193,11 +191,9 @@ class _Sweep:
         d - 1 (Fukuda and Prodon 1996): the shared halfspaces then cut out
         the smallest face holding both.  The vertices on a set of halfspaces
         are the AND of their columns, the live vertices for the empty set.
-        A cut-off vertex on exactly d halfspaces walks its d edges instead
-        of testing pairs: any d - 1 of its halfspaces cut out an edge, and
-        the AND of their columns is {i, j} for its other end j.  The new
-        vertex is interior to the edge, so its active set is the common one
-        plus the cut, and it takes a slot that a cut-off vertex left free.
+        The new vertex is interior to the edge, so its active set is the
+        common one plus the cut, and it takes a slot that a cut-off vertex
+        left free.
         """
         b = Fraction(b)
         bn, bd = b.numerator, b.denominator
@@ -216,35 +212,13 @@ class _Sweep:
         cut = 1 << len(self.halfspaces)
         self.halfspaces.append((a, b))
         fresh: Dict[Tuple[int, Tuple[int, ...]], int] = {}
-
-        def join(i: int, j: int) -> None:
-            si, sj = svals[i], svals[j]
-            di, xi = verts[i]
-            dj, xj = verts[j]
-            den = si * dj - sj * di  # > 0: si > 0 > sj
-            x = [si * q - sj * p for p, q in zip(xi, xj)]
-            g = math.gcd(den, *x)
-            fresh[(den // g, tuple(v // g for v in x))] = \
-                (active[i] & active[j]) | cut
-
         for i in pos:
-            on = _indices(active[i])
-            if len(on) == d:  # simple: AND over all of its halfspaces but one
-                self.edges_walked += d
-                before = [live]
-                for h in on[:-1]:
-                    before.append(before[-1] & cols[h])
-                after = live
-                for k in range(d - 1, -1, -1):
-                    j = ((before[k] & after) ^ (1 << i)).bit_length() - 1
-                    if svals[j] < 0:
-                        join(i, j)
-                    after &= cols[on[k]]
-                continue
-            # a neighbour lies on at least d - 1 of the halfspaces on:
+            si = svals[i]
+            di, xi = verts[i]
+            # a neighbour lies on at least d - 1 of the halfspaces of i:
             # count by columns, least[k] marking the vertices on k + 1 so far
             least = [live] + [0] * (d - 1)
-            for h in on:
+            for h in _indices(active[i]):
                 col = cols[h]
                 for k in range(d - 1, 0, -1):
                     least[k] |= least[k - 1] & col
@@ -257,7 +231,13 @@ class _Sweep:
                         break
                     face &= cols[h]
                 if face == pair:
-                    join(i, j)
+                    sj = svals[j]
+                    dj, xj = verts[j]
+                    den = si * dj - sj * di  # > 0: si > 0 > sj
+                    x = [si * q - sj * p for p, q in zip(xi, xj)]
+                    g = math.gcd(den, *x)
+                    fresh[(den // g, tuple(v // g for v in x))] = \
+                        (active[i] & active[j]) | cut
 
         touched = 0
         for i in pos:
@@ -773,13 +753,13 @@ def voronoi_cell(lat: Lattice, node_cap: int = 10 ** 7) -> HPolytope:
             least[cls] = min(nsq, least.get(cls, nsq))
     minima: Dict[Tuple[int, ...], list] = {}
     for coords, nsq in enumerate_short_vectors(
-            g, Fraction(max(least.values()), g_den), skip_zero=True,
-            node_cap=node_cap):
+            g, Fraction(max(least.values()), g_den), node_cap=node_cap):
         ties = minima.setdefault(tuple(c & 1 for c in coords), [])
         if not ties or ties[0][1] == nsq:
             ties.append((coords, nsq))
-    for cls, ties in minima.items():
-        if any(cls) and len(ties) == 2:
+    # the zero vector is the sole minimum of its class: no facet there
+    for ties in minima.values():
+        if len(ties) == 2:
             for coords, nsq in ties:
                 a, gamma = primitive_normal(g_int.mul_vec(coords))
                 sweep.insert(a, nsq * g_den / (2 * gamma))

@@ -182,9 +182,11 @@ def reference_voronoi_faces(g: QMatrix):
                    for v in sweep.verts)
 
     r_sq = max_sq()
-    for coords, nsq in enumerate_short_vectors(g, 4 * r_sq, skip_zero=True):
+    for coords, nsq in enumerate_short_vectors(g, 4 * r_sq):
         if nsq >= 4 * r_sq:
             break
+        if not any(coords):
+            continue
         a, gamma = primitive_normal(g.mul_vec(coords))
         if sweep.insert(a, nsq / (2 * gamma)):
             r_sq = max_sq()

@@ -300,7 +300,7 @@ def test_voronoi_cell_matches_the_one_pass_reference(lat):
     assert_same_terms(cell.measures(), triangulated_measures(fresh(cell)))
 
 
-# --- the columns: simple vertices walk their edges, the rest test pairs -----------
+# --- the columns: every cut-off vertex tests its candidate pairs ----------------
 
 @pytest.fixture
 def sweeps(monkeypatch):
@@ -321,20 +321,20 @@ def assert_matches_reference(body):
     assert_same_faces(body, verts, facets)
 
 
-def test_a_segment_walks_to_its_other_live_end(sweeps):
-    # d = 1: no halfspace cuts out an edge, so the AND over the empty set
+def test_a_segment_finds_its_other_live_end(sweeps):
+    # d = 1: the two ends share no halfspace, so the AND over the empty set
     # must be the live vertices, the segment's two ends, not every bit
     body = HPolytope.from_halfspaces(1, [((1,), Fraction(3)),
                                          ((-1,), Fraction(1))])
     assert_matches_reference(body)
     assert body.vertices() == ((-1,), (3,))
     (sweep,) = sweeps
-    assert (sweep.edges_walked, sweep.pairs_tested) == (2, 0)
+    assert sweep.pairs_tested == 2
 
 
-def test_a_polygon_walks_every_edge(sweeps):
+def test_a_polygon_finds_every_edge(sweeps):
     # [1, 3] x [0, 2] with the corner (3, 2) cut: every vertex of a polygon
-    # lies on two edges, so no cut tests a pair
+    # is simple, on exactly two edges
     body = HPolytope.from_halfspaces(
         2, [((1, 0), Fraction(3)), ((-1, 0), Fraction(-1)),
             ((0, -1), Fraction(0)), ((0, 1), Fraction(2)),
@@ -343,7 +343,20 @@ def test_a_polygon_walks_every_edge(sweeps):
     assert len(body.vertices()) == 5
     assert_same_terms(body.measures(), triangulated_measures(fresh(body)))
     (sweep,) = sweeps
-    assert sweep.edges_walked > 0 and sweep.pairs_tested == 0
+    assert sweep.pairs_tested > 0
+
+
+def test_a_simplex_finds_every_edge(sweeps):
+    # x, y, z >= 0 and x + 2y + 3z <= 6: each vertex lies on exactly three
+    # facets in R^3
+    body = HPolytope.from_halfspaces(
+        3, [((-1, 0, 0), Fraction(0)), ((0, -1, 0), Fraction(0)),
+            ((0, 0, -1), Fraction(0)), ((1, 2, 3), Fraction(6))])
+    assert_matches_reference(body)
+    assert body.vertices() == ((0, 0, 0), (0, 0, 2), (0, 3, 0), (6, 0, 0))
+    assert_same_terms(body.measures(), triangulated_measures(fresh(body)))
+    (sweep,) = sweeps
+    assert sweep.pairs_tested > 0
 
 
 def test_the_octahedron_tests_pairs(sweeps):
@@ -370,13 +383,12 @@ def test_an_edge_ending_on_the_cut_makes_no_vertex(sweeps):
 
 
 def test_the_sweep_counts_its_work_on_the_kernel4_cell(sweeps):
-    # 84 of the cell's 204 vertices are simple; the counters appear in no
-    # report
-    voronoi_cell(kernel4())
+    # the counters appear in no report
+    cell = voronoi_cell(kernel4())
+    assert len(cell._faces().points) == 204
     (sweep,) = sweeps
     assert sweep.peak_vertices == 204
-    assert sweep.edges_walked == 130
-    assert sweep.pairs_tested == 336
+    assert sweep.pairs_tested == 342
 
 
 def test_a_rank6_image_cell_is_exact():

@@ -200,7 +200,8 @@ def test_voronoi_facets_are_the_sole_minima_of_their_classes():
         assert all(dot(v, v) == 2 for v in vecs)
     # Z^2: the class (1, 1) has four minima +-e1 +- e2, so it gives no
     # facet, and the square keeps the four facets at +-e1 and +-e2
-    found = enumerate_short_vectors(QMatrix.identity(2), 2, skip_zero=True)
+    found = enumerate_short_vectors(QMatrix.identity(2), 2)
+    assert found[0] == ((0, 0), 0)
     assert [x for x, nsq in found if x[0] % 2 and x[1] % 2] == \
         [(-1, -1), (-1, 1), (1, -1), (1, 1)]
     vecs = _facet_vectors(voronoi_cell(Lattice.standard(2)))
