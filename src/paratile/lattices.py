@@ -2,9 +2,10 @@
 
 A lattice is the integer span of the columns of a rational basis matrix.
 Everything here is exact.  Enumeration is a depth-first Fincke-Pohst
-recursion over an exact LDL split of the Gram matrix: each node updates its
-center and remaining budget in `Fraction` arithmetic, and one integer square
-root bounds the next coordinate's range.
+recursion over an exact LDL split of the Gram matrix, scaled to integers once
+per call: each node keeps its centre and remaining budget as plain integers,
+and one integer square root bounds the next coordinate's range.  Only the
+results' squared lengths are built as ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .linalg import QMatrix, det_q, hnf_rows, ldl_split, rank_over_rationals
+from .linalg import (QMatrix, denominator_lcm, det_q, dot, hnf_rows, ldl_split,
+                     rank_over_rationals)
 from .radicals import SqrtSum
 
 
@@ -129,24 +131,6 @@ def kernel_and_image(lat: Lattice, b) -> Tuple[Lattice, Lattice]:
 
 # --- short vector enumeration -------------------------------------------------
 
-def _range_for(dcoef: Fraction, shift: Fraction, budget: Fraction
-               ) -> Tuple[int, int]:
-    """Integer x with dcoef*(x+shift)^2 <= budget; empty when lo > hi.
-
-    With shift = a/b the test reads (b x + a)^2 <= (budget/dcoef) b^2, and
-    an integer square is at most a real number iff it is at most its floor,
-    so one integer sqrt settles the whole range.
-    """
-    if budget < 0:
-        return 1, 0
-    s = budget / dcoef
-    a, b = shift.numerator, shift.denominator
-    r = math.isqrt(int(s * b * b))
-    lo = -((r + a) // b)
-    hi = (r - a) // b
-    return lo, hi
-
-
 def enumerate_short_vectors(g: QMatrix, bound: Fraction,
                             center: Optional[Sequence[Fraction]] = None,
                             node_cap: int = 10 ** 7
@@ -154,36 +138,88 @@ def enumerate_short_vectors(g: QMatrix, bound: Fraction,
     """All integer coordinate vectors x with (x-c)^T G (x-c) <= bound.
 
     Results are (coords, squared length) pairs sorted by squared length then
-    coordinates; with no center the zero vector is among them, first.
-    Raises EnumerationCap if the search tree exceeds node_cap.
+    coordinates; with no center the zero vector is among them, first, and a
+    bound below 0 has none.  Raises EnumerationCap if the search tree exceeds
+    node_cap, and ValueError if the center's length is not G's order.
+
+    With G = U^T diag(d) U from `ldl_split` (Fincke-Pohst 1985), the form
+    is the sum over the levels i of d_i (x_i + z_i)^2, where
+    z_i = sum_{j>i} u_ij (x_j - c_j) - c_i.  Scaled once per call, level i
+    reads W_i (Z_i x_i + w_i)^2 on integers: Z_i clears the denominators of
+    z_i, so w_i = Z_i z_i = sum_{j>i} Z_i u_ij x_j + K_i, and one E clears
+    those of the bound and of every d_i / Z_i^2, so W_i = E d_i / Z_i^2.
+    The budget is E times what is left of the bound, a node's range is one
+    integer square root of budget // W_i, and setting x_j moves the w_i of
+    the levels below along column j (Schnorr-Euchner 1994), with no sum
+    over j per node.
     """
     n = g.nrows
+    if center is not None and len(center) != n:
+        raise ValueError(f"center has {len(center)} coordinates, "
+                         f"the Gram matrix has order {n}")
     bound = Fraction(bound)
-    c = [Fraction(x) for x in center] if center is not None \
-        else [Fraction(0)] * n
+    if bound < 0:
+        return []
+    if n == 0:
+        return [((), Fraction(0))]
+    c = [Fraction(x) for x in center] if center is not None else [0] * n
     d, u = ldl_split(g)
+    scale, offset, rows = [], [], []  # Z_i, K_i and Z_i u_ij for j > i
+    for i in range(n):
+        row = u[i][i + 1:]
+        k = -c[i] - dot(row, c[i + 1:])
+        z = denominator_lcm((*row, k))
+        scale.append(z)
+        offset.append(int(k * z))
+        rows.append([int(x * z) for x in row])
+    coef = [di / (z * z) for di, z in zip(d, scale)]
+    e = denominator_lcm((*coef, bound))
+    weight = [int(q * e) for q in coef]
+    # cols[j]: the levels i < j whose w_i moves with x_j, and by how much
+    cols = [[(i, rows[i][j - i - 1]) for i in range(j) if rows[i][j - i - 1]]
+            for j in range(n)]
+    top = int(bound * e)
     x = [0] * n
-    out: List[Tuple[Tuple[int, ...], Fraction]] = []
+    shift = offset[:]  # w_i for the x_j set so far
+    out: List[Tuple[int, Tuple[int, ...]]] = []
     nodes = 0
 
-    def rec(i: int, budget: Fraction):
+    def rec(i: int, budget: int):
         nonlocal nodes
-        if i < 0:
-            out.append((tuple(x), bound - budget))
+        z, wt, sh = scale[i], weight[i], shift[i]
+        r = math.isqrt(budget // wt)
+        lo, hi = -((r + sh) // z), (r - sh) // z
+        if lo > hi:
             return
-        z = sum(u[i][j] * (x[j] - c[j]) for j in range(i + 1, n)) - c[i]
-        lo, hi = _range_for(d[i], z, budget)
+        # a whole range at once: the count passes the cap iff the tree
+        # has more than node_cap nodes, as when counted one by one
+        nodes += hi - lo + 1
+        if nodes > node_cap:
+            raise EnumerationCap(f"more than {node_cap} nodes")
+        t = z * lo + sh
+        if i == 0:
+            for xi in range(lo, hi + 1):
+                x[0] = xi
+                out.append((top - budget + wt * t * t, tuple(x)))
+                t += z
+            x[0] = 0
+            return
+        col = cols[i]
+        for k, v in col:
+            shift[k] += v * lo
         for xi in range(lo, hi + 1):
-            nodes += 1
-            if nodes > node_cap:
-                raise EnumerationCap(f"more than {node_cap} nodes")
             x[i] = xi
-            rec(i - 1, budget - d[i] * (xi + z) ** 2)
+            rec(i - 1, budget - wt * t * t)
+            t += z
+            for k, v in col:
+                shift[k] += v
+        for k, v in col:
+            shift[k] -= v * (hi + 1)
         x[i] = 0
 
-    rec(n - 1, bound)
-    out.sort(key=lambda t: (t[1], t[0]))
-    return out
+    rec(n - 1, top)
+    out.sort()
+    return [(coords, Fraction(num, e)) for num, coords in out]
 
 
 def shortest_vector_sq(lat: Lattice, node_cap: int = 10 ** 7

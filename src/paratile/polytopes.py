@@ -11,16 +11,14 @@ integer pair (den, ints) in a slot it keeps while it lives, a cut compares
 integers, and each halfspace keeps a column, the bitmask of the live
 vertices on it.  The vertices on a set of halfspaces are the AND of their
 columns, so two vertices sharing at least d - 1 halfspaces are adjacent
-when that AND over the shared ones is the pair alone, a cut-off vertex on
-exactly d halfspaces walks its d edges (the AND of any d - 1 of its
-columns is an edge's two ends), and the facets are the maximal columns,
-with no rank computation.  The faces reach the facet volumes as integer
-points over one common denominator and vertex bitmasks; ``Fraction``
-vertices and frozenset incidences are built only when read.  A Voronoi
-cell is its basis slab box cut by its facet vectors alone: by Voronoi's
-theorem they are the lattice vectors v whose class v + 2L has +-v as its
-only shortest vectors, so one short-vector enumeration finds them and no
-other cut is tried.
+when that AND over the shared ones is the pair alone, and the facets are
+the maximal columns, with no rank computation.  The faces reach the facet
+volumes as integer points over one common denominator and vertex bitmasks;
+``Fraction`` vertices and frozenset incidences are built only when read.  A
+Voronoi cell is its basis slab box cut by its facet vectors alone: by
+Voronoi's theorem they are the lattice vectors v whose class v + 2L has +-v
+as its only shortest vectors, so one short-vector enumeration finds them
+and no other cut is tried.
 
 Measures come in two parts.  The chart table is metric-free: the body's
 volume in chart coordinates and, per normal pair +-a, the chart area of the
@@ -42,8 +40,9 @@ independent normals) needs no vertices: its chart volume is the product of
 the widths over |det A|.  Any other body has its vertices swept, each facet
 measured by Lasserre's recursion over its face lattice (faces as vertex
 bitmasks, integer vertices, no determinant; each pyramid's volume is an
-exact integer division, which checks the lattice), and its chart volume
-summed over the facets as (1/d) sum_F b_F vol(F) (the divergence theorem).
+exact integer division, which checks the lattice; the leaves are edges,
+read off their ends), and its chart volume summed over the facets as
+(1/d) sum_F b_F vol(F) (the divergence theorem).
 """
 
 from __future__ import annotations
@@ -362,15 +361,15 @@ def _sweep_from_halfspaces(dim: int, halfspaces: Sequence[Halfspace]) -> _Sweep:
 
 
 def _section(piv: List[int], rows: List[Tuple[int, ...]], den: int,
-             alpha: List[int]):
+             alpha: List[int], top: int):
     """(pivots, rows, den) of a hyperplane section of the affine hull that
     projects one to one onto piv along rows / den (row t is den at piv[t]
     and 0 at the other pivots), where the hyperplane's normal a reads
-    alpha_t = a . row_t.  The section loses the last pivot t* with
-    alpha_t* != 0 and runs along the rows alpha_t* row_t - alpha_t row_t*,
-    whose pivots all read alpha_t* den, over their gcd signed so that the
-    new den is positive."""
-    top = max(t for t, x in enumerate(alpha) if x)
+    alpha_t = a . row_t.  The section loses pivot top, the last t with
+    alpha_t != 0 (`_last_nonzero`), and runs along the rows
+    alpha_top row_t - alpha_t row_top, whose pivots all read alpha_top den,
+    over their gcd signed so that the new den is positive.  A section of a
+    plane is an edge, which `_section_volume` measures without one."""
     at, rt = alpha[top], rows[top]
     sub = [tuple(at * x - al * y for x, y in zip(r, rt))
            for t, (r, al) in enumerate(zip(rows, alpha)) if t != top]
@@ -381,29 +380,50 @@ def _section(piv: List[int], rows: List[Tuple[int, ...]], den: int,
             [tuple(x // div for x in r) for r in sub], at * den // div)
 
 
+def _last_nonzero(alpha: Sequence[int]) -> int:
+    """The last t with alpha_t != 0."""
+    top = len(alpha) - 1
+    while not alpha[top]:
+        top -= 1
+    return top
+
+
+def _section_volume(face: int, piv: List[int], rows: List[Tuple[int, ...]],
+                    den: int, alpha: List[int], top: int, gens, pts,
+                    memo: Dict[int, int]) -> int:
+    """(k-1)! times the (k-1)-volume of the projection of a face onto its
+    pivots, where the face lies on a hyperplane section of an affine hull
+    (piv, rows, den) of dimension k >= 2, as in `_section`, and top is
+    `_last_nonzero(alpha)`.  When k = 2 the face is an edge, and its
+    section keeps the pivot other than top: the edge's length along that
+    pivot needs no section rows."""
+    if len(piv) > 2:
+        return _face_volume(face, *_section(piv, rows, den, alpha, top),
+                            gens, pts, memo)
+    kept = piv[1 - top]
+    vol = abs(pts[(face & -face).bit_length() - 1][kept]
+              - pts[face.bit_length() - 1][kept])
+    memo[face] = vol
+    return vol
+
+
 def _face_volume(face: int, piv: List[int], rows: List[Tuple[int, ...]],
                  den: int, gens, pts, memo: Dict[int, int]) -> int:
     """k! times the k-volume of a face's projection onto its pivots.
 
-    The face is a bitmask over the integer points pts, k = len(piv) >= 1,
+    The face is a bitmask over the integer points pts, k = len(piv) >= 2,
     and (piv, rows, den) is its affine hull as in `_section`.  Its facets
     are the inclusion-maximal proper intersections face & m over the
     generators (m, a, c), each on the hyperplane a . x = c, and the lowest
     vertex v0 is the apex (Lasserre 1983): V(f) is the sum over the facets
-    g missing v0 of (c - a . pts[v0]) den V(g) / |alpha_t*|, with alpha and
-    t* as in `_section`.  Each term is k! times the volume of a lattice
-    pyramid in Z^k, an integer, so an inexact division means a wrong face
-    lattice and raises.  The facets of g come from the facets of f, and
-    the memo is keyed by the face alone, since its affine hull fixes its
-    pivots and rows."""
+    g missing v0 of (c - a . pts[v0]) den V(g) / |alpha_top|, with alpha
+    and top as in `_section`.  Each term is k! times the volume of a
+    lattice pyramid in Z^k, an integer, so an inexact division means a
+    wrong face lattice and raises.  The facets of g come from the facets
+    of f, and the memo is keyed by the face alone, since its affine hull
+    fixes its pivots and rows."""
     if face in memo:
         return memo[face]
-    if len(piv) == 1:  # an edge, from its lowest vertex to its highest
-        t = piv[0]
-        vol = abs(pts[(face & -face).bit_length() - 1][t]
-                  - pts[face.bit_length() - 1][t])
-        memo[face] = vol
-        return vol
     inters: Dict[int, tuple] = {}
     for m, a, c in gens:
         g = face & m
@@ -420,11 +440,10 @@ def _face_volume(face: int, piv: List[int], rows: List[Tuple[int, ...]],
         if g >> v0 & 1:
             continue  # the apex lies on g: a pyramid of height 0
         alpha = [dot(a, r) for r in rows]
-        if g not in memo:
-            _face_volume(g, *_section(piv, rows, den, alpha), children,
-                         pts, memo)
-        at = next(x for x in reversed(alpha) if x)
-        term, rem = divmod((c - dot(a, p0)) * den * memo[g], abs(at))
+        top = _last_nonzero(alpha)
+        sub = memo[g] if g in memo else _section_volume(
+            g, piv, rows, den, alpha, top, children, pts, memo)
+        term, rem = divmod((c - dot(a, p0)) * den * sub, abs(alpha[top]))
         if rem:
             raise ArithmeticError("a pyramid's volume is not integral")
         vol += term
@@ -638,11 +657,12 @@ class HPolytope:
             key = max(a, _neg(a))
             if symmetric and a != key:
                 continue
-            # den is |a_j|, for the last j with a_j != 0
-            piv, rows, den = _section(list(range(d)), identity_rows(d), 1,
-                                      list(a))
-            vol = _face_volume(mask, piv, rows, den, gens, pts, memo)
-            area = Fraction((2 if symmetric else 1) * vol, den * unit)
+            # the facet is a section of the chart R^d, projected along its
+            # last j with a_j != 0, over |a_j|
+            j = _last_nonzero(a)
+            vol = _section_volume(mask, list(range(d)), identity_rows(d), 1,
+                                  list(a), j, gens, pts, memo)
+            area = Fraction((2 if symmetric else 1) * vol, abs(a[j]) * unit)
             coordvol += b * area
             areas[key] = areas.get(key, 0) + area
         return coordvol / d, tuple(areas.items())

@@ -10,6 +10,7 @@ kernel and the Hermite column basis of an integer matrix, GF(2) ranks, the
 meet-in-the-middle dependency search at every s, a rational solver and
 kernel, a Rayleigh lower bound on spectral norms, LLL with the Gram-Schmidt
 data recomputed after every step, lattice equality, the
+short-vector recursion on ``Fraction`` centres and budgets, the
 image of a lattice under a matrix, lattice membership, the
 projection of a lattice onto a row span, a grid volume enclosure, the
 H-representation parser, 4096-bit reference values of transcendental
@@ -32,8 +33,8 @@ from paratile.construction import (RegimeError, _induction_inequality_holds,
 from paratile.intervals import Interval, enclose, sqrt_upper
 from paratile.lattices import Lattice, enumerate_short_vectors
 from paratile.linalg import (QMatrix, denominator_lcm, det_q, hnf_rows,
-                             inverse, pivot_columns, rank_over_rationals,
-                             scaled_to_int)
+                             inverse, ldl_split, pivot_columns,
+                             rank_over_rationals, scaled_to_int)
 from paratile.polytopes import (BodyMeasures, DegenerateBody, EmptyBody,
                                 HPolytope, Unbounded, primitive_normal)
 from paratile.radicals import SqrtSum
@@ -597,6 +598,59 @@ def reference_projection(lat: Lattice, b) -> Lattice:
         return Lattice(QMatrix(tuple(() for _ in range(lat.ambient_dim))))
     pull = r.t() @ inverse(r @ r.t())  # v -> point of the span with Rv = v
     return Lattice(pull @ QMatrix(w.num, image.den))
+
+
+# --- short vector enumeration ---------------------------------------------------
+
+def _range_for(dcoef: Fraction, shift: Fraction, budget: Fraction
+               ) -> Tuple[int, int]:
+    """Integer x with dcoef*(x+shift)^2 <= budget; empty when lo > hi.
+
+    With shift = a/b the test reads (b x + a)^2 <= (budget/dcoef) b^2, and
+    an integer square is at most a real number iff it is at most its floor,
+    so one integer sqrt settles the whole range.
+    """
+    s = budget / dcoef
+    a, b = shift.numerator, shift.denominator
+    r = math.isqrt(int(s * b * b))
+    return -((r + a) // b), (r - a) // b
+
+
+def reference_enumerate_short_vectors(g: QMatrix, bound,
+                                      center: Optional[Sequence] = None
+                                      ) -> Tuple[list, int]:
+    """(results, nodes) of the depth-first Fincke-Pohst recursion over
+    ``ldl_split(g)`` with ``Fraction`` centres and budgets at every node:
+    the (coords, squared length) pairs with (x-c)^T G (x-c) <= bound,
+    sorted by squared length then coordinates, and the number of
+    coordinate values the recursion tried."""
+    n = g.nrows
+    bound = Fraction(bound)
+    if bound < 0:
+        return [], 0
+    c = [Fraction(x) for x in center] if center is not None \
+        else [Fraction(0)] * n
+    d, u = ldl_split(g)
+    x = [0] * n
+    out = []
+    nodes = 0
+
+    def rec(i: int, budget: Fraction):
+        nonlocal nodes
+        if i < 0:
+            out.append((tuple(x), bound - budget))
+            return
+        z = sum(u[i][j] * (x[j] - c[j]) for j in range(i + 1, n)) - c[i]
+        lo, hi = _range_for(d[i], z, budget)
+        for xi in range(lo, hi + 1):
+            nodes += 1
+            x[i] = xi
+            rec(i - 1, budget - d[i] * (xi + z) ** 2)
+        x[i] = 0
+
+    rec(n - 1, bound)
+    out.sort(key=lambda t: (t[1], t[0]))
+    return out, nodes
 
 
 # --- the isoperimetric bound by recurrence ---------------------------------------

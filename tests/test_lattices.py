@@ -15,7 +15,8 @@ from paratile.linalg import (QMatrix, det_int, det_q, inverse,
 from paratile.radicals import SqrtSum
 
 from oracles import (apply_matrix, coordinates_in_lattice, hnf_basis_columns,
-                     lattices_equal, reference_projection)
+                     lattices_equal, reference_enumerate_short_vectors,
+                     reference_projection)
 
 FCC = [[1, 1, 0], [1, 0, 1], [0, 1, 1]]
 
@@ -271,6 +272,60 @@ def test_enumerate_matches_brute_force(rows, bound, center):
                                       center=tuple(center)))
     want = brute_short(g.entries, Fraction(bound), tuple(center))
     assert got == want
+
+
+@st.composite
+def rational_grams(draw):
+    """G = A^T A / den^2 for an upper triangular integer A of rank 1 to 6
+    (so G is positive definite) and den > 1, a bound of at most 5 / den^2
+    (so a rank-6 search stays small) and, half the time, a rational
+    centre."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    den = draw(st.integers(min_value=2, max_value=4))
+    a = [[draw(st.integers(min_value=1, max_value=3)) if j == i else
+          draw(st.integers(min_value=-2, max_value=2)) if j > i else 0
+          for j in range(k)] for i in range(k)]
+    m = QMatrix.from_rows([[Fraction(x, den) for x in row] for row in a])
+    g = m.t() @ m
+    assume(g.den > 1)
+    bound = draw(st.fractions(min_value=0, max_value=5, max_denominator=3))
+    center = draw(st.none() | st.lists(
+        st.fractions(min_value=-1, max_value=1, max_denominator=5),
+        min_size=k, max_size=k))
+    return g, bound / den ** 2, center
+
+
+@given(rational_grams())
+def test_enumeration_matches_the_fraction_recursion(case):
+    # the integer recursion walks the reference's tree: the same results
+    # in the same order, and the node cap fires at the same count
+    g, bound, center = case
+    want, nodes = reference_enumerate_short_vectors(g, bound, center)
+    assert enumerate_short_vectors(g, bound, center) == want
+    assert enumerate_short_vectors(g, bound, center, node_cap=nodes) == want
+    if nodes:
+        with pytest.raises(EnumerationCap):
+            enumerate_short_vectors(g, bound, center, node_cap=nodes - 1)
+
+
+def test_a_center_of_the_wrong_length_is_refused():
+    g = QMatrix.identity(2)
+    half = Fraction(1, 2)
+    for center in ([half] * 3, [half], []):
+        with pytest.raises(ValueError, match="center has"):
+            enumerate_short_vectors(g, 1, center=center)
+
+
+def test_a_negative_bound_has_no_vectors_at_every_rank():
+    rank0 = QMatrix((), 1)
+    assert enumerate_short_vectors(rank0, -1) == []
+    assert enumerate_short_vectors(rank0, Fraction(-1, 3)) == []
+    assert enumerate_short_vectors(rank0, 0) == [((), 0)]
+    assert enumerate_short_vectors(rank0, 5) == [((), 0)]
+    assert enumerate_short_vectors(QMatrix.identity(2), -1) == []
+    assert enumerate_short_vectors(QMatrix.identity(2), -1,
+                                   center=[Fraction(1, 2)] * 2) == []
+    assert enumerate_short_vectors(QMatrix.identity(2), 0) == [((0, 0), 0)]
 
 
 def test_shortest_vector_values():

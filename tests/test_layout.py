@@ -241,6 +241,20 @@ def test_rank_completion_eliminates_over_the_integers():
     assert not names & {"rref", "entries", "Fraction"}, names
 
 
+def test_enumeration_recurses_on_plain_integers():
+    # the levels are scaled to integers once per call; the recursion takes
+    # one integer square root per range and builds no Fraction
+    tree = ast.parse((PACKAGE / "lattices.py").read_text())
+    fn = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name == "enumerate_short_vectors")
+    inner = [node for node in ast.walk(fn)
+             if isinstance(node, ast.FunctionDef) and node is not fn]
+    assert inner, "enumerate_short_vectors has no inner recursion"
+    names = {ref for node in inner for ref, _ in _references(node)}
+    assert "isqrt" in names
+    assert not names & {"Fraction", "ldl_split"}, names
+
+
 def test_rref_is_a_test_reference_only():
     # the package inverts and ranks fraction-free; the Fraction rref is the
     # reference the tests check them against

@@ -213,6 +213,34 @@ def test_a_voronoi_chart_takes_no_determinant(monkeypatch):
     assert volume == 1  # the cell of a lattice in its own basis coordinates
 
 
+def test_no_section_is_an_edge(monkeypatch):
+    # an edge's length is read along its kept pivot, so no one-pivot
+    # section is built: not for a polygon's facets, nor for the edges of
+    # the 2-faces deeper in the recursion
+    pivots = []
+
+    def counted(*args, _section=polytopes._section):
+        section = _section(*args)
+        pivots.append(len(section[0]))
+        return section
+
+    monkeypatch.setattr(polytopes, "_section", counted)
+    trapezoid = HPolytope.from_halfspaces(
+        2, [((1, 0), Fraction(2)), ((-1, 0), Fraction(0)),
+            ((0, -1), Fraction(0)), ((1, 2), Fraction(4))])
+    assert trapezoid._chart()[0] == 3
+    assert pivots == []
+    cell = voronoi_cell(Lattice.from_columns([[2, 0, 1], [1, 2, 0],
+                                              [0, 1, 2]]))
+    assert cell._chart()[0] == 1
+    assert set(pivots) == {2}
+    pivots.clear()
+    lat = kernel4()
+    cell = voronoi_cell(lat)
+    assert cell.volume() == lat.covolume()
+    assert set(pivots) == {2, 3, 4}
+
+
 def test_a_pyramid_that_does_not_divide_exactly_raises():
     # the triangle (0,0), (1,0), (0,1): its slanted edge on x + y = 1 gives
     # 2! * 1/2 = 1, and the wrong plane x + 2y = 3 leaves a remainder
