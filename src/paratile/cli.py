@@ -204,7 +204,9 @@ def cmd_sample_matrix(args) -> int:
     human = [f"sampled {m}x{n}, column weight {d}, seed={seed}, "
              f"tries={stats['tries']}"]
     if verify_s is not None:
-        ok, witness = verify_s_independence(mat, verify_s)
+        # certifies the sampled column masks, which masks_to_matrix wrote
+        # into mat, rather than reading them back off the matrix
+        ok, witness = verify_s_independence(stats["masks"], verify_s)
         if not ok:
             print(f"s-independence FAILED at s={verify_s}: dependent "
                   f"columns {witness}", file=sys.stderr)

@@ -497,16 +497,24 @@ def _induction_inequality_holds(n: int, m: int, kappa: int) -> bool:
     return diff.lo >= 0
 
 
+def _squares_at_least(x: Fraction, s: int, y: Fraction, t: int) -> bool:
+    """x^2 s >= y^2 t for rationals x = a / c and y = b / e, on integers:
+    a^2 s e^2 >= b^2 t c^2."""
+    return (x.numerator ** 2 * s * y.denominator ** 2
+            >= y.numerator ** 2 * t * x.denominator ** 2)
+
+
 def _m_from_bound(n: int, kappa: int, p: Interval) -> int:
     """choose_m(n, kappa) from the enclosure p of P(n).
 
     n exp(-g(n)) = 4 kappa n sqrt(n) / P(n); its square 16 kappa^2 n^3 / P^2
     lies in [num / p.hi^2, num / p.lo^2], so m is the floor of the lower
-    end's root when the upper end stays below (m + 1)^2.
+    end's root when the upper end stays below (m + 1)^2.  An end a / c of p
+    gives the end num c^2 / a^2 of the square, in integers.
     """
     num = 16 * kappa ** 2 * n ** 3
-    m = math.isqrt(math.floor(num / p.hi ** 2))
-    if num < (m + 1) ** 2 * p.lo ** 2:
+    m = math.isqrt(num * p.hi.denominator ** 2 // p.hi.numerator ** 2)
+    if num * p.lo.denominator ** 2 < (m + 1) ** 2 * p.lo.numerator ** 2:
         return m
     return choose_m(n, kappa)
 
@@ -516,9 +524,9 @@ def _induction_from_bounds(n: int, m: int, kappa: int,
     """`_induction_inequality_holds(n, m, kappa)` from enclosures of P(n)
     and P(m): the inequality is P(n)^2 m >= 4 kappa^2 n P(m)^2."""
     rhs = 4 * kappa ** 2 * n
-    if pn.lo ** 2 * m >= rhs * pm.hi ** 2:
+    if _squares_at_least(pn.lo, m, pm.hi, rhs):
         return True
-    if pn.hi ** 2 * m < rhs * pm.lo ** 2:
+    if not _squares_at_least(pn.hi, m, pm.lo, rhs):
         return False
     return _induction_inequality_holds(n, m, kappa)
 

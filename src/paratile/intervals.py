@@ -6,8 +6,13 @@ enter only through enclosures that take an explicit precision in bits.  Roots
 of rationals are built from integer roots, found by Newton's iteration from
 a power of two above the root, and their endpoints print into the ratio
 enclosures.  Every formula with a log, exp, pi or e is evaluated whole
-by ``enclose`` in mpmath's outward-rounding interval context and converted
-once; its binary endpoints convert to Fraction losslessly.
+by ``enclose`` and converted once; its binary endpoints convert to Fraction
+losslessly.  The formula runs on a small context of the precision asked
+for, whose every operation is one call to the outward-rounding interval
+kernel in ``mpmath.libmp`` (``mpi_add`` ... ``mpi_loggamma``) that
+mpmath's ``iv`` context ends in, so the endpoints are ``iv``'s bit for bit
+without ``iv``'s conversions, dispatch and global precision.  Int inputs
+and unary results on ints are kept in a bounded memo per precision.
 
 ``refine`` is the only precision ladder: every irrational decision in the
 package (the schedule's m, the density and induction inequalities, signs and
@@ -19,12 +24,13 @@ the last rung.
 from __future__ import annotations
 
 import decimal
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Union
 
-import mpmath
+from mpmath import libmp
 
 Rat = Union[int, Fraction]
 
@@ -120,36 +126,127 @@ def sqrt_upper(x: Rat, bits: int = 64) -> Fraction:
 
 # --- mpmath bridge -----------------------------------------------------------
 
-def _mpf_tuple_to_fraction(t) -> Fraction:
+_FLOOR, _CEILING = libmp.round_floor, libmp.round_ceiling
+_MEMO_SIZE = 256  # int conversions and unary results kept per precision
+
+
+class _Value:
+    """A real interval inside an `enclose` formula: an mpi tuple (two raw
+    mpmath floats) and the `_Context` whose precision its operators round
+    to."""
+
+    __slots__ = ("ctx", "mpi")
+
+    def __init__(self, ctx: "_Context", mpi):
+        self.ctx = ctx
+        self.mpi = mpi
+
+    def __neg__(self):
+        return _Value(self.ctx, libmp.mpi_neg(self.mpi, self.ctx.prec))
+
+
+def _operators(mpi_op):
+    """``x op y`` and ``y op x`` for a `_Value` x, rounding outward."""
+    def op(self, other):
+        ctx = self.ctx
+        return _Value(ctx, mpi_op(self.mpi, ctx.operand(other), ctx.prec))
+
+    def rop(self, other):
+        ctx = self.ctx
+        return _Value(ctx, mpi_op(ctx.operand(other), self.mpi, ctx.prec))
+    return op, rop
+
+
+_Value.__add__, _Value.__radd__ = _operators(libmp.mpi_add)
+_Value.__sub__, _Value.__rsub__ = _operators(libmp.mpi_sub)
+_Value.__mul__, _Value.__rmul__ = _operators(libmp.mpi_mul)
+_Value.__truediv__, _Value.__rtruediv__ = _operators(libmp.mpi_div)
+
+
+class _Context:
+    """What an `enclose` formula receives at one precision: ``pi``, ``mpf``,
+    ``sqrt``, ``exp``, ``log`` and ``loggamma``, on values and ints.
+
+    An int rounds to its floor and ceiling at ``prec`` bits; a float or a
+    Fraction raises TypeError, never rounds.  Int conversions (2 and 4 kappa
+    in every P(n)) and unary results on ints (ln 2 kappa, e) are kept in
+    one bounded LRU memo, which the type check guards.
+    """
+
+    def __init__(self, prec: int):
+        self.prec = prec
+        self.pi = _Value(self, (libmp.mpf_pi(prec, _FLOOR),
+                                libmp.mpf_pi(prec, _CEILING)))
+        self.memo = functools.lru_cache(_MEMO_SIZE)(self._of_int)
+
+    def _of_int(self, fn, x: int):
+        mpi = (libmp.from_int(x, self.prec, _FLOOR),
+               libmp.from_int(x, self.prec, _CEILING))
+        return fn(mpi, self.prec) if fn else mpi
+
+    def _int(self, fn, x):
+        """The mpi of the int x rounded outward, or ``fn`` of it when fn is
+        not None."""
+        if not isinstance(x, int):
+            raise TypeError(f"enclose formulas take ints, not "
+                            f"{type(x).__name__}")
+        return self.memo(fn, x)
+
+    def operand(self, x):
+        """The mpi tuple of a `_Value` or an int."""
+        return x.mpi if type(x) is _Value else self._int(None, x)
+
+    def _apply(self, fn, x) -> _Value:
+        if type(x) is _Value:
+            return _Value(self, fn(x.mpi, self.prec))
+        return _Value(self, self._int(fn, x))
+
+    def mpf(self, x) -> _Value:
+        return x if type(x) is _Value else _Value(self, self._int(None, x))
+
+    def sqrt(self, x) -> _Value:
+        return self._apply(libmp.mpi_sqrt, x)
+
+    def exp(self, x) -> _Value:
+        return self._apply(libmp.mpi_exp, x)
+
+    def log(self, x) -> _Value:
+        return self._apply(libmp.mpi_log, x)
+
+    def loggamma(self, x) -> _Value:
+        return self._apply(libmp.mpi_loggamma, x)
+
+
+@functools.lru_cache(maxsize=16)
+def _context(prec: int) -> _Context:
+    return _Context(prec)
+
+
+def _dyadic(t) -> Fraction:
+    """A finite raw mpmath float as the Fraction it equals."""
     sign, man, exp, _bc = t
-    man = int(man)
-    if man == 0:
-        if exp != 0:
+    if not man:
+        if exp:
             raise OverflowError("non-finite mpmath value")
         return Fraction(0)
-    v = Fraction(man) * Fraction(2) ** int(exp)
-    return -v if sign else v
+    man = -int(man) if sign else int(man)
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 def enclose(prec: int, formula: Callable) -> Interval:
-    """Exact enclosure of ``formula(iv)``, evaluated once in mpmath's interval
-    context ``iv`` at ``prec`` bits.
+    """Exact enclosure of ``formula(ctx)``, evaluated once at ``prec`` bits.
 
-    Every operation of the formula rounds outward, so the interval it returns
-    holds the true value; its binary endpoints convert to Fraction exactly.
-    The formula takes its constants from the context (``iv.pi``,
-    ``iv.exp(1)``) and its rational inputs as Python ints, which ``iv``
-    converts with outward rounding.  This is the package's only use of
-    mpmath.
+    ``ctx`` is a small interval context: each ``+ - * /``, unary minus,
+    ``ctx.sqrt``, ``ctx.exp``, ``ctx.log``, ``ctx.loggamma``, ``ctx.mpf``
+    and ``ctx.pi`` is one call to the ``mpmath.libmp`` interval kernel that
+    mpmath's ``iv`` context calls, so every operation rounds outward and the
+    interval returned holds the true value; its binary endpoints convert to
+    Fraction exactly.  Rational inputs are Python ints, rounded outward;
+    anything else raises TypeError.  This is the package's only use of
+    mpmath, and it leaves mpmath's global contexts alone.
     """
-    iv = mpmath.iv
-    old = iv.prec
-    iv.prec = prec
-    try:
-        lo_t, hi_t = formula(iv)._mpi_
-    finally:
-        iv.prec = old
-    return Interval(_mpf_tuple_to_fraction(lo_t), _mpf_tuple_to_fraction(hi_t))
+    lo, hi = formula(_context(prec)).mpi
+    return Interval(_dyadic(lo), _dyadic(hi))
 
 
 def refine(compute: Callable[[int], Interval],

@@ -211,7 +211,11 @@ def _row_weights(m: int, masks: Sequence[int]) -> List[int]:
 
 
 def sample_ldpc(params: LdpcParams) -> Tuple[QMatrix, Dict]:
-    """Sample until every row weight is within the 4dn/m bound."""
+    """Sample until every row weight is within the 4dn/m bound.
+
+    The stats hold the accepted attempt's tries, row bound, heaviest row and
+    column bitmasks (``masks``), which a GF(2) check can take as they are.
+    """
     bound = params.effective_row_bound()
     for attempt in range(params.max_tries):
         masks = sample_columns(params.m, params.n, params.d,
@@ -222,6 +226,7 @@ def sample_ldpc(params: LdpcParams) -> Tuple[QMatrix, Dict]:
                 "tries": attempt + 1,
                 "row_bound": bound,
                 "heaviest_row": heaviest,
+                "masks": masks,
             }
             return masks_to_matrix(params.m, masks), stats
     raise SamplerFailure(

@@ -14,9 +14,10 @@ short-vector recursion on ``Fraction`` centres and budgets, the
 image of a lattice under a matrix, lattice membership, the
 projection of a lattice onto a row span, a grid volume enclosure, the
 H-representation parser, 4096-bit reference values of transcendental
-formulas, the isoperimetric bound by the ball-volume recurrence, the
-per-call sample loop and per-translate membership count of the tiling
-audit, and the schedule scan with three ladders per grid point.
+formulas, ``enclose`` on mpmath's ``iv`` context, the isoperimetric bound
+by the ball-volume recurrence, the per-call sample loop and per-translate
+membership count of the tiling audit, and the schedule scan with three
+ladders per grid point.
 """
 
 import itertools
@@ -48,6 +49,31 @@ def mp_reference(formula: Callable) -> Fraction:
     with mpmath.mp.workprec(4096):
         man, exp = (+formula(mpmath.mp)).man_exp
     return Fraction(man) * Fraction(2) ** exp
+
+
+def _mpf_tuple_to_fraction(t) -> Fraction:
+    sign, man, exp, _bc = t
+    man = int(man)
+    if man == 0:
+        if exp != 0:
+            raise OverflowError("non-finite mpmath value")
+        return Fraction(0)
+    v = Fraction(man) * Fraction(2) ** int(exp)
+    return -v if sign else v
+
+
+def reference_enclose(prec: int, formula: Callable) -> Interval:
+    """``intervals.enclose`` by mpmath's interval context ``iv``: the formula
+    runs on ``iv`` at ``prec`` bits, which is restored afterwards, and the
+    endpoints convert through ``Fraction`` powers of 2."""
+    iv = mpmath.iv
+    old = iv.prec
+    iv.prec = prec
+    try:
+        lo_t, hi_t = formula(iv)._mpi_
+    finally:
+        iv.prec = old
+    return Interval(_mpf_tuple_to_fraction(lo_t), _mpf_tuple_to_fraction(hi_t))
 
 
 # --- the reference sweep ---------------------------------------------------------

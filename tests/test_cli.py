@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from paratile import cli
+from paratile import cli, sampler
 from paratile.cli import main
 from paratile.intervals import PrecisionExhausted
 from paratile.linalg import QMatrix
@@ -815,6 +815,18 @@ def test_sample_matrix_verify_s_success(tmp_path, capsys):
     capsys.readouterr()
     sdoc = json.loads(stats.read_text())
     assert sdoc["verified_s"] == 1
+
+
+def test_sample_matrix_verifies_the_sampled_masks(monkeypatch, capsys):
+    # --verify-s checks the sampler's masks, not masks read back off the matrix
+    def no_reading(mat):
+        raise AssertionError("masks rebuilt from the matrix")
+    monkeypatch.setattr(sampler, "matrix_to_masks", no_reading)
+    assert main(["sample-matrix", "--m", "16", "--n", "32", "--d", "4",
+                 "--seed", "1", "--verify-s", "3"]) == 1
+    assert "dependent columns (12, 22, 25)" in capsys.readouterr().err
+    assert main(["sample-matrix", "--m", "8", "--n", "16", "--d", "3",
+                 "--seed", "1", "--verify-s", "1"]) == 0
 
 
 def test_sample_matrix_out_makes_its_directory(tmp_path, capsys):

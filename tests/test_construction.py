@@ -723,6 +723,36 @@ def test_induction_from_bounds_refuses_without_the_ladder(n, m, monkeypatch):
     assert holds(n, m, 4) is False
 
 
+@pytest.mark.parametrize("n", [1000, 54321, 10 ** 6 + 3, 9 * 10 ** 6])
+@pytest.mark.parametrize("k", [1, 20, 80])
+def test_scan_decisions_hold_on_any_rational_enclosure(n, k, monkeypatch):
+    # P's enclosures widened by 1/3^k are still enclosures, with no
+    # power-of-2 denominator: the scan's integer decisions must give
+    # choose_m and the inequality's verdict, and a widening far below 96
+    # bits must leave to the ladders what the 96-bit enclosures leave
+    m_true = choose_m(n, 4)
+    holds = construction._induction_inequality_holds(n, m_true, 4)
+    ladders = []
+    monkeypatch.setattr(construction, "choose_m",
+                        lambda *args: ladders.append("m") or m_true)
+    monkeypatch.setattr(construction, "_induction_inequality_holds",
+                        lambda *args: ladders.append("induction") or holds)
+
+    def decide(widen):
+        ladders.clear()
+        pn, pm = (predicted_bound_interval(x, 4) for x in (n, m_true))
+        pn, pm = (intervals.Interval(p.lo - widen, p.hi + widen)
+                  for p in (pn, pm))
+        m = construction._m_from_bound(n, 4, pn)
+        return m, construction._induction_from_bounds(n, m, 4, pn, pm), \
+            list(ladders)
+
+    m, verdict, used = decide(Fraction(1, 3 ** k))
+    assert (m, verdict) == (m_true, holds)
+    if k == 80:
+        assert used == decide(0)[2]
+
+
 # --- isoperimetric context --------------------------------------------------
 
 

@@ -1,16 +1,18 @@
 import math
+import operator
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paratile.intervals import (Interval, PrecisionExhausted, enclose,
-                                iroot_floor, refine, root_interval,
+from paratile import construction, intervals, sampler
+from paratile.intervals import (PREC_LADDER, Interval, PrecisionExhausted,
+                                enclose, iroot_floor, refine, root_interval,
                                 sqrt_interval, sqrt_upper)
 
-from oracles import mp_reference
+from oracles import mp_reference, reference_enclose
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 positive = st.fractions(min_value=Fraction(1, 50), max_value=100,
@@ -157,7 +159,7 @@ def test_enclose_brackets_a_4096_bit_reference(name, formula, reference):
         if width is not None:
             assert iv.width < width
         width = iv.width
-    assert mpmath.iv.prec == context_prec  # enclose restores it
+    assert mpmath.iv.prec == context_prec  # enclose leaves iv alone
 
 
 def test_refine_converges():
@@ -183,3 +185,140 @@ def test_refine_gives_up_with_a_short_outward_message():
     msg = str(info.value)
     assert msg == ("sqrt(2) at width 0: undecided at "
                    "[1.4142135623730950488, 1.4142135623730950489]")
+
+
+# --- the evaluator against mpmath's iv context ------------------------------------
+
+def _outcome(evaluate, prec, formula):
+    try:
+        return evaluate(prec, formula)
+    except Exception as exc:  # the same failure counts as the same outcome
+        return type(exc)
+
+
+def _assert_same_at_every_rung(formula):
+    for prec in PREC_LADDER:
+        ours = _outcome(enclose, prec, formula)
+        assert ours == _outcome(reference_enclose, prec, formula), prec
+
+
+# ints up to 4200 bits, wider than every rung
+ints = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                 st.integers(-(1 << 4200), 1 << 4200))
+BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": operator.truediv}
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(sorted(BINARY)), ints, ints,
+       st.integers(1, 10 ** 6),
+       st.sampled_from(["value op value", "value op int", "int op value"]))
+def test_each_operator_matches_iv_bit_for_bit(op, a, b, c, operands):
+    fn = BINARY[op]
+
+    def formula(iv):
+        x = iv.mpf(a) / c  # not a point when a / c is not binary
+        if operands == "value op value":
+            return fn(x, iv.mpf(b) / 3)
+        return fn(x, b) if operands == "value op int" else fn(b, x)
+
+    _assert_same_at_every_rung(formula)
+
+
+UNARY = {
+    "neg": lambda iv, x: -iv.mpf(x),
+    "mpf": lambda iv, x: iv.mpf(x),
+    "sqrt": lambda iv, x: iv.sqrt(x),
+    "log": lambda iv, x: iv.log(x),
+    "exp": lambda iv, x: iv.exp(x),
+    "loggamma": lambda iv, x: iv.loggamma(x),
+}
+
+
+@given(st.sampled_from(sorted(UNARY)), ints, st.integers(1, 10 ** 6),
+       st.booleans())
+def test_each_function_matches_iv_bit_for_bit(name, a, c, on_value):
+    if name == "exp":
+        a %= 10 ** 4  # keep e^a to a few thousand bits
+    if name == "loggamma":
+        # from 10^4 on, lnGamma of a non-point interval at 4096 bits takes
+        # milliseconds; near 1 its first evaluation takes seconds
+        a = a % 10 ** 4 + 10 ** 4
+    fn = UNARY[name]
+    _assert_same_at_every_rung(
+        lambda iv: fn(iv, a + 1 / iv.mpf(c)) if on_value else fn(iv, a))
+
+
+@pytest.mark.parametrize("formula", [
+    lambda iv: iv.pi, lambda iv: 2 * iv.pi / 7, lambda iv: iv.log(iv.pi),
+    lambda iv: iv.log(0), lambda iv: iv.sqrt(-1), lambda iv: 1 / iv.mpf(0),
+    lambda iv: iv.exp(1) - iv.exp(1), lambda iv: -iv.pi + 3,
+], ids=["pi", "2pi/7", "log pi", "log 0", "sqrt -1", "1/0", "e - e",
+        "3 - pi"])
+def test_constants_and_edges_match_iv_bit_for_bit(formula):
+    _assert_same_at_every_rung(formula)
+
+
+def test_log_0_has_no_enclosure():
+    with pytest.raises(OverflowError):
+        enclose(64, lambda iv: iv.log(0))
+
+
+@settings(max_examples=15)
+@given(st.integers(1, 8), st.integers(1, 10 ** 12), st.integers(1, 400))
+def test_the_package_formulas_match_iv_bit_for_bit(kappa, size, dim):
+    formulas = []
+    with pytest.MonkeyPatch.context() as mp:
+        def both(prec, formula):
+            _assert_same_at_every_rung(formula)
+            formulas.append(formula)
+            return enclose(prec, formula)
+
+        mp.setattr(construction, "enclose", both)
+        mp.setattr(sampler, "enclose", both)
+        n = 4 * kappa ** 2 + size
+        construction.predicted_bound_interval(n, kappa)  # P(n)
+        m = construction.choose_m(n, kappa)
+        if m >= 2:
+            construction._induction_inequality_holds(n, m, kappa)  # slack
+        construction.isoperimetric_ratio_lower(dim)
+        sampler.default_c()  # e
+    assert len(formulas) >= 4
+
+
+def test_the_memo_stays_bounded():
+    bound = intervals._MEMO_SIZE
+    construction.scan_induction(4, 10 ** 7, 1000)
+    info = intervals._context(96).memo.cache_info()
+    assert info.misses > bound and info.currsize <= bound
+
+    # choose_m's formula at every rung of the ladder, to 4096 bits
+    def every_rung(compute, decided, what):
+        for prec in PREC_LADDER:
+            compute(prec)
+        return refine(compute, decided, what=what)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(construction, "refine", every_rung)
+        for n in range(10 ** 6, 10 ** 6 + bound // 2 + 20):
+            construction.choose_m(n, 4)
+    for prec in PREC_LADDER:
+        info = intervals._context(prec).memo.cache_info()
+        assert info.misses > bound and info.currsize <= bound, prec
+    contexts = intervals._context.cache_info()
+    assert contexts.currsize <= contexts.maxsize
+
+
+@pytest.mark.parametrize("formula", [
+    lambda iv: iv.exp(1.0), lambda iv: iv.log(Fraction(2)),
+    lambda iv: iv.mpf(0.5), lambda iv: iv.mpf(Fraction(1, 3)),
+    lambda iv: iv.sqrt(2) + 1.0, lambda iv: 2.0 / iv.pi,
+    lambda iv: Fraction(1, 2) * iv.pi, lambda iv: iv.pi - Fraction(3),
+], ids=["exp float", "log Fraction", "mpf float", "mpf Fraction",
+        "value + float", "float / value", "Fraction * value",
+        "value - Fraction"])
+def test_a_float_or_fraction_is_refused_not_rounded(formula):
+    # the int twins are memoised first: the memo must not answer for them
+    enclose(64, lambda iv: iv.exp(1) + iv.log(2) + iv.mpf(0) + 3)
+    with pytest.raises(TypeError):
+        enclose(64, formula)

@@ -7,7 +7,8 @@ package, in ``scripts/`` or in ``perfbench/``, or be exported through
 ``paratile.__all__``; a public method of one of its public classes must be
 referenced there as an attribute (``x.name``), since a bare name is a
 variable or a function, never a method call.  And ``intervals.enclose`` is
-the one bridge to mpmath: no other module of the package imports it.  No
+the one bridge to mpmath: no other module of the package imports it, and
+no module reads mpmath's ``iv`` context, so one evaluator remains.  No
 module builds ``QMatrix.identity(n)`` only to compare a matrix with it, since
 ``QMatrix.is_identity`` reads that off the rows.  Every module is one of the
 layers the benchmark's tracer files its spans under.  Every reader of a
@@ -190,6 +191,28 @@ def test_only_intervals_imports_mpmath():
             if any(name.split(".")[0] == "mpmath" for name in names):
                 importers.append(path.stem)
     assert importers == ["intervals"], importers
+
+
+def test_no_module_reads_mpmath_iv():
+    # enclose evaluates on mpmath.libmp's kernels: iv is no second evaluator
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names
+                   if alias.name == "mpmath"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and \
+                    (node.module or "").split(".")[0] == "mpmath":
+                hit = any(alias.name == "iv" for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                hit = node.attr == "iv" and isinstance(node.value, ast.Name) \
+                    and node.value.id in aliases
+            else:
+                continue
+            if hit:
+                readers.append(f"{path.stem}:{node.lineno}")
+    assert readers == [], readers
 
 
 def _cache_stores(tree: ast.Module):

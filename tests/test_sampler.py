@@ -3,7 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from paratile import sampler
@@ -230,6 +230,25 @@ def test_sampler_respects_weights():
     for j in range(64):
         w = sum(mat.col(j))
         assert w <= 4 and w % 2 == 0  # walk endpoint parity
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sampler_stats_carry_the_accepted_masks(data):
+    # sample-matrix --verify-s certifies these masks, not the matrix it
+    # writes, so the two must be one another's conversion
+    m = data.draw(st.integers(3, 80), label="m")
+    d = data.draw(st.integers(3, m), label="d")
+    n = data.draw(st.integers(m, 3 * m), label="n")
+    seed = data.draw(st.integers(0, 2 ** 31 - 1), label="seed")
+    try:
+        mat, stats = sample_ldpc(LdpcParams(m=m, n=n, d=d, seed=seed))
+    except SamplerFailure:
+        assume(False)
+    masks = stats["masks"]
+    assert mat.entries == masks_to_matrix(m, masks).entries
+    assert matrix_to_masks(masks_to_matrix(m, masks)) == masks
+    assert matrix_to_masks(mat) == masks
 
 
 def test_sampler_row_bound_failure():
