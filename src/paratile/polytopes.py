@@ -3,16 +3,18 @@
 A body is stored as halfspaces over a coordinate chart: points are frame @ y
 with the frame columns spanning the body's subspace, and each halfspace reads
 a . y <= b with a primitive integer normal.  Vertex enumeration is a double
-description sweep from one parallelepiped |a_i . y| <= w_i, so no LP solver
-is involved.  A body given by halfspaces starts from a box whose walls a
-bounded body never touches (a vertex on a wall proves it unbounded).  The
-sweep's predicates are integer and combinatorial: a vertex is a primitive
-integer pair (den, ints) in a slot it keeps while it lives, a cut compares
-integers, and each halfspace keeps a column, the bitmask of the live
-vertices on it.  The vertices on a set of halfspaces are the AND of their
-columns, so two vertices sharing at least d - 1 halfspaces are adjacent
-when that AND over the shared ones is the pair alone, and the facets are
-the maximal columns, with no rank computation.  The faces reach the facet
+description sweep from one parallelepiped -b'_i <= a_i . y <= b_i, so no LP
+solver is involved.  A parallelepiped given by halfspaces starts from its
+own opposite pairs and needs no cut; any other body given by halfspaces
+starts from a box whose walls a bounded body never touches (a vertex on a
+wall proves it unbounded).  The sweep's predicates are integer and
+combinatorial: a vertex is a primitive integer pair (den, ints) in a slot
+it keeps while it lives, a cut compares integers, and each halfspace keeps
+a column, the bitmask of the live vertices on it.  The vertices on a set
+of halfspaces are the AND of their columns, so two vertices sharing at
+least d - 1 halfspaces are adjacent when that AND over the shared ones is
+the pair alone, and the facets are the maximal columns, with no rank
+computation.  The faces reach the facet
 volumes as integer points over one common denominator and vertex bitmasks;
 ``Fraction`` vertices and frozenset incidences are built only when read.  A
 Voronoi cell is its basis slab box cut by its facet vectors alone: by
@@ -150,26 +152,31 @@ class _Sweep:
     vertices on it.  Every halfspace on the list is valid for the current
     body, which makes the incidences exact without any dot product.
 
-    The sweep starts from the parallelepiped |a_i . y| <= w_i (w_i > 0,
-    independent a_i), with halfspaces a_0, -a_0, a_1, -a_1, ...  Its corner
-    k solves A y = s with s_i = w_i where bit i of k is set and -w_i
-    elsewhere, so it lies on halfspace 2i or 2i + 1 accordingly.
+    The sweep starts from the parallelepiped -b'_i <= a_i . y <= b_i
+    (independent a_i, every width b_i + b'_i > 0), given as the pairs
+    (b_i, b'_i), with halfspaces a_0, -a_0, a_1, -a_1, ...: a body's own
+    opposite pairs when it is a parallelepiped, a Voronoi cell's basis
+    slabs (w_i, w_i), or a wide box.  Its corner k solves A y = s with
+    s_i = b_i where bit i of k is set and -b'_i elsewhere, so it lies on
+    halfspace 2i or 2i + 1 accordingly.
 
     ``peak_vertices`` and ``pairs_tested`` count the most vertices alive at
     once and the vertex pairs whose common face was taken, for profiling.
     """
 
     def __init__(self, normals: Sequence[Tuple[int, ...]],
-                 widths: Sequence[Fraction]):
+                 offsets: Sequence[Tuple[Fraction, Fraction]]):
         self.d = d = len(normals)
         self.halfspaces: List[Halfspace] = [
-            h for a, w in zip(normals, widths) for h in ((a, w), (_neg(a), w))]
+            h for a, (b, b_neg) in zip(normals, offsets)
+            for h in ((a, b), (_neg(a), b_neg))]
         ainv = inverse(QMatrix(tuple(normals)))
         self.verts: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
         self.active: List[int] = []
         self.cols = [0] * (2 * d)
         for k in range(1 << d):
-            s = [w if (k >> i) & 1 else -w for i, w in enumerate(widths)]
+            s = [b if (k >> i) & 1 else -b_neg
+                 for i, (b, b_neg) in enumerate(offsets)]
             y = ainv.mul_vec(s)
             den = denominator_lcm(y)
             self.verts[k] = (den, scaled_to_int(y, den))
@@ -333,15 +340,23 @@ def _opposite_pairs(dim: int, halfspaces: Sequence[Halfspace]
 
 
 def _sweep_from_halfspaces(dim: int, halfspaces: Sequence[Halfspace]) -> _Sweep:
-    """Run the sweep inside a certified box; detect unboundedness at the walls.
+    """The sweep of a body given by halfspaces.
 
-    Every vertex of a bounded intersection solves a nonsingular integer
-    d x d subsystem, so Cramer plus Hadamard bounds each coordinate by the
-    product of the d largest augmented row norms.  A final vertex on the
-    (strictly larger) wall therefore witnesses a recession direction, and
-    the walls of a bounded body touch no vertex, so ``faces`` never counts
-    them as facets.
+    A parallelepiped (dim opposite pairs with independent normals and
+    positive widths) starts from its own pairs, with nothing left to cut.
+    Any other body is cut into a certified box, which detects
+    unboundedness at the walls.  Every vertex of a bounded intersection
+    solves a nonsingular integer d x d subsystem, so Cramer plus Hadamard
+    bounds each coordinate by the product of the d largest augmented row
+    norms.  A final vertex on the (strictly larger) wall therefore
+    witnesses a recession direction, and the walls of a bounded body touch
+    no vertex, so ``faces`` never counts them as facets.
     """
+    pairs = _opposite_pairs(dim, halfspaces)
+    if pairs:
+        normals = [a for a, _, _ in pairs]
+        if det_int(normals) and all(b + b_neg > 0 for _, b, b_neg in pairs):
+            return _Sweep(normals, [(b, b_neg) for _, b, b_neg in pairs])
     if len(halfspaces) < dim:
         raise Unbounded("fewer halfspaces than dimensions")
     row_bounds = sorted(
@@ -351,7 +366,7 @@ def _sweep_from_halfspaces(dim: int, halfspaces: Sequence[Halfspace]) -> _Sweep:
     for x in row_bounds[:dim]:
         m *= max(x, Fraction(1))
     w = math.floor(m) + 1
-    sweep = _Sweep(identity_rows(dim), [Fraction(w)] * dim)
+    sweep = _Sweep(identity_rows(dim), [(Fraction(w), Fraction(w))] * dim)
     for a, b in halfspaces:
         sweep.insert(a, b)
     for den, x in sweep.verts.values():
@@ -757,8 +772,8 @@ def voronoi_cell(lat: Lattice, node_cap: int = 10 ** 7) -> HPolytope:
     g_int, g_den = QMatrix(g.num), g.den
     diag = [Fraction(g.num[i][i], g.den) for i in range(d)]
     seeds = [primitive_normal(g.col(i)) for i in range(d)]
-    sweep = _Sweep([a for a, _ in seeds],
-                   [x / (2 * gamma) for x, (_, gamma) in zip(diag, seeds)])
+    widths = [x / (2 * gamma) for x, (_, gamma) in zip(diag, seeds)]
+    sweep = _Sweep([a for a, _ in seeds], [(w, w) for w in widths])
 
     # the {-1, 0, 1} members of the class with support S are the sign
     # vectors on S, and x and -x have one norm: visit those whose first

@@ -15,12 +15,18 @@ values, so the samples and hence the report bytes are those of the per-call
 loop.  Samples are drawn and counted in blocks of ``_DRAW_CHUNK`` points, so
 the audit's memory is bounded by a block, not by the sample count.
 
-A halfspace row's offset repeats across translates, so the count compares
-each row's scores once per distinct offset and packs the closed and open
-masks into uint64 words, one bit per sample.  A translate's masks are the
-and of its rows' packed masks, and bit-sliced counters over all translates
-give the overlaps (strictly inside at least twice), the gaps (inside no
-closed translate) and the boundary hits.
+The candidate translates are the lattice vectors within the body's
+circumradius plus the basis parallelepiped's of its centre, and the report's
+``translates`` counts them all, as does the audit that picks the engine.
+Most of them cannot meet a block: the count skips each translate with an
+offset below the least score that the block's coordinate range allows,
+since no sample of the block lies in it.  A halfspace row's offset repeats
+across the translates left, so the count compares each row's scores once
+per distinct offset and packs the closed and open masks into uint64 words,
+one bit per sample.  A translate's masks are the and of its rows' packed
+masks, and bit-sliced counters over all translates give the overlaps
+(strictly inside at least twice), the gaps (inside no closed translate) and
+the boundary hits.
 """
 
 from __future__ import annotations
@@ -147,8 +153,30 @@ def _pack(masks: np.ndarray) -> np.ndarray:
     """Boolean masks (..., S) as little-endian uint64 words (..., ceil(S/64)):
     sample i is bit i % 64 of word i // 64, and the pad bits are zero."""
     packed = np.packbits(masks, axis=-1, bitorder="little")
-    pad = [(0, 0)] * (packed.ndim - 1) + [(0, -packed.shape[-1] % 8)]
-    return np.pad(packed, pad).view("<u8")
+    size = packed.shape[-1]
+    if size % 8:
+        padded = np.zeros(packed.shape[:-1] + (size + -size % 8,),
+                          dtype=np.uint8)
+        padded[..., :size] = packed
+        packed = padded
+    return packed.view("<u8")
+
+
+def _reachable(ks: np.ndarray, rows: Sequence[Sequence[int]],
+               offsets: Sequence[Sequence[int]]) -> List[Sequence[int]]:
+    """The offsets of the translates that some sample of ks can lie in.
+
+    Every coordinate of ks lies in [lo, hi], its least and greatest, so
+    the score u . k is at least the sum of u_j * (lo if u_j > 0 else hi).
+    A translate with some offset below that bound holds no sample of ks.
+    A range per coordinate would bound tighter, but numpy's min and max
+    along axis 0 of a (2^16, rank) block take as long as ten rows' scores,
+    and on uniform samples the ranges nearly agree.
+    """
+    lo, hi = int(ks.min()), int(ks.max())
+    least = [sum(u * (lo if u > 0 else hi) for u in row) for row in rows]
+    return [off for off in offsets
+            if all(o >= m for o, m in zip(off, least))]
 
 
 def _count_membership(ks: np.ndarray, rows: Sequence[Sequence[int]],
@@ -159,18 +187,23 @@ def _count_membership(ks: np.ndarray, rows: Sequence[Sequence[int]],
     Sample k lies in the closed translate with offsets off iff every score
     u . k is <= off[row], and in its interior iff every score is < off[row].
     dtype is np.int64 when no score or offset can overflow it, and object
-    (exact Python integers) otherwise.  A row's offset repeats across
-    translates, so each row is compared once per distinct offset, giving one
-    closed and one open mask packed into uint64 words, one bit per sample.
-    A translate's masks are the and of its rows' packed masks.  Bit-sliced
-    counters then take every translate at once: the or of the closed masks
-    (a sample outside it is a gap), and of the open masks the or ("at least
-    once") and the or of each one and-ed with the or of those before it
-    ("at least twice", an overlap).  Boundary hits are the set bits of each
-    translate's closed and not open mask.  Witnesses are the first
-    _MAX_WITNESSES overlaps or gaps, in sample order.
+    (exact Python integers) otherwise.  Only the translates that some sample
+    can reach are counted (``_reachable``): any other holds no sample, so
+    its closed and open masks are zero and move no count or witness.  That
+    may leave no translate, and then every sample is a gap.  A row's offset
+    repeats across translates, so each row is compared once per distinct
+    offset, giving one closed and one open mask packed into uint64 words,
+    one bit per sample.  A translate's masks are the and of its rows'
+    packed masks.  Bit-sliced counters then take every translate at once:
+    the or of the closed masks (a sample outside it is a gap), and of the
+    open masks the or ("at least once") and the or of each one and-ed with
+    the or of those before it ("at least twice", an overlap).  Boundary
+    hits are the set bits of each translate's closed and not open mask.
+    Witnesses are the first _MAX_WITNESSES overlaps or gaps, in sample
+    order.
     """
     ks = np.asarray(ks, dtype=dtype)
+    offsets = _reachable(ks, rows, offsets)
     distinct = [sorted({off[r] for off in offsets}) for r in range(len(rows))]
     width = -(-len(ks) // 64)
     closed = np.empty((sum(map(len, distinct)), width), dtype="<u8")

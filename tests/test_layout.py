@@ -8,7 +8,8 @@ package, in ``scripts/`` or in ``perfbench/``, or be exported through
 referenced there as an attribute (``x.name``), since a bare name is a
 variable or a function, never a method call.  And ``intervals.enclose`` is
 the one bridge to mpmath: no other module of the package imports it, and
-no module reads mpmath's ``iv`` context, so one evaluator remains.  No
+no module reads mpmath's ``iv`` context, so one evaluator remains, and none
+imports ``numpy.random``, whose import alone costs about 6 MiB.  No
 module builds ``QMatrix.identity(n)`` only to compare a matrix with it, since
 ``QMatrix.is_identity`` reads that off the rows.  Every module is one of the
 layers the benchmark's tracer files its spans under.  Every reader of a
@@ -208,6 +209,36 @@ def test_no_module_reads_mpmath_iv():
             elif isinstance(node, ast.Attribute):
                 hit = node.attr == "iv" and isinstance(node.value, ast.Name) \
                     and node.value.id in aliases
+            else:
+                continue
+            if hit:
+                readers.append(f"{path.stem}:{node.lineno}")
+    assert readers == [], readers
+
+
+def test_no_module_imports_numpy_random():
+    # numpy imports numpy.random only when it is first read, and that
+    # import alone adds 6.2 MiB of resident memory (peak RSS 26.8 -> 33.0
+    # MiB after `import numpy`, Python 3.11, numpy 2.4): more than the
+    # benchmark's 10% bound on the peak of a tiling-audit run (about 44 MiB)
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names
+                   if alias.name == "numpy"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                hit = any(alias.name.startswith("numpy.random")
+                          for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                hit = module.startswith("numpy.random") or module == "numpy" \
+                    and any(alias.name == "random" for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                hit = node.attr == "random" and \
+                    isinstance(node.value, ast.Name) and \
+                    node.value.id in aliases
             else:
                 continue
             if hit:

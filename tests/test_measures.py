@@ -2,7 +2,10 @@
 the integer sweep's faces against the reference sweep's."""
 
 import itertools
+import json
+import pathlib
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -18,6 +21,9 @@ from paratile.polytopes import (DegenerateBody, EmptyBody, HPolytope,
                                 linear_image, orthogonal_product,
                                 voronoi_cell)
 from paratile.radicals import SqrtSum
+from paratile.serialization import fixture_from_json
+
+FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 small_int = st.integers(min_value=-3, max_value=3)
 entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -314,6 +320,61 @@ def test_sweep_matches_the_reference_sweep(body):
     assert_same_terms(body.measures(), triangulated_measures(fresh(body)))
 
 
+# --- a parallelepiped's sweep starts from its own pairs -----------------------------
+
+def box_start(body):
+    """The sweep from the certified box, which every body that is not a
+    parallelepiped takes."""
+    with mock.patch.object(polytopes, "_opposite_pairs",
+                           lambda dim, halfspaces: None):
+        return polytopes._sweep_from_halfspaces(body.dim, body.halfspaces)
+
+
+def assert_starts_from_its_own_pairs(body):
+    start = polytopes._sweep_from_halfspaces(body.dim, body.halfspaces)
+    # no wall and no cut: the halfspaces are the body's, no pair tested
+    assert sorted(start.halfspaces) == list(body.halfspaces)
+    assert start.pairs_tested == 0
+    assert start.faces() == box_start(body).faces()
+
+
+@pytest.mark.parametrize("name", ["worked_n4", "cube3", "scaled_cube3"])
+def test_a_fixture_parallelepiped_starts_from_its_own_pairs(name):
+    fx = fixture_from_json(json.loads(
+        (FIXTURE_DIR / f"{name}.json").read_text()))
+    assert_starts_from_its_own_pairs(fx["body"])
+
+
+@given(parallelepipeds())
+# widths 2 and 5/2, neither pair centred on the origin, which lies outside
+@example(HPolytope.from_halfspaces(
+    2, [((1, 2), Fraction(3)), ((-1, -2), Fraction(-1)),
+        ((0, 1), Fraction(1, 2)), ((0, -1), Fraction(2))]))
+def test_an_off_centre_parallelepiped_starts_from_its_own_pairs(body):
+    assert_starts_from_its_own_pairs(body)
+    assert_matches_reference(body)
+
+
+def test_a_crossing_flat_or_dependent_pair_is_swept_in_the_box():
+    # not a parallelepiped: the box sweep refuses each as it always did
+    crossed = HPolytope.from_halfspaces(
+        2, [((2, 1), Fraction(1)), ((-2, -1), Fraction(-3, 2)),
+            ((0, 1), Fraction(1)), ((0, -1), Fraction(1))])
+    with pytest.raises(EmptyBody):
+        crossed.vertices()
+    flat = HPolytope.from_halfspaces(
+        2, [((1, 2), Fraction(1, 3)), ((-1, -2), Fraction(-1, 3)),
+            ((0, 1), Fraction(1)), ((0, -1), Fraction(1))])
+    with pytest.raises(DegenerateBody):
+        flat.vertices()
+    dependent = HPolytope.from_halfspaces(
+        3, [((1, 0, 0), Fraction(1)), ((-1, 0, 0), Fraction(1)),
+            ((0, 1, 0), Fraction(1)), ((0, -1, 0), Fraction(1)),
+            ((1, 1, 0), Fraction(1)), ((-1, -1, 0), Fraction(1))])
+    with pytest.raises(Unbounded):
+        dependent.vertices()
+
+
 @settings(max_examples=10)
 @given(lattices(max_rank=5, entry=1))
 # a facet vector of this cell has squared norm 23, more than twice the
@@ -351,13 +412,18 @@ def assert_matches_reference(body):
 
 def test_a_segment_finds_its_other_live_end(sweeps):
     # d = 1: the two ends share no halfspace, so the AND over the empty set
-    # must be the live vertices, the segment's two ends, not every bit
+    # must be the live vertices, the segment's two ends, not every bit.  A
+    # segment given by halfspaces starts from its own ends, so the cuts are
+    # made on a box here
     body = HPolytope.from_halfspaces(1, [((1,), Fraction(3)),
                                          ((-1,), Fraction(1))])
     assert_matches_reference(body)
     assert body.vertices() == ((-1,), (3,))
-    (sweep,) = sweeps
-    assert sweep.pairs_tested == 2
+    box = polytopes._Sweep([(1,)], [(Fraction(10), Fraction(10))])
+    assert box.insert((1,), Fraction(3)) and box.insert((-1,), Fraction(1))
+    assert box.faces() == body._faces()
+    start, cut = sweeps
+    assert (start.pairs_tested, cut.pairs_tested) == (0, 2)
 
 
 def test_a_polygon_finds_every_edge(sweeps):

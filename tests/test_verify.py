@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from paratile.lattices import Lattice
 from paratile.linalg import QMatrix, det_q
@@ -13,7 +15,8 @@ from paratile.polytopes import HPolytope, linear_image, voronoi_cell
 from paratile.serialization import fixture_from_json
 from paratile import verify
 from paratile.verify import (_count_membership, _membership_system,
-                             _popcount, _sample_blocks, verify_tiling)
+                             _popcount, _reachable, _sample_blocks,
+                             verify_tiling)
 
 from oracles import (brute_force_volume, dyadic_numerators_loop,
                      membership_count_by_translate)
@@ -163,10 +166,12 @@ def _agree_on_both_dtypes(ks, rows, offsets):
     return got
 
 
-@pytest.mark.parametrize("samples", [1, 7, 63, 64, 65, 129, 2000])
+@pytest.mark.parametrize("samples", [1, 7, 63, 64, 65, 129, 511, 512, 2000])
 @pytest.mark.parametrize("case", ["cube3", "scaled_cube3"])
 def test_packed_count_leaves_pad_bits_out(case, samples):
-    # a sample count off a multiple of 64 leaves pad bits in the last word;
+    # a sample count off a multiple of 64 leaves pad bits in the last word:
+    # in the last packed byte (511 samples fill 64 bytes, viewed as words)
+    # or past the packed bytes in a zeroed copy (2000 samples, 250 bytes);
     # on the tiling cube3 any pad bit read as a sample would be a gap
     ks, rows, offsets = _inputs(*_fixture(case), samples, 24, 5)
     overlap, gap, _, _ = _agree_on_both_dtypes(ks, rows, offsets)
@@ -190,6 +195,74 @@ def test_packed_count_finds_a_first_witness_past_the_first_word():
     rows, offsets = [[1], [-1]], [[100, 0], [300, -50]]
     assert _agree_on_both_dtypes(ks, rows, offsets) == (
         1, 1, 1, ((400,), (75,)))
+
+
+def test_a_block_that_reaches_no_translate_is_all_gaps():
+    # every coordinate lies in [20, 99], so k_0 >= 20 > 10 on the block and
+    # the count keeps no translate
+    ks = np.array([[20 + i, 99 - i] for i in range(80)], dtype=np.int64)
+    rows, offsets = [[1, 0], [-1, 0]], [[10, 0], [10, 0]]
+    assert _reachable(ks, rows, offsets) == []
+    assert _agree_on_both_dtypes(ks, rows, offsets) == (
+        0, 80, 0, tuple((20 + i, 99 - i) for i in range(8)))
+
+
+@pytest.mark.parametrize("case, kept, translates", [
+    ("worked_n4", 16, 80), ("cube3", 8, 32), ("scaled_cube3", 8, 32)])
+def test_the_count_keeps_exactly_the_translates_that_hold_a_sample(
+        case, kept, translates):
+    # the circumradius candidates are 4-5 times the translates that meet
+    # the basis parallelepiped; the report still counts every candidate
+    body, lat = _fixture(case)
+    rows, offsets = _membership_system(body, lat, 24)
+    assert len(offsets) == translates
+    for ks in _sample_blocks(random.Random("tiling:0"), 10 ** 5, lat.rank,
+                             24):
+        scores = ks @ np.array(rows, dtype=np.int64).T
+        holding = [off for off in offsets
+                   if (scores <= np.array(off)).all(axis=1).any()]
+        assert len(holding) == kept
+        assert _reachable(ks, rows, offsets) == holding
+    rep = verify_tiling(body, lat, samples=10 ** 5, bits=24)
+    assert (rep.translates, rep.engine) == (translates, "int64")
+    if case == "worked_n4":
+        rep = verify_tiling(body, lat, samples=2000, bits=60)
+        assert (rep.translates, rep.engine) == (translates, "bigint")
+
+
+@st.composite
+def membership_inputs(draw):
+    """Small integer samples, rows and offsets, with offsets often below
+    every score a row takes on the block."""
+    rank = draw(st.integers(min_value=1, max_value=3))
+    vectors = st.lists(st.integers(min_value=-8, max_value=8),
+                       min_size=rank, max_size=rank)
+    rows = draw(st.lists(st.lists(st.integers(min_value=-3, max_value=3),
+                                  min_size=rank, max_size=rank),
+                         min_size=1, max_size=4))
+    ks = draw(st.lists(vectors, min_size=1, max_size=150))
+    offsets = draw(st.lists(
+        st.lists(st.integers(min_value=-80, max_value=80),
+                 min_size=len(rows), max_size=len(rows)),
+        min_size=1, max_size=6))
+    return ks, rows, offsets
+
+
+@settings(max_examples=150, deadline=None)
+@given(membership_inputs())
+# a block that reaches neither translate, and one that reaches both
+@example(([[3, 5], [4, 8]], [[1, 0], [0, -1]], [[2, 0], [9, -9]]))
+@example(([[3, 5], [4, 8]], [[1, 0], [0, -1]], [[9, 0], [3, -5]]))
+def test_skipping_idle_translates_matches_the_per_translate_count(inputs):
+    ks, rows, offsets = inputs
+    got = _agree_on_both_dtypes(np.array(ks, dtype=np.int64), rows, offsets)
+    # scaled past int64, every comparison and so every count is the same
+    big = np.array([[x << 70 for x in k] for k in ks], dtype=object)
+    big_offsets = [[o << 70 for o in off] for off in offsets]
+    want = (*got[:3], tuple(tuple(x << 70 for x in w) for w in got[3]))
+    assert _count_membership(big, rows, big_offsets, object) == want
+    assert membership_count_by_translate(big, rows, big_offsets,
+                                         object) == want
 
 
 @pytest.mark.parametrize("bits", [1, 2, 3, 4])
